@@ -2,7 +2,9 @@
 
 All tables are UTF-8, tab-separated, one header row. Paths ending in
 ".gz" are transparently (de)compressed; written gzip members carry no
-mtime so equal content yields equal bytes.
+mtime so equal content yields equal bytes. Every way a read can fail on
+the file's content (bad UTF-8, a damaged gzip stream, a malformed record)
+surfaces as IngestError naming the path and, where known, the row.
 """
 
 from __future__ import annotations
@@ -10,11 +12,16 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from .errors import IngestError
+
+# A byline of a large collaboration paper runs to hundreds of thousands
+# of characters, past the csv module's default 128 KiB field limit.
+csv.field_size_limit(2**31 - 1)
 
 
 def _is_gz(path: str | Path) -> bool:
@@ -45,6 +52,33 @@ def open_text_write(path: str | Path):
             yield fh
 
 
+def _records(path: str | Path) -> Iterator[list[str]]:
+    """Yield every record, header first; content that cannot be read raises IngestError.
+
+    Text is decoded a block at a time, so a decoding or gzip failure
+    carries no row number: the row being parsed need not hold the bad byte.
+    """
+    row_no = 0
+    try:
+        with open_text_read(path) as fh:
+            for record in csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE):
+                yield record
+                row_no += 1
+    except csv.Error as exc:
+        raise IngestError(str(exc), row=row_no, path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"not UTF-8 text: {exc}", path=str(path)) from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise IngestError(f"damaged gzip data: {exc}", path=str(path)) from None
+
+
+def read_header(path: str | Path) -> tuple[str, ...] | None:
+    """The header row of a table, or None for an empty file."""
+    with closing(_records(path)) as records:
+        header = next(records, None)
+    return None if header is None else tuple(header)
+
+
 def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (row_number, fields) per data row after validating the header.
 
@@ -52,25 +86,22 @@ def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, l
     A row with the wrong number of fields raises IngestError.
     """
     expected = list(columns)
-    with open_text_read(path) as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError("empty file, expected a header row", path=str(path))
-        if header != expected:
+    records = _records(path)
+    header = next(records, None)
+    if header is None:
+        raise IngestError("empty file, expected a header row", path=str(path))
+    if header != expected:
+        raise IngestError(f"bad header {header!r}, expected {expected!r}", path=str(path))
+    for row_no, fields in enumerate(records, start=1):
+        if not fields:
+            continue
+        if len(fields) != len(expected):
             raise IngestError(
-                f"bad header {header!r}, expected {expected!r}", path=str(path)
+                f"expected {len(expected)} columns, got {len(fields)}",
+                row=row_no,
+                path=str(path),
             )
-        for row_no, fields in enumerate(reader, start=1):
-            if not fields:
-                continue
-            if len(fields) != len(expected):
-                raise IngestError(
-                    f"expected {len(expected)} columns, got {len(fields)}",
-                    row=row_no,
-                    path=str(path),
-                )
-            yield row_no, fields
+        yield row_no, fields
 
 
 def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

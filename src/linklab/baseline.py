@@ -8,7 +8,7 @@ across them, so it refines the blocking partition.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
 from .errors import ParseError
@@ -40,49 +40,30 @@ def aini_cluster_id(key: NameKey) -> str:
     return f"{key.surname}|{key.all_initials}"
 
 
+def _group(
+    instances: Iterable[tuple[InstanceID, PersonName | None]],
+    cluster_id: Callable[[PersonName], str],
+) -> Clustering:
+    # lists, not sets: Clustering copies the members into frozensets anyway
+    clusters: dict[str, list[InstanceID]] = {}
+    for instance, name in instances:
+        key = _sentinel_id(instance) if name is None else cluster_id(name)
+        clusters.setdefault(key, []).append(instance)
+    return Clustering(clusters)
+
+
 def cluster_fini(
     instances: Iterable[tuple[InstanceID, PersonName | None]]
 ) -> Clustering:
     """Group by blocking key; unparseable names become singletons."""
-    clusters: dict[str, set[InstanceID]] = {}
-    for instance, name in instances:
-        cluster_id = (
-            _sentinel_id(instance) if name is None else fini_cluster_id(fini_key(name))
-        )
-        clusters.setdefault(cluster_id, set()).add(instance)
-    return Clustering(clusters)
+    return _group(instances, lambda name: fini_cluster_id(fini_key(name)))
 
 
 def cluster_aini(
     instances: Iterable[tuple[InstanceID, PersonName | None]]
 ) -> Clustering:
     """Group by refined key; unparseable names become singletons."""
-    clusters: dict[str, set[InstanceID]] = {}
-    for instance, name in instances:
-        cluster_id = (
-            _sentinel_id(instance) if name is None else aini_cluster_id(aini_key(name))
-        )
-        clusters.setdefault(cluster_id, set()).add(instance)
-    return Clustering(clusters)
-
-
-def build_blocks(
-    instances: Iterable[tuple[InstanceID, PersonName | None]]
-) -> dict[BlockKey, set[InstanceID]]:
-    """Blocking-key map inducing the same partition as cluster_fini.
-
-    Unparseable names get a per-instance sentinel key so blocks stay a
-    partition of the full input.
-    """
-    blocks: dict[BlockKey, set[InstanceID]] = {}
-    for instance, name in instances:
-        key = (
-            BlockKey(_sentinel_id(instance), "")
-            if name is None
-            else fini_key(name)
-        )
-        blocks.setdefault(key, set()).add(instance)
-    return blocks
+    return _group(instances, lambda name: aini_cluster_id(aini_key(name)))
 
 
 def unparseable_count(clustering: Clustering) -> int:

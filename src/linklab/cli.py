@@ -17,13 +17,12 @@ import json
 import os
 import platform
 import sys
-from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
-from ._tsv import open_text_read, write_rows
-from .baseline import cluster_aini, cluster_fini, corpus_names, build_blocks, unparseable_count
+from ._tsv import read_header, write_rows
+from .baseline import cluster_aini, cluster_fini, corpus_names, unparseable_count
 from .corpus import (
     CLUSTERING_COLUMNS,
     ingest_annotations,
@@ -74,33 +73,7 @@ EXIT_MISSING_INPUT = 3
 EXIT_FORMAT = 4
 EXIT_EVALUATION = 5
 
-THREADS_ENV = "LINKLAB_THREADS"
-
 MANIFEST_NAME = "run_manifest.json"
-
-
-def thread_cap() -> int:
-    """Worker cap for internal parallelism, set by LINKLAB_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return max(1, min(4, os.cpu_count() or 1))
-    if not raw.isdigit() or int(raw) < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _ingest_all(jobs: Sequence[tuple[str, Callable[[], object]]]) -> dict[str, object]:
-    """Run independent ingest jobs, concurrently when allowed.
-
-    Results are keyed by job name, so the worker count never affects
-    output content.
-    """
-    cap = thread_cap()
-    if len(jobs) <= 1 or cap == 1:
-        return {name: job() for name, job in jobs}
-    with ThreadPoolExecutor(max_workers=min(cap, len(jobs))) as pool:
-        futures = [(name, pool.submit(job)) for name, job in jobs]
-        return {name: future.result() for name, future in futures}
 
 
 def _require(path: Path) -> Path:
@@ -112,6 +85,14 @@ def _require(path: Path) -> Path:
 def _prepare_out(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _can_be_directory(path: Path) -> bool:
+    """True when `path` is a directory or mkdir could make it one."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            return existing.is_dir()
+    return True
 
 
 def _sha256(path: Path) -> str:
@@ -162,23 +143,12 @@ def _finish(
     return EXIT_OK
 
 
-def _sniff_header(path: Path) -> tuple[str, ...]:
-    with open_text_read(path) as handle:
-        return tuple(handle.readline().rstrip("\n").split("\t"))
-
-
 def cmd_link_authority(args: argparse.Namespace) -> int:
     _require(args.papers)
     _require(args.authority)
-    data = _ingest_all(
-        [
-            ("corpus", lambda: ingest_corpus(args.papers)),
-            ("registry", lambda: ingest_authority(args.authority)),
-        ]
-    )
     result = link_authority(
-        data["corpus"],
-        data["registry"],
+        ingest_corpus(args.papers),
+        ingest_authority(args.authority),
         dup_title_policy=args.dup_title_policy,
         nonalpha=args.nonalpha,
     )
@@ -203,13 +173,7 @@ def cmd_link_authority(args: argparse.Namespace) -> int:
 def cmd_link_grants(args: argparse.Namespace) -> int:
     _require(args.papers)
     _require(args.grants)
-    data = _ingest_all(
-        [
-            ("corpus", lambda: ingest_corpus(args.papers)),
-            ("grants", lambda: ingest_grants(args.grants)),
-        ]
-    )
-    result = link_grants(data["corpus"], data["grants"])
+    result = link_grants(ingest_corpus(args.papers), ingest_grants(args.grants))
     out = _prepare_out(args.out)
     labels_path = out / "labels.tsv"
     conflicts_path = out / "conflicts.tsv"
@@ -227,17 +191,13 @@ def cmd_link_grants(args: argparse.Namespace) -> int:
 def cmd_pairs(args: argparse.Namespace) -> int:
     _require(args.papers)
     _require(args.citations)
-    data = _ingest_all(
-        [
-            ("corpus", lambda: ingest_corpus(args.papers)),
-            ("citations", lambda: ingest_citations(args.citations)),
-        ]
-    )
-    pairs = extract_selfcitation_pairs(data["corpus"], data["citations"])
+    corpus = ingest_corpus(args.papers)
+    citations = ingest_citations(args.citations)
+    pairs = extract_selfcitation_pairs(corpus, citations)
     out = _prepare_out(args.out)
     pairs_path = out / "pairs.tsv"
     write_pairs(pairs_path, pairs)
-    summary = "pairs: pairs=%d edges=%d" % (len(pairs.pairs), len(data["citations"]))
+    summary = "pairs: pairs=%d edges=%d" % (len(pairs.pairs), len(citations))
     return _finish(args, [args.papers, args.citations], [pairs_path], summary)
 
 
@@ -252,7 +212,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     summary = "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
         args.method,
         clustering.n_clusters,
-        clustering.n_instances,
+        len(clustering),
         unparseable_count(clustering),
     )
     return _finish(args, [args.papers], [clustering_path], summary)
@@ -261,13 +221,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def _evaluate_pairs(args: argparse.Namespace) -> int:
     _require(args.pairs)
     _require(args.pred)
-    data = _ingest_all(
-        [
-            ("pairs", lambda: read_pairs(args.pairs)),
-            ("pred", lambda: ingest_clustering(args.pred)),
-        ]
-    )
-    detail = pair_accuracy_detail(data["pairs"], data["pred"])
+    detail = pair_accuracy_detail(read_pairs(args.pairs), ingest_clustering(args.pred))
     out = _prepare_out(args.out)
     metrics_path = out / "metrics.json"
     payload = {
@@ -288,24 +242,14 @@ def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if args.papers is None:
         parser.error("evaluate with a labels file needs --papers for the join")
     _require(args.papers)
-    jobs = [
-        ("labels", lambda: read_labels(args.truth)),
-        ("pred", lambda: ingest_clustering(args.pred)),
-        ("corpus", lambda: ingest_corpus(args.papers)),
-    ]
     inputs = [args.truth, args.pred, args.papers]
     if args.annotations is not None:
-        _require(args.annotations)
-        jobs.append(("annotations", lambda: ingest_annotations(args.annotations)))
-        inputs.append(args.annotations)
-    data = _ingest_all(jobs)
-    dataset = join_labels(
-        data["labels"],
-        data["pred"],
-        data["corpus"],
-        data.get("annotations"),
-        strict=args.strict,
-    )
+        inputs.append(_require(args.annotations))
+    labels = read_labels(args.truth)
+    predicted = ingest_clustering(args.pred)
+    corpus = ingest_corpus(args.papers)
+    annotations = None if args.annotations is None else ingest_annotations(args.annotations)
+    dataset = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
     out = _prepare_out(args.out)
     dataset_path = out / "eval_dataset.tsv"
     write_eval_dataset(dataset_path, dataset)
@@ -317,7 +261,10 @@ def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             metrics_path, overall, {k: v for k, v in strata.items() if k != "ALL"}
         )
     else:
-        overall = b3_scores(dataset.truth_clustering(), dataset.predicted_clustering())
+        overall = b3_scores(
+            {row.instance: row.truth_label for row in dataset},
+            {row.instance: row.predicted_cluster_id for row in dataset},
+        )
         write_metrics_json(metrics_path, overall)
     summary = (
         "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d"
@@ -337,13 +284,9 @@ def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def _evaluate_clusterings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.stratum is not None:
         parser.error("--stratum needs a labels file as --truth (attributes come from the join)")
-    data = _ingest_all(
-        [
-            ("truth", lambda: ingest_clustering(args.truth)),
-            ("pred", lambda: ingest_clustering(args.pred)),
-        ]
+    scores = b3_scores(
+        ingest_clustering(args.truth), ingest_clustering(args.pred), strict=args.strict
     )
-    scores = b3_scores(data["truth"], data["pred"], strict=args.strict)
     out = _prepare_out(args.out)
     metrics_path = out / "metrics.json"
     write_metrics_json(metrics_path, scores)
@@ -363,7 +306,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return _evaluate_pairs(args)
     _require(args.truth)
     _require(args.pred)
-    header = _sniff_header(args.truth)
+    header = read_header(args.truth)
     if header == LABELS_COLUMNS:
         return _evaluate_labels(args, parser)
     if header == CLUSTERING_COLUMNS:
@@ -387,50 +330,38 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if args.seed is None:
             parser.error("profile --sample needs --seed (no hidden entropy)")
 
-    jobs = []
-    inputs = []
-    if args.eval is not None:
-        _require(args.eval)
-        jobs.append(("eval", lambda: read_eval_dataset(args.eval)))
-        inputs.append(args.eval)
-    if args.papers is not None:
-        _require(args.papers)
-        jobs.append(("corpus", lambda: ingest_corpus(args.papers)))
-        inputs.append(args.papers)
-    if args.truth is not None:
-        _require(args.truth)
-        jobs.append(("truth", lambda: ingest_clustering(args.truth)))
-        inputs.append(args.truth)
-    if args.pairs is not None:
-        _require(args.pairs)
-        jobs.append(("pairs", lambda: read_pairs(args.pairs)))
-        inputs.append(args.pairs)
-    data = _ingest_all(jobs)
+    inputs = [
+        _require(path)
+        for path in (args.eval, args.papers, args.truth, args.pairs)
+        if path is not None
+    ]
+    dataset = None if args.eval is None else read_eval_dataset(args.eval)
+    corpus = None if args.papers is None else ingest_corpus(args.papers)
+    truth = None if args.truth is None else ingest_clustering(args.truth)
+    pairs = None if args.pairs is None else read_pairs(args.pairs)
 
     out = _prepare_out(args.out)
     outputs = []
-    if args.eval is not None:
+    if dataset is not None:
         for attribute in ATTRIBUTES:
             path = out / f"dist_{attribute}.tsv"
-            write_distribution(path, {"percent": distribution(data["eval"], attribute)})
+            write_distribution(path, {"percent": distribution(dataset, attribute)})
             outputs.append(path)
-    if args.papers is not None:
-        names = list(corpus_names(data["corpus"]))
+    if corpus is not None:
+        names = list(corpus_names(corpus))
         path = out / "ccdf.tsv"
-        write_ccdf(path, {"fraction_at_least": block_size_ccdf(build_blocks(names))})
+        write_ccdf(path, {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)})
         outputs.append(path)
-    if args.truth is not None:
+    if truth is not None:
         path = out / "typology.tsv"
-        write_typology(path, classify_synonym_types(data["truth"], dict(names)))
+        write_typology(path, classify_synonym_types(truth, dict(names)))
         outputs.append(path)
-    if args.pairs is not None:
+    if pairs is not None:
         path = out / "dist_pair_year.tsv"
-        write_distribution(
-            path, {"percent": pair_year_distribution(data["pairs"], data["corpus"])}
-        )
+        write_distribution(path, {"percent": pair_year_distribution(pairs, corpus)})
         outputs.append(path)
     if args.sample is not None:
-        sample = reference_sample(data["corpus"].instances(), args.sample, args.seed)
+        sample = reference_sample(corpus.instances(), args.sample, args.seed)
         path = out / "sample.tsv"
         write_rows(path, ("instance_id",), [(str(i),) for i in sorted(sample)])
         outputs.append(path)
@@ -460,7 +391,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 def _agreement_rows(path: Path) -> list[EvalRow]:
     """Load either a labels file or an eval dataset as comparison rows."""
-    header = _sniff_header(path)
+    header = read_header(path)
     if header == LABELS_COLUMNS:
         return [
             EvalRow(label.instance, label.label_id, "", 0, None, None)
@@ -477,13 +408,7 @@ def _agreement_rows(path: Path) -> list[EvalRow]:
 def cmd_agree(args: argparse.Namespace) -> int:
     _require(args.a)
     _require(args.b)
-    data = _ingest_all(
-        [
-            ("a", lambda: _agreement_rows(args.a)),
-            ("b", lambda: _agreement_rows(args.b)),
-        ]
-    )
-    report = label_agreement(data["a"], data["b"])
+    report = label_agreement(_agreement_rows(args.a), _agreement_rows(args.b))
     out = _prepare_out(args.out)
     disagreements_path = out / "disagreements.tsv"
     write_rows(
@@ -515,7 +440,7 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     _require(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestError(f"invalid JSON: {exc}", path=path)
     if not isinstance(raw, dict):
         raise IngestError("config must be a JSON object", path=path)
@@ -629,6 +554,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if not _can_be_directory(args.out):
+        print(f"linklab: usage error: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -13,7 +13,7 @@ reports errors with 1-based data row numbers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -144,8 +144,11 @@ class Corpus:
         return paper.authors[instance.position - 1]
 
 
-class Clustering:
-    """A partition of instances into named, non-empty, disjoint clusters."""
+class Clustering(Mapping[InstanceID, str]):
+    """A partition of instances into named, non-empty, disjoint clusters.
+
+    Read-only mapping from each instance to its cluster id.
+    """
 
     def __init__(self, clusters: Mapping[str, Iterable[InstanceID]]):
         built: dict[str, frozenset[InstanceID]] = {}
@@ -181,20 +184,24 @@ class Clustering:
         return self._clusters
 
     @property
-    def assignment(self) -> Mapping[InstanceID, str]:
-        """Instance-to-cluster-id map. Treat as read-only."""
-        return self._assignment
-
-    @property
     def n_clusters(self) -> int:
         return len(self._clusters)
 
-    @property
-    def n_instances(self) -> int:
+    def __getitem__(self, instance: InstanceID) -> str:
+        return self._assignment[instance]
+
+    def __iter__(self) -> Iterator[InstanceID]:
+        return iter(self._assignment)
+
+    def __len__(self) -> int:
         return len(self._assignment)
 
-    def instances(self) -> Iterable[InstanceID]:
-        return self._assignment.keys()
+    # the dict's own views and lookup, faster than the Mapping defaults
+    def items(self) -> ItemsView[InstanceID, str]:
+        return self._assignment.items()
+
+    def get(self, instance: InstanceID, default: str | None = None) -> str | None:
+        return self._assignment.get(instance, default)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Clustering):
@@ -202,17 +209,7 @@ class Clustering:
         return self._clusters == other._clusters
 
     def __repr__(self) -> str:
-        return f"Clustering({self.n_clusters} clusters, {self.n_instances} instances)"
-
-    def restrict(self, instances: Iterable[InstanceID]) -> "Clustering":
-        """Drop members outside `instances`; drop clusters left empty."""
-        keep = set(instances)
-        clusters = {
-            cluster_id: kept
-            for cluster_id, members in self._clusters.items()
-            if (kept := members & keep)
-        }
-        return Clustering(clusters)
+        return f"Clustering({self.n_clusters} clusters, {len(self)} instances)"
 
 
 def _parse_positive_int(text: str, field: str, row_no: int, path: str | Path) -> int:

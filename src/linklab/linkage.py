@@ -21,7 +21,6 @@ from .corpus import (
     AuthorityProfile,
     Annotation,
     CitationEdge,
-    Clustering,
     Corpus,
     GrantRecord,
     InstanceID,
@@ -62,7 +61,6 @@ class LabeledInstance(NamedTuple):
     instance: InstanceID
     label_id: str
     source: str
-    name: PersonName | None = None
 
 
 class ConflictRecord(NamedTuple):
@@ -127,19 +125,17 @@ def _parse_keyed(raw: str) -> PersonName | None:
     return name if is_keyed(name) else None
 
 
-def _keyed_byline(paper) -> list[tuple[int, PersonName, BlockKey]]:
+def _keyed_byline(paper) -> list[tuple[int, BlockKey]]:
     keyed = []
     for position, raw in enumerate(paper.authors, start=1):
         name = _parse_keyed(raw)
         if name is not None:
-            keyed.append((position, name, fini_key(name)))
+            keyed.append((position, fini_key(name)))
     return keyed
 
 
 def _resolve_candidates(
-    candidates: set[tuple[InstanceID, str]],
-    names: Mapping[InstanceID, PersonName],
-    source: str,
+    candidates: set[tuple[InstanceID, str]], source: str
 ) -> tuple[tuple[LabeledInstance, ...], tuple[ConflictRecord, ...]]:
     """Apply both ambiguity rules to the full candidate set at once."""
     by_instance: dict[InstanceID, set[str]] = {}
@@ -175,7 +171,7 @@ def _resolve_candidates(
                     )
                 )
     labels = tuple(
-        LabeledInstance(instance, label_id, source, names.get(instance))
+        LabeledInstance(instance, label_id, source)
         for instance, label_id in sorted(candidates)
         if (instance, label_id) not in dropped
     )
@@ -217,7 +213,6 @@ def link_authority(
             duplicate_copies += len(pmids)
 
     candidates: set[tuple[InstanceID, str]] = set()
-    names: dict[InstanceID, PersonName] = {}
     unusable_profiles = 0
     for authority_id in sorted(registry):
         profile = registry[authority_id]
@@ -235,13 +230,11 @@ def link_authority(
             if pmid is not None:
                 matched_pmids.add(pmid)
         for pmid in matched_pmids:
-            for position, name, key in _keyed_byline(corpus.get(pmid)):
+            for position, key in _keyed_byline(corpus.get(pmid)):
                 if key == profile_key:
-                    instance = InstanceID(pmid, position)
-                    candidates.add((instance, authority_id))
-                    names[instance] = name
+                    candidates.add((InstanceID(pmid, position), authority_id))
 
-    labels, conflicts = _resolve_candidates(candidates, names, SOURCE_AUTHORITY)
+    labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
         "papers": len(corpus),
         "titles_usable": len(title_to_pmid),
@@ -258,7 +251,6 @@ def link_authority(
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
     candidates: set[tuple[InstanceID, str]] = set()
-    names: dict[InstanceID, PersonName] = {}
     unusable_pis = 0
     funded = set()
     funded_in_corpus = set()
@@ -275,13 +267,11 @@ def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult
             if paper is None:
                 continue
             funded_in_corpus.add(pmid)
-            for position, name, key in _keyed_byline(paper):
+            for position, key in _keyed_byline(paper):
                 if key == pi_key:
-                    instance = InstanceID(pmid, position)
-                    candidates.add((instance, pi_id))
-                    names[instance] = name
+                    candidates.add((InstanceID(pmid, position), pi_id))
 
-    labels, conflicts = _resolve_candidates(candidates, names, SOURCE_GRANT)
+    labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
     stats = {
         "grants": len(grants),
         "pis_unusable_name": unusable_pis,
@@ -298,7 +288,7 @@ def extract_selfcitation_pairs(
     corpus: Corpus, citations: Iterable[CitationEdge]
 ) -> PairSet:
     """Pair same-key instances across each in-corpus citation edge."""
-    byline_cache: dict[int, list[tuple[int, PersonName, BlockKey]]] = {}
+    byline_cache: dict[int, list[tuple[int, BlockKey]]] = {}
 
     def keyed(pmid: int):
         cached = byline_cache.get(pmid)
@@ -312,8 +302,8 @@ def extract_selfcitation_pairs(
             continue
         if edge.citing_pmid == edge.cited_pmid:
             continue
-        for pos_citing, _, key_citing in keyed(edge.citing_pmid):
-            for pos_cited, _, key_cited in keyed(edge.cited_pmid):
+        for pos_citing, key_citing in keyed(edge.citing_pmid):
+            for pos_cited, key_cited in keyed(edge.cited_pmid):
                 if key_citing == key_cited:
                     pairs.add(
                         (
@@ -361,20 +351,10 @@ class EvalDataset:
     def __repr__(self) -> str:
         return f"EvalDataset({len(self.rows)} rows)"
 
-    def truth_clustering(self) -> Clustering:
-        return Clustering.from_assignment(
-            {row.instance: row.truth_label for row in self.rows}
-        )
-
-    def predicted_clustering(self) -> Clustering:
-        return Clustering.from_assignment(
-            {row.instance: row.predicted_cluster_id for row in self.rows}
-        )
-
 
 def join_labels(
     labels: Iterable[LabeledInstance],
-    clustering: Clustering,
+    clustering: Mapping[InstanceID, str],
     corpus: Corpus,
     annotations: Mapping[InstanceID, Annotation] | None = None,
     *,
@@ -401,13 +381,12 @@ def join_labels(
             )
         by_instance[label.instance] = label
 
-    assignment = clustering.assignment
     rows = []
     dropped_unclustered = 0
     dropped_missing_paper = 0
     for instance in sorted(by_instance):
         label = by_instance[instance]
-        cluster_id = assignment.get(instance)
+        cluster_id = clustering.get(instance)
         if cluster_id is None:
             dropped_unclustered += 1
             continue

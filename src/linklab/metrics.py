@@ -3,8 +3,9 @@
 Recall averages |P(t) ∩ T(t)| / |T(t)| over evaluated instances t,
 precision averages |P(t) ∩ T(t)| / |P(t)|, where T(t) and P(t) are the
 truth and predicted clusters containing t. The aggregation tallies
-per-(truth, predicted) overlap counts, so cost is linear in instances
-rather than quadratic.
+per-(truth, predicted) overlap counts, so cost is O(n log n) in
+instances rather than quadratic. Clusterings are plain
+instance-to-cluster-id mappings; a `Clustering` is one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Clustering, InstanceID
+from .corpus import InstanceID
 from .errors import EvaluationError
 
 
@@ -40,32 +41,29 @@ def _f1(recall: float, precision: float) -> float:
 
 
 def b3_scores(
-    truth: Clustering,
-    predicted: Clustering,
+    truth: Mapping[InstanceID, str],
+    predicted: Mapping[InstanceID, str],
     *,
     strict: bool = True,
-    restrict_predicted: bool = True,
 ) -> B3Scores:
     """Score `predicted` against `truth` over the truth instances.
 
-    Instances only in `predicted` are ignored. Instances only in
-    `truth` are an error when strict, otherwise dropped and counted.
-    With restrict_predicted (default), P(t) is intersected with the
-    evaluated universe before the precision denominator is taken;
-    without it, unevaluated members of a predicted cluster still count
-    against precision.
+    Instances only in `predicted` are ignored, and P(t) is intersected
+    with the evaluated universe before the precision denominator is
+    taken. Instances only in `truth` are an error when strict, otherwise
+    dropped and counted. The overlap cells are summed in sorted order, so
+    the scores do not depend on the order in which the mappings list
+    their instances.
     """
-    truth_assignment = truth.assignment
-    if not truth_assignment:
+    if not truth:
         raise EvaluationError("nothing to evaluate: truth clustering is empty")
-    predicted_assignment = predicted.assignment
 
     overlap: Counter[tuple[str, str]] = Counter()
     truth_sizes: Counter[str] = Counter()
     predicted_sizes: Counter[str] = Counter()
     dropped = 0
-    for instance, truth_id in truth_assignment.items():
-        predicted_id = predicted_assignment.get(instance)
+    for instance, truth_id in truth.items():
+        predicted_id = predicted.get(instance)
         if predicted_id is None:
             if strict:
                 raise EvaluationError(
@@ -84,33 +82,28 @@ def b3_scores(
 
     recall_sum = 0.0
     precision_sum = 0.0
-    predicted_clusters = predicted.clusters
-    for (truth_id, predicted_id), count in overlap.items():
+    for (truth_id, predicted_id), count in sorted(overlap.items()):
         shared = count * count
         recall_sum += shared / truth_sizes[truth_id]
-        if restrict_predicted:
-            precision_sum += shared / predicted_sizes[predicted_id]
-        else:
-            precision_sum += shared / len(predicted_clusters[predicted_id])
+        precision_sum += shared / predicted_sizes[predicted_id]
     recall = recall_sum / n
     precision = precision_sum / n
     return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
 
 
 def pair_accuracy_detail(
-    pairs: Iterable[tuple[InstanceID, InstanceID]], predicted: Clustering
+    pairs: Iterable[tuple[InstanceID, InstanceID]], predicted: Mapping[InstanceID, str]
 ) -> PairAccuracy:
     """Fraction of positive pairs whose members share a predicted cluster.
 
     Pairs with a member absent from `predicted` are dropped and counted.
     """
-    assignment = predicted.assignment
     evaluated = 0
     agreed = 0
     dropped = 0
     for a, b in pairs:
-        cluster_a = assignment.get(a)
-        cluster_b = assignment.get(b)
+        cluster_a = predicted.get(a)
+        cluster_b = predicted.get(b)
         if cluster_a is None or cluster_b is None:
             dropped += 1
             continue
@@ -123,7 +116,7 @@ def pair_accuracy_detail(
 
 
 def pair_accuracy(
-    pairs: Iterable[tuple[InstanceID, InstanceID]], predicted: Clustering
+    pairs: Iterable[tuple[InstanceID, InstanceID]], predicted: Mapping[InstanceID, str]
 ) -> float:
     return pair_accuracy_detail(pairs, predicted).accuracy
 
@@ -137,7 +130,7 @@ def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
 
     `dataset` is an EvalDataset; the stratum is one of year, gender, or
     ethnicity. Rows missing the attribute fall into "UNKNOWN". Within a
-    stratum, truth and predicted clusterings are restricted to that
+    stratum, truth and predicted clusters are restricted to that
     stratum's instances before scoring.
     """
     if stratum not in STRATA:
@@ -153,13 +146,10 @@ def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
         groups.setdefault(key, []).append(row)
 
     def score(subset) -> B3Scores:
-        truth = Clustering.from_assignment(
-            {row.instance: row.truth_label for row in subset}
+        return b3_scores(
+            {row.instance: row.truth_label for row in subset},
+            {row.instance: row.predicted_cluster_id for row in subset},
         )
-        predicted = Clustering.from_assignment(
-            {row.instance: row.predicted_cluster_id for row in subset}
-        )
-        return b3_scores(truth, predicted)
 
     result = {value: score(group) for value, group in sorted(groups.items())}
     result["ALL"] = score(rows)

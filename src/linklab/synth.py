@@ -105,9 +105,6 @@ class PlantedAuthor:
     pmids: tuple[int, ...]
     instances: tuple[InstanceID, ...]
 
-    def form_of(self, index: int) -> str:
-        return self.forms[index % len(self.forms)]
-
 
 @dataclass(frozen=True)
 class Bundle:

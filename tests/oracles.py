@@ -3,11 +3,12 @@
 from linklab.corpus import InstanceID
 
 
-def naive_b3(truth_clusters, predicted_clusters, restrict_predicted=True):
+def naive_b3(truth_clusters, predicted_clusters):
     """Per-instance double-loop B-cubed over the truth universe.
 
     truth_clusters / predicted_clusters: mapping cluster_id -> set of
-    instances. Every truth instance must appear in predicted.
+    instances. Every truth instance must appear in predicted; predicted
+    clusters are restricted to the truth universe.
     """
     universe = set()
     for members in truth_clusters.values():
@@ -23,9 +24,7 @@ def naive_b3(truth_clusters, predicted_clusters, restrict_predicted=True):
     precision_sum = 0.0
     for t in sorted(universe):
         truth_members = cluster_of(truth_clusters, t)
-        predicted_members = cluster_of(predicted_clusters, t)
-        if restrict_predicted:
-            predicted_members = predicted_members & universe
+        predicted_members = cluster_of(predicted_clusters, t) & universe
         shared = len(truth_members & predicted_members)
         recall_sum += shared / len(truth_members)
         precision_sum += shared / len(predicted_members)

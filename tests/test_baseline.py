@@ -3,7 +3,6 @@
 import random
 
 from linklab.baseline import (
-    build_blocks,
     cluster_aini,
     cluster_fini,
     corpus_names,
@@ -52,9 +51,7 @@ def test_unparseable_names_become_singletons():
         clustering = make(instances)
         assert clustering.n_clusters == 3
         assert unparseable_count(clustering) == 2
-        assert clustering.assignment[InstanceID(2, 1)] != clustering.assignment[
-            InstanceID(3, 1)
-        ]
+        assert clustering[InstanceID(2, 1)] != clustering[InstanceID(3, 1)]
 
 
 def test_corpus_names_parses_bylines():
@@ -68,25 +65,6 @@ def test_corpus_names_parses_bylines():
     assert parsed[InstanceID(1, 1)].surname == "wang"
     assert parsed[InstanceID(1, 2)] is None
     assert parsed[InstanceID(2, 1)].all_initials == "pj"
-
-
-def test_build_blocks_matches_cluster_fini():
-    rng = random.Random(7)
-    surnames = ["kim", "lee", "park", "choi"]
-    forenames = ["Ji", "Jin", "Min", "Sun Hee"]
-    instances = [
-        (
-            InstanceID(i, 1),
-            parse_name(f"{rng.choice(surnames)}, {rng.choice(forenames)}"),
-        )
-        for i in range(1, 120)
-    ]
-    blocks = build_blocks(instances)
-    clustering = cluster_fini(instances)
-    assert sum(len(m) for m in blocks.values()) == len(instances)
-    assert {frozenset(m) for m in blocks.values()} == {
-        frozenset(m) for m in clustering.clusters.values()
-    }
 
 
 def test_grouping_matches_brute_force():
@@ -121,6 +99,5 @@ def test_aini_refines_fini_partition():
     ]
     fini = cluster_fini(instances)
     aini = cluster_aini(instances)
-    fini_of = fini.assignment
     for members in aini.clusters.values():
-        assert len({fini_of[m] for m in members}) == 1
+        assert len({fini[m] for m in members}) == 1

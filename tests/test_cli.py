@@ -1,13 +1,14 @@
 """End to end tests for the command line driver."""
 
 import filecmp
+import gzip
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from linklab.baseline import cluster_fini, corpus_names, build_blocks
+from linklab.baseline import cluster_fini, corpus_names
 from linklab.cli import (
     EXIT_EVALUATION,
     EXIT_FORMAT,
@@ -127,23 +128,6 @@ def test_domain_error_exit_code(workdir, bundle_dir, capsys):
     assert code == EXIT_EVALUATION
 
 
-def test_bad_thread_env_rejected(workdir, bundle_dir, monkeypatch, capsys):
-    monkeypatch.setenv("LINKLAB_THREADS", "zero")
-    code = main(
-        [
-            "link-authority",
-            "--papers",
-            "bundle/papers.tsv",
-            "--authority",
-            "bundle/authority.tsv",
-            "--out",
-            "auth",
-        ]
-    )
-    assert code == EXIT_EVALUATION
-    assert "LINKLAB_THREADS" in capsys.readouterr().err
-
-
 def test_synth_config_validation(workdir):
     (workdir / "withseed.json").write_text('{"seed": 3}')
     assert main(["synth", "--seed", "1", "--config", "withseed.json", "--out", "x"]) == EXIT_EVALUATION
@@ -187,9 +171,8 @@ def test_synth_twice_is_byte_identical(workdir):
     assert "run_manifest.json" in hashes_one
 
 
-def test_outputs_identical_across_thread_settings(workdir, bundle_dir, monkeypatch):
-    def run(threads: str, out: str):
-        monkeypatch.setenv("LINKLAB_THREADS", threads)
+def test_outputs_identical_across_out_directories(workdir, bundle_dir):
+    def run(out: str):
         assert (
             main(
                 [
@@ -206,7 +189,7 @@ def test_outputs_identical_across_thread_settings(workdir, bundle_dir, monkeypat
         )
         return _tree_hashes(workdir / out)
 
-    assert run("1", "auth1") == run("3", "auth3")
+    assert run("auth1") == run("auth2")
 
 
 def test_run_manifest_records_checksums(workdir, bundle_dir):
@@ -301,7 +284,10 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
     dataset = join_labels(result.labels, fini, corpus)
     write_eval_dataset(workdir / "api_eval.tsv", dataset)
     assert filecmp.cmp(workdir / "api_eval.tsv", workdir / "eval" / "eval_dataset.tsv", shallow=False)
-    scores = b3_scores(dataset.truth_clustering(), dataset.predicted_clustering())
+    scores = b3_scores(
+        {row.instance: row.truth_label for row in dataset},
+        {row.instance: row.predicted_cluster_id for row in dataset},
+    )
     write_metrics_json(workdir / "api_metrics.json", scores)
     assert filecmp.cmp(workdir / "api_metrics.json", workdir / "eval" / "metrics.json", shallow=False)
     summary = capsys.readouterr().out
@@ -311,7 +297,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
     assert main(["profile", "--papers", "bundle/papers.tsv", "--out", "prof"]) == EXIT_OK
     write_ccdf(
         workdir / "api_ccdf.tsv",
-        {"fraction_at_least": block_size_ccdf(build_blocks(names))},
+        {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)},
     )
     assert filecmp.cmp(workdir / "api_ccdf.tsv", workdir / "prof" / "ccdf.tsv", shallow=False)
 
@@ -455,3 +441,86 @@ def test_link_authority_nonalpha_mode(workdir, bundle_dir, capsys):
 def test_version_flag(workdir, capsys):
     assert main(["--version"]) == EXIT_OK
     assert "linklab" in capsys.readouterr().out
+
+
+PAPERS = "pmid\tyear\ttitle\tauthors\n1\t2001\tA title\tKim, Ji|Lee, Ann\n"
+LABELS = "instance_id\tlabel_id\tsource\n1_1\tx\tauthority\n1_2\ty\tauthority\n"
+CLUSTERING = "cluster_id\tinstance_id\nc1\t1_1\nc1\t1_2\n"
+LONG_BYLINE = "|".join(f"Surname{i}, Given" for i in range(15000))
+
+
+def _gz_flipped(data: bytes, offset: int) -> bytes:
+    packed = bytearray(gzip.compress(data, mtime=0))
+    packed[offset] ^= 0xFF
+    return bytes(packed)
+
+
+def _crlf(text: str) -> bytes:
+    return text.replace("\n", "\r\n").encode()
+
+
+def _baseline(papers: str, out: str = "out") -> list[str]:
+    return ["baseline", "--papers", papers, "--method", "fini", "--out", out]
+
+
+# (case, file written for the case, its bytes, argv, exit code). A failing
+# run must name that file in a one-line message.
+BAD_INPUTS = [
+    (
+        "crlf labels as evaluate truth",
+        "labels.tsv",
+        _crlf(LABELS),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_OK,
+    ),
+    (
+        "crlf labels in agree",
+        "labels.tsv",
+        _crlf(LABELS),
+        ["agree", "--a", "labels.tsv", "--b", "labels.tsv", "--out", "out"],
+        EXIT_OK,
+    ),
+    (
+        "15000-author byline",
+        "long.tsv",
+        f"pmid\tyear\ttitle\tauthors\n1\t2001\tA title\t{LONG_BYLINE}\n".encode(),
+        _baseline("long.tsv"),
+        EXIT_OK,
+    ),
+    # offset 10 is the first byte of the deflate stream, -8 the CRC trailer
+    ("damaged deflate stream", "papers.tsv.gz", _gz_flipped(PAPERS.encode(), 10), _baseline("papers.tsv.gz"), EXIT_FORMAT),
+    ("gzip checksum mismatch", "papers.tsv.gz", _gz_flipped(PAPERS.encode(), -8), _baseline("papers.tsv.gz"), EXIT_FORMAT),
+    ("truncated gzip", "papers.tsv.gz", gzip.compress(PAPERS.encode(), mtime=0)[:-12], _baseline("papers.tsv.gz"), EXIT_FORMAT),
+    ("plain text named .gz", "papers.tsv.gz", PAPERS.encode(), _baseline("papers.tsv.gz"), EXIT_FORMAT),
+    ("non-UTF-8 table", "latin.tsv", PAPERS.replace("Ann", "Ann\xe9").encode("latin-1"), _baseline("latin.tsv"), EXIT_FORMAT),
+    (
+        "non-UTF-8 evaluate truth",
+        "latin.tsv",
+        LABELS.replace("x", "\xe9").encode("latin-1"),
+        ["evaluate", "--truth", "latin.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "non-UTF-8 synth config",
+        "config.json",
+        b'{"n_authors": "\xff"}',
+        ["synth", "--seed", "1", "--config", "config.json", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    ("--out names a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken"), EXIT_USAGE),
+    ("--out under a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken/sub"), EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("case,name,data,argv,code", BAD_INPUTS, ids=[case[0] for case in BAD_INPUTS])
+def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, data, argv, code):
+    (workdir / "papers.tsv").write_text(PAPERS)
+    (workdir / "clustering.tsv").write_text(CLUSTERING)
+    (workdir / name).write_bytes(data)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.count("\n") == 1
+        assert name in err
+    assert (workdir / name).read_bytes() == data

@@ -128,7 +128,7 @@ def test_ingest_clustering(tmp_path):
     clustering = ingest_clustering(path)
     assert clustering.n_clusters == 2
     assert sorted(len(m) for m in clustering.clusters.values()) == [1, 2]
-    assert clustering.assignment[InstanceID(2, 1)] == "A"
+    assert clustering[InstanceID(2, 1)] == "A"
 
 
 def test_ingest_clustering_rejects_double_assignment(tmp_path):
@@ -149,13 +149,6 @@ def test_clustering_partition_validation():
         Clustering({"A": {a}, "B": set()})
     with pytest.raises(ValueError, match="cluster_id"):
         Clustering({"": {a}})
-
-
-def test_clustering_restrict():
-    a, b, c = InstanceID(1, 1), InstanceID(2, 1), InstanceID(3, 1)
-    clustering = Clustering({"A": {a, b}, "B": {c}})
-    kept = clustering.restrict({a, b})
-    assert kept.clusters == {"A": frozenset({a, b})}
 
 
 def test_clustering_round_trip(tmp_path):

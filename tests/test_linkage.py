@@ -86,7 +86,7 @@ def test_link_authority_matches_title_and_name(corpus):
         ("2_2", "orc-2"),
     ]
     assert all(l.source == "authority" for l in result.labels)
-    assert result.labels[0].name.surname == "hertzog"
+    assert corpus.byline_name(result.labels[0].instance) == "Hertzog, P J"
     assert result.conflicts == ()
     assert result.stats["labels"] == 3
 

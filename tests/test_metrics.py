@@ -5,6 +5,7 @@ import random
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from linklab.corpus import Clustering, InstanceID
 from linklab.errors import EvaluationError
@@ -66,9 +67,6 @@ def test_restrict_predicted_flag():
     predicted = Clustering({"p1": {A, B, extra}})
     restricted = b3_scores(truth, predicted)
     assert restricted.precision == 1.0
-    unrestricted = b3_scores(truth, predicted, restrict_predicted=False)
-    assert unrestricted.precision == pytest.approx(2 / 3, abs=1e-15)
-    assert unrestricted.recall == 1.0
 
 
 def test_missing_instance_strict_and_lenient():
@@ -191,6 +189,55 @@ def test_stratified_missing_attribute_goes_unknown():
     result = stratified_eval(rows, "ethnicity")
     assert set(result) == {"UNKNOWN", "Korean", "ALL"}
     assert result["UNKNOWN"].n == 2
+
+
+def _clusters(rows, field):
+    clusters = {}
+    for row in rows:
+        clusters.setdefault(getattr(row, field), set()).add(row.instance)
+    return clusters
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["t1", "t2", "t3", "t4"]),
+            st.sampled_from(["p1", "p2", "p3"]),
+            st.sampled_from([None, "", "English", "Korean", "Spanish"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_stratified_matches_naive_oracle(cells):
+    rows = [
+        Row(InstanceID(i, 1), truth, predicted, 2000, ethnicity, None)
+        for i, (truth, predicted, ethnicity) in enumerate(cells, start=1)
+    ]
+    result = stratified_eval(rows, "ethnicity")
+    subsets = {"ALL": rows}
+    for row in rows:
+        subsets.setdefault(row.ethnicity or "UNKNOWN", []).append(row)
+    assert set(result) == set(subsets)
+    for value, subset in subsets.items():
+        slow = naive_b3(_clusters(subset, "truth_label"), _clusters(subset, "predicted_cluster_id"))
+        fast = result[value]
+        assert fast.n == len(subset)
+        assert fast.recall == pytest.approx(slow[0], abs=1e-12)
+        assert fast.precision == pytest.approx(slow[1], abs=1e-12)
+        assert fast.f1 == pytest.approx(slow[2], abs=1e-12)
+
+
+def test_scores_ignore_mapping_order():
+    rng = random.Random(5)
+    instances = make_instances(300)
+    truth = {i: f"t{rng.randint(1, 40)}" for i in instances}
+    predicted = {i: f"p{rng.randint(1, 40)}" for i in instances}
+    shuffled = list(instances)
+    rng.shuffle(shuffled)
+    expected = b3_scores(Clustering.from_assignment(truth), Clustering.from_assignment(predicted))
+    assert b3_scores({i: truth[i] for i in shuffled}, predicted) == expected
+    assert b3_scores(truth, {i: predicted[i] for i in shuffled}) == expected
 
 
 def test_stratified_rejects_unknown_attribute():

@@ -277,9 +277,14 @@ def test_perturb_preserves_unstratified_scores():
     ]
     dataset = EvalDataset(rows)
     perturbed = perturb_tags(dataset, 0.10, seed=5)
-    before = b3_scores(dataset.truth_clustering(), dataset.predicted_clustering())
-    after = b3_scores(perturbed.truth_clustering(), perturbed.predicted_clustering())
-    assert before == after
+
+    def scores(rows):
+        return b3_scores(
+            {row.instance: row.truth_label for row in rows},
+            {row.instance: row.predicted_cluster_id for row in rows},
+        )
+
+    assert scores(dataset) == scores(perturbed)
 
 
 def test_write_distribution_two_columns(tmp_path):

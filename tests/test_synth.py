@@ -36,7 +36,7 @@ def test_generate_clean_bundle_shape():
     assert bundle.truth.n_clusters == 50
     # every instance belongs to exactly one truth cluster and one paper byline
     corpus_instances = set(bundle.corpus.instances())
-    assert set(bundle.truth.instances()) == corpus_instances
+    assert set(bundle.truth) == corpus_instances
     for author in bundle.authors:
         assert set(bundle.truth.clusters[author.author_id]) == set(author.instances)
         assert 2 <= len(author.pmids) <= 4
@@ -233,8 +233,8 @@ def test_authority_labels_recover_truth_on_clean_bundle():
     result = link_authority(bundle.corpus, bundle.registry)
     assert not result.conflicts
     # full work coverage labels every instance of every author
-    assert len(result.labels) == bundle.truth.n_instances
-    truth_of = bundle.truth.assignment
+    assert len(result.labels) == len(bundle.truth)
+    truth_of = bundle.truth
     for label in result.labels:
         assert label.label_id == "orc-" + truth_of[label.instance]
 
@@ -264,7 +264,7 @@ def test_ambiguous_bundle_yields_no_incorrect_labels():
     bundle = generate(cfg)
     result = link_authority(bundle.corpus, bundle.registry)
     assert result.conflicts
-    truth_of = bundle.truth.assignment
+    truth_of = bundle.truth
     for label in result.labels:
         assert label.label_id == "orc-" + truth_of[label.instance]
 
