@@ -1,10 +1,11 @@
 """Shared TSV plumbing: header-checked streaming reads, deterministic writes.
 
-All tables are UTF-8, tab-separated, one header row. Paths ending in
-".gz" are transparently (de)compressed; written gzip members carry no
-mtime so equal content yields equal bytes. Every way a read can fail on
-the file's content (bad UTF-8, a damaged gzip stream, a malformed record)
-surfaces as IngestError naming the path and, where known, the row.
+All tables are UTF-8 (a leading byte order mark is ignored on read),
+tab-separated, one header row. Paths ending in ".gz" are transparently
+(de)compressed; written gzip members carry no mtime so equal content
+yields equal bytes. Every way a read can fail on the file's content (bad
+UTF-8, a damaged gzip stream, a malformed record) surfaces as IngestError
+naming the path and, where known, the row.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ def _is_gz(path: str | Path) -> bool:
 
 @contextmanager
 def open_text_read(path: str | Path):
+    # utf-8-sig drops a leading byte order mark, which would otherwise
+    # stick to the first header column
     if _is_gz(path):
-        with gzip.open(path, "rt", encoding="utf-8", newline="") as fh:
+        with gzip.open(path, "rt", encoding="utf-8-sig", newline="") as fh:
             yield fh
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
 
 

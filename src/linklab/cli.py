@@ -1,9 +1,11 @@
 """Command line driver for batch linkage, evaluation, and profiling runs.
 
-Every subcommand reads its inputs, writes its artifacts under ``--out``,
-prints a one line summary, and drops a ``run_manifest.json`` recording
-inputs, flags, seed, versions, and checksums so a run can be audited and
-reproduced. Inputs are never modified.
+Every subcommand reads its inputs and writes its artifacts into a staging
+directory; ``_run`` then moves them into ``--out`` together with a
+``run_manifest.json`` recording inputs, flags, seed, versions, and
+checksums, so a run can be audited and reproduced. The manifest is moved
+last and only after the command succeeded, so a failed run leaves
+``--out`` as it was. Inputs are never modified.
 
 Exit codes: 0 success, 2 usage error, 3 missing input, 4 input format
 violation, 5 evaluation or configuration error.
@@ -16,7 +18,9 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import sys
+import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -76,17 +80,6 @@ EXIT_EVALUATION = 5
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _require(path: Path) -> Path:
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    return path
-
-
-def _prepare_out(out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _can_be_directory(path: Path) -> bool:
     """True when `path` is a directory or mkdir could make it one."""
     for existing in (path, *path.parents):
@@ -115,49 +108,72 @@ def _flags(args: argparse.Namespace) -> dict:
     return flags
 
 
-def _finish(
-    args: argparse.Namespace,
-    inputs: Sequence[Path],
-    outputs: Sequence[Path],
-    summary: str,
-) -> int:
-    manifest = {
-        "subcommand": args.subcommand,
-        "flags": _flags(args),
-        "seed": getattr(args, "seed", None),
-        "versions": {"linklab": __version__, "python": platform.python_version()},
-        "inputs": {
-            str(path): {"sha256": _sha256(path), "bytes": path.stat().st_size}
-            for path in inputs
-        },
-        "outputs": {
-            path.name: {"sha256": _sha256(path), "bytes": path.stat().st_size}
-            for path in outputs
-        },
-    }
-    manifest_path = args.out / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _checksum(path: Path) -> dict:
+    return {"sha256": _sha256(path), "bytes": path.stat().st_size}
+
+
+def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+
+
+def _write_link_result(out: Path, result) -> None:
+    write_labels(out / "labels.tsv", result.labels)
+    write_conflicts(out / "conflicts.tsv", result.conflicts)
+
+
+def _usage_error(message: str) -> int:
+    print(f"linklab: usage error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one subcommand in a staging directory and publish what it wrote.
+
+    Every file flag given is an input: all must exist before any is read.
+    Artifacts reach ``--out`` only when the command succeeds, the manifest
+    last; the staging directory is removed whatever happens.
+    """
+    inputs = [v for k, v in vars(args).items() if k != "out" and isinstance(v, Path)]
+    for path in inputs:
+        if not path.is_file():
+            raise FileNotFoundError(str(path))
+    args.out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".linklab-", dir=args.out))
+    try:
+        summary = args.func(args, stage)
+        outputs = sorted(stage.iterdir())
+        for path in outputs:
+            target = args.out / path.name
+            if target.is_dir():
+                return _usage_error(f"{target} is a directory")
+            if target.exists() and any(target.samefile(source) for source in inputs):
+                return _usage_error(f"{target} would replace an input")
+        manifest = {
+            "subcommand": args.subcommand,
+            "flags": _flags(args),
+            "seed": getattr(args, "seed", None),
+            "versions": {"linklab": __version__, "python": platform.python_version()},
+            "inputs": {str(path): _checksum(path) for path in inputs},
+            "outputs": {path.name: _checksum(path) for path in outputs},
+        }
+        _write_json(stage / MANIFEST_NAME, manifest, sort_keys=True)
+        for path in [*outputs, stage / MANIFEST_NAME]:
+            os.replace(path, args.out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     print(summary)
     return EXIT_OK
 
 
-def cmd_link_authority(args: argparse.Namespace) -> int:
-    _require(args.papers)
-    _require(args.authority)
+def cmd_link_authority(args: argparse.Namespace, out: Path) -> str:
     result = link_authority(
         ingest_corpus(args.papers),
         ingest_authority(args.authority),
         dup_title_policy=args.dup_title_policy,
         nonalpha=args.nonalpha,
     )
-    out = _prepare_out(args.out)
-    labels_path = out / "labels.tsv"
-    conflicts_path = out / "conflicts.tsv"
-    write_labels(labels_path, result.labels)
-    write_conflicts(conflicts_path, result.conflicts)
-    summary = (
+    _write_link_result(out, result)
+    return (
         "link-authority: labels=%d conflicts=%d papers=%d profiles=%d candidates=%d"
         % (
             len(result.labels),
@@ -167,92 +183,64 @@ def cmd_link_authority(args: argparse.Namespace) -> int:
             result.stats["candidates"],
         )
     )
-    return _finish(args, [args.papers, args.authority], [labels_path, conflicts_path], summary)
 
 
-def cmd_link_grants(args: argparse.Namespace) -> int:
-    _require(args.papers)
-    _require(args.grants)
+def cmd_link_grants(args: argparse.Namespace, out: Path) -> str:
     result = link_grants(ingest_corpus(args.papers), ingest_grants(args.grants))
-    out = _prepare_out(args.out)
-    labels_path = out / "labels.tsv"
-    conflicts_path = out / "conflicts.tsv"
-    write_labels(labels_path, result.labels)
-    write_conflicts(conflicts_path, result.conflicts)
-    summary = "link-grants: labels=%d conflicts=%d grants=%d funded_in_corpus=%d" % (
+    _write_link_result(out, result)
+    return "link-grants: labels=%d conflicts=%d grants=%d funded_in_corpus=%d" % (
         len(result.labels),
         len(result.conflicts),
         result.stats["grants"],
         result.stats["funded_pmids_in_corpus"],
     )
-    return _finish(args, [args.papers, args.grants], [labels_path, conflicts_path], summary)
 
 
-def cmd_pairs(args: argparse.Namespace) -> int:
-    _require(args.papers)
-    _require(args.citations)
+def cmd_pairs(args: argparse.Namespace, out: Path) -> str:
     corpus = ingest_corpus(args.papers)
     citations = ingest_citations(args.citations)
     pairs = extract_selfcitation_pairs(corpus, citations)
-    out = _prepare_out(args.out)
-    pairs_path = out / "pairs.tsv"
-    write_pairs(pairs_path, pairs)
-    summary = "pairs: pairs=%d edges=%d" % (len(pairs.pairs), len(citations))
-    return _finish(args, [args.papers, args.citations], [pairs_path], summary)
+    write_pairs(out / "pairs.tsv", pairs)
+    return "pairs: pairs=%d edges=%d" % (len(pairs.pairs), len(citations))
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    _require(args.papers)
+def cmd_baseline(args: argparse.Namespace, out: Path) -> str:
     corpus = ingest_corpus(args.papers)
     names = list(corpus_names(corpus))
     clustering = cluster_fini(names) if args.method == "fini" else cluster_aini(names)
-    out = _prepare_out(args.out)
-    clustering_path = out / "clustering.tsv"
-    write_clustering(clustering_path, clustering)
-    summary = "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
+    write_clustering(out / "clustering.tsv", clustering)
+    return "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
         args.method,
         clustering.n_clusters,
         len(clustering),
         unparseable_count(clustering),
     )
-    return _finish(args, [args.papers], [clustering_path], summary)
 
 
-def _evaluate_pairs(args: argparse.Namespace) -> int:
-    _require(args.pairs)
-    _require(args.pred)
+def _evaluate_pairs(args: argparse.Namespace, out: Path) -> str:
     detail = pair_accuracy_detail(read_pairs(args.pairs), ingest_clustering(args.pred))
-    out = _prepare_out(args.out)
-    metrics_path = out / "metrics.json"
     payload = {
         "pair_accuracy": detail.accuracy,
         "evaluated": detail.evaluated,
         "dropped": detail.dropped,
     }
-    metrics_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    summary = "evaluate: pair_accuracy=%.6f evaluated=%d dropped=%d" % (
+    _write_json(out / "metrics.json", payload)
+    return "evaluate: pair_accuracy=%.6f evaluated=%d dropped=%d" % (
         detail.accuracy,
         detail.evaluated,
         detail.dropped,
     )
-    return _finish(args, [args.pairs, args.pred], [metrics_path], summary)
 
 
-def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     if args.papers is None:
-        parser.error("evaluate with a labels file needs --papers for the join")
-    _require(args.papers)
-    inputs = [args.truth, args.pred, args.papers]
-    if args.annotations is not None:
-        inputs.append(_require(args.annotations))
+        args.parser.error("evaluate with a labels file needs --papers for the join")
     labels = read_labels(args.truth)
     predicted = ingest_clustering(args.pred)
     corpus = ingest_corpus(args.papers)
     annotations = None if args.annotations is None else ingest_annotations(args.annotations)
     dataset = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
-    out = _prepare_out(args.out)
-    dataset_path = out / "eval_dataset.tsv"
-    write_eval_dataset(dataset_path, dataset)
+    write_eval_dataset(out / "eval_dataset.tsv", dataset)
     metrics_path = out / "metrics.json"
     if args.stratum is not None:
         strata = stratified_eval(dataset, args.stratum)
@@ -266,7 +254,7 @@ def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             {row.instance: row.predicted_cluster_id for row in dataset},
         )
         write_metrics_json(metrics_path, overall)
-    summary = (
+    return (
         "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d"
         " dropped_unclustered=%d dropped_missing_paper=%d"
         % (
@@ -278,46 +266,42 @@ def _evaluate_labels(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             dataset.dropped_missing_paper,
         )
     )
-    return _finish(args, inputs, [dataset_path, metrics_path], summary)
 
 
-def _evaluate_clusterings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
+    parser: argparse.ArgumentParser = args.parser
     if args.stratum is not None:
         parser.error("--stratum needs a labels file as --truth (attributes come from the join)")
     scores = b3_scores(
         ingest_clustering(args.truth), ingest_clustering(args.pred), strict=args.strict
     )
-    out = _prepare_out(args.out)
-    metrics_path = out / "metrics.json"
-    write_metrics_json(metrics_path, scores)
-    summary = "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d" % (
+    write_metrics_json(out / "metrics.json", scores)
+    return "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d" % (
         scores.recall,
         scores.precision,
         scores.f1,
         scores.n,
         scores.dropped,
     )
-    return _finish(args, [args.truth, args.pred], [metrics_path], summary)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    parser: argparse.ArgumentParser = args.parser
+def cmd_evaluate(args: argparse.Namespace, out: Path) -> str:
     if args.pairs is not None:
-        return _evaluate_pairs(args)
-    _require(args.truth)
-    _require(args.pred)
+        return _evaluate_pairs(args, out)
+    if args.truth is None:
+        args.parser.error("evaluate needs --truth or --pairs")
     header = read_header(args.truth)
     if header == LABELS_COLUMNS:
-        return _evaluate_labels(args, parser)
+        return _evaluate_labels(args, out)
     if header == CLUSTERING_COLUMNS:
-        return _evaluate_clusterings(args, parser)
+        return _evaluate_clusterings(args, out)
     raise IngestError(
         "truth file header matches neither a labels nor a clustering file",
         path=args.truth,
     )
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace, out: Path) -> str:
     parser: argparse.ArgumentParser = args.parser
     if args.eval is None and args.papers is None:
         parser.error("profile needs --eval and/or --papers")
@@ -330,47 +314,35 @@ def cmd_profile(args: argparse.Namespace) -> int:
         if args.seed is None:
             parser.error("profile --sample needs --seed (no hidden entropy)")
 
-    inputs = [
-        _require(path)
-        for path in (args.eval, args.papers, args.truth, args.pairs)
-        if path is not None
-    ]
     dataset = None if args.eval is None else read_eval_dataset(args.eval)
     corpus = None if args.papers is None else ingest_corpus(args.papers)
     truth = None if args.truth is None else ingest_clustering(args.truth)
     pairs = None if args.pairs is None else read_pairs(args.pairs)
 
-    out = _prepare_out(args.out)
-    outputs = []
     if dataset is not None:
         for attribute in ATTRIBUTES:
-            path = out / f"dist_{attribute}.tsv"
-            write_distribution(path, {"percent": distribution(dataset, attribute)})
-            outputs.append(path)
+            write_distribution(
+                out / f"dist_{attribute}.tsv", {"percent": distribution(dataset, attribute)}
+            )
     if corpus is not None:
         names = list(corpus_names(corpus))
-        path = out / "ccdf.tsv"
-        write_ccdf(path, {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)})
-        outputs.append(path)
+        write_ccdf(
+            out / "ccdf.tsv",
+            {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)},
+        )
     if truth is not None:
-        path = out / "typology.tsv"
-        write_typology(path, classify_synonym_types(truth, dict(names)))
-        outputs.append(path)
+        write_typology(out / "typology.tsv", classify_synonym_types(truth, dict(names)))
     if pairs is not None:
-        path = out / "dist_pair_year.tsv"
-        write_distribution(path, {"percent": pair_year_distribution(pairs, corpus)})
-        outputs.append(path)
+        write_distribution(
+            out / "dist_pair_year.tsv", {"percent": pair_year_distribution(pairs, corpus)}
+        )
     if args.sample is not None:
         sample = reference_sample(corpus.instances(), args.sample, args.seed)
-        path = out / "sample.tsv"
-        write_rows(path, ("instance_id",), [(str(i),) for i in sorted(sample)])
-        outputs.append(path)
-    summary = "profile: wrote %s" % ",".join(sorted(path.name for path in outputs))
-    return _finish(args, inputs, outputs, summary)
+        write_rows(out / "sample.tsv", ("instance_id",), [(str(i),) for i in sorted(sample)])
+    return "profile: wrote %s" % ",".join(sorted(path.name for path in out.iterdir()))
 
 
-def cmd_perturb(args: argparse.Namespace) -> int:
-    _require(args.eval)
+def cmd_perturb(args: argparse.Namespace, out: Path) -> str:
     dataset = read_eval_dataset(args.eval)
     perturbed = perturb_tags(dataset, args.fraction, args.seed)
     changed = sum(
@@ -378,15 +350,12 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         for before, after in zip(dataset, perturbed)
         if before.ethnicity != after.ethnicity
     )
-    out = _prepare_out(args.out)
-    dataset_path = out / "eval_dataset.tsv"
-    write_eval_dataset(dataset_path, perturbed)
-    summary = "perturb: rows=%d changed=%d fraction=%g" % (
+    write_eval_dataset(out / "eval_dataset.tsv", perturbed)
+    return "perturb: rows=%d changed=%d fraction=%g" % (
         len(perturbed),
         changed,
         args.fraction,
     )
-    return _finish(args, [args.eval], [dataset_path], summary)
 
 
 def _agreement_rows(path: Path) -> list[EvalRow]:
@@ -405,41 +374,37 @@ def _agreement_rows(path: Path) -> list[EvalRow]:
     )
 
 
-def cmd_agree(args: argparse.Namespace) -> int:
-    _require(args.a)
-    _require(args.b)
+def cmd_agree(args: argparse.Namespace, out: Path) -> str:
     report = label_agreement(_agreement_rows(args.a), _agreement_rows(args.b))
-    out = _prepare_out(args.out)
-    disagreements_path = out / "disagreements.tsv"
     write_rows(
-        disagreements_path,
+        out / "disagreements.tsv",
         ("instance_id", "label_a", "label_b"),
         [
             (str(instance), label_a, label_b)
             for instance, label_a, label_b in report.disagreements
         ],
     )
-    report_path = out / "agreement.json"
-    payload = {
-        "overlap": report.overlap_count,
-        "agree": report.agree_count,
-        "disagreements": len(report.disagreements),
-    }
-    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    summary = "agree: overlap=%d agree=%d disagreements=%d" % (
+    _write_json(
+        out / "agreement.json",
+        {
+            "overlap": report.overlap_count,
+            "agree": report.agree_count,
+            "disagreements": len(report.disagreements),
+        },
+    )
+    return "agree: overlap=%d agree=%d disagreements=%d" % (
         report.overlap_count,
         report.agree_count,
         len(report.disagreements),
     )
-    return _finish(args, [args.a, args.b], [disagreements_path, report_path], summary)
 
 
 def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     if path is None:
         return SynthConfig(seed=seed)
-    _require(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        # a leading byte order mark is not part of the JSON text
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestError(f"invalid JSON: {exc}", path=path)
     if not isinstance(raw, dict):
@@ -458,19 +423,14 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     return SynthConfig(seed=seed, **raw)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_synth_config(args.config, args.seed)
-    bundle = generate(config)
-    out = _prepare_out(args.out)
+def cmd_synth(args: argparse.Namespace, out: Path) -> str:
+    bundle = generate(_load_synth_config(args.config, args.seed))
     write_bundle(bundle, out)
-    outputs = [out / name for name in sorted(os.listdir(out)) if name != MANIFEST_NAME]
-    summary = "synth: authors=%d papers=%d instances=%d" % (
+    return "synth: authors=%d papers=%d instances=%d" % (
         bundle.manifest["authors"],
         bundle.manifest["papers"],
         bundle.manifest["instances"],
     )
-    inputs = [args.config] if args.config is not None else []
-    return _finish(args, inputs, outputs, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,10 +515,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if not _can_be_directory(args.out):
-        print(f"linklab: usage error: --out {args.out} is not a directory", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"--out {args.out} is not a directory")
     try:
-        return args.func(args)
+        return _run(args)
     except SystemExit as exc:
         # conditional flag validation reported through the subparser
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

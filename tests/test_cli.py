@@ -446,6 +446,11 @@ def test_version_flag(workdir, capsys):
 PAPERS = "pmid\tyear\ttitle\tauthors\n1\t2001\tA title\tKim, Ji|Lee, Ann\n"
 LABELS = "instance_id\tlabel_id\tsource\n1_1\tx\tauthority\n1_2\ty\tauthority\n"
 CLUSTERING = "cluster_id\tinstance_id\nc1\t1_1\nc1\t1_2\n"
+EVAL = (
+    "instance_id\ttruth_label\tpredicted_cluster_id\tyear\tethnicity\tgender\n"
+    "1_1\ta\tc1\t2001\tEnglish\tMale\n"
+    "1_2\tb\tc1\t2001\tKorean\tFemale\n"
+)
 LONG_BYLINE = "|".join(f"Surname{i}, Given" for i in range(15000))
 
 
@@ -464,8 +469,24 @@ def _baseline(papers: str, out: str = "out") -> list[str]:
 
 
 # (case, file written for the case, its bytes, argv, exit code). A failing
-# run must name that file in a one-line message.
+# run must explain itself in one line, naming that file unless the fault lies
+# in the data as a whole (exit 5), and must leave --out as it was.
 BAD_INPUTS = [
+    ("utf-8 bom before the header", "bom.tsv", b"\xef\xbb\xbf" + PAPERS.encode(), _baseline("bom.tsv"), EXIT_OK),
+    (
+        "utf-8 bom in a gzip table",
+        "bom.tsv.gz",
+        gzip.compress(b"\xef\xbb\xbf" + PAPERS.encode(), mtime=0),
+        _baseline("bom.tsv.gz"),
+        EXIT_OK,
+    ),
+    (
+        "utf-8 bom before the synth config",
+        "config.json",
+        b'\xef\xbb\xbf{"n_authors": 5}',
+        ["synth", "--seed", "1", "--config", "config.json", "--out", "out"],
+        EXIT_OK,
+    ),
     (
         "crlf labels as evaluate truth",
         "labels.tsv",
@@ -509,18 +530,85 @@ BAD_INPUTS = [
     ),
     ("--out names a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken"), EXIT_USAGE),
     ("--out under a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken/sub"), EXIT_USAGE),
+    (
+        "labels that join no predicted instance",
+        "labels.tsv",
+        LABELS.replace("1_", "5_").encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_EVALUATION,
+    ),
+    (
+        "profile of a header-only corpus",
+        "empty.tsv",
+        PAPERS.splitlines(keepends=True)[0].encode(),
+        ["profile", "--eval", "eval.tsv", "--papers", "empty.tsv", "--out", "out"],
+        EXIT_EVALUATION,
+    ),
+    (
+        "perturb output onto its input",
+        "e/eval_dataset.tsv",
+        EVAL.encode(),
+        ["perturb", "--eval", "e/eval_dataset.tsv", "--fraction", "1", "--seed", "1", "--out", "e"],
+        EXIT_USAGE,
+    ),
 ]
+
+
+def _entries(out: Path) -> set[Path]:
+    return set(out.rglob("*")) if out.is_dir() else set()
 
 
 @pytest.mark.parametrize("case,name,data,argv,code", BAD_INPUTS, ids=[case[0] for case in BAD_INPUTS])
 def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, data, argv, code):
     (workdir / "papers.tsv").write_text(PAPERS)
     (workdir / "clustering.tsv").write_text(CLUSTERING)
+    (workdir / "eval.tsv").write_text(EVAL)
+    (workdir / name).parent.mkdir(exist_ok=True)
     (workdir / name).write_bytes(data)
+    out = workdir / argv[argv.index("--out") + 1]
+    before = _entries(out)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.count("\n") == 1
-        assert name in err
+        if code != EXIT_EVALUATION:
+            assert name in err
+        assert _entries(out) == before
+    assert not list(out.glob(".linklab-*"))
     assert (workdir / name).read_bytes() == data
+
+
+def test_synth_into_a_non_empty_out(workdir):
+    out = workdir / "bundle"
+    (out / "sub").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["synth", "--seed", "3", "--out", "bundle"]) == EXIT_OK
+    write_bundle(generate(SynthConfig(seed=3)), workdir / "api")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(_tree_hashes(workdir / "api"))
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "sub").is_dir()
+    assert not list(out.glob(".linklab-*"))
+
+
+def test_output_onto_a_directory_is_refused(workdir, capsys):
+    (workdir / "papers.tsv").write_text(PAPERS)
+    (workdir / "out" / "clustering.tsv").mkdir(parents=True)
+    assert main(_baseline("papers.tsv")) == EXIT_USAGE
+    assert "out/clustering.tsv is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == ["clustering.tsv"]
+
+
+def test_every_file_flag_is_an_input(workdir, bundle_dir):
+    truth = "bundle/truth_clustering.tsv"
+    argv = ["evaluate", "--truth", truth, "--pred", truth, "--papers"]
+    assert main(argv + ["absent.tsv", "--out", "eval"]) == EXIT_MISSING_INPUT
+    assert main(argv + ["bundle/papers.tsv", "--out", "eval"]) == EXIT_OK
+    manifest = json.loads((workdir / "eval" / "run_manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == ["bundle/papers.tsv", truth]
+
+
+def test_evaluate_needs_truth_or_pairs(workdir, bundle_dir):
+    argv = ["evaluate", "--pred", "bundle/truth_clustering.tsv", "--out", "eval"]
+    assert main(argv) == EXIT_USAGE
