@@ -4,8 +4,8 @@ All tables are UTF-8 (a leading byte order mark is ignored on read),
 tab-separated, one header row. Paths ending in ".gz" are transparently
 (de)compressed; written gzip members carry no mtime so equal content
 yields equal bytes. Every way a read can fail on the file's content (bad
-UTF-8, a damaged gzip stream, a malformed record) surfaces as IngestError
-naming the path and, where known, the row.
+UTF-8, a damaged gzip stream, a malformed record, a NUL byte) surfaces as
+IngestError naming the path and, where known, the row.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ def open_text_write(path: str | Path):
             yield fh
 
 
+def _nul_free_lines(fh, path: str | Path) -> Iterator[str]:
+    # Without quoting every line is one record, so the line index is the row
+    # number. A NUL byte is never part of a name, title or ID; the csv module
+    # would pass it through into the field.
+    for row_no, line in enumerate(fh):
+        if "\0" in line:
+            raise IngestError("field contains a NUL byte", row=row_no, path=str(path))
+        yield line
+
+
 def _records(path: str | Path) -> Iterator[list[str]]:
     """Yield every record, header first; content that cannot be read raises IngestError.
 
@@ -64,7 +74,8 @@ def _records(path: str | Path) -> Iterator[list[str]]:
     row_no = 0
     try:
         with open_text_read(path) as fh:
-            for record in csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE):
+            lines = _nul_free_lines(fh, path)
+            for record in csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE):
                 yield record
                 row_no += 1
     except csv.Error as exc:

@@ -18,14 +18,23 @@ UNPARSEABLE_PREFIX = "?unparseable:"
 
 
 def corpus_names(corpus: Corpus) -> Iterator[tuple[InstanceID, PersonName | None]]:
-    """Parse every byline name; None marks an unparseable one."""
+    """Parse every byline name; None marks an unparseable one.
+
+    Each distinct raw string is parsed once per call, and every instance
+    carrying it shares the result.
+    """
+    parsed: dict[str, PersonName | None] = {}
     for paper in corpus:
         for position, raw in enumerate(paper.authors, start=1):
-            instance = InstanceID(paper.pmid, position)
-            try:
-                yield instance, parse_name(raw)
-            except ParseError:
-                yield instance, None
+            if raw in parsed:
+                name = parsed[raw]
+            else:
+                try:
+                    name = parse_name(raw)
+                except ParseError:
+                    name = None
+                parsed[raw] = name
+            yield InstanceID(paper.pmid, position), name
 
 
 def _sentinel_id(instance: InstanceID) -> str:

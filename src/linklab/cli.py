@@ -240,6 +240,12 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     corpus = ingest_corpus(args.papers)
     annotations = None if args.annotations is None else ingest_annotations(args.annotations)
     dataset = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
+    if not dataset:
+        raise EvaluationError(
+            "nothing to evaluate: no labeled instance joined a predicted cluster"
+            f" (dropped_unclustered={dataset.dropped_unclustered}"
+            f" dropped_missing_paper={dataset.dropped_missing_paper})"
+        )
     write_eval_dataset(out / "eval_dataset.tsv", dataset)
     metrics_path = out / "metrics.json"
     if args.stratum is not None:

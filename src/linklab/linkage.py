@@ -125,13 +125,26 @@ def _parse_keyed(raw: str) -> PersonName | None:
     return name if is_keyed(name) else None
 
 
-def _keyed_byline(paper) -> list[tuple[int, BlockKey]]:
-    keyed = []
-    for position, raw in enumerate(paper.authors, start=1):
-        name = _parse_keyed(raw)
-        if name is not None:
-            keyed.append((position, fini_key(name)))
-    return keyed
+def _keyed_bylines(corpus: Corpus) -> dict[int, dict[BlockKey, list[int]]]:
+    """Every paper's keyed byline positions, grouped by blocking key.
+
+    Each distinct raw name is parsed once per call; a paper with no
+    keyed name maps to an empty dict.
+    """
+    keys: dict[str, BlockKey | None] = {}
+    bylines: dict[int, dict[BlockKey, list[int]]] = {}
+    for paper in corpus:
+        grouped: dict[BlockKey, list[int]] = {}
+        for position, raw in enumerate(paper.authors, start=1):
+            if raw in keys:
+                key = keys[raw]
+            else:
+                name = _parse_keyed(raw)
+                key = keys[raw] = None if name is None else fini_key(name)
+            if key is not None:
+                grouped.setdefault(key, []).append(position)
+        bylines[paper.pmid] = grouped
+    return bylines
 
 
 def _resolve_candidates(
@@ -196,11 +209,19 @@ def link_authority(
         raise ValueError(
             f"dup_title_policy must be one of {DUP_TITLE_POLICIES}, got {dup_title_policy!r}"
         )
+    title_texts: dict[str, str | None] = {}
+
+    def title_text(raw: str) -> str | None:
+        if raw not in title_texts:
+            norm = normalize_title(raw, nonalpha=nonalpha)
+            title_texts[raw] = None if norm is None else norm.text
+        return title_texts[raw]
+
     pmids_by_title: dict[str, list[int]] = {}
     for paper in corpus:
-        norm = normalize_title(paper.raw_title, nonalpha=nonalpha)
-        if norm is not None:
-            pmids_by_title.setdefault(norm.text, []).append(paper.pmid)
+        text = title_text(paper.raw_title)
+        if text is not None:
+            pmids_by_title.setdefault(text, []).append(paper.pmid)
     title_to_pmid: dict[str, int] = {}
     duplicate_copies = 0
     for text, pmids in pmids_by_title.items():
@@ -212,6 +233,7 @@ def link_authority(
         else:
             duplicate_copies += len(pmids)
 
+    bylines = _keyed_bylines(corpus)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable_profiles = 0
     for authority_id in sorted(registry):
@@ -223,16 +245,12 @@ def link_authority(
         profile_key = fini_key(profile_name)
         matched_pmids = set()
         for raw_title in profile.work_titles:
-            norm = normalize_title(raw_title, nonalpha=nonalpha)
-            if norm is None:
-                continue
-            pmid = title_to_pmid.get(norm.text)
+            pmid = title_to_pmid.get(title_text(raw_title))
             if pmid is not None:
                 matched_pmids.add(pmid)
         for pmid in matched_pmids:
-            for position, key in _keyed_byline(corpus.get(pmid)):
-                if key == profile_key:
-                    candidates.add((InstanceID(pmid, position), authority_id))
+            for position in bylines[pmid].get(profile_key, ()):
+                candidates.add((InstanceID(pmid, position), authority_id))
 
     labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
@@ -250,6 +268,7 @@ def link_authority(
 
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
+    bylines = _keyed_bylines(corpus)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable_pis = 0
     funded = set()
@@ -263,13 +282,12 @@ def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult
             continue
         pi_key = fini_key(pi_name)
         for pmid in sorted(record.funded_pmids):
-            paper = corpus.get(pmid)
-            if paper is None:
+            grouped = bylines.get(pmid)
+            if grouped is None:
                 continue
             funded_in_corpus.add(pmid)
-            for position, key in _keyed_byline(paper):
-                if key == pi_key:
-                    candidates.add((InstanceID(pmid, position), pi_id))
+            for position in grouped.get(pi_key, ()):
+                candidates.add((InstanceID(pmid, position), pi_id))
 
     labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
     stats = {
@@ -288,23 +306,16 @@ def extract_selfcitation_pairs(
     corpus: Corpus, citations: Iterable[CitationEdge]
 ) -> PairSet:
     """Pair same-key instances across each in-corpus citation edge."""
-    byline_cache: dict[int, list[tuple[int, BlockKey]]] = {}
-
-    def keyed(pmid: int):
-        cached = byline_cache.get(pmid)
-        if cached is None:
-            cached = byline_cache[pmid] = _keyed_byline(corpus.get(pmid))
-        return cached
-
+    bylines = _keyed_bylines(corpus)
     pairs: set[tuple[InstanceID, InstanceID]] = set()
     for edge in citations:
-        if edge.citing_pmid not in corpus or edge.cited_pmid not in corpus:
+        citing = bylines.get(edge.citing_pmid)
+        cited = bylines.get(edge.cited_pmid)
+        if citing is None or cited is None or edge.citing_pmid == edge.cited_pmid:
             continue
-        if edge.citing_pmid == edge.cited_pmid:
-            continue
-        for pos_citing, key_citing in keyed(edge.citing_pmid):
-            for pos_cited, key_cited in keyed(edge.cited_pmid):
-                if key_citing == key_cited:
+        for key, citing_positions in citing.items():
+            for pos_cited in cited.get(key, ()):
+                for pos_citing in citing_positions:
                     pairs.add(
                         (
                             InstanceID(edge.citing_pmid, pos_citing),

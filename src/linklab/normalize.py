@@ -43,18 +43,29 @@ _FOLD = {
 }
 
 
+# Each _FOLD letter becomes its transliteration; encoding to ASCII with
+# "ignore" then drops combining marks and every other non-ASCII character.
+_FOLD_TABLE = str.maketrans(_FOLD)
+
+
 def ascii_fold(text: str) -> str:
     """Transliterate to ASCII; characters with no mapping are dropped."""
-    out: list[str] = []
-    for ch in unicodedata.normalize("NFKD", text):
-        mapped = _FOLD.get(ch)
-        if mapped is not None:
-            out.append(mapped)
-        elif unicodedata.combining(ch):
-            continue
-        elif ch.isascii():
-            out.append(ch)
-    return "".join(out)
+    if text.isascii():
+        # NFKD leaves ASCII unchanged
+        return text
+    decomposed = unicodedata.normalize("NFKD", text).translate(_FOLD_TABLE)
+    return decomposed.encode("ascii", "ignore").decode("ascii")
+
+
+# Title and name cleanup runs on ascii_fold output, so tables over code
+# points 0-127 cover every character. "delete" drops everything but
+# letters and whitespace; "space" turns every non-letter into a space.
+_NONALPHA_TABLES = {
+    "delete": {
+        c: None for c in range(128) if not (chr(c).isalpha() or chr(c).isspace())
+    },
+    "space": {c: " " for c in range(128) if not chr(c).isalpha()},
+}
 
 
 class NormTitle(NamedTuple):
@@ -76,17 +87,13 @@ def normalize_title(raw: str, *, nonalpha: str = "delete") -> NormTitle | None:
     ("Cancer-Risk" becomes "cancerrisk"); "space" turns them into token
     breaks instead, for sensitivity checks.
     """
-    if nonalpha not in ("delete", "space"):
+    table = _NONALPHA_TABLES.get(nonalpha)
+    if table is None:
         raise ValueError(f"nonalpha must be 'delete' or 'space', got {nonalpha!r}")
     raw_tokens = raw.split()
     if len(raw_tokens) < 5:
         return None
-    folded = ascii_fold(raw).lower()
-    if nonalpha == "delete":
-        cleaned = "".join(ch for ch in folded if ch.isalpha() or ch.isspace())
-    else:
-        cleaned = "".join(ch if ch.isalpha() else " " for ch in folded)
-    words = cleaned.split()
+    words = ascii_fold(raw).lower().translate(table).split()
     if len(words) < 5:
         return None
     return NormTitle(text=" ".join(words), word_count_raw=len(raw_tokens))
@@ -118,12 +125,8 @@ class NameKey(NamedTuple):
 
 def _clean_tokens(text: str) -> list[str]:
     """Fold, lowercase, and strip each whitespace token to its letters."""
-    tokens = []
-    for token in ascii_fold(text).lower().split():
-        letters = "".join(ch for ch in token if ch.isalpha())
-        if letters:
-            tokens.append(letters)
-    return tokens
+    # deleting the non-letters before splitting drops the tokens that had none
+    return ascii_fold(text).lower().translate(_NONALPHA_TABLES["delete"]).split()
 
 
 def parse_name(raw: str) -> PersonName:

@@ -1,6 +1,79 @@
 """Independent, intentionally naive reference implementations for tests."""
 
+import unicodedata
+
 from linklab.corpus import InstanceID
+from linklab.errors import ParseError
+from linklab.normalize import _FOLD, fini_key, is_keyed, parse_name
+
+
+def naive_ascii_fold(text):
+    """Character loop over NFKD: transliterate, drop marks and other non-ASCII."""
+    out = []
+    for ch in unicodedata.normalize("NFKD", text):
+        mapped = _FOLD.get(ch)
+        if mapped is not None:
+            out.append(mapped)
+        elif unicodedata.combining(ch):
+            continue
+        elif ch.isascii():
+            out.append(ch)
+    return "".join(out)
+
+
+def naive_normalize_title(raw, nonalpha="delete"):
+    """Character-generator title cleanup; returns the text or None."""
+    raw_tokens = raw.split()
+    if len(raw_tokens) < 5:
+        return None
+    folded = naive_ascii_fold(raw).lower()
+    if nonalpha == "delete":
+        cleaned = "".join(ch for ch in folded if ch.isalpha() or ch.isspace())
+    else:
+        cleaned = "".join(ch if ch.isalpha() else " " for ch in folded)
+    words = cleaned.split()
+    if len(words) < 5:
+        return None
+    return " ".join(words)
+
+
+def naive_clean_tokens(text):
+    """Fold, lowercase, split, then keep each token's letters."""
+    tokens = []
+    for token in naive_ascii_fold(text).lower().split():
+        letters = "".join(ch for ch in token if ch.isalpha())
+        if letters:
+            tokens.append(letters)
+    return tokens
+
+
+def naive_selfcitation_pairs(corpus, citations):
+    """Compare every byline slot of the citing paper with every slot of the cited one.
+
+    Returns canonical (smaller, larger) instance pairs.
+    """
+
+    def key(raw):
+        try:
+            name = parse_name(raw)
+        except ParseError:
+            return None
+        return fini_key(name) if is_keyed(name) else None
+
+    pairs = set()
+    for edge in citations:
+        citing = corpus.get(edge.citing_pmid)
+        cited = corpus.get(edge.cited_pmid)
+        if citing is None or cited is None or citing.pmid == cited.pmid:
+            continue
+        for pos_a, raw_a in enumerate(citing.authors, start=1):
+            for pos_b, raw_b in enumerate(cited.authors, start=1):
+                key_a = key(raw_a)
+                if key_a is not None and key_a == key(raw_b):
+                    a = InstanceID(citing.pmid, pos_a)
+                    b = InstanceID(cited.pmid, pos_b)
+                    pairs.add((a, b) if a <= b else (b, a))
+    return pairs
 
 
 def naive_b3(truth_clusters, predicted_clusters):

@@ -513,6 +513,8 @@ BAD_INPUTS = [
     ("gzip checksum mismatch", "papers.tsv.gz", _gz_flipped(PAPERS.encode(), -8), _baseline("papers.tsv.gz"), EXIT_FORMAT),
     ("truncated gzip", "papers.tsv.gz", gzip.compress(PAPERS.encode(), mtime=0)[:-12], _baseline("papers.tsv.gz"), EXIT_FORMAT),
     ("plain text named .gz", "papers.tsv.gz", PAPERS.encode(), _baseline("papers.tsv.gz"), EXIT_FORMAT),
+    ("NUL byte in a byline name", "nul.tsv", PAPERS.replace("Kim, Ji", "Kim, J\x00i").encode(), _baseline("nul.tsv"), EXIT_FORMAT),
+    ("NUL byte as a byline name", "nul.tsv", PAPERS.replace("Lee, Ann", "\x00").encode(), _baseline("nul.tsv"), EXIT_FORMAT),
     ("non-UTF-8 table", "latin.tsv", PAPERS.replace("Ann", "Ann\xe9").encode("latin-1"), _baseline("latin.tsv"), EXIT_FORMAT),
     (
         "non-UTF-8 evaluate truth",
@@ -554,6 +556,14 @@ BAD_INPUTS = [
 ]
 
 
+# What the one-line message must say beyond naming the case file.
+MESSAGES = {
+    "NUL byte in a byline name": "nul.tsv, row 1",
+    "NUL byte as a byline name": "nul.tsv, row 1",
+    "labels that join no predicted instance": "dropped_unclustered=2",
+}
+
+
 def _entries(out: Path) -> set[Path]:
     return set(out.rglob("*")) if out.is_dir() else set()
 
@@ -574,6 +584,7 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
         assert err.count("\n") == 1
         if code != EXIT_EVALUATION:
             assert name in err
+        assert MESSAGES.get(case, "") in err
         assert _entries(out) == before
     assert not list(out.glob(".linklab-*"))
     assert (workdir / name).read_bytes() == data

@@ -1,10 +1,12 @@
 """Labeling pipelines, label joins, and agreement."""
 
-import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
+from linklab import baseline, linkage
 from linklab.corpus import (
     Annotation,
     AuthorityProfile,
@@ -36,7 +38,7 @@ from linklab.linkage import (
     write_pairs,
 )
 from linklab.metrics import pair_accuracy
-from linklab.normalize import fini_key, parse_name
+from oracles import naive_selfcitation_pairs
 
 
 def make_corpus(*papers):
@@ -214,24 +216,81 @@ def test_selfcitation_pairs_match_brute_force():
         for _ in range(60)
     }
 
-    expected = set()
-    for edge in edges:
-        citing = corpus.get(edge.citing_pmid)
-        cited = corpus.get(edge.cited_pmid)
-        for (pos_a, raw_a), (pos_b, raw_b) in itertools.product(
-            enumerate(citing.authors, 1), enumerate(cited.authors, 1)
-        ):
-            if fini_key(parse_name(raw_a)) == fini_key(parse_name(raw_b)):
-                a = InstanceID(edge.citing_pmid, pos_a)
-                b = InstanceID(edge.cited_pmid, pos_b)
-                expected.add((a, b) if a <= b else (b, a))
-
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs.pairs == frozenset(expected)
+    assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
 
     names = list(corpus_names(corpus))
     assert pair_accuracy(pairs, cluster_fini(names)) == 1.0
     assert pair_accuracy(pairs, cluster_aini(names)) <= 1.0
+
+
+# "Kim, J", "Kim, Jin" and "J Kim" share one blocking key, so one byline
+# can carry a key at several positions; "Einstein" is a mononym and "123"
+# does not parse.
+BYLINE_NAMES = ["Kim, J", "Kim, Jin", "J Kim", "Kim, M", "Lee, Ann", "Lee, A. B.", "Einstein", "123"]
+
+
+@st.composite
+def cited_corpora(draw):
+    bylines = draw(
+        st.lists(st.lists(st.sampled_from(BYLINE_NAMES), min_size=1, max_size=6), min_size=1, max_size=6)
+    )
+    corpus = make_corpus(
+        *((pmid, 2000, TITLE_1, authors) for pmid, authors in enumerate(bylines, start=1))
+    )
+    # pmids past the corpus make edges to outside papers; equal ends make self-loops
+    pmid = st.integers(1, len(bylines) + 2)
+    edges = draw(st.lists(st.builds(CitationEdge, pmid, pmid), max_size=15))
+    return corpus, edges
+
+
+@given(cited_corpora())
+def test_selfcitation_pairs_match_quadratic_oracle(case):
+    corpus, edges = case
+    pairs = extract_selfcitation_pairs(corpus, edges)
+    assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+
+
+def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
+    parses = Counter()
+    titles = Counter()
+
+    def counting_parse(raw, parse=linkage.parse_name):
+        parses[raw] += 1
+        return parse(raw)
+
+    def counting_title(raw, normalize=linkage.normalize_title, **kwargs):
+        titles[raw] += 1
+        return normalize(raw, **kwargs)
+
+    monkeypatch.setattr(baseline, "parse_name", counting_parse)
+    monkeypatch.setattr(linkage, "parse_name", counting_parse)
+    monkeypatch.setattr(linkage, "normalize_title", counting_title)
+    corpus = make_corpus(
+        (1, 1999, TITLE_1, ["Kim, J", "Lee, Ann", "Kim, J", "Einstein"]),
+        (2, 2001, TITLE_2, ["Kim, J", "Lee, Ann", "Einstein"]),
+        (3, 2002, TITLE_1, ["Einstein", "Kim, J", "123"]),
+        (4, 2003, TITLE_2, ["123", "Kim, J"]),
+    )
+    registry = {
+        "orc-1": profile("orc-1", "Kim, Jin", TITLE_1, TITLE_2),
+        "orc-2": profile("orc-2", "Lee, A", TITLE_2),
+    }
+    grants = {"nih-1": GrantRecord("nih-1", "Kim, Jin", frozenset({1, 2, 3}))}
+    edges = [CitationEdge(2, 1), CitationEdge(3, 2), CitationEdge(4, 1), CitationEdge(4, 3)]
+    calls = {
+        "corpus_names": lambda: list(corpus_names(corpus)),
+        "link_authority": lambda: link_authority(corpus, registry),
+        "link_grants": lambda: link_grants(corpus, grants),
+        "extract_selfcitation_pairs": lambda: extract_selfcitation_pairs(corpus, edges),
+    }
+    for name, call in calls.items():
+        parses.clear()
+        titles.clear()
+        call()
+        assert parses["Kim, J"] == 1, name
+        assert max(parses.values()) == 1, (name, parses)
+        assert max(titles.values(), default=1) == 1, (name, titles)
 
 
 def test_pairset_validation():

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from linklab.errors import ParseError
 from linklab.normalize import (
+    _FOLD,
     BlockKey,
     NameKey,
+    _clean_tokens,
     ascii_fold,
     aini_key,
     fini_key,
@@ -14,6 +16,7 @@ from linklab.normalize import (
     normalize_title,
     parse_name,
 )
+from oracles import naive_ascii_fold, naive_clean_tokens, naive_normalize_title
 
 
 def test_ascii_fold():
@@ -161,3 +164,35 @@ def test_keys_are_deterministic(surname, forename):
     assert first == second
     assert fini_key(first) == fini_key(second)
     assert aini_key(first) == aini_key(second)
+
+
+# Characters the fast paths treat specially: every transliterated letter,
+# combining marks, the control characters str.split() takes for
+# whitespace, non-ASCII spaces, compatibility forms whose NFKD is ASCII
+# (ligature, superscript, roman numeral, fullwidth) and non-Latin letters.
+TRICKY = (
+    "".join(sorted(_FOLD))
+    + "\u0301\u0308\u030a\u030c\u0327\u0323\u0338"
+    + "\x1c\x1d\x1e\x1f\xa0\u2009\u3000 \t\n\r"
+    + "\ufb01\xb2\u216b\uff21\u2024"
+    + "\u738b\u4f1f\uae40\u0416\u03b1\u05d0\u0639"
+    + "aZ09-.,'!"
+)
+unicode_text = st.text(alphabet=st.sampled_from(TRICKY) | st.characters(), max_size=60)
+titles = unicode_text | st.lists(unicode_text, min_size=5, max_size=8).map(" ".join)
+
+
+@given(unicode_text)
+def test_ascii_fold_matches_character_loop(text):
+    assert ascii_fold(text) == naive_ascii_fold(text)
+
+
+@given(titles, st.sampled_from(["delete", "space"]))
+def test_normalize_title_matches_character_loop(raw, nonalpha):
+    norm = normalize_title(raw, nonalpha=nonalpha)
+    assert (None if norm is None else norm.text) == naive_normalize_title(raw, nonalpha)
+
+
+@given(unicode_text)
+def test_clean_tokens_match_character_loop(text):
+    assert _clean_tokens(text) == naive_clean_tokens(text)
