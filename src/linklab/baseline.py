@@ -8,7 +8,7 @@ across them, so it refines the blocking partition.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
 from .errors import ParseError
@@ -49,33 +49,28 @@ def aini_cluster_id(key: NameKey) -> str:
     return f"{key.surname}|{key.all_initials}"
 
 
-def _group(
-    instances: Iterable[tuple[InstanceID, PersonName | None]],
-    cluster_id: Callable[[PersonName], str],
-) -> Clustering:
-    # lists, not sets: Clustering copies the members into frozensets anyway
-    clusters: dict[str, list[InstanceID]] = {}
-    for instance, name in instances:
-        key = _sentinel_id(instance) if name is None else cluster_id(name)
-        clusters.setdefault(key, []).append(instance)
-    return Clustering(clusters)
-
-
 def cluster_fini(
     instances: Iterable[tuple[InstanceID, PersonName | None]]
 ) -> Clustering:
     """Group by blocking key; unparseable names become singletons."""
-    return _group(instances, lambda name: fini_cluster_id(fini_key(name)))
+    return Clustering.from_assignment({
+        instance: _sentinel_id(instance) if name is None else fini_cluster_id(fini_key(name))
+        for instance, name in instances
+    })
 
 
 def cluster_aini(
     instances: Iterable[tuple[InstanceID, PersonName | None]]
 ) -> Clustering:
     """Group by refined key; unparseable names become singletons."""
-    return _group(instances, lambda name: aini_cluster_id(aini_key(name)))
+    return Clustering.from_assignment({
+        instance: _sentinel_id(instance) if name is None else aini_cluster_id(aini_key(name))
+        for instance, name in instances
+    })
 
 
 def unparseable_count(clustering: Clustering) -> int:
+    # every sentinel id names one instance, so ids and instances count alike
     return sum(
-        1 for cluster_id in clustering.clusters if cluster_id.startswith(UNPARSEABLE_PREFIX)
+        1 for cluster_id in clustering.values() if cluster_id.startswith(UNPARSEABLE_PREFIX)
     )

@@ -21,8 +21,10 @@ import platform
 import shutil
 import sys
 import tempfile
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from ._tsv import read_header, write_rows
@@ -56,9 +58,8 @@ from .linkage import (
     write_pairs,
 )
 from .linkage import DUP_TITLE_POLICIES
-from .metrics import b3_scores, pair_accuracy_detail, stratified_eval, write_metrics_json, STRATA
+from .metrics import STRATA, b3_scores, pair_accuracy_detail, stratified_eval, write_metrics_json
 from .profile import (
-    ATTRIBUTES,
     block_size_ccdf,
     classify_synonym_types,
     distribution,
@@ -211,7 +212,7 @@ def cmd_baseline(args: argparse.Namespace, out: Path) -> str:
     write_clustering(out / "clustering.tsv", clustering)
     return "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
         args.method,
-        clustering.n_clusters,
+        len(set(clustering.values())),
         len(clustering),
         unparseable_count(clustering),
     )
@@ -247,19 +248,12 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
             f" dropped_missing_paper={dataset.dropped_missing_paper})"
         )
     write_eval_dataset(out / "eval_dataset.tsv", dataset)
-    metrics_path = out / "metrics.json"
-    if args.stratum is not None:
-        strata = stratified_eval(dataset, args.stratum)
-        overall = strata["ALL"]
-        write_metrics_json(
-            metrics_path, overall, {k: v for k, v in strata.items() if k != "ALL"}
-        )
-    else:
-        overall = b3_scores(
-            {row.instance: row.truth_label for row in dataset},
-            {row.instance: row.predicted_cluster_id for row in dataset},
-        )
-        write_metrics_json(metrics_path, overall)
+    strata = None if args.stratum is None else stratified_eval(dataset, args.stratum)
+    overall = strata.pop("ALL") if strata is not None else b3_scores(
+        {row.instance: row.truth_label for row in dataset},
+        {row.instance: row.predicted_cluster_id for row in dataset},
+    )
+    write_metrics_json(out / "metrics.json", overall, strata)
     return (
         "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d"
         " dropped_unclustered=%d dropped_missing_paper=%d"
@@ -293,6 +287,9 @@ def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
 
 def cmd_evaluate(args: argparse.Namespace, out: Path) -> str:
     if args.pairs is not None:
+        for flag, given in (("--truth", args.truth), ("--stratum", args.stratum)):
+            if given is not None:
+                raise SystemExit(_usage_error(f"evaluate --pairs takes no {flag}"))
         return _evaluate_pairs(args, out)
     if args.truth is None:
         args.parser.error("evaluate needs --truth or --pairs")
@@ -326,16 +323,14 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
     pairs = None if args.pairs is None else read_pairs(args.pairs)
 
     if dataset is not None:
-        for attribute in ATTRIBUTES:
+        for attribute in STRATA:
             write_distribution(
                 out / f"dist_{attribute}.tsv", {"percent": distribution(dataset, attribute)}
             )
     if corpus is not None:
         names = list(corpus_names(corpus))
-        write_ccdf(
-            out / "ccdf.tsv",
-            {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)},
-        )
+        sizes = Counter(cluster_fini(names).values()).values()
+        write_ccdf(out / "ccdf.tsv", {"fraction_at_least": block_size_ccdf(sizes)})
     if truth is not None:
         write_typology(out / "typology.tsv", classify_synonym_types(truth, dict(names)))
     if pairs is not None:
@@ -405,6 +400,29 @@ def cmd_agree(args: argparse.Namespace, out: Path) -> str:
     )
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false are bools, not integers
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# The JSON value each SynthConfig field type accepts, and its name in a message.
+_CONFIG_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    tuple[int, int]: (
+        "a list of two integers",
+        lambda value: type(value) is list and len(value) == 2 and all(map(_is_int, value)),
+    ),
+    Mapping[str, float]: (
+        "an object of numbers",
+        lambda value: type(value) is dict and all(map(_is_number, value.values())),
+    ),
+}
+
+
 def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     if path is None:
         return SynthConfig(seed=seed)
@@ -417,15 +435,16 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
         raise IngestError("config must be a JSON object", path=path)
     if "seed" in raw:
         raise ConfigError("the seed comes from --seed, not the config file")
-    allowed = set(SynthConfig.__dataclass_fields__)
-    unknown = sorted(set(raw) - allowed)
+    field_types = get_type_hints(SynthConfig)
+    unknown = sorted(set(raw) - set(field_types))
     if unknown:
         raise ConfigError("unknown config fields: " + ", ".join(unknown))
-    for key in ("papers_per_author", "year_range"):
-        if key in raw:
-            if not isinstance(raw[key], list):
-                raise ConfigError(f"{key} must be a two-element list")
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        expected, accepts = _CONFIG_TYPES[field_types[key]]
+        if not accepts(value):
+            raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
+        if type(value) is list:
+            raw[key] = tuple(value)
     return SynthConfig(seed=seed, **raw)
 
 

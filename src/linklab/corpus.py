@@ -13,7 +13,7 @@ reports errors with 1-based data row numbers.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -100,7 +100,6 @@ class CitationEdge(NamedTuple):
 class Annotation:
     """Verbatim demographic tags for one instance; no recoding at ingest."""
 
-    instance: InstanceID
     ethnicity: str
     gender: str
 
@@ -136,56 +135,46 @@ class Corpus:
         paper = self._papers.get(instance.pmid)
         return paper is not None and 1 <= instance.position <= len(paper.authors)
 
-    def byline_name(self, instance: InstanceID) -> str:
-        """Raw byline name at the instance's position; KeyError if dangling."""
-        paper = self._papers.get(instance.pmid)
-        if paper is None or not 1 <= instance.position <= len(paper.authors):
-            raise KeyError(f"no such instance {format_instance_id(instance)}")
-        return paper.authors[instance.position - 1]
-
 
 class Clustering(Mapping[InstanceID, str]):
     """A partition of instances into named, non-empty, disjoint clusters.
 
-    Read-only mapping from each instance to its cluster id.
+    Read-only mapping from each instance to its cluster id; `groups()`
+    lists the members of each cluster.
     """
 
     def __init__(self, clusters: Mapping[str, Iterable[InstanceID]]):
-        built: dict[str, frozenset[InstanceID]] = {}
         assignment: dict[InstanceID, str] = {}
-        for cluster_id, members in clusters.items():
+        for cluster_id in sorted(clusters):
             if not cluster_id:
                 raise ValueError("empty cluster_id")
-            member_set = frozenset(members)
-            if not member_set:
-                raise ValueError(f"cluster {cluster_id!r} has no members")
-            built[cluster_id] = member_set
-        for cluster_id in sorted(built):
-            for instance in built[cluster_id]:
-                other = assignment.get(instance)
-                if other is not None:
+            size = len(assignment)
+            for instance in clusters[cluster_id]:
+                other = assignment.setdefault(instance, cluster_id)
+                if other != cluster_id:
                     raise ValueError(
                         f"instance {format_instance_id(instance)} is in both "
                         f"clusters {other!r} and {cluster_id!r}"
                     )
-                assignment[instance] = cluster_id
-        self._clusters = built
+            if len(assignment) == size:
+                raise ValueError(f"cluster {cluster_id!r} has no members")
         self._assignment = assignment
 
     @classmethod
-    def from_assignment(cls, assignment: Mapping[InstanceID, str]) -> "Clustering":
-        clusters: dict[str, set[InstanceID]] = {}
-        for instance, cluster_id in assignment.items():
-            clusters.setdefault(cluster_id, set()).add(instance)
-        return cls(clusters)
+    def from_assignment(cls, assignment: dict[InstanceID, str]) -> "Clustering":
+        """Wrap a ready instance -> cluster-id dict; it is kept, not copied."""
+        if "" in assignment.values():
+            raise ValueError("empty cluster_id")
+        clustering = cls.__new__(cls)
+        clustering._assignment = assignment
+        return clustering
 
-    @property
-    def clusters(self) -> Mapping[str, frozenset[InstanceID]]:
-        return self._clusters
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self._clusters)
+    def groups(self) -> dict[str, list[InstanceID]]:
+        """Sorted members of each cluster, in cluster-id order; built per call."""
+        groups: dict[str, list[InstanceID]] = {}
+        for instance, cluster_id in self._assignment.items():
+            groups.setdefault(cluster_id, []).append(instance)
+        return {cluster_id: sorted(groups[cluster_id]) for cluster_id in sorted(groups)}
 
     def __getitem__(self, instance: InstanceID) -> str:
         return self._assignment[instance]
@@ -200,16 +189,14 @@ class Clustering(Mapping[InstanceID, str]):
     def items(self) -> ItemsView[InstanceID, str]:
         return self._assignment.items()
 
+    def values(self) -> ValuesView[str]:
+        return self._assignment.values()
+
     def get(self, instance: InstanceID, default: str | None = None) -> str | None:
         return self._assignment.get(instance, default)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Clustering):
-            return NotImplemented
-        return self._clusters == other._clusters
-
     def __repr__(self) -> str:
-        return f"Clustering({self.n_clusters} clusters, {len(self)} instances)"
+        return f"Clustering({len(set(self.values()))} clusters, {len(self)} instances)"
 
 
 def _parse_positive_int(text: str, field: str, row_no: int, path: str | Path) -> int:
@@ -248,8 +235,8 @@ def ingest_corpus(path: str | Path) -> Corpus:
 
 def ingest_clustering(path: str | Path) -> Clustering:
     """Read clustering.tsv (cluster_id, instance_id); enforce the partition."""
-    clusters: dict[str, set[InstanceID]] = {}
-    seen: dict[InstanceID, str] = {}
+    assignment: dict[InstanceID, str] = {}
+    ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
     for row_no, (cluster_id, instance_s) in read_rows(path, CLUSTERING_COLUMNS):
         if not cluster_id:
             raise IngestError("empty cluster_id", row=row_no, path=str(path))
@@ -257,15 +244,14 @@ def ingest_clustering(path: str | Path) -> Clustering:
             instance = parse_instance_id(instance_s)
         except ParseError as exc:
             raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if instance in seen:
+        if instance in assignment:
             raise IngestError(
-                f"instance {instance_s} already assigned to cluster {seen[instance]!r}",
+                f"instance {instance_s} already assigned to cluster {assignment[instance]!r}",
                 row=row_no,
                 path=str(path),
             )
-        seen[instance] = cluster_id
-        clusters.setdefault(cluster_id, set()).add(instance)
-    return Clustering(clusters)
+        assignment[instance] = ids.setdefault(cluster_id, cluster_id)
+    return Clustering.from_assignment(assignment)
 
 
 def ingest_authority(path: str | Path) -> dict[str, AuthorityProfile]:
@@ -352,9 +338,7 @@ def ingest_annotations(path: str | Path) -> dict[InstanceID, Annotation]:
                 row=row_no,
                 path=str(path),
             )
-        annotations[instance] = Annotation(
-            instance=instance, ethnicity=ethnicity, gender=gender
-        )
+        annotations[instance] = Annotation(ethnicity=ethnicity, gender=gender)
     return annotations
 
 
@@ -373,8 +357,8 @@ def write_corpus(path: str | Path, corpus: Corpus) -> None:
 def write_clustering(path: str | Path, clustering: Clustering) -> None:
     rows = [
         (cluster_id, format_instance_id(instance))
-        for cluster_id in sorted(clustering.clusters)
-        for instance in sorted(clustering.clusters[cluster_id])
+        for cluster_id, members in clustering.groups().items()
+        for instance in members
     ]
     write_rows(path, CLUSTERING_COLUMNS, rows)
 

@@ -125,6 +125,19 @@ STRATA = ("year", "gender", "ethnicity")
 UNKNOWN_STRATUM = "UNKNOWN"
 
 
+def stratify(rows: Iterable, stratum: str) -> dict[str, list]:
+    """Rows grouped by the string form of their `stratum` value, in value order.
+
+    A missing or empty value falls into UNKNOWN_STRATUM.
+    """
+    groups: dict[str, list] = {}
+    for row in rows:
+        value = getattr(row, stratum)
+        key = UNKNOWN_STRATUM if value is None or value == "" else str(value)
+        groups.setdefault(key, []).append(row)
+    return dict(sorted(groups.items()))
+
+
 def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
     """Per-stratum B-cubed scores plus an unrestricted "ALL" entry.
 
@@ -139,19 +152,13 @@ def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
     if not rows:
         raise EvaluationError("nothing to evaluate: empty dataset")
 
-    groups: dict[str, list] = {}
-    for row in rows:
-        value = getattr(row, stratum)
-        key = UNKNOWN_STRATUM if value is None or value == "" else str(value)
-        groups.setdefault(key, []).append(row)
-
     def score(subset) -> B3Scores:
         return b3_scores(
             {row.instance: row.truth_label for row in subset},
             {row.instance: row.predicted_cluster_id for row in subset},
         )
 
-    result = {value: score(group) for value, group in sorted(groups.items())}
+    result = {value: score(group) for value, group in stratify(rows, stratum).items()}
     result["ALL"] = score(rows)
     return result
 

@@ -12,7 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence, Sized
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,10 +20,8 @@ from ._tsv import write_rows
 from .corpus import Clustering, Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalDataset, PairSet
+from .metrics import STRATA, stratify
 from .normalize import PersonName, fini_key, is_keyed
-
-ATTRIBUTES = ("year", "gender", "ethnicity")
-UNKNOWN = "UNKNOWN"
 
 TYPE_SURNAME = "surname_variant"
 TYPE_INITIAL = "initial_variant"
@@ -32,19 +30,14 @@ TYPOLOGY_ORDER = (TYPE_SURNAME, TYPE_INITIAL, TYPE_FLIPPED)
 
 
 def distribution(rows: Iterable, attribute: str) -> dict[str, float]:
-    """Percentage of rows per attribute value; missing values are UNKNOWN."""
-    if attribute not in ATTRIBUTES:
-        raise ValueError(f"unknown attribute {attribute!r}, expected one of {ATTRIBUTES}")
+    """Percentage of rows per stratum of one of metrics.STRATA."""
+    if attribute not in STRATA:
+        raise ValueError(f"unknown attribute {attribute!r}, expected one of {STRATA}")
     rows = list(rows)
     if not rows:
         raise EvaluationError("nothing to profile: empty dataset")
-    counts: Counter[str] = Counter()
-    for row in rows:
-        value = getattr(row, attribute)
-        key = UNKNOWN if value is None or value == "" else str(value)
-        counts[key] += 1
     total = len(rows)
-    return {key: 100.0 * count / total for key, count in sorted(counts.items())}
+    return {key: 100.0 * len(group) / total for key, group in stratify(rows, attribute).items()}
 
 
 def pair_year_distribution(pairs: PairSet, corpus: Corpus) -> dict[str, float]:
@@ -68,13 +61,13 @@ class CCDFPoint(NamedTuple):
     fraction_at_least: float
 
 
-def block_size_ccdf(blocks: Mapping[object, Sized]) -> list[CCDFPoint]:
-    """Fraction of blocks at or above each distinct size.
+def block_size_ccdf(sizes: Iterable[int]) -> list[CCDFPoint]:
+    """Fraction of blocks at or above each distinct size, given every block's size.
 
     The point (1, 1.0) is always present as the anchor; fractions are
     non-increasing in size.
     """
-    sizes = sorted(len(members) for members in blocks.values())
+    sizes = sorted(sizes)
     if not sizes:
         raise EvaluationError("nothing to profile: no blocks")
     total = len(sizes)
@@ -142,10 +135,10 @@ def classify_synonym_types(
     """
     assignments: dict[str, str] = {}
     tallies: Counter[str] = Counter()
-    for cluster_id in sorted(truth.clusters):
+    for cluster_id, members in truth.groups().items():
         keys = set()
         forms: dict[tuple[str, tuple[str, ...]], PersonName] = {}
-        for instance in truth.clusters[cluster_id]:
+        for instance in members:
             name = names.get(instance)
             if name is None or not is_keyed(name):
                 continue

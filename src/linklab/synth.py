@@ -355,11 +355,11 @@ def generate(config: SynthConfig) -> Bundle:
                 edges.add(CitationEdge(citing_pmid=later, cited_pmid=earlier))
 
     annotations = {
-        instance: Annotation(instance, author.ethnicity, author.gender)
+        instance: Annotation(author.ethnicity, author.gender)
         for author in authors
         for instance in author.instances
     }
-    truth = Clustering({author.author_id: set(author.instances) for author in authors})
+    truth = Clustering.from_assignment({i: a.author_id for a in authors for i in a.instances})
 
     n_instances = len(instance_forms)
     synonym_authors = [a for a in authors if a.variant in SYNONYM_TYPES]

@@ -1,8 +1,10 @@
 """Independent, intentionally naive reference implementations for tests."""
 
 import unicodedata
+from collections.abc import Mapping
 
-from linklab.corpus import InstanceID
+from linklab._tsv import write_rows
+from linklab.corpus import CLUSTERING_COLUMNS, InstanceID, format_instance_id
 from linklab.errors import ParseError
 from linklab.normalize import _FOLD, fini_key, is_keyed, parse_name
 
@@ -120,3 +122,60 @@ def random_partition(rng, instances, max_clusters=None):
 
 def make_instances(n):
     return [InstanceID(i, 1) for i in range(1, n + 1)]
+
+
+class TwoCopyClustering(Mapping):
+    """The earlier Clustering: frozenset members per cluster plus an assignment dict."""
+
+    def __init__(self, clusters):
+        built = {}
+        assignment = {}
+        for cluster_id, members in clusters.items():
+            if not cluster_id:
+                raise ValueError("empty cluster_id")
+            member_set = frozenset(members)
+            if not member_set:
+                raise ValueError(f"cluster {cluster_id!r} has no members")
+            built[cluster_id] = member_set
+        for cluster_id in sorted(built):
+            for instance in built[cluster_id]:
+                other = assignment.get(instance)
+                if other is not None:
+                    raise ValueError(
+                        f"instance {format_instance_id(instance)} is in both "
+                        f"clusters {other!r} and {cluster_id!r}"
+                    )
+                assignment[instance] = cluster_id
+        self.clusters = built
+        self._assignment = assignment
+
+    @classmethod
+    def from_assignment(cls, assignment):
+        clusters = {}
+        for instance, cluster_id in assignment.items():
+            clusters.setdefault(cluster_id, set()).add(instance)
+        return cls(clusters)
+
+    def __getitem__(self, instance):
+        return self._assignment[instance]
+
+    def __iter__(self):
+        return iter(self._assignment)
+
+    def __len__(self):
+        return len(self._assignment)
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoCopyClustering):
+            return NotImplemented
+        return self.clusters == other.clusters
+
+
+def write_two_copy_clustering(path, clustering):
+    """The earlier write_clustering, over a TwoCopyClustering."""
+    rows = [
+        (cluster_id, format_instance_id(instance))
+        for cluster_id in sorted(clustering.clusters)
+        for instance in sorted(clustering.clusters[cluster_id])
+    ]
+    write_rows(path, CLUSTERING_COLUMNS, rows)

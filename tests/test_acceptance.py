@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
     predicted = Clustering.from_assignment(
         {iid: f"p{i // 7}" for i, iid in enumerate(instances)}
     )
-    assert truth.n_clusters == 10**5
+    assert len(set(truth.values())) == 10**5
     start = time.perf_counter()
     scores = b3_scores(truth, predicted)
     elapsed = time.perf_counter() - start
@@ -300,7 +301,7 @@ def test_criterion_6_ccdf_contract(bundle_mixed):
         for _ in range(count):
             blocks[key] = range(size)
             key += 1
-    points = block_size_ccdf(blocks)
+    points = block_size_ccdf(len(members) for members in blocks.values())
     assert points[0] == (1, 1.0)
     fractions = [point.fraction_at_least for point in points]
     assert all(x >= y for x, y in zip(fractions, fractions[1:]))
@@ -308,7 +309,8 @@ def test_criterion_6_ccdf_contract(bundle_mixed):
     assert ccdf_fraction_at_least(points, 2) == pytest.approx(0.6347, abs=1e-9)
 
     # generated corpora satisfy the same shape contract
-    generated = block_size_ccdf(cluster_fini(corpus_names(bundle_mixed.corpus)).clusters)
+    blocks = cluster_fini(corpus_names(bundle_mixed.corpus))
+    generated = block_size_ccdf(Counter(blocks.values()).values())
     assert generated[0] == (1, 1.0)
     generated_fractions = [point.fraction_at_least for point in generated]
     assert all(x >= y for x, y in zip(generated_fractions, generated_fractions[1:]))

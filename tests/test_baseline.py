@@ -20,25 +20,22 @@ def named(*raws):
 
 def test_fini_groups_on_surname_and_first_initial():
     clustering = cluster_fini(named("Wang, Wei", "Wang, W"))
-    assert clustering.n_clusters == 1
-    assert set(clustering.clusters) == {"wang|w"}
+    assert set(clustering.groups()) == {"wang|w"}
 
 
 def test_fini_splits_different_first_initials():
     clustering = cluster_fini(named("Ng, Patricia M. L.", "Ng, Miang Lon Patricia"))
-    assert clustering.n_clusters == 2
-    assert set(clustering.clusters) == {"ng|p", "ng|m"}
+    assert set(clustering.groups()) == {"ng|p", "ng|m"}
 
 
 def test_aini_splits_on_extra_initial():
     clustering = cluster_aini(named("Brown, C", "Brown, C. C."))
-    assert clustering.n_clusters == 2
-    assert set(clustering.clusters) == {"brown|c", "brown|cc"}
+    assert set(clustering.groups()) == {"brown|c", "brown|cc"}
 
 
 def test_aini_matches_equal_initials():
     clustering = cluster_aini(named("Brown, C. C.", "Brown, Charles Conrad"))
-    assert clustering.n_clusters == 1
+    assert len(clustering.groups()) == 1
 
 
 def test_unparseable_names_become_singletons():
@@ -49,7 +46,7 @@ def test_unparseable_names_become_singletons():
     ]
     for make in (cluster_fini, cluster_aini):
         clustering = make(instances)
-        assert clustering.n_clusters == 3
+        assert len(clustering.groups()) == 3
         assert unparseable_count(clustering) == 2
         assert clustering[InstanceID(2, 1)] != clustering[InstanceID(3, 1)]
 
@@ -82,7 +79,7 @@ def test_grouping_matches_brute_force():
         expected = {}
         for instance, name in instances:
             expected.setdefault(key(name), set()).add(instance)
-        got = {frozenset(m) for m in make(instances).clusters.values()}
+        got = {frozenset(m) for m in make(instances).groups().values()}
         assert got == {frozenset(m) for m in expected.values()}
 
 
@@ -99,5 +96,5 @@ def test_aini_refines_fini_partition():
     ]
     fini = cluster_fini(instances)
     aini = cluster_aini(instances)
-    for members in aini.clusters.values():
+    for members in aini.groups().values():
         assert len({fini[m] for m in members}) == 1

@@ -4,6 +4,7 @@ import filecmp
 import gzip
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -295,10 +296,8 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
 
     # profiling
     assert main(["profile", "--papers", "bundle/papers.tsv", "--out", "prof"]) == EXIT_OK
-    write_ccdf(
-        workdir / "api_ccdf.tsv",
-        {"fraction_at_least": block_size_ccdf(cluster_fini(names).clusters)},
-    )
+    sizes = Counter(cluster_fini(names).values()).values()
+    write_ccdf(workdir / "api_ccdf.tsv", {"fraction_at_least": block_size_ccdf(sizes)})
     assert filecmp.cmp(workdir / "api_ccdf.tsv", workdir / "prof" / "ccdf.tsv", shallow=False)
 
 
@@ -468,6 +467,24 @@ def _baseline(papers: str, out: str = "out") -> list[str]:
     return ["baseline", "--papers", papers, "--method", "fini", "--out", out]
 
 
+def _synth_with_config() -> list[str]:
+    return ["synth", "--seed", "1", "--config", "config.json", "--out", "out"]
+
+
+# A synth config whose field has the wrong JSON type, and the field it names.
+BAD_CONFIGS = {
+    '{"n_authors": "abc"}': "n_authors",
+    '{"n_authors": null}': "n_authors",
+    '{"n_authors": 10.5}': "n_authors",
+    '{"n_authors": true}': "n_authors",
+    '{"homonym_rate": "0.1"}': "homonym_rate",
+    '{"papers_per_author": ["a", "b"]}': "papers_per_author",
+    '{"year_range": [1991]}': "year_range",
+    '{"ethnicity_shares": [1, 2]}': "ethnicity_shares",
+    '{"gender_shares": {"Male": "half"}}': "gender_shares",
+}
+
+
 # (case, file written for the case, its bytes, argv, exit code). A failing
 # run must explain itself in one line, naming that file unless the fault lies
 # in the data as a whole (exit 5), and must leave --out as it was.
@@ -530,6 +547,10 @@ BAD_INPUTS = [
         ["synth", "--seed", "1", "--config", "config.json", "--out", "out"],
         EXIT_FORMAT,
     ),
+    *(
+        (f"synth config {text}", "config.json", text.encode(), _synth_with_config(), EXIT_EVALUATION)
+        for text in BAD_CONFIGS
+    ),
     ("--out names a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken"), EXIT_USAGE),
     ("--out under a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken/sub"), EXIT_USAGE),
     (
@@ -561,6 +582,7 @@ MESSAGES = {
     "NUL byte in a byline name": "nul.tsv, row 1",
     "NUL byte as a byline name": "nul.tsv, row 1",
     "labels that join no predicted instance": "dropped_unclustered=2",
+    **{f"synth config {text}": field for text, field in BAD_CONFIGS.items()},
 }
 
 
@@ -620,6 +642,17 @@ def test_every_file_flag_is_an_input(workdir, bundle_dir):
     assert sorted(manifest["inputs"]) == ["bundle/papers.tsv", truth]
 
 
-def test_evaluate_needs_truth_or_pairs(workdir, bundle_dir):
+def test_evaluate_needs_truth_or_pairs(workdir, bundle_dir, capsys):
     argv = ["evaluate", "--pred", "bundle/truth_clustering.tsv", "--out", "eval"]
     assert main(argv) == EXIT_USAGE
+    capsys.readouterr()
+    (workdir / "pairs.tsv").write_text("instance_a\tinstance_b\n")
+    pairs_mode = argv + ["--pairs", "pairs.tsv"]
+    for extra, flag in (
+        (["--truth", "bundle/truth_clustering.tsv"], "--truth"),
+        (["--stratum", "gender"], "--stratum"),
+    ):
+        assert main(pairs_mode + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not (workdir / "eval" / "metrics.json").exists()

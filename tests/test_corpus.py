@@ -1,8 +1,12 @@
 """Data model and TSV ingestion."""
 
 import gzip
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from linklab.corpus import (
     Clustering,
@@ -23,6 +27,8 @@ from linklab.corpus import (
     write_grants,
 )
 from linklab.errors import IngestError, ParseError
+
+from oracles import TwoCopyClustering, write_two_copy_clustering
 
 
 def write_tsv(path, text):
@@ -69,7 +75,7 @@ def test_ingest_corpus(tmp_path):
         InstanceID(3, 1),
         InstanceID(3, 2),
     ]
-    assert corpus.byline_name(InstanceID(3, 2)) == "Lee, Ann"
+    assert corpus.papers[3].authors[2 - 1] == "Lee, Ann"
     assert corpus.has_instance(InstanceID(2, 3))
     assert not corpus.has_instance(InstanceID(2, 4))
     assert not corpus.has_instance(InstanceID(9, 1))
@@ -126,8 +132,10 @@ def test_ingest_clustering(tmp_path):
         "cluster_id\tinstance_id\nA\t1_1\nA\t2_1\nB\t3_1\n",
     )
     clustering = ingest_clustering(path)
-    assert clustering.n_clusters == 2
-    assert sorted(len(m) for m in clustering.clusters.values()) == [1, 2]
+    assert clustering.groups() == {
+        "A": [InstanceID(1, 1), InstanceID(2, 1)],
+        "B": [InstanceID(3, 1)],
+    }
     assert clustering[InstanceID(2, 1)] == "A"
 
 
@@ -163,6 +171,65 @@ def test_clustering_round_trip(tmp_path):
     assert ingest_clustering(path) == clustering
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["cluster_id\tinstance_id", "x10\t2_1", "x9\t1_1", "x9\t5_2"]
+
+
+INSTANCES = st.builds(InstanceID, st.integers(1, 4), st.integers(1, 2))
+CLUSTER_IDS = st.sampled_from(["", "a", "b", "c10", "c9", "\u00e9"])
+# any group mapping: may overlap, hold an empty cluster or an empty id
+GROUP_MAPPINGS = st.dictionaries(CLUSTER_IDS, st.lists(INSTANCES, max_size=4), max_size=5)
+# a partition, as an instance -> cluster-id dict
+ASSIGNMENTS = st.dictionaries(INSTANCES, CLUSTER_IDS.filter(bool), max_size=12)
+
+
+def _build(cls, clusters):
+    try:
+        return cls(clusters)
+    except ValueError:
+        return None
+
+
+def _written(write, clustering) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clustering.tsv"
+        write(path, clustering)
+        return path.read_bytes()
+
+
+def _assert_same(new, old):
+    assert dict(new.items()) == dict(old.items())
+    assert new.groups() == {cid: sorted(members) for cid, members in sorted(old.clusters.items())}
+    assert _written(write_clustering, new) == _written(write_two_copy_clustering, old)
+
+
+I1, I2 = InstanceID(1, 1), InstanceID(2, 1)
+
+
+@given(GROUP_MAPPINGS, GROUP_MAPPINGS)
+@example({"a": [I1], "b": [I1, I2]}, {"a": [I1, I1], "b": [I2]})
+@example({"a": [I1], "b": []}, {"": [I2]})
+def test_clustering_matches_two_copy_oracle_on_group_mappings(one, two):
+    new_one, old_one = _build(Clustering, one), _build(TwoCopyClustering, one)
+    new_two, old_two = _build(Clustering, two), _build(TwoCopyClustering, two)
+    assert (new_one is None) == (old_one is None)
+    assert (new_two is None) == (old_two is None)
+    if new_one is not None:
+        _assert_same(new_one, old_one)
+    if new_one is not None and new_two is not None:
+        assert (new_one == new_two) == (old_one == old_two)
+
+
+@given(ASSIGNMENTS, ASSIGNMENTS)
+def test_clustering_matches_two_copy_oracle_on_partitions(one, two):
+    new_one, old_one = Clustering.from_assignment(dict(one)), TwoCopyClustering.from_assignment(one)
+    new_two, old_two = Clustering.from_assignment(dict(two)), TwoCopyClustering.from_assignment(two)
+    _assert_same(new_one, old_one)
+    assert new_one == Clustering(new_one.groups())
+    assert (new_one == new_two) == (old_one == old_two)
+
+
+def test_from_assignment_rejects_an_empty_cluster_id():
+    with pytest.raises(ValueError, match="cluster_id"):
+        Clustering.from_assignment({InstanceID(1, 1): ""})
 
 
 def test_ingest_authority_groups_rows(tmp_path):

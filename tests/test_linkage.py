@@ -88,7 +88,8 @@ def test_link_authority_matches_title_and_name(corpus):
         ("2_2", "orc-2"),
     ]
     assert all(l.source == "authority" for l in result.labels)
-    assert corpus.byline_name(result.labels[0].instance) == "Hertzog, P J"
+    first = result.labels[0].instance
+    assert corpus.papers[first.pmid].authors[first.position - 1] == "Hertzog, P J"
     assert result.conflicts == ()
     assert result.stats["labels"] == 3
 
@@ -313,7 +314,7 @@ def test_join_labels_inner_join(corpus):
         {"c1": {InstanceID(1, 1), InstanceID(2, 1)}, "c2": {InstanceID(3, 1)}}
     )
     annotations = {
-        InstanceID(1, 1): Annotation(InstanceID(1, 1), "English", "Male"),
+        InstanceID(1, 1): Annotation("English", "Male"),
     }
     dataset = join_labels(labels, clustering, corpus, annotations)
     assert len(dataset) == 2

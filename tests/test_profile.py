@@ -82,17 +82,17 @@ def test_pair_year_distribution_counts_both_members():
 
 
 def test_ccdf_singletons():
-    points = block_size_ccdf({"a": {1}, "b": {2}})
+    points = block_size_ccdf([1, 1])
     assert points == [CCDFPoint(1, 1.0)]
 
 
 def test_ccdf_mixed_sizes():
-    points = block_size_ccdf({"a": [1], "b": [2], "c": [3, 4]})
+    points = block_size_ccdf([1, 1, 2])
     assert points == [CCDFPoint(1, 1.0), CCDFPoint(2, pytest.approx(1 / 3))]
 
 
 def test_ccdf_is_anchored_even_without_singletons():
-    points = block_size_ccdf({"a": [1, 2], "b": [3, 4, 5]})
+    points = block_size_ccdf([2, 3])
     assert points[0] == CCDFPoint(1, 1.0)
     fractions = [p.fraction_at_least for p in points]
     assert fractions == sorted(fractions, reverse=True)
@@ -108,7 +108,7 @@ def test_ccdf_step_evaluation():
 
 def test_ccdf_empty_errors():
     with pytest.raises(EvaluationError):
-        block_size_ccdf({})
+        block_size_ccdf([])
 
 
 def test_reference_sample_deterministic():
@@ -145,8 +145,8 @@ def test_reference_sample_tracks_population_ccdf():
     sampled_blocks = {
         bid: members & sample for bid, members in blocks.items() if members & sample
     }
-    pop_points = block_size_ccdf(blocks)
-    sample_points = block_size_ccdf(sampled_blocks)
+    pop_points = block_size_ccdf(len(members) for members in blocks.values())
+    sample_points = block_size_ccdf(len(members) for members in sampled_blocks.values())
     for size in (1, 2, 5):
         gap = abs(
             ccdf_fraction_at_least(pop_points, size)

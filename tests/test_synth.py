@@ -33,12 +33,13 @@ def test_generate_clean_bundle_shape():
     cfg = SynthConfig(seed=1, n_authors=50, papers_per_author=(2, 4))
     bundle = generate(cfg)
     assert len(bundle.authors) == 50
-    assert bundle.truth.n_clusters == 50
+    groups = bundle.truth.groups()
+    assert len(groups) == 50
     # every instance belongs to exactly one truth cluster and one paper byline
     corpus_instances = set(bundle.corpus.instances())
     assert set(bundle.truth) == corpus_instances
     for author in bundle.authors:
-        assert set(bundle.truth.clusters[author.author_id]) == set(author.instances)
+        assert set(groups[author.author_id]) == set(author.instances)
         assert 2 <= len(author.pmids) <= 4
 
 
@@ -159,7 +160,8 @@ def test_variant_forms_alternate_along_career():
     for author in variants:
         assert len(author.forms) == 2
         observed = [
-            bundle.corpus.byline_name(instance) for instance in author.instances
+            bundle.corpus.papers[instance.pmid].authors[instance.position - 1]
+            for instance in author.instances
         ]
         assert observed == [author.forms[i % 2] for i in range(len(observed))]
         parsed = [parse_name(form) for form in author.forms]
