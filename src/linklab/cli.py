@@ -31,6 +31,7 @@ from ._tsv import read_header, write_rows
 from .baseline import cluster_aini, cluster_fini, corpus_names, unparseable_count
 from .corpus import (
     CLUSTERING_COLUMNS,
+    format_instance_id,
     ingest_annotations,
     ingest_authority,
     ingest_citations,
@@ -100,7 +101,7 @@ def _sha256(path: Path) -> str:
 def _flags(args: argparse.Namespace) -> dict:
     # the output directory is where the manifest itself lives; omitting it
     # keeps identical runs into different directories byte-identical
-    skip = {"func", "parser", "subcommand", "out"}
+    skip = {"func", "subcommand", "out"}
     flags = {}
     for key, value in vars(args).items():
         if key in skip:
@@ -125,6 +126,18 @@ def _write_link_result(out: Path, result) -> None:
 def _usage_error(message: str) -> int:
     print(f"linklab: usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _usage_exit(message: str) -> SystemExit:
+    """A command's usage error: one line on stderr, and exit 2 once raised."""
+    return SystemExit(_usage_error(message))
+
+
+def _refuse(args: argparse.Namespace, mode: str, ignored: Sequence[str]) -> None:
+    """Fail with a usage error on the first flag in `ignored` that was given."""
+    for dest in ignored:
+        if getattr(args, dest):
+            raise _usage_exit(f"{mode} takes no --{dest}")
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -235,11 +248,16 @@ def _evaluate_pairs(args: argparse.Namespace, out: Path) -> str:
 
 def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     if args.papers is None:
-        args.parser.error("evaluate with a labels file needs --papers for the join")
+        raise _usage_exit("evaluate with a labels file needs --papers for the join")
     labels = read_labels(args.truth)
     predicted = ingest_clustering(args.pred)
     corpus = ingest_corpus(args.papers)
-    annotations = None if args.annotations is None else ingest_annotations(args.annotations)
+    annotations = None
+    if args.annotations is not None:
+        # the join looks up only labeled instances; the rest are validated, not kept
+        annotations = ingest_annotations(
+            args.annotations, keep={label.instance for label in labels}
+        )
     dataset = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
     if not dataset:
         raise EvaluationError(
@@ -269,9 +287,11 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
 
 
 def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
-    parser: argparse.ArgumentParser = args.parser
     if args.stratum is not None:
-        parser.error("--stratum needs a labels file as --truth (attributes come from the join)")
+        raise _usage_exit(
+            "--stratum needs a labels file as --truth (attributes come from the join)"
+        )
+    _refuse(args, "evaluate with a clustering --truth", ("papers", "annotations"))
     scores = b3_scores(
         ingest_clustering(args.truth), ingest_clustering(args.pred), strict=args.strict
     )
@@ -287,12 +307,10 @@ def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
 
 def cmd_evaluate(args: argparse.Namespace, out: Path) -> str:
     if args.pairs is not None:
-        for flag, given in (("--truth", args.truth), ("--stratum", args.stratum)):
-            if given is not None:
-                raise SystemExit(_usage_error(f"evaluate --pairs takes no {flag}"))
+        _refuse(args, "evaluate --pairs", ("truth", "stratum", "papers", "annotations", "strict"))
         return _evaluate_pairs(args, out)
     if args.truth is None:
-        args.parser.error("evaluate needs --truth or --pairs")
+        raise _usage_exit("evaluate needs --truth or --pairs")
     header = read_header(args.truth)
     if header == LABELS_COLUMNS:
         return _evaluate_labels(args, out)
@@ -305,17 +323,16 @@ def cmd_evaluate(args: argparse.Namespace, out: Path) -> str:
 
 
 def cmd_profile(args: argparse.Namespace, out: Path) -> str:
-    parser: argparse.ArgumentParser = args.parser
     if args.eval is None and args.papers is None:
-        parser.error("profile needs --eval and/or --papers")
+        raise _usage_exit("profile needs --eval and/or --papers")
     for flag, name in ((args.truth, "--truth"), (args.pairs, "--pairs")):
         if flag is not None and args.papers is None:
-            parser.error(f"profile {name} needs --papers")
+            raise _usage_exit(f"profile {name} needs --papers")
     if args.sample is not None:
         if args.papers is None:
-            parser.error("profile --sample needs --papers")
+            raise _usage_exit("profile --sample needs --papers")
         if args.seed is None:
-            parser.error("profile --sample needs --seed (no hidden entropy)")
+            raise _usage_exit("profile --sample needs --seed (no hidden entropy)")
 
     dataset = None if args.eval is None else read_eval_dataset(args.eval)
     corpus = None if args.papers is None else ingest_corpus(args.papers)
@@ -339,7 +356,8 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
         )
     if args.sample is not None:
         sample = reference_sample(corpus.instances(), args.sample, args.seed)
-        write_rows(out / "sample.tsv", ("instance_id",), [(str(i),) for i in sorted(sample)])
+        rows = ((format_instance_id(instance),) for instance in sorted(sample))
+        write_rows(out / "sample.tsv", ("instance_id",), rows)
     return "profile: wrote %s" % ",".join(sorted(path.name for path in out.iterdir()))
 
 
@@ -380,10 +398,10 @@ def cmd_agree(args: argparse.Namespace, out: Path) -> str:
     write_rows(
         out / "disagreements.tsv",
         ("instance_id", "label_a", "label_b"),
-        [
-            (str(instance), label_a, label_b)
+        (
+            (format_instance_id(instance), label_a, label_b)
             for instance, label_a, label_b in report.disagreements
-        ],
+        ),
     )
     _write_json(
         out / "agreement.json",
@@ -469,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--out", type=Path, required=True, help="output directory")
-        sub.set_defaults(func=func, parser=sub)
+        sub.set_defaults(func=func)
         return sub
 
     sub = add("link-authority", cmd_link_authority, "label instances from a registry of profiles")
@@ -544,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _run(args)
     except SystemExit as exc:
-        # conditional flag validation reported through the subparser
+        # a usage error a command found, already reported by _usage_exit
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"linklab: missing input: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ reports errors with 1-based data row numbers.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
+import re
+from collections.abc import Container, ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +31,13 @@ ANNOTATIONS_COLUMNS = ("instance_id", "ethnicity", "gender")
 
 
 class InstanceID(NamedTuple):
-    """One author mention: paper identifier plus 1-based byline position."""
+    """One author mention: paper identifier plus 1-based byline position.
+
+    Readers build plain (pmid, position) tuples instead, which are cheaper;
+    a plain tuple hashes, compares and sorts equal to the InstanceID with
+    the same fields, so wherever an InstanceID is expected either will do.
+    Print either with format_instance_id: str() of a plain tuple is "(1, 2)".
+    """
 
     pmid: int
     position: int
@@ -39,27 +46,33 @@ class InstanceID(NamedTuple):
         return f"{self.pmid}_{self.position}"
 
 
-def parse_instance_id(s: str) -> InstanceID:
-    """Parse the canonical "<pmid>_<position>" form of an instance ID."""
-    pmid_s, sep, pos_s = s.partition("_")
-    if not sep or not (pmid_s.isascii() and pmid_s.isdigit()) or not (
-        pos_s.isascii() and pos_s.isdigit()
-    ):
+# [0-9], not \d, which also matches non-ASCII digits; used with fullmatch,
+# since $ would let a trailing newline through
+_INSTANCE_ID = re.compile(r"[0-9]+_[0-9]+")
+
+
+def parse_instance_id(s: str) -> tuple[int, int]:
+    """Parse the canonical "<pmid>_<position>" form of an instance ID.
+
+    Returns a plain (pmid, position) tuple, not an InstanceID (see there).
+    """
+    if _INSTANCE_ID.fullmatch(s) is None:
         raise ParseError(f"instance id {s!r} is not of the form <pmid>_<position>")
+    pmid_s, _, pos_s = s.partition("_")
     pmid = int(pmid_s)
     position = int(pos_s)
     if pmid < 1:
         raise ParseError(f"instance id {s!r}: pmid must be >= 1")
     if position < 1:
         raise ParseError(f"instance id {s!r}: position must be >= 1")
-    return InstanceID(pmid, position)
+    return pmid, position
 
 
 def format_instance_id(instance: InstanceID) -> str:
-    return f"{instance.pmid}_{instance.position}"
+    return f"{instance[0]}_{instance[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaperRecord:
     """A paper with its raw title and byline names in order."""
 
@@ -73,7 +86,7 @@ class PaperRecord:
             yield InstanceID(self.pmid, position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorityProfile:
     """A curated person profile: one name plus the titles of their works."""
 
@@ -82,7 +95,7 @@ class AuthorityProfile:
     work_titles: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrantRecord:
     """A grant principal investigator and the papers their grants funded."""
 
@@ -96,7 +109,7 @@ class CitationEdge(NamedTuple):
     cited_pmid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """Verbatim demographic tags for one instance; no recoding at ingest."""
 
@@ -132,8 +145,9 @@ class Corpus:
             yield from paper.instances()
 
     def has_instance(self, instance: InstanceID) -> bool:
-        paper = self._papers.get(instance.pmid)
-        return paper is not None and 1 <= instance.position <= len(paper.authors)
+        pmid, position = instance
+        paper = self._papers.get(pmid)
+        return paper is not None and 1 <= position <= len(paper.authors)
 
 
 class Clustering(Mapping[InstanceID, str]):
@@ -324,71 +338,84 @@ def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
     return tuple(sorted(edges))
 
 
-def ingest_annotations(path: str | Path) -> dict[InstanceID, Annotation]:
-    """Read annotations.tsv (instance_id, ethnicity, gender); tags kept verbatim."""
+def ingest_annotations(
+    path: str | Path, *, keep: Container[InstanceID] | None = None
+) -> dict[InstanceID, Annotation]:
+    """Read annotations.tsv (instance_id, ethnicity, gender); tags kept verbatim.
+
+    Every row is validated, but with `keep` only the annotations of those
+    instances are returned. Rows with equal tags share one Annotation.
+    """
     annotations: dict[InstanceID, Annotation] = {}
+    skipped: set[InstanceID] = set()  # rows outside `keep`, for the duplicate check
+    shared: dict[tuple[str, str], Annotation] = {}
     for row_no, (instance_s, ethnicity, gender) in read_rows(path, ANNOTATIONS_COLUMNS):
         try:
             instance = parse_instance_id(instance_s)
         except ParseError as exc:
             raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if instance in annotations:
+        if instance in annotations or instance in skipped:
             raise IngestError(
                 f"duplicate annotation for instance {instance_s}",
                 row=row_no,
                 path=str(path),
             )
-        annotations[instance] = Annotation(ethnicity=ethnicity, gender=gender)
+        if keep is not None and instance not in keep:
+            skipped.add(instance)
+            continue
+        annotation = shared.get((ethnicity, gender))
+        if annotation is None:
+            annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)
+        annotations[instance] = annotation
     return annotations
 
 
 def write_corpus(path: str | Path, corpus: Corpus) -> None:
-    rows = []
-    for paper in corpus:
-        for name in paper.authors:
-            if "|" in name:
-                raise ValueError(f"author name {name!r} contains '|'")
-        rows.append(
-            (str(paper.pmid), str(paper.year), paper.raw_title, "|".join(paper.authors))
-        )
-    write_rows(path, PAPERS_COLUMNS, rows)
+    def rows() -> Iterator[tuple[str, ...]]:
+        for paper in corpus:
+            for name in paper.authors:
+                if "|" in name:
+                    raise ValueError(f"author name {name!r} contains '|'")
+            yield str(paper.pmid), str(paper.year), paper.raw_title, "|".join(paper.authors)
+
+    write_rows(path, PAPERS_COLUMNS, rows())
 
 
 def write_clustering(path: str | Path, clustering: Clustering) -> None:
-    rows = [
+    rows = (
         (cluster_id, format_instance_id(instance))
         for cluster_id, members in clustering.groups().items()
         for instance in members
-    ]
+    )
     write_rows(path, CLUSTERING_COLUMNS, rows)
 
 
 def write_authority(path: str | Path, registry: Mapping[str, AuthorityProfile]) -> None:
-    rows = [
+    rows = (
         (profile.authority_id, profile.person_name, title)
         for _, profile in sorted(registry.items())
         for title in sorted(profile.work_titles)
-    ]
+    )
     write_rows(path, AUTHORITY_COLUMNS, rows)
 
 
 def write_grants(path: str | Path, grants: Mapping[str, GrantRecord]) -> None:
-    rows = [
+    rows = (
         (record.pi_id, record.pi_name, str(pmid))
         for _, record in sorted(grants.items())
         for pmid in sorted(record.funded_pmids)
-    ]
+    )
     write_rows(path, GRANTS_COLUMNS, rows)
 
 
 def write_citations(path: str | Path, edges: Iterable[CitationEdge]) -> None:
-    rows = [(str(e.citing_pmid), str(e.cited_pmid)) for e in sorted(set(edges))]
+    rows = ((str(e.citing_pmid), str(e.cited_pmid)) for e in sorted(set(edges)))
     write_rows(path, CITATIONS_COLUMNS, rows)
 
 
 def write_annotations(path: str | Path, annotations: Mapping[InstanceID, Annotation]) -> None:
-    rows = [
+    rows = (
         (format_instance_id(instance), ann.ethnicity, ann.gender)
         for instance, ann in sorted(annotations.items())
-    ]
+    )
     write_rows(path, ANNOTATIONS_COLUMNS, rows)

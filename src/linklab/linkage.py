@@ -40,6 +40,7 @@ from .normalize import (
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
 SOURCES = (SOURCE_AUTHORITY, SOURCE_GRANT)
+_SOURCE_NAMES = {source: source for source in SOURCES}  # the read text -> the constant
 
 DUP_TITLE_POLICIES = ("drop-all", "keep-first")
 
@@ -85,7 +86,7 @@ class PairSet:
         for a, b in pairs:
             if a == b:
                 raise ValueError(f"pair of identical instances {format_instance_id(a)}")
-            if a.pmid == b.pmid:
+            if a[0] == b[0]:
                 raise ValueError(
                     f"pair within one paper: {format_instance_id(a)}, "
                     f"{format_instance_id(b)}"
@@ -155,7 +156,7 @@ def _resolve_candidates(
     by_paper_label: dict[tuple[int, str], set[InstanceID]] = {}
     for instance, label_id in candidates:
         by_instance.setdefault(instance, set()).add(label_id)
-        by_paper_label.setdefault((instance.pmid, label_id), set()).add(instance)
+        by_paper_label.setdefault((instance[0], label_id), set()).add(instance)
 
     dropped: set[tuple[InstanceID, str]] = set()
     conflicts: list[ConflictRecord] = []
@@ -414,7 +415,7 @@ def join_labels(
                 instance=instance,
                 truth_label=label.label_id,
                 predicted_cluster_id=cluster_id,
-                year=corpus.get(instance.pmid).year,
+                year=corpus.get(instance[0]).year,
                 ethnicity=annotation.ethnicity if annotation else None,
                 gender=annotation.gender if annotation else None,
             )
@@ -469,42 +470,46 @@ def label_agreement(a: EvalDataset, b: EvalDataset) -> AgreementReport:
 
 
 def write_labels(path: str | Path, labels: Iterable[LabeledInstance]) -> None:
-    rows = [
+    rows = (
         (format_instance_id(label.instance), label.label_id, label.source)
         for label in sorted(labels, key=lambda l: (l.instance, l.source, l.label_id))
-    ]
+    )
     write_rows(path, LABELS_COLUMNS, rows)
 
 
 def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
+    """Read labels.tsv; equal label ids and sources share one string object."""
     labels = []
-    seen: set[tuple[InstanceID, str]] = set()
+    seen: dict[str, set[InstanceID]] = {source: set() for source in SOURCES}
+    label_ids: dict[str, str] = {}
     for row_no, (instance_s, label_id, source) in read_rows(path, LABELS_COLUMNS):
         try:
             instance = parse_instance_id(instance_s)
         except ParseError as exc:
             raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if source not in SOURCES:
+        if source not in seen:
             raise IngestError(
                 f"unknown source {source!r}", row=row_no, path=str(path)
             )
         if not label_id:
             raise IngestError("empty label_id", row=row_no, path=str(path))
-        if (instance, source) in seen:
+        if instance in seen[source]:
             raise IngestError(
                 f"duplicate label for instance {instance_s} from {source}",
                 row=row_no,
                 path=str(path),
             )
-        seen.add((instance, source))
-        labels.append(LabeledInstance(instance, label_id, source))
+        seen[source].add(instance)
+        labels.append(
+            LabeledInstance(
+                instance, label_ids.setdefault(label_id, label_id), _SOURCE_NAMES[source]
+            )
+        )
     return tuple(labels)
 
 
 def write_pairs(path: str | Path, pairs: PairSet) -> None:
-    rows = [
-        (format_instance_id(a), format_instance_id(b)) for a, b in sorted(pairs)
-    ]
+    rows = ((format_instance_id(a), format_instance_id(b)) for a, b in sorted(pairs))
     write_rows(path, PAIRS_COLUMNS, rows)
 
 
@@ -516,7 +521,7 @@ def read_pairs(path: str | Path) -> PairSet:
             b = parse_instance_id(b_s)
         except ParseError as exc:
             raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if a == b or a.pmid == b.pmid:
+        if a[0] == b[0]:
             raise IngestError(
                 f"invalid pair ({a_s}, {b_s}): members must come from distinct papers",
                 row=row_no,
@@ -527,7 +532,7 @@ def read_pairs(path: str | Path) -> PairSet:
 
 
 def write_eval_dataset(path: str | Path, dataset: EvalDataset) -> None:
-    rows = [
+    rows = (
         (
             format_instance_id(row.instance),
             row.truth_label,
@@ -537,13 +542,15 @@ def write_eval_dataset(path: str | Path, dataset: EvalDataset) -> None:
             row.gender if row.gender is not None else "",
         )
         for row in dataset
-    ]
+    )
     write_rows(path, EVAL_COLUMNS, rows)
 
 
 def read_eval_dataset(path: str | Path) -> EvalDataset:
+    """Read an eval dataset; equal labels, cluster ids and tags share one string object."""
     rows = []
     seen: set[InstanceID] = set()
+    strings: dict[str, str] = {}
     for row_no, fields in read_rows(path, EVAL_COLUMNS):
         instance_s, truth_label, predicted_id, year_s, ethnicity, gender = fields
         try:
@@ -570,11 +577,11 @@ def read_eval_dataset(path: str | Path) -> EvalDataset:
         rows.append(
             EvalRow(
                 instance=instance,
-                truth_label=truth_label,
-                predicted_cluster_id=predicted_id,
+                truth_label=strings.setdefault(truth_label, truth_label),
+                predicted_cluster_id=strings.setdefault(predicted_id, predicted_id),
                 year=year,
-                ethnicity=ethnicity or None,
-                gender=gender or None,
+                ethnicity=strings.setdefault(ethnicity, ethnicity) if ethnicity else None,
+                gender=strings.setdefault(gender, gender) if gender else None,
             )
         )
     return EvalDataset(rows)

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import InstanceID
+from .corpus import InstanceID, format_instance_id
 from .errors import EvaluationError
 
 
@@ -67,7 +67,7 @@ def b3_scores(
         if predicted_id is None:
             if strict:
                 raise EvaluationError(
-                    f"instance {instance.pmid}_{instance.position} has no "
+                    f"instance {format_instance_id(instance)} has no "
                     "predicted cluster (use lenient mode to drop)"
                 )
             dropped += 1

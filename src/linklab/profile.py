@@ -46,7 +46,7 @@ def pair_year_distribution(pairs: PairSet, corpus: Corpus) -> dict[str, float]:
     total = 0
     for a, b in pairs:
         for member in (a, b):
-            paper = corpus.get(member.pmid)
+            paper = corpus.get(member[0])
             if paper is None:
                 continue
             counts[str(paper.year)] += 1
@@ -200,10 +200,10 @@ def write_distribution(
     """One value column plus one percentage column per named dataset."""
     names = list(columns)
     values = sorted({value for column in columns.values() for value in column})
-    rows = [
+    rows = (
         (value, *(f"{columns[name].get(value, 0.0):.6f}" for name in names))
         for value in values
-    ]
+    )
     write_rows(path, ("value", *names), rows)
 
 
@@ -211,13 +211,13 @@ def write_ccdf(path: str | Path, columns: Mapping[str, Sequence[CCDFPoint]]) -> 
     """One size column plus one fraction column per named dataset."""
     names = list(columns)
     sizes = sorted({point.size for points in columns.values() for point in points})
-    rows = [
+    rows = (
         (
             str(size),
             *(f"{ccdf_fraction_at_least(columns[name], size):.9f}" for name in names),
         )
         for size in sizes
-    ]
+    )
     write_rows(path, ("size", *names), rows)
 
 

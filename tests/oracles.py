@@ -179,3 +179,19 @@ def write_two_copy_clustering(path, clustering):
         for instance in sorted(clustering.clusters[cluster_id])
     ]
     write_rows(path, CLUSTERING_COLUMNS, rows)
+
+
+def parse_instance_id(s):
+    """The earlier parser: string-method checks, an InstanceID result."""
+    pmid_s, sep, pos_s = s.partition("_")
+    if not sep or not (pmid_s.isascii() and pmid_s.isdigit()) or not (
+        pos_s.isascii() and pos_s.isdigit()
+    ):
+        raise ParseError(f"instance id {s!r} is not of the form <pmid>_<position>")
+    pmid = int(pmid_s)
+    position = int(pos_s)
+    if pmid < 1:
+        raise ParseError(f"instance id {s!r}: pmid must be >= 1")
+    if position < 1:
+        raise ParseError(f"instance id {s!r}: position must be >= 1")
+    return InstanceID(pmid, position)

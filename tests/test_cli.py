@@ -386,17 +386,31 @@ def test_agree_reports_planted_flip(workdir, capsys):
     assert "disagreements=1" in capsys.readouterr().out
     report = json.loads((workdir / "agr" / "agreement.json").read_text())
     assert report == {"overlap": 5, "agree": 4, "disagreements": 1}
-    lines = (workdir / "agr" / "disagreements.tsv").read_text().splitlines()
-    assert lines[1] == "3_1\tx\tB2"
+    disagreements = (workdir / "agr" / "disagreements.tsv").read_bytes()
+    assert disagreements == b"instance_id\tlabel_a\tlabel_b\n3_1\tx\tB2\n"
 
 
-def test_profile_usage_checks(workdir, bundle_dir):
-    assert main(["profile", "--out", "prof"]) == EXIT_USAGE
-    assert main(["profile", "--truth", "bundle/truth_clustering.tsv", "--out", "prof"]) == EXIT_USAGE
-    assert (
-        main(["profile", "--papers", "bundle/papers.tsv", "--sample", "5", "--out", "prof"])
-        == EXIT_USAGE
-    )
+def test_profile_sample_lists_instance_ids(workdir):
+    (workdir / "papers.tsv").write_text(PAPERS + "2\t2002\tB title\tPark, Quin\n")
+    argv = ["profile", "--papers", "papers.tsv", "--sample", "3", "--seed", "1", "--out", "prof"]
+    assert main(argv) == EXIT_OK
+    assert (workdir / "prof" / "sample.tsv").read_bytes() == b"instance_id\n1_1\n1_2\n2_1\n"
+
+
+def test_profile_usage_checks(workdir, bundle_dir, capsys):
+    eval_only = ["--eval", "bundle/annotations.tsv"]  # never read: the checks come first
+    for argv, message in (
+        ([], "needs --eval and/or --papers"),
+        (["--truth", "bundle/truth_clustering.tsv"], "needs --eval and/or --papers"),
+        ([*eval_only, "--truth", "bundle/truth_clustering.tsv"], "--truth needs --papers"),
+        ([*eval_only, "--pairs", "bundle/truth_clustering.tsv"], "--pairs needs --papers"),
+        ([*eval_only, "--sample", "5"], "--sample needs --papers"),
+        (["--papers", "bundle/papers.tsv", "--sample", "5"], "--sample needs --seed"),
+    ):
+        assert main(["profile", *argv, "--out", "prof"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+    assert not (workdir / "prof").exists() or not list((workdir / "prof").iterdir())
 
 
 def test_stratum_requires_labels_truth(workdir, bundle_dir):
@@ -445,6 +459,7 @@ def test_version_flag(workdir, capsys):
 PAPERS = "pmid\tyear\ttitle\tauthors\n1\t2001\tA title\tKim, Ji|Lee, Ann\n"
 LABELS = "instance_id\tlabel_id\tsource\n1_1\tx\tauthority\n1_2\ty\tauthority\n"
 CLUSTERING = "cluster_id\tinstance_id\nc1\t1_1\nc1\t1_2\n"
+ANNOTATIONS = "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n1_2\tKorean\tFemale\n"
 EVAL = (
     "instance_id\ttruth_label\tpredicted_cluster_id\tyear\tethnicity\tgender\n"
     "1_1\ta\tc1\t2001\tEnglish\tMale\n"
@@ -560,6 +575,17 @@ BAD_INPUTS = [
         ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv", "--out", "out"],
         EXIT_EVALUATION,
     ),
+    *(
+        (
+            f"annotations: {fault} on an unlabeled row",
+            "ann.tsv",
+            (ANNOTATIONS + row).encode(),
+            ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv",
+             "--annotations", "ann.tsv", "--out", "out"],
+            EXIT_FORMAT,
+        )
+        for fault, row in (("malformed id", "9_x\tEnglish\tMale\n"), ("duplicate", "5_1\tA\tB\n5_1\tA\tB\n"))
+    ),
     (
         "profile of a header-only corpus",
         "empty.tsv",
@@ -582,6 +608,8 @@ MESSAGES = {
     "NUL byte in a byline name": "nul.tsv, row 1",
     "NUL byte as a byline name": "nul.tsv, row 1",
     "labels that join no predicted instance": "dropped_unclustered=2",
+    "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
+    "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",
     **{f"synth config {text}": field for text, field in BAD_CONFIGS.items()},
 }
 
@@ -594,6 +622,7 @@ def _entries(out: Path) -> set[Path]:
 def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, data, argv, code):
     (workdir / "papers.tsv").write_text(PAPERS)
     (workdir / "clustering.tsv").write_text(CLUSTERING)
+    (workdir / "labels.tsv").write_text(LABELS)
     (workdir / "eval.tsv").write_text(EVAL)
     (workdir / name).parent.mkdir(exist_ok=True)
     (workdir / name).write_bytes(data)
@@ -633,26 +662,40 @@ def test_output_onto_a_directory_is_refused(workdir, capsys):
     assert sorted(p.name for p in (workdir / "out").iterdir()) == ["clustering.tsv"]
 
 
-def test_every_file_flag_is_an_input(workdir, bundle_dir):
-    truth = "bundle/truth_clustering.tsv"
-    argv = ["evaluate", "--truth", truth, "--pred", truth, "--papers"]
+def test_every_file_flag_is_an_input(workdir):
+    for name, text in (("papers.tsv", PAPERS), ("clustering.tsv", CLUSTERING), ("labels.tsv", LABELS)):
+        (workdir / name).write_text(text)
+    # a flag the mode refuses is still checked first, as an input
+    argv = ["evaluate", "--truth", "clustering.tsv", "--pred", "clustering.tsv", "--papers"]
     assert main(argv + ["absent.tsv", "--out", "eval"]) == EXIT_MISSING_INPUT
-    assert main(argv + ["bundle/papers.tsv", "--out", "eval"]) == EXIT_OK
+    (workdir / "annotations.tsv").write_text(ANNOTATIONS)
+    argv = ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv"]
+    assert main(argv + ["--annotations", "annotations.tsv", "--out", "eval"]) == EXIT_OK
     manifest = json.loads((workdir / "eval" / "run_manifest.json").read_text())
-    assert sorted(manifest["inputs"]) == ["bundle/papers.tsv", truth]
+    assert sorted(manifest["inputs"]) == ["annotations.tsv", "clustering.tsv", "labels.tsv", "papers.tsv"]
 
 
 def test_evaluate_needs_truth_or_pairs(workdir, bundle_dir, capsys):
-    argv = ["evaluate", "--pred", "bundle/truth_clustering.tsv", "--out", "eval"]
+    truth = "bundle/truth_clustering.tsv"
+    argv = ["evaluate", "--pred", truth, "--out", "eval"]
     assert main(argv) == EXIT_USAGE
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs --truth or --pairs" in err
     (workdir / "pairs.tsv").write_text("instance_a\tinstance_b\n")
-    pairs_mode = argv + ["--pairs", "pairs.tsv"]
-    for extra, flag in (
-        (["--truth", "bundle/truth_clustering.tsv"], "--truth"),
-        (["--stratum", "gender"], "--stratum"),
+    (workdir / "labels.tsv").write_text(LABELS)
+    papers, annotations = ["--papers", "bundle/papers.tsv"], ["--annotations", "bundle/annotations.tsv"]
+    for mode, extra, flag in (
+        (["--pairs", "pairs.tsv"], ["--truth", truth], "--truth"),
+        (["--pairs", "pairs.tsv"], ["--stratum", "gender"], "--stratum"),
+        (["--pairs", "pairs.tsv"], papers, "--papers"),
+        (["--pairs", "pairs.tsv"], annotations, "--annotations"),
+        (["--pairs", "pairs.tsv"], ["--strict"], "--strict"),
+        (["--truth", truth], papers, "--papers"),
+        (["--truth", truth], annotations, "--annotations"),
+        (["--truth", truth], ["--stratum", "gender"], "--stratum"),
+        (["--truth", "labels.tsv"], annotations, "--papers"),
     ):
-        assert main(pairs_mode + extra) == EXIT_USAGE
+        assert main(argv + mode + extra) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
         assert not (workdir / "eval" / "metrics.json").exists()

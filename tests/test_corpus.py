@@ -28,6 +28,7 @@ from linklab.corpus import (
 )
 from linklab.errors import IngestError, ParseError
 
+import oracles
 from oracles import TwoCopyClustering, write_two_copy_clustering
 
 
@@ -52,6 +53,37 @@ def test_instance_id_round_trip():
 def test_parse_instance_id_rejects(bad):
     with pytest.raises(ParseError):
         parse_instance_id(bad)
+
+
+def _parsed(parse, text):
+    """What a parser makes of `text`: its result, or its error message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# text built from the characters an instance id is made of, plus look-alikes:
+# a full-width digit, a Unicode digit of another script, signs, a space, a newline
+ID_LIKE = st.text(alphabet="0123456789_+- \n\uff11\u0663", max_size=12)
+
+
+@given(st.one_of(st.text(max_size=12), ID_LIKE))
+@example("0_1")
+@example("1_0")
+@example("007_1")
+@example("+1_2")
+@example("1_2_3")
+@example(" 1_2")
+@example("1_2\n")
+@example("\uff11_2")
+@example("_1")
+@example("1_")
+def test_parse_instance_id_matches_the_earlier_parser(text):
+    new, old = _parsed(parse_instance_id, text), _parsed(oracles.parse_instance_id, text)
+    assert new == old
+    if type(old) is InstanceID:
+        assert type(new) is tuple and hash(new) == hash(old)
 
 
 def test_ingest_corpus(tmp_path):
@@ -304,6 +336,31 @@ def test_ingest_annotations_duplicate_instance(tmp_path):
     with pytest.raises(IngestError, match="duplicate annotation") as err:
         ingest_annotations(path)
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [("3_x\tEnglish\tMale", "is not of the form"), ("1_1\tKorean\tFemale", "duplicate annotation")],
+)
+def test_ingest_annotations_keep_still_validates_every_row(tmp_path, row, message):
+    text = "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n2_1\tEnglish\tMale\n"
+    path = write_tsv(tmp_path / "annotations.tsv", text)
+    kept = ingest_annotations(path, keep={(2, 1), (9, 9)})
+    assert kept == {(2, 1): ingest_annotations(path)[InstanceID(2, 1)]}
+    write_tsv(path, text + row + "\n")
+    with pytest.raises(IngestError, match=message) as err:
+        ingest_annotations(path, keep={(2, 1)})
+    assert err.value.row == 3
+
+
+def test_ingest_annotations_shares_equal_tags(tmp_path):
+    path = write_tsv(
+        tmp_path / "annotations.tsv",
+        "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n2_1\tEnglish\tMale\n3_1\tEnglish\tFemale\n",
+    )
+    annotations = ingest_annotations(path)
+    assert annotations[(1, 1)] is annotations[(2, 1)]
+    assert annotations[(3, 1)].gender == "Female"
 
 
 def test_ingest_is_order_insensitive(tmp_path):
