@@ -1,16 +1,19 @@
 """Shared TSV plumbing: header-checked streaming reads, deterministic writes.
 
 All tables are UTF-8 (a leading byte order mark is ignored on read),
-tab-separated, one header row. Paths ending in ".gz" are transparently
-(de)compressed; written gzip members carry no mtime so equal content
-yields equal bytes. Every way a read can fail on the file's content (bad
-UTF-8, a damaged gzip stream, a malformed record, a NUL byte) surfaces as
-IngestError naming the path and, where known, the row.
+tab-separated with no quoting, one header row. Paths ending in ".gz" are
+transparently (de)compressed; written gzip members carry no mtime so
+equal content yields equal bytes.
+
+Row errors are reported here. Every way a read can fail on the file's
+content (bad UTF-8, a damaged gzip stream, a wrong column count, a NUL
+byte) surfaces as IngestError naming the path and, where known, the row;
+a reader that reads through read_table raises ParseError for a row that
+breaks its own rules, and read_table adds the path and the row.
 """
 
 from __future__ import annotations
 
-import csv
 import gzip
 import io
 import zlib
@@ -18,11 +21,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing, contextmanager
 from pathlib import Path
 
-from .errors import IngestError
-
-# A byline of a large collaboration paper runs to hundreds of thousands
-# of characters, past the csv module's default 128 KiB field limit.
-csv.field_size_limit(2**31 - 1)
+from .errors import IngestError, ParseError
 
 
 def _is_gz(path: str | Path) -> bool:
@@ -55,31 +54,23 @@ def open_text_write(path: str | Path):
             yield fh
 
 
-def _nul_free_lines(fh, path: str | Path) -> Iterator[str]:
-    # Without quoting every line is one record, so the line index is the row
-    # number. A NUL byte is never part of a name, title or ID; the csv module
-    # would pass it through into the field.
-    for row_no, line in enumerate(fh):
-        if "\0" in line:
-            raise IngestError("field contains a NUL byte", row=row_no, path=str(path))
-        yield line
-
-
 def _records(path: str | Path) -> Iterator[list[str]]:
     """Yield every record, header first; content that cannot be read raises IngestError.
 
-    Text is decoded a block at a time, so a decoding or gzip failure
-    carries no row number: the row being parsed need not hold the bad byte.
+    Every line is one record: its "\r\n", "\n" or "\r" ending is dropped
+    and the rest split on tabs, with no quoting; a blank line is []. Text
+    is decoded a block at a time, so a decoding or gzip failure carries
+    no row number: the row being parsed need not hold the bad byte.
     """
-    row_no = 0
     try:
         with open_text_read(path) as fh:
-            lines = _nul_free_lines(fh, path)
-            for record in csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE):
-                yield record
-                row_no += 1
-    except csv.Error as exc:
-        raise IngestError(str(exc), row=row_no, path=str(path)) from None
+            # newline="" splits lines at \r, \n and \r\n only, each kept on its line
+            for row_no, line in enumerate(fh):
+                # a NUL byte is never part of a name, title or ID
+                if "\0" in line:
+                    raise IngestError("field contains a NUL byte", row=row_no, path=str(path))
+                line = line.rstrip("\r\n")
+                yield line.split("\t") if line else []
     except UnicodeDecodeError as exc:
         raise IngestError(f"not UTF-8 text: {exc}", path=str(path)) from None
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
@@ -116,6 +107,29 @@ def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, l
                 path=str(path),
             )
         yield row_no, fields
+
+
+@contextmanager
+def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[Iterator[list[str]]]:
+    """Context for reading a table's data rows: yields an iterator of their fields.
+
+    A ParseError raised in the with body becomes an IngestError naming
+    the path and the row read last; IngestError passes through as it is.
+    """
+    row_no = 0
+
+    def fields() -> Iterator[list[str]]:
+        nonlocal row_no
+        for row_no, row in read_rows(path, columns):
+            yield row
+
+    rows = fields()
+    try:
+        yield rows
+    except ParseError as exc:
+        raise IngestError(str(exc), row=row_no, path=str(path)) from None
+    finally:
+        rows.close()
 
 
 def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

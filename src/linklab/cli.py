@@ -447,7 +447,7 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     try:
         # a leading byte order mark is not part of the JSON text
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of too many digits
         raise IngestError(f"invalid JSON: {exc}", path=path)
     if not isinstance(raw, dict):
         raise IngestError("config must be a JSON object", path=path)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from ._tsv import read_rows, write_rows
-from .errors import IngestError, ParseError
+from ._tsv import read_table, write_rows
+from .errors import ParseError
 
 PAPERS_COLUMNS = ("pmid", "year", "title", "authors")
 CLUSTERING_COLUMNS = ("cluster_id", "instance_id")
@@ -59,8 +59,11 @@ def parse_instance_id(s: str) -> tuple[int, int]:
     if _INSTANCE_ID.fullmatch(s) is None:
         raise ParseError(f"instance id {s!r} is not of the form <pmid>_<position>")
     pmid_s, _, pos_s = s.partition("_")
-    pmid = int(pmid_s)
-    position = int(pos_s)
+    try:
+        pmid = int(pmid_s)
+        position = int(pos_s)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"instance id is too long: {len(s)} characters") from None
     if pmid < 1:
         raise ParseError(f"instance id {s!r}: pmid must be >= 1")
     if position < 1:
@@ -213,37 +216,39 @@ class Clustering(Mapping[InstanceID, str]):
         return f"Clustering({len(set(self.values()))} clusters, {len(self)} instances)"
 
 
-def _parse_positive_int(text: str, field: str, row_no: int, path: str | Path) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise IngestError(
-            f"{field} must be a positive integer, got {text!r}",
-            row=row_no,
-            path=str(path),
-        )
-    return int(text)
+def _positive_int(text: str, field: str) -> int:
+    if text.isascii() and text.isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{field} is too long: {len(text)} digits") from None
+        if value >= 1:
+            return value
+    raise ParseError(f"{field} must be a positive integer, got {text!r}")
+
+
+def _int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{field} must be an integer, got {text!r}") from None
 
 
 def ingest_corpus(path: str | Path) -> Corpus:
     """Read papers.tsv (pmid, year, title, authors; byline joined by "|")."""
     papers: dict[int, PaperRecord] = {}
-    for row_no, (pmid_s, year_s, title, authors_s) in read_rows(path, PAPERS_COLUMNS):
-        pmid = _parse_positive_int(pmid_s, "pmid", row_no, path)
-        try:
-            year = int(year_s)
-        except ValueError:
-            raise IngestError(
-                f"year must be an integer, got {year_s!r}", row=row_no, path=str(path)
-            ) from None
-        if not title:
-            raise IngestError("missing title", row=row_no, path=str(path))
-        authors = tuple(authors_s.split("|"))
-        if not authors_s or any(name == "" for name in authors):
-            raise IngestError(
-                "empty author name in byline", row=row_no, path=str(path)
-            )
-        if pmid in papers:
-            raise IngestError(f"duplicate pmid {pmid}", row=row_no, path=str(path))
-        papers[pmid] = PaperRecord(pmid=pmid, year=year, raw_title=title, authors=authors)
+    with read_table(path, PAPERS_COLUMNS) as rows:
+        for pmid_s, year_s, title, authors_s in rows:
+            pmid = _positive_int(pmid_s, "pmid")
+            year = _int(year_s, "year")
+            if not title:
+                raise ParseError("missing title")
+            authors = tuple(authors_s.split("|"))
+            if not authors_s or any(name == "" for name in authors):
+                raise ParseError("empty author name in byline")
+            if pmid in papers:
+                raise ParseError(f"duplicate pmid {pmid}")
+            papers[pmid] = PaperRecord(pmid=pmid, year=year, raw_title=title, authors=authors)
     return Corpus(papers)
 
 
@@ -251,20 +256,16 @@ def ingest_clustering(path: str | Path) -> Clustering:
     """Read clustering.tsv (cluster_id, instance_id); enforce the partition."""
     assignment: dict[InstanceID, str] = {}
     ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
-    for row_no, (cluster_id, instance_s) in read_rows(path, CLUSTERING_COLUMNS):
-        if not cluster_id:
-            raise IngestError("empty cluster_id", row=row_no, path=str(path))
-        try:
+    with read_table(path, CLUSTERING_COLUMNS) as rows:
+        for cluster_id, instance_s in rows:
+            if not cluster_id:
+                raise ParseError("empty cluster_id")
             instance = parse_instance_id(instance_s)
-        except ParseError as exc:
-            raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if instance in assignment:
-            raise IngestError(
-                f"instance {instance_s} already assigned to cluster {assignment[instance]!r}",
-                row=row_no,
-                path=str(path),
-            )
-        assignment[instance] = ids.setdefault(cluster_id, cluster_id)
+            if instance in assignment:
+                raise ParseError(
+                    f"instance {instance_s} already assigned to cluster {assignment[instance]!r}"
+                )
+            assignment[instance] = ids.setdefault(cluster_id, cluster_id)
     return Clustering.from_assignment(assignment)
 
 
@@ -272,21 +273,19 @@ def ingest_authority(path: str | Path) -> dict[str, AuthorityProfile]:
     """Read authority.tsv (authority_id, name, title; one row per work)."""
     names: dict[str, str] = {}
     titles: dict[str, set[str]] = {}
-    for row_no, (authority_id, name, title) in read_rows(path, AUTHORITY_COLUMNS):
-        if not authority_id or not name or not title:
-            raise IngestError("empty field", row=row_no, path=str(path))
-        known = names.get(authority_id)
-        if known is None:
-            names[authority_id] = name
-            titles[authority_id] = set()
-        elif known != name:
-            raise IngestError(
-                f"authority {authority_id!r} has conflicting names "
-                f"{known!r} and {name!r}",
-                row=row_no,
-                path=str(path),
-            )
-        titles[authority_id].add(title)
+    with read_table(path, AUTHORITY_COLUMNS) as rows:
+        for authority_id, name, title in rows:
+            if not authority_id or not name or not title:
+                raise ParseError("empty field")
+            known = names.get(authority_id)
+            if known is None:
+                names[authority_id] = name
+                titles[authority_id] = set()
+            elif known != name:
+                raise ParseError(
+                    f"authority {authority_id!r} has conflicting names {known!r} and {name!r}"
+                )
+            titles[authority_id].add(title)
     return {
         authority_id: AuthorityProfile(
             authority_id=authority_id,
@@ -301,21 +300,18 @@ def ingest_grants(path: str | Path) -> dict[str, GrantRecord]:
     """Read grants.tsv (pi_id, pi_name, pmid; one row per funded paper)."""
     names: dict[str, str] = {}
     pmids: dict[str, set[int]] = {}
-    for row_no, (pi_id, pi_name, pmid_s) in read_rows(path, GRANTS_COLUMNS):
-        if not pi_id or not pi_name:
-            raise IngestError("empty field", row=row_no, path=str(path))
-        pmid = _parse_positive_int(pmid_s, "pmid", row_no, path)
-        known = names.get(pi_id)
-        if known is None:
-            names[pi_id] = pi_name
-            pmids[pi_id] = set()
-        elif known != pi_name:
-            raise IngestError(
-                f"PI {pi_id!r} has conflicting names {known!r} and {pi_name!r}",
-                row=row_no,
-                path=str(path),
-            )
-        pmids[pi_id].add(pmid)
+    with read_table(path, GRANTS_COLUMNS) as rows:
+        for pi_id, pi_name, pmid_s in rows:
+            if not pi_id or not pi_name:
+                raise ParseError("empty field")
+            pmid = _positive_int(pmid_s, "pmid")
+            known = names.get(pi_id)
+            if known is None:
+                names[pi_id] = pi_name
+                pmids[pi_id] = set()
+            elif known != pi_name:
+                raise ParseError(f"PI {pi_id!r} has conflicting names {known!r} and {pi_name!r}")
+            pmids[pi_id].add(pmid)
     return {
         pi_id: GrantRecord(
             pi_id=pi_id, pi_name=names[pi_id], funded_pmids=frozenset(pmids[pi_id])
@@ -327,14 +323,13 @@ def ingest_grants(path: str | Path) -> dict[str, GrantRecord]:
 def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
     """Read citations.tsv (citing_pmid, cited_pmid); dedupe, reject self-loops."""
     edges: set[CitationEdge] = set()
-    for row_no, (citing_s, cited_s) in read_rows(path, CITATIONS_COLUMNS):
-        citing = _parse_positive_int(citing_s, "citing_pmid", row_no, path)
-        cited = _parse_positive_int(cited_s, "cited_pmid", row_no, path)
-        if citing == cited:
-            raise IngestError(
-                f"self-loop: paper {citing} cites itself", row=row_no, path=str(path)
-            )
-        edges.add(CitationEdge(citing, cited))
+    with read_table(path, CITATIONS_COLUMNS) as rows:
+        for citing_s, cited_s in rows:
+            citing = _positive_int(citing_s, "citing_pmid")
+            cited = _positive_int(cited_s, "cited_pmid")
+            if citing == cited:
+                raise ParseError(f"self-loop: paper {citing} cites itself")
+            edges.add(CitationEdge(citing, cited))
     return tuple(sorted(edges))
 
 
@@ -349,24 +344,18 @@ def ingest_annotations(
     annotations: dict[InstanceID, Annotation] = {}
     skipped: set[InstanceID] = set()  # rows outside `keep`, for the duplicate check
     shared: dict[tuple[str, str], Annotation] = {}
-    for row_no, (instance_s, ethnicity, gender) in read_rows(path, ANNOTATIONS_COLUMNS):
-        try:
+    with read_table(path, ANNOTATIONS_COLUMNS) as rows:
+        for instance_s, ethnicity, gender in rows:
             instance = parse_instance_id(instance_s)
-        except ParseError as exc:
-            raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if instance in annotations or instance in skipped:
-            raise IngestError(
-                f"duplicate annotation for instance {instance_s}",
-                row=row_no,
-                path=str(path),
-            )
-        if keep is not None and instance not in keep:
-            skipped.add(instance)
-            continue
-        annotation = shared.get((ethnicity, gender))
-        if annotation is None:
-            annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)
-        annotations[instance] = annotation
+            if instance in annotations or instance in skipped:
+                raise ParseError(f"duplicate annotation for instance {instance_s}")
+            if keep is not None and instance not in keep:
+                skipped.add(instance)
+                continue
+            annotation = shared.get((ethnicity, gender))
+            if annotation is None:
+                annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)
+            annotations[instance] = annotation
     return annotations
 
 

@@ -6,7 +6,12 @@ class LinklabError(Exception):
 
 
 class ParseError(LinklabError):
-    """A single value (instance ID, name, number) could not be parsed."""
+    """A value (instance ID, name, number) or a table row could not be parsed.
+
+    A reader raises it for a row that breaks the reader's own rules
+    (an empty field, a duplicate, a bad number); _tsv.read_table turns it
+    into an IngestError naming the file and the row.
+    """
 
 
 class IngestError(LinklabError):

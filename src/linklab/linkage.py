@@ -16,7 +16,7 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from ._tsv import open_text_write, read_rows, write_rows
+from ._tsv import open_text_write, read_table, write_rows
 from .corpus import (
     AuthorityProfile,
     Annotation,
@@ -24,10 +24,11 @@ from .corpus import (
     Corpus,
     GrantRecord,
     InstanceID,
+    _int,
     format_instance_id,
     parse_instance_id,
 )
-from .errors import EvaluationError, IngestError, ParseError
+from .errors import EvaluationError, ParseError
 from .normalize import (
     BlockKey,
     PersonName,
@@ -482,29 +483,21 @@ def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
     labels = []
     seen: dict[str, set[InstanceID]] = {source: set() for source in SOURCES}
     label_ids: dict[str, str] = {}
-    for row_no, (instance_s, label_id, source) in read_rows(path, LABELS_COLUMNS):
-        try:
+    with read_table(path, LABELS_COLUMNS) as rows:
+        for instance_s, label_id, source in rows:
             instance = parse_instance_id(instance_s)
-        except ParseError as exc:
-            raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if source not in seen:
-            raise IngestError(
-                f"unknown source {source!r}", row=row_no, path=str(path)
+            if source not in seen:
+                raise ParseError(f"unknown source {source!r}")
+            if not label_id:
+                raise ParseError("empty label_id")
+            if instance in seen[source]:
+                raise ParseError(f"duplicate label for instance {instance_s} from {source}")
+            seen[source].add(instance)
+            labels.append(
+                LabeledInstance(
+                    instance, label_ids.setdefault(label_id, label_id), _SOURCE_NAMES[source]
+                )
             )
-        if not label_id:
-            raise IngestError("empty label_id", row=row_no, path=str(path))
-        if instance in seen[source]:
-            raise IngestError(
-                f"duplicate label for instance {instance_s} from {source}",
-                row=row_no,
-                path=str(path),
-            )
-        seen[source].add(instance)
-        labels.append(
-            LabeledInstance(
-                instance, label_ids.setdefault(label_id, label_id), _SOURCE_NAMES[source]
-            )
-        )
     return tuple(labels)
 
 
@@ -515,19 +508,15 @@ def write_pairs(path: str | Path, pairs: PairSet) -> None:
 
 def read_pairs(path: str | Path) -> PairSet:
     pairs = []
-    for row_no, (a_s, b_s) in read_rows(path, PAIRS_COLUMNS):
-        try:
+    with read_table(path, PAIRS_COLUMNS) as rows:
+        for a_s, b_s in rows:
             a = parse_instance_id(a_s)
             b = parse_instance_id(b_s)
-        except ParseError as exc:
-            raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if a[0] == b[0]:
-            raise IngestError(
-                f"invalid pair ({a_s}, {b_s}): members must come from distinct papers",
-                row=row_no,
-                path=str(path),
-            )
-        pairs.append((a, b))
+            if a[0] == b[0]:
+                raise ParseError(
+                    f"invalid pair ({a_s}, {b_s}): members must come from distinct papers"
+                )
+            pairs.append((a, b))
     return PairSet(pairs)
 
 
@@ -551,39 +540,24 @@ def read_eval_dataset(path: str | Path) -> EvalDataset:
     rows = []
     seen: set[InstanceID] = set()
     strings: dict[str, str] = {}
-    for row_no, fields in read_rows(path, EVAL_COLUMNS):
-        instance_s, truth_label, predicted_id, year_s, ethnicity, gender = fields
-        try:
+    with read_table(path, EVAL_COLUMNS) as table:
+        for instance_s, truth_label, predicted_id, year_s, ethnicity, gender in table:
             instance = parse_instance_id(instance_s)
-        except ParseError as exc:
-            raise IngestError(str(exc), row=row_no, path=str(path)) from None
-        if instance in seen:
-            raise IngestError(
-                f"duplicate row for instance {instance_s}", row=row_no, path=str(path)
+            if instance in seen:
+                raise ParseError(f"duplicate row for instance {instance_s}")
+            seen.add(instance)
+            if not truth_label or not predicted_id:
+                raise ParseError("truth_label and predicted_cluster_id are required")
+            rows.append(
+                EvalRow(
+                    instance=instance,
+                    truth_label=strings.setdefault(truth_label, truth_label),
+                    predicted_cluster_id=strings.setdefault(predicted_id, predicted_id),
+                    year=_int(year_s, "year"),
+                    ethnicity=strings.setdefault(ethnicity, ethnicity) if ethnicity else None,
+                    gender=strings.setdefault(gender, gender) if gender else None,
+                )
             )
-        seen.add(instance)
-        if not truth_label or not predicted_id:
-            raise IngestError(
-                "truth_label and predicted_cluster_id are required",
-                row=row_no,
-                path=str(path),
-            )
-        try:
-            year = int(year_s)
-        except ValueError:
-            raise IngestError(
-                f"year must be an integer, got {year_s!r}", row=row_no, path=str(path)
-            ) from None
-        rows.append(
-            EvalRow(
-                instance=instance,
-                truth_label=strings.setdefault(truth_label, truth_label),
-                predicted_cluster_id=strings.setdefault(predicted_id, predicted_id),
-                year=year,
-                ethnicity=strings.setdefault(ethnicity, ethnicity) if ethnicity else None,
-                gender=strings.setdefault(gender, gender) if gender else None,
-            )
-        )
     return EvalDataset(rows)
 
 

@@ -115,12 +115,6 @@ def pair_accuracy_detail(
     return PairAccuracy(agreed / evaluated, evaluated, dropped)
 
 
-def pair_accuracy(
-    pairs: Iterable[tuple[InstanceID, InstanceID]], predicted: Mapping[InstanceID, str]
-) -> float:
-    return pair_accuracy_detail(pairs, predicted).accuracy
-
-
 STRATA = ("year", "gender", "ethnicity")
 UNKNOWN_STRATUM = "UNKNOWN"
 

@@ -24,7 +24,7 @@ from linklab.linkage import (
     link_authority,
     link_grants,
 )
-from linklab.metrics import b3_scores, pair_accuracy, stratified_eval
+from linklab.metrics import b3_scores, pair_accuracy_detail, stratified_eval
 from linklab.normalize import parse_name
 from linklab.profile import (
     block_size_ccdf,
@@ -188,8 +188,8 @@ def test_criterion_3_pair_accuracy_structure(
             continue
         checked += 1
         names = dict(corpus_names(bundle.corpus))
-        fini_accuracy = pair_accuracy(pairs, cluster_fini(names.items()))
-        aini_accuracy = pair_accuracy(pairs, cluster_aini(names.items()))
+        fini_accuracy = pair_accuracy_detail(pairs, cluster_fini(names.items())).accuracy
+        aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy
         # exact: both members of a pair share surname and first initial
         assert fini_accuracy == 1.0
         assert aini_accuracy <= fini_accuracy
@@ -199,7 +199,7 @@ def test_criterion_3_pair_accuracy_structure(
         bundle_midinitial.corpus, bundle_midinitial.citations
     )
     names = dict(corpus_names(bundle_midinitial.corpus))
-    aini_accuracy = pair_accuracy(pairs, cluster_aini(names.items()))
+    aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy
     planted_rate = 0.05
     # tolerance: 1 - planted rate within +/- 0.01
     assert aini_accuracy == pytest.approx(1.0 - planted_rate, abs=0.01)

@@ -466,6 +466,8 @@ EVAL = (
     "1_2\tb\tc1\t2001\tKorean\tFemale\n"
 )
 LONG_BYLINE = "|".join(f"Surname{i}, Given" for i in range(15000))
+# more digits than int() converts by default
+HUGE = "1" * 5000
 
 
 def _gz_flipped(data: bytes, offset: int) -> bytes:
@@ -547,6 +549,30 @@ BAD_INPUTS = [
     ("plain text named .gz", "papers.tsv.gz", PAPERS.encode(), _baseline("papers.tsv.gz"), EXIT_FORMAT),
     ("NUL byte in a byline name", "nul.tsv", PAPERS.replace("Kim, Ji", "Kim, J\x00i").encode(), _baseline("nul.tsv"), EXIT_FORMAT),
     ("NUL byte as a byline name", "nul.tsv", PAPERS.replace("Lee, Ann", "\x00").encode(), _baseline("nul.tsv"), EXIT_FORMAT),
+    ("5000-digit pmid", "huge.tsv", f"pmid\tyear\ttitle\tauthors\n{HUGE}\t2001\tA title\tKim, Ji\n".encode(),
+     _baseline("huge.tsv"), EXIT_FORMAT),
+    *(
+        (
+            f"5000-digit {part} in an instance id",
+            "huge.tsv",
+            (CLUSTERING + f"c2\t{instance}\n").encode(),
+            ["evaluate", "--truth", "clustering.tsv", "--pred", "huge.tsv", "--out", "out"],
+            EXIT_FORMAT,
+        )
+        for part, instance in (("pmid", f"{HUGE}_1"), ("position", f"1_{HUGE}"))
+    ),
+    *(
+        (
+            f"5000-digit {column}",
+            "huge.tsv",
+            f"citing_pmid\tcited_pmid\n1\t2\n{edge}\n".encode(),
+            ["pairs", "--papers", "papers.tsv", "--citations", "huge.tsv", "--out", "out"],
+            EXIT_FORMAT,
+        )
+        for column, edge in (("citing_pmid", f"{HUGE}\t1"), ("cited_pmid", f"1\t{HUGE}"))
+    ),
+    ("5000-digit integer in the synth config", "config.json", f'{{"n_authors": {HUGE}}}'.encode(),
+     _synth_with_config(), EXIT_FORMAT),
     ("non-UTF-8 table", "latin.tsv", PAPERS.replace("Ann", "Ann\xe9").encode("latin-1"), _baseline("latin.tsv"), EXIT_FORMAT),
     (
         "non-UTF-8 evaluate truth",
@@ -607,6 +633,12 @@ BAD_INPUTS = [
 MESSAGES = {
     "NUL byte in a byline name": "nul.tsv, row 1",
     "NUL byte as a byline name": "nul.tsv, row 1",
+    "5000-digit pmid": "huge.tsv, row 1: pmid is too long: 5000 digits",
+    "5000-digit pmid in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
+    "5000-digit position in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
+    "5000-digit citing_pmid": "huge.tsv, row 2: citing_pmid is too long: 5000 digits",
+    "5000-digit cited_pmid": "huge.tsv, row 2: cited_pmid is too long: 5000 digits",
+    "5000-digit integer in the synth config": "config.json: invalid JSON",
     "labels that join no predicted instance": "dropped_unclustered=2",
     "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
     "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",

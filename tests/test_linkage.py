@@ -37,7 +37,7 @@ from linklab.linkage import (
     write_labels,
     write_pairs,
 )
-from linklab.metrics import pair_accuracy
+from linklab.metrics import pair_accuracy_detail
 from oracles import naive_selfcitation_pairs
 
 
@@ -221,8 +221,8 @@ def test_selfcitation_pairs_match_brute_force():
     assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
 
     names = list(corpus_names(corpus))
-    assert pair_accuracy(pairs, cluster_fini(names)) == 1.0
-    assert pair_accuracy(pairs, cluster_aini(names)) <= 1.0
+    assert pair_accuracy_detail(pairs, cluster_fini(names)).accuracy == 1.0
+    assert pair_accuracy_detail(pairs, cluster_aini(names)).accuracy <= 1.0
 
 
 # "Kim, J", "Kim, Jin" and "J Kim" share one blocking key, so one byline

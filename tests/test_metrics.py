@@ -13,7 +13,6 @@ from linklab.metrics import (
     B3Scores,
     b3_scores,
     metrics_to_json,
-    pair_accuracy,
     pair_accuracy_detail,
     stratified_eval,
 )
@@ -123,7 +122,7 @@ def test_precision_recall_symmetry():
 
 def test_pair_accuracy_giant_cluster():
     predicted = Clustering({"p": {A, B, C}})
-    assert pair_accuracy([(A, B), (B, C)], predicted) == 1.0
+    assert pair_accuracy_detail([(A, B), (B, C)], predicted).accuracy == 1.0
 
 
 def test_pair_accuracy_counts_splits():
@@ -139,7 +138,7 @@ def test_pair_accuracy_drops_unclustered_members():
     detail = pair_accuracy_detail([(A, B), (A, C)], predicted)
     assert detail == (1.0, 1, 1)
     with pytest.raises(EvaluationError, match="no pair"):
-        pair_accuracy([(A, C)], predicted)
+        pair_accuracy_detail([(A, C)], predicted)
 
 
 class Row(NamedTuple):

@@ -16,7 +16,7 @@ from linklab.corpus import (
 )
 from linklab.errors import ConfigError
 from linklab.linkage import extract_selfcitation_pairs, link_authority, link_grants
-from linklab.metrics import b3_scores, pair_accuracy
+from linklab.metrics import b3_scores, pair_accuracy_detail
 from linklab.normalize import aini_key, fini_key, parse_name
 from linklab.profile import classify_synonym_types, distribution
 from linklab.synth import (
@@ -217,8 +217,8 @@ def test_midinitial_rate_drives_aini_pair_accuracy():
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
     assert len(pairs.pairs) == 400 * 3
     names = dict(corpus_names(bundle.corpus))
-    assert pair_accuracy(pairs, cluster_fini(names.items())) == 1.0
-    assert pair_accuracy(pairs, cluster_aini(names.items())) == pytest.approx(
+    assert pair_accuracy_detail(pairs, cluster_fini(names.items())).accuracy == 1.0
+    assert pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy == pytest.approx(
         0.95, abs=1e-12
     )
 

@@ -1,6 +1,7 @@
 """The benchmark's trace harness still finds the layer functions it wraps.
 
-perfbench/traced.py wraps linklab functions by name; a rename in src/
+perfbench/traced.py wraps linklab functions by name and its kernels read
+tables through _tsv.read_rows; a rename or a changed contract in src/
 would otherwise surface only in the slow benchmark self-tests.
 """
 
@@ -15,30 +16,30 @@ from linklab.cli import EXIT_OK, main
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_traced_baseline_records_clustering_spans(tmp_path, monkeypatch):
+def _synth_bundle(tmp_path, monkeypatch) -> Path:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps({"n_authors": 20}))
     assert main(["synth", "--seed", "1", "--config", "config.json", "--out", "bundle"]) == EXIT_OK
-    spans_path = tmp_path / "spans.json"
+    return tmp_path / "bundle"
+
+
+def _traced(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(
-        [
-            sys.executable,
-            str(REPO / "perfbench" / "traced.py"),
-            str(spans_path),
-            "--",
-            "baseline",
-            "--papers",
-            "bundle/papers.tsv",
-            "--method",
-            "fini",
-            "--out",
-            "fini",
-        ],
+    return subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "traced.py"), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
+    )
+
+
+def test_traced_baseline_records_clustering_spans(tmp_path, monkeypatch):
+    _synth_bundle(tmp_path, monkeypatch)
+    spans_path = tmp_path / "spans.json"
+    done = _traced(
+        str(spans_path), "--", "baseline", "--papers", "bundle/papers.tsv", "--method", "fini",
+        "--out", "fini",
     )
     assert done.returncode == 0, done.stderr
     trace = json.loads(spans_path.read_text())
@@ -46,3 +47,20 @@ def test_traced_baseline_records_clustering_spans(tmp_path, monkeypatch):
     names = {name for name, *_ in trace["spans"]}
     assert any(name.startswith("corpus.Clustering.") for name in names), sorted(names)
     assert (tmp_path / "fini" / "clustering.tsv").is_file()
+
+
+def test_kernels_read_every_data_row(tmp_path, monkeypatch):
+    bundle = _synth_bundle(tmp_path, monkeypatch)
+    tables = sorted(bundle.glob("*.tsv"))
+    spec = {
+        "tables": [str(path) for path in tables],
+        "papers": str(bundle / "papers.tsv"),
+        "citations": str(bundle / "citations.tsv"),
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    done = _traced("--kernels", "spec.json", "kernels.json")
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "kernels.json").read_text())
+    data_rows = sum(path.read_text(encoding="utf-8").count("\n") - 1 for path in tables)
+    assert data_rows > 0
+    assert result["tsv.rows_read"] == data_rows

@@ -1,0 +1,146 @@
+"""Row splitting and row-error reporting shared by every table reader."""
+
+import gzip
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from linklab._tsv import _records
+from linklab.corpus import (
+    ANNOTATIONS_COLUMNS,
+    AUTHORITY_COLUMNS,
+    CITATIONS_COLUMNS,
+    CLUSTERING_COLUMNS,
+    GRANTS_COLUMNS,
+    PAPERS_COLUMNS,
+    ingest_annotations,
+    ingest_authority,
+    ingest_citations,
+    ingest_clustering,
+    ingest_corpus,
+    ingest_grants,
+)
+from linklab.errors import IngestError
+from linklab.linkage import (
+    EVAL_COLUMNS,
+    LABELS_COLUMNS,
+    PAIRS_COLUMNS,
+    read_eval_dataset,
+    read_labels,
+    read_pairs,
+)
+
+import oracles
+
+
+def _outcome(records, path):
+    """Every record read before a failure, and the failure as (message, row, path)."""
+    got = []
+    try:
+        for record in records(path):
+            got.append(record)
+    except IngestError as exc:
+        return got, (str(exc), exc.row, exc.path)
+    return got, None
+
+
+# line endings, quotes, NUL, the other characters str.splitlines() breaks
+# on, whitespace that a bare rstrip() would eat, and letters
+TABLE_TEXT = st.text(
+    alphabet='\t\r\n"\0\x0b\x0c\x1c\x1d\x1e\x85 abZ\xe9', max_size=40
+)
+
+
+@given(st.booleans(), TABLE_TEXT, st.booleans(), st.booleans())
+@example(False, "a\tb\r\nc\td\n", False, False)
+@example(False, "a\rb\n\n\r\nc", False, False)
+@example(False, 'a"b\t"c\td"\n"', False, False)
+@example(False, "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\n", False, False)
+@example(False, "a \t\x0c\nb\x85\r", False, False)
+@example(False, "a\nb\0c\nd", False, False)
+@example(True, "\t\n", True, False)
+@example(False, "ab\ncd\n", False, True)
+def test_records_match_the_csv_reader(bom, text, gz, bad_byte):
+    data = ("\ufeff" if bom else "").encode() + text.encode()
+    if bad_byte:
+        data += b"\xff"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("table.tsv.gz" if gz else "table.tsv")
+        path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+        assert _outcome(_records, path) == _outcome(oracles.csv_records, path)
+
+
+# (reader, its columns, a good data row, a bad data row, the message for the bad row)
+ROW_FAULTS = [
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "x\t2001\tT\tA, B",
+     "pmid must be a positive integer, got 'x'"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "0\t2001\tT\tA, B",
+     "pmid must be a positive integer, got '0'"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\tyr\tT\tA, B",
+     "year must be an integer, got 'yr'"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\t\tA, B", "missing title"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\tA, B|",
+     "empty author name in byline"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "1\t2002\tT\tA, B", "duplicate pmid 1"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "\t1_2", "empty cluster_id"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1-2",
+     "instance id '1-2' is not of the form <pmid>_<position>"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t0_2", "instance id '0_2': pmid must be >= 1"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1_0", "instance id '1_0': position must be >= 1"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c2\t1_1", "instance 1_1 already assigned to cluster 'c1'"),
+    (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\t\tT two", "empty field"),
+    (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\tLee, Ann\tT two",
+     "authority 'a1' has conflicting names 'Kim, Ji' and 'Lee, Ann'"),
+    (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "\tKim, Ji\t2", "empty field"),
+    (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tKim, Ji\tx", "pmid must be a positive integer, got 'x'"),
+    (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tLee, Ann\t2",
+     "PI 'p1' has conflicting names 'Kim, Ji' and 'Lee, Ann'"),
+    (ingest_citations, CITATIONS_COLUMNS, "1\t2", "x\t2", "citing_pmid must be a positive integer, got 'x'"),
+    (ingest_citations, CITATIONS_COLUMNS, "1\t2", "1\t0", "cited_pmid must be a positive integer, got '0'"),
+    (ingest_citations, CITATIONS_COLUMNS, "1\t2", "3\t3", "self-loop: paper 3 cites itself"),
+    (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_x\tA\tB",
+     "instance id '1_x' is not of the form <pmid>_<position>"),
+    (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_1\tA\tB",
+     "duplicate annotation for instance 1_1"),
+    (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "x\ty\tgrant",
+     "instance id 'x' is not of the form <pmid>_<position>"),
+    (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_2\tx\torcid", "unknown source 'orcid'"),
+    (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_2\t\tgrant", "empty label_id"),
+    (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_1\ty\tauthority",
+     "duplicate label for instance 1_1 from authority"),
+    (read_pairs, PAIRS_COLUMNS, "1_1\t2_1", "1_1\t2-1", "instance id '2-1' is not of the form <pmid>_<position>"),
+    (read_pairs, PAIRS_COLUMNS, "1_1\t2_1", "1_1\t1_2",
+     "invalid pair (1_1, 1_2): members must come from distinct papers"),
+    (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_y\ta\tc1\t2001\t\t",
+     "instance id '1_y' is not of the form <pmid>_<position>"),
+    (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_1\ta\tc1\t2001\t\t",
+     "duplicate row for instance 1_1"),
+    (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_2\t\tc1\t2001\t\t",
+     "truth_label and predicted_cluster_id are required"),
+    (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_2\ta\tc1\tyr\t\t",
+     "year must be an integer, got 'yr'"),
+]
+READERS = {reader: (columns, good) for reader, columns, good, _, _ in ROW_FAULTS}
+# a row of one field, which no table has; _tsv itself rejects it
+ROW_FAULTS += [
+    (reader, columns, good, "x", f"expected {len(columns)} columns, got 1")
+    for reader, (columns, good) in READERS.items()
+]
+
+
+@pytest.mark.parametrize(
+    "reader,columns,good,bad,message",
+    ROW_FAULTS,
+    ids=[f"{case[0].__name__}: {case[4]}" for case in ROW_FAULTS],
+)
+def test_a_bad_second_row_is_reported_with_its_path_and_row(tmp_path, reader, columns, good, bad, message):
+    path = tmp_path / "table.tsv"
+    path.write_text("\t".join(columns) + f"\n{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(IngestError) as err:
+        reader(path)
+    assert err.value.path == str(path)
+    assert err.value.row == 2
+    assert str(err.value) == f"{path}, row 2: {message}"
