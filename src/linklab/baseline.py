@@ -34,7 +34,7 @@ def corpus_names(corpus: Corpus) -> Iterator[tuple[InstanceID, PersonName | None
                 except ParseError:
                     name = None
                 parsed[raw] = name
-            yield InstanceID(paper.pmid, position), name
+            yield (paper.pmid, position), name
 
 
 def _sentinel_id(instance: InstanceID) -> str:

@@ -31,6 +31,7 @@ from ._tsv import read_header, write_rows
 from .baseline import cluster_aini, cluster_fini, corpus_names, unparseable_count
 from .corpus import (
     CLUSTERING_COLUMNS,
+    InstanceID,
     format_instance_id,
     ingest_annotations,
     ingest_authority,
@@ -44,7 +45,6 @@ from .errors import ConfigError, EvaluationError, IngestError, ParseError
 from .linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
-    EvalRow,
     extract_selfcitation_pairs,
     join_labels,
     label_agreement,
@@ -377,16 +377,17 @@ def cmd_perturb(args: argparse.Namespace, out: Path) -> str:
     )
 
 
-def _agreement_rows(path: Path) -> list[EvalRow]:
-    """Load either a labels file or an eval dataset as comparison rows."""
+def _agreement_labels(path: Path) -> dict[InstanceID, str]:
+    """Load either a labels file or an eval dataset as instance -> label.
+
+    An instance listed twice (a labels file may carry it from two
+    sources) keeps the label of its last row.
+    """
     header = read_header(path)
     if header == LABELS_COLUMNS:
-        return [
-            EvalRow(label.instance, label.label_id, "", 0, None, None)
-            for label in read_labels(path)
-        ]
+        return {label.instance: label.label_id for label in read_labels(path)}
     if header == EVAL_COLUMNS:
-        return list(read_eval_dataset(path))
+        return {row.instance: row.truth_label for row in read_eval_dataset(path)}
     raise IngestError(
         "agreement input header matches neither a labels nor an eval dataset file",
         path=path,
@@ -394,7 +395,7 @@ def _agreement_rows(path: Path) -> list[EvalRow]:
 
 
 def cmd_agree(args: argparse.Namespace, out: Path) -> str:
-    report = label_agreement(_agreement_rows(args.a), _agreement_rows(args.b))
+    report = label_agreement(_agreement_labels(args.a), _agreement_labels(args.b))
     write_rows(
         out / "disagreements.tsv",
         ("instance_id", "label_a", "label_b"),

@@ -1,7 +1,8 @@
 """Core data model and file ingestion.
 
 A corpus is a set of papers keyed by PMID; every author mention is an
-instance addressed as "<pmid>_<position>" with 1-based byline positions.
+instance, a (pmid, position) tuple with a 1-based byline position, written
+"<pmid>_<position>" in files (parse_instance_id, format_instance_id).
 Alongside the corpus live four auxiliary tables used to build labeled
 evaluation data: authority profiles (person + work titles), grant PI
 records, citation edges, and per-instance demographic annotations.
@@ -14,10 +15,10 @@ reports errors with 1-based data row numbers.
 from __future__ import annotations
 
 import re
-from collections.abc import Container, ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Callable, Container, ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from ._tsv import read_table, write_rows
 from .errors import ParseError
@@ -29,21 +30,11 @@ GRANTS_COLUMNS = ("pi_id", "pi_name", "pmid")
 CITATIONS_COLUMNS = ("citing_pmid", "cited_pmid")
 ANNOTATIONS_COLUMNS = ("instance_id", "ethnicity", "gender")
 
+_V = TypeVar("_V")
 
-class InstanceID(NamedTuple):
-    """One author mention: paper identifier plus 1-based byline position.
-
-    Readers build plain (pmid, position) tuples instead, which are cheaper;
-    a plain tuple hashes, compares and sorts equal to the InstanceID with
-    the same fields, so wherever an InstanceID is expected either will do.
-    Print either with format_instance_id: str() of a plain tuple is "(1, 2)".
-    """
-
-    pmid: int
-    position: int
-
-    def __str__(self) -> str:
-        return f"{self.pmid}_{self.position}"
+# One author mention: paper identifier plus 1-based byline position.
+# Print one with format_instance_id: str() of a tuple is "(1, 2)".
+InstanceID = tuple[int, int]
 
 
 # [0-9], not \d, which also matches non-ASCII digits; used with fullmatch,
@@ -51,11 +42,8 @@ class InstanceID(NamedTuple):
 _INSTANCE_ID = re.compile(r"[0-9]+_[0-9]+")
 
 
-def parse_instance_id(s: str) -> tuple[int, int]:
-    """Parse the canonical "<pmid>_<position>" form of an instance ID.
-
-    Returns a plain (pmid, position) tuple, not an InstanceID (see there).
-    """
+def parse_instance_id(s: str) -> InstanceID:
+    """Parse the canonical "<pmid>_<position>" form of an instance ID."""
     if _INSTANCE_ID.fullmatch(s) is None:
         raise ParseError(f"instance id {s!r} is not of the form <pmid>_<position>")
     pmid_s, _, pos_s = s.partition("_")
@@ -86,7 +74,7 @@ class PaperRecord:
 
     def instances(self) -> Iterator[InstanceID]:
         for position in range(1, len(self.authors) + 1):
-            yield InstanceID(self.pmid, position)
+            yield self.pmid, position
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,54 +257,48 @@ def ingest_clustering(path: str | Path) -> Clustering:
     return Clustering.from_assignment(assignment)
 
 
+def _read_people(
+    path: str | Path, columns: tuple[str, str, str], who: str, parse_value: Callable[[str], _V]
+) -> dict[str, tuple[str, set[_V]]]:
+    """Read (id, name, value) rows into id -> (name, values); one name per id."""
+    people: dict[str, tuple[str, set[_V]]] = {}
+    with read_table(path, columns) as rows:
+        for person_id, name, value_s in rows:
+            if not person_id or not name:
+                raise ParseError("empty field")
+            value = parse_value(value_s)
+            known = people.get(person_id)
+            if known is None:
+                known = people[person_id] = (name, set())
+            elif known[0] != name:
+                raise ParseError(
+                    f"{who} {person_id!r} has conflicting names {known[0]!r} and {name!r}"
+                )
+            known[1].add(value)
+    return people
+
+
+def _title(text: str) -> str:
+    if not text:
+        raise ParseError("empty field")
+    return text
+
+
 def ingest_authority(path: str | Path) -> dict[str, AuthorityProfile]:
     """Read authority.tsv (authority_id, name, title; one row per work)."""
-    names: dict[str, str] = {}
-    titles: dict[str, set[str]] = {}
-    with read_table(path, AUTHORITY_COLUMNS) as rows:
-        for authority_id, name, title in rows:
-            if not authority_id or not name or not title:
-                raise ParseError("empty field")
-            known = names.get(authority_id)
-            if known is None:
-                names[authority_id] = name
-                titles[authority_id] = set()
-            elif known != name:
-                raise ParseError(
-                    f"authority {authority_id!r} has conflicting names {known!r} and {name!r}"
-                )
-            titles[authority_id].add(title)
+    people = _read_people(path, AUTHORITY_COLUMNS, "authority", _title)
     return {
-        authority_id: AuthorityProfile(
-            authority_id=authority_id,
-            person_name=names[authority_id],
-            work_titles=frozenset(titles[authority_id]),
-        )
-        for authority_id in names
+        authority_id: AuthorityProfile(authority_id, name, frozenset(titles))
+        for authority_id, (name, titles) in people.items()
     }
 
 
 def ingest_grants(path: str | Path) -> dict[str, GrantRecord]:
     """Read grants.tsv (pi_id, pi_name, pmid; one row per funded paper)."""
-    names: dict[str, str] = {}
-    pmids: dict[str, set[int]] = {}
-    with read_table(path, GRANTS_COLUMNS) as rows:
-        for pi_id, pi_name, pmid_s in rows:
-            if not pi_id or not pi_name:
-                raise ParseError("empty field")
-            pmid = _positive_int(pmid_s, "pmid")
-            known = names.get(pi_id)
-            if known is None:
-                names[pi_id] = pi_name
-                pmids[pi_id] = set()
-            elif known != pi_name:
-                raise ParseError(f"PI {pi_id!r} has conflicting names {known!r} and {pi_name!r}")
-            pmids[pi_id].add(pmid)
+    people = _read_people(path, GRANTS_COLUMNS, "PI", lambda text: _positive_int(text, "pmid"))
     return {
-        pi_id: GrantRecord(
-            pi_id=pi_id, pi_name=names[pi_id], funded_pmids=frozenset(pmids[pi_id])
-        )
-        for pi_id in names
+        pi_id: GrantRecord(pi_id, name, frozenset(pmids))
+        for pi_id, (name, pmids) in people.items()
     }
 
 

@@ -12,7 +12,7 @@ rather than guessing.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,6 +149,36 @@ def _keyed_bylines(corpus: Corpus) -> dict[int, dict[BlockKey, list[int]]]:
     return bylines
 
 
+def _match_people(
+    bylines: Mapping[int, Mapping[BlockKey, list[int]]],
+    people: Iterable[tuple[str, str, Iterable[int]]],
+) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
+    """Match each (person id, raw name, pmids) to the byline positions under its key.
+
+    A person matches every position on one of their in-corpus pmids whose
+    name has the person's blocking key. Returns the (instance, person id)
+    candidates, the number of people whose name is unusable (their pmids
+    are not read), and the in-corpus pmids of the usable people.
+    """
+    candidates: set[tuple[InstanceID, str]] = set()
+    unusable = 0
+    pmids_in_corpus: set[int] = set()
+    for person_id, raw_name, pmids in people:
+        name = _parse_keyed(raw_name)
+        if name is None:
+            unusable += 1
+            continue
+        key = fini_key(name)
+        for pmid in pmids:
+            grouped = bylines.get(pmid)
+            if grouped is None:
+                continue
+            pmids_in_corpus.add(pmid)
+            for position in grouped.get(key, ()):
+                candidates.add(((pmid, position), person_id))
+    return candidates, unusable, pmids_in_corpus
+
+
 def _resolve_candidates(
     candidates: set[tuple[InstanceID, str]], source: str
 ) -> tuple[tuple[LabeledInstance, ...], tuple[ConflictRecord, ...]]:
@@ -235,25 +265,17 @@ def link_authority(
         else:
             duplicate_copies += len(pmids)
 
-    bylines = _keyed_bylines(corpus)
-    candidates: set[tuple[InstanceID, str]] = set()
-    unusable_profiles = 0
-    for authority_id in sorted(registry):
-        profile = registry[authority_id]
-        profile_name = _parse_keyed(profile.person_name)
-        if profile_name is None:
-            unusable_profiles += 1
-            continue
-        profile_key = fini_key(profile_name)
-        matched_pmids = set()
+    def profile_pmids(profile: AuthorityProfile) -> Iterator[int]:
         for raw_title in profile.work_titles:
             pmid = title_to_pmid.get(title_text(raw_title))
             if pmid is not None:
-                matched_pmids.add(pmid)
-        for pmid in matched_pmids:
-            for position in bylines[pmid].get(profile_key, ()):
-                candidates.add((InstanceID(pmid, position), authority_id))
+                yield pmid
 
+    candidates, unusable_profiles, _ = _match_people(
+        _keyed_bylines(corpus),
+        ((authority_id, profile.person_name, profile_pmids(profile))
+         for authority_id, profile in registry.items()),
+    )
     labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
         "papers": len(corpus),
@@ -270,27 +292,11 @@ def link_authority(
 
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
-    bylines = _keyed_bylines(corpus)
-    candidates: set[tuple[InstanceID, str]] = set()
-    unusable_pis = 0
-    funded = set()
-    funded_in_corpus = set()
-    for pi_id in sorted(grants):
-        record = grants[pi_id]
-        funded.update(record.funded_pmids)
-        pi_name = _parse_keyed(record.pi_name)
-        if pi_name is None:
-            unusable_pis += 1
-            continue
-        pi_key = fini_key(pi_name)
-        for pmid in sorted(record.funded_pmids):
-            grouped = bylines.get(pmid)
-            if grouped is None:
-                continue
-            funded_in_corpus.add(pmid)
-            for position in grouped.get(pi_key, ()):
-                candidates.add((InstanceID(pmid, position), pi_id))
-
+    candidates, unusable_pis, funded_in_corpus = _match_people(
+        _keyed_bylines(corpus),
+        ((pi_id, record.pi_name, record.funded_pmids) for pi_id, record in grants.items()),
+    )
+    funded = set().union(*(record.funded_pmids for record in grants.values()))
     labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
     stats = {
         "grants": len(grants),
@@ -318,12 +324,7 @@ def extract_selfcitation_pairs(
         for key, citing_positions in citing.items():
             for pos_cited in cited.get(key, ()):
                 for pos_citing in citing_positions:
-                    pairs.add(
-                        (
-                            InstanceID(edge.citing_pmid, pos_citing),
-                            InstanceID(edge.cited_pmid, pos_cited),
-                        )
-                    )
+                    pairs.add(((edge.citing_pmid, pos_citing), (edge.cited_pmid, pos_cited)))
     return PairSet(pairs)
 
 
@@ -434,15 +435,15 @@ class AgreementReport(NamedTuple):
     disagreements: tuple[tuple[InstanceID, str, str], ...]
 
 
-def label_agreement(a: EvalDataset, b: EvalDataset) -> AgreementReport:
-    """Compare two labelings on their shared instances.
+def label_agreement(
+    labels_a: Mapping[InstanceID, str], labels_b: Mapping[InstanceID, str]
+) -> AgreementReport:
+    """Compare two instance -> label mappings on their shared instances.
 
     Label namespaces differ, so clusters are aligned by greedy largest-
     overlap matching (ties broken lexicographically); an instance whose
     label pair is not part of the alignment is a disagreement.
     """
-    labels_a = {row.instance: row.truth_label for row in a}
-    labels_b = {row.instance: row.truth_label for row in b}
     overlap = sorted(set(labels_a) & set(labels_b))
     if not overlap:
         return AgreementReport(0, 0, ())

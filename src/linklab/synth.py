@@ -299,7 +299,7 @@ def generate(config: SynthConfig) -> Bundle:
         author_id = "a" + _b26(index)
         instances = []
         for i, (_, pmid, position) in enumerate(appearances[index]):
-            instance = InstanceID(pmid, position)
+            instance = (pmid, position)
             instances.append(instance)
             instance_forms[instance] = forms[index][i % len(forms[index])]
         authors.append(
@@ -320,7 +320,7 @@ def generate(config: SynthConfig) -> Bundle:
     for paper_index, byline in enumerate(paper_authors):
         pmid = paper_index + 1
         names = tuple(
-            instance_forms[InstanceID(pmid, position)]
+            instance_forms[pmid, position]
             for position in range(1, len(byline) + 1)
         )
         papers[pmid] = PaperRecord(

@@ -7,9 +7,18 @@ import zlib
 from collections.abc import Mapping
 
 from linklab._tsv import open_text_read, write_rows
-from linklab.corpus import CLUSTERING_COLUMNS, InstanceID, format_instance_id
+from linklab.corpus import CLUSTERING_COLUMNS, format_instance_id
 from linklab.errors import IngestError, ParseError
-from linklab.normalize import _FOLD, fini_key, is_keyed, parse_name
+from linklab.linkage import (
+    DUP_TITLE_POLICIES,
+    SOURCE_AUTHORITY,
+    SOURCE_GRANT,
+    LinkResult,
+    _keyed_bylines,
+    _parse_keyed,
+    _resolve_candidates,
+)
+from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
 
 
 def naive_ascii_fold(text):
@@ -75,8 +84,8 @@ def naive_selfcitation_pairs(corpus, citations):
             for pos_b, raw_b in enumerate(cited.authors, start=1):
                 key_a = key(raw_a)
                 if key_a is not None and key_a == key(raw_b):
-                    a = InstanceID(citing.pmid, pos_a)
-                    b = InstanceID(cited.pmid, pos_b)
+                    a = (citing.pmid, pos_a)
+                    b = (cited.pmid, pos_b)
                     pairs.add((a, b) if a <= b else (b, a))
     return pairs
 
@@ -124,7 +133,7 @@ def random_partition(rng, instances, max_clusters=None):
 
 
 def make_instances(n):
-    return [InstanceID(i, 1) for i in range(1, n + 1)]
+    return [(i, 1) for i in range(1, n + 1)]
 
 
 class TwoCopyClustering(Mapping):
@@ -185,7 +194,7 @@ def write_two_copy_clustering(path, clustering):
 
 
 def parse_instance_id(s):
-    """The earlier parser: string-method checks, an InstanceID result."""
+    """The earlier parser: string-method checks, a (pmid, position) result."""
     pmid_s, sep, pos_s = s.partition("_")
     if not sep or not (pmid_s.isascii() and pmid_s.isdigit()) or not (
         pos_s.isascii() and pos_s.isdigit()
@@ -197,7 +206,7 @@ def parse_instance_id(s):
         raise ParseError(f"instance id {s!r}: pmid must be >= 1")
     if position < 1:
         raise ParseError(f"instance id {s!r}: position must be >= 1")
-    return InstanceID(pmid, position)
+    return (pmid, position)
 
 
 def _nul_free_lines(fh, path):
@@ -226,3 +235,102 @@ def csv_records(path):
         raise IngestError(f"not UTF-8 text: {exc}", path=str(path)) from None
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise IngestError(f"damaged gzip data: {exc}", path=str(path)) from None
+
+
+def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="delete"):
+    """The earlier linkage.link_authority: its own per-profile matching loop."""
+    if dup_title_policy not in DUP_TITLE_POLICIES:
+        raise ValueError(
+            f"dup_title_policy must be one of {DUP_TITLE_POLICIES}, got {dup_title_policy!r}"
+        )
+    title_texts = {}
+
+    def title_text(raw):
+        if raw not in title_texts:
+            norm = normalize_title(raw, nonalpha=nonalpha)
+            title_texts[raw] = None if norm is None else norm.text
+        return title_texts[raw]
+
+    pmids_by_title = {}
+    for paper in corpus:
+        text = title_text(paper.raw_title)
+        if text is not None:
+            pmids_by_title.setdefault(text, []).append(paper.pmid)
+    title_to_pmid = {}
+    duplicate_copies = 0
+    for text, pmids in pmids_by_title.items():
+        if len(pmids) == 1:
+            title_to_pmid[text] = pmids[0]
+        elif dup_title_policy == "keep-first":
+            title_to_pmid[text] = min(pmids)
+            duplicate_copies += len(pmids) - 1
+        else:
+            duplicate_copies += len(pmids)
+
+    bylines = _keyed_bylines(corpus)
+    candidates = set()
+    unusable_profiles = 0
+    for authority_id in sorted(registry):
+        profile = registry[authority_id]
+        profile_name = _parse_keyed(profile.person_name)
+        if profile_name is None:
+            unusable_profiles += 1
+            continue
+        profile_key = fini_key(profile_name)
+        matched_pmids = set()
+        for raw_title in profile.work_titles:
+            pmid = title_to_pmid.get(title_text(raw_title))
+            if pmid is not None:
+                matched_pmids.add(pmid)
+        for pmid in matched_pmids:
+            for position in bylines[pmid].get(profile_key, ()):
+                candidates.add(((pmid, position), authority_id))
+
+    labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
+    stats = {
+        "papers": len(corpus),
+        "titles_usable": len(title_to_pmid),
+        "duplicate_title_copies_dropped": duplicate_copies,
+        "profiles": len(registry),
+        "profiles_unusable_name": unusable_profiles,
+        "candidates": len(candidates),
+        "labels": len(labels),
+        "conflict_drops": len(candidates) - len(labels),
+    }
+    return LinkResult(labels, conflicts, stats)
+
+
+def link_grants(corpus, grants):
+    """The earlier linkage.link_grants: its own per-PI matching loop."""
+    bylines = _keyed_bylines(corpus)
+    candidates = set()
+    unusable_pis = 0
+    funded = set()
+    funded_in_corpus = set()
+    for pi_id in sorted(grants):
+        record = grants[pi_id]
+        funded.update(record.funded_pmids)
+        pi_name = _parse_keyed(record.pi_name)
+        if pi_name is None:
+            unusable_pis += 1
+            continue
+        pi_key = fini_key(pi_name)
+        for pmid in sorted(record.funded_pmids):
+            grouped = bylines.get(pmid)
+            if grouped is None:
+                continue
+            funded_in_corpus.add(pmid)
+            for position in grouped.get(pi_key, ()):
+                candidates.add(((pmid, position), pi_id))
+
+    labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
+    stats = {
+        "grants": len(grants),
+        "pis_unusable_name": unusable_pis,
+        "funded_pmids": len(funded),
+        "funded_pmids_in_corpus": len(funded_in_corpus),
+        "candidates": len(candidates),
+        "labels": len(labels),
+        "conflict_drops": len(candidates) - len(labels),
+    }
+    return LinkResult(labels, conflicts, stats)

@@ -15,7 +15,7 @@ import pytest
 
 from linklab.baseline import cluster_aini, cluster_fini, corpus_names
 from linklab.cli import EXIT_OK, main
-from linklab.corpus import Clustering, InstanceID, ingest_corpus, write_clustering
+from linklab.corpus import Clustering, ingest_corpus, write_clustering
 from linklab.linkage import (
     EvalDataset,
     EvalRow,
@@ -133,7 +133,7 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
         assert abs(fast.f1 - slow[2]) <= 1e-12
 
     n = 10**6
-    instances = [InstanceID(i, 1) for i in range(1, n + 1)]
+    instances = [(i, 1) for i in range(1, n + 1)]
     truth = Clustering.from_assignment(
         {iid: f"t{i // 10}" for i, iid in enumerate(instances)}
     )
@@ -154,7 +154,7 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
 # criterion 2
 
 def test_criterion_2_worked_b3_values():
-    a, b, c = InstanceID(1, 1), InstanceID(2, 1), InstanceID(3, 1)
+    a, b, c = (1, 1), (2, 1), (3, 1)
     truth = Clustering({"t1": {a, b}, "t2": {c}})
     predicted = Clustering({"p1": {a}, "p2": {b, c}})
     scores = b3_scores(truth, predicted)
@@ -238,7 +238,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
     for cluster_id, forms in constructed.items():
         members = set()
         for raw in forms:
-            instance = InstanceID(counter, 1)
+            instance = (counter, 1)
             counter += 1
             members.add(instance)
             constructed_names[instance] = parse_name(raw)
@@ -329,7 +329,7 @@ def _tagged_dataset() -> EvalDataset:
             index += 1
             rows.append(
                 EvalRow(
-                    InstanceID(index, 1),
+                    (index, 1),
                     f"t{index // 4}",
                     f"p{index // 3}",
                     1990 + index % 20,
@@ -431,22 +431,14 @@ def test_criterion_8_determinism_and_cli_equivalence(tmp_path, monkeypatch):
 # criterion 9
 
 def test_criterion_9_agreement_flags_single_flip():
-    rows = [
-        EvalRow(InstanceID(i, 1), f"t{i // 3}", f"p{i // 3}", 2000, None, None)
-        for i in range(1, 13)
-    ]
-    left = EvalDataset(rows)
-    flipped = [
-        row if row.instance != InstanceID(5, 1) else row._replace(truth_label="t3")
-        for row in rows
-    ]
-    right = EvalDataset(flipped)
+    left = {(i, 1): f"t{i // 3}" for i in range(1, 13)}
+    right = {**left, (5, 1): "t3"}
 
     report = label_agreement(left, right)
     assert report.overlap_count == 12
     assert report.agree_count == 11
     assert len(report.disagreements) == 1
     instance, label_left, label_right = report.disagreements[0]
-    assert instance == InstanceID(5, 1)
+    assert instance == (5, 1)
     assert (label_left, label_right) == ("t1", "t3")
     print("criterion 9: exactly one disagreement, at the flipped instance")

@@ -8,13 +8,13 @@ from linklab.baseline import (
     corpus_names,
     unparseable_count,
 )
-from linklab.corpus import Corpus, InstanceID, PaperRecord
+from linklab.corpus import Corpus, PaperRecord
 from linklab.normalize import aini_key, fini_key, parse_name
 
 
 def named(*raws):
     return [
-        (InstanceID(i, 1), parse_name(raw)) for i, raw in enumerate(raws, start=1)
+        ((i, 1), parse_name(raw)) for i, raw in enumerate(raws, start=1)
     ]
 
 
@@ -40,15 +40,15 @@ def test_aini_matches_equal_initials():
 
 def test_unparseable_names_become_singletons():
     instances = [
-        (InstanceID(1, 1), parse_name("Wang, Wei")),
-        (InstanceID(2, 1), None),
-        (InstanceID(3, 1), None),
+        ((1, 1), parse_name("Wang, Wei")),
+        ((2, 1), None),
+        ((3, 1), None),
     ]
     for make in (cluster_fini, cluster_aini):
         clustering = make(instances)
         assert len(clustering.groups()) == 3
         assert unparseable_count(clustering) == 2
-        assert clustering[InstanceID(2, 1)] != clustering[InstanceID(3, 1)]
+        assert clustering[(2, 1)] != clustering[(3, 1)]
 
 
 def test_corpus_names_parses_bylines():
@@ -59,9 +59,9 @@ def test_corpus_names_parses_bylines():
         }
     )
     parsed = dict(corpus_names(corpus))
-    assert parsed[InstanceID(1, 1)].surname == "wang"
-    assert parsed[InstanceID(1, 2)] is None
-    assert parsed[InstanceID(2, 1)].all_initials == "pj"
+    assert parsed[(1, 1)].surname == "wang"
+    assert parsed[(1, 2)] is None
+    assert parsed[(2, 1)].all_initials == "pj"
 
 
 def test_grouping_matches_brute_force():
@@ -70,7 +70,7 @@ def test_grouping_matches_brute_force():
     forenames = ["A", "A B", "B", "Ann", "Ann B"]
     instances = [
         (
-            InstanceID(i, 1),
+            (i, 1),
             parse_name(f"{rng.choice(surnames)}, {rng.choice(forenames)}"),
         )
         for i in range(1, 200)
@@ -89,7 +89,7 @@ def test_aini_refines_fini_partition():
     forenames = ["J", "J H", "Jin", "Jin Ho", "H"]
     instances = [
         (
-            InstanceID(i, 1),
+            (i, 1),
             parse_name(f"{rng.choice(surnames)}, {rng.choice(forenames)}"),
         )
         for i in range(1, 300)

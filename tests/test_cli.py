@@ -18,7 +18,7 @@ from linklab.cli import (
     EXIT_USAGE,
     main,
 )
-from linklab.corpus import InstanceID, ingest_corpus, write_clustering
+from linklab.corpus import ingest_corpus, write_clustering
 from linklab.linkage import (
     LabeledInstance,
     join_labels,
@@ -373,11 +373,11 @@ def test_perturb_fraction_zero_keeps_dataset(workdir, bundle_dir, capsys):
 
 def test_agree_reports_planted_flip(workdir, capsys):
     labels_a = [
-        LabeledInstance(InstanceID(i, 1), label, "authority")
+        LabeledInstance((i, 1), label, "authority")
         for i, label in ((1, "x"), (2, "x"), (3, "x"), (4, "y"), (5, "y"))
     ]
     labels_b = [
-        LabeledInstance(InstanceID(i, 1), label, "grant")
+        LabeledInstance((i, 1), label, "grant")
         for i, label in ((1, "B"), (2, "B"), (3, "B2"), (4, "C"), (5, "C"))
     ]
     write_labels(workdir / "a.tsv", labels_a)

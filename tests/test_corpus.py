@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from linklab.corpus import (
     Clustering,
-    InstanceID,
     format_instance_id,
     ingest_annotations,
     ingest_authority,
@@ -38,8 +37,8 @@ def write_tsv(path, text):
 
 
 def test_parse_instance_id():
-    assert parse_instance_id("1234567_2") == InstanceID(pmid=1234567, position=2)
-    assert parse_instance_id("1701372_1") == InstanceID(pmid=1701372, position=1)
+    assert parse_instance_id("1234567_2") == (1234567, 2)
+    assert parse_instance_id("1701372_1") == (1701372, 1)
 
 
 def test_instance_id_round_trip():
@@ -82,7 +81,7 @@ ID_LIKE = st.text(alphabet="0123456789_+- \n\uff11\u0663", max_size=12)
 def test_parse_instance_id_matches_the_earlier_parser(text):
     new, old = _parsed(parse_instance_id, text), _parsed(oracles.parse_instance_id, text)
     assert new == old
-    if type(old) is InstanceID:
+    if type(old) is tuple:
         assert type(new) is tuple and hash(new) == hash(old)
 
 
@@ -100,17 +99,17 @@ def test_ingest_corpus(tmp_path):
     assert corpus.papers[1].year == 2001
     assert [p.pmid for p in corpus] == [1, 2, 3]
     assert list(corpus.instances()) == [
-        InstanceID(1, 1),
-        InstanceID(2, 1),
-        InstanceID(2, 2),
-        InstanceID(2, 3),
-        InstanceID(3, 1),
-        InstanceID(3, 2),
+        (1, 1),
+        (2, 1),
+        (2, 2),
+        (2, 3),
+        (3, 1),
+        (3, 2),
     ]
     assert corpus.papers[3].authors[2 - 1] == "Lee, Ann"
-    assert corpus.has_instance(InstanceID(2, 3))
-    assert not corpus.has_instance(InstanceID(2, 4))
-    assert not corpus.has_instance(InstanceID(9, 1))
+    assert corpus.has_instance((2, 3))
+    assert not corpus.has_instance((2, 4))
+    assert not corpus.has_instance((9, 1))
 
 
 def test_ingest_corpus_duplicate_pmid_errors_at_second_row(tmp_path):
@@ -165,10 +164,10 @@ def test_ingest_clustering(tmp_path):
     )
     clustering = ingest_clustering(path)
     assert clustering.groups() == {
-        "A": [InstanceID(1, 1), InstanceID(2, 1)],
-        "B": [InstanceID(3, 1)],
+        "A": [(1, 1), (2, 1)],
+        "B": [(3, 1)],
     }
-    assert clustering[InstanceID(2, 1)] == "A"
+    assert clustering[(2, 1)] == "A"
 
 
 def test_ingest_clustering_rejects_double_assignment(tmp_path):
@@ -182,7 +181,7 @@ def test_ingest_clustering_rejects_double_assignment(tmp_path):
 
 
 def test_clustering_partition_validation():
-    a, b = InstanceID(1, 1), InstanceID(2, 1)
+    a, b = (1, 1), (2, 1)
     with pytest.raises(ValueError, match="in both"):
         Clustering({"A": {a, b}, "B": {b}})
     with pytest.raises(ValueError, match="no members"):
@@ -194,8 +193,8 @@ def test_clustering_partition_validation():
 def test_clustering_round_trip(tmp_path):
     clustering = Clustering(
         {
-            "x9": {InstanceID(5, 2), InstanceID(1, 1)},
-            "x10": {InstanceID(2, 1)},
+            "x9": {(5, 2), (1, 1)},
+            "x10": {(2, 1)},
         }
     )
     path = tmp_path / "clustering.tsv"
@@ -205,7 +204,7 @@ def test_clustering_round_trip(tmp_path):
     assert lines == ["cluster_id\tinstance_id", "x10\t2_1", "x9\t1_1", "x9\t5_2"]
 
 
-INSTANCES = st.builds(InstanceID, st.integers(1, 4), st.integers(1, 2))
+INSTANCES = st.tuples(st.integers(1, 4), st.integers(1, 2))
 CLUSTER_IDS = st.sampled_from(["", "a", "b", "c10", "c9", "\u00e9"])
 # any group mapping: may overlap, hold an empty cluster or an empty id
 GROUP_MAPPINGS = st.dictionaries(CLUSTER_IDS, st.lists(INSTANCES, max_size=4), max_size=5)
@@ -233,7 +232,7 @@ def _assert_same(new, old):
     assert _written(write_clustering, new) == _written(write_two_copy_clustering, old)
 
 
-I1, I2 = InstanceID(1, 1), InstanceID(2, 1)
+I1, I2 = (1, 1), (2, 1)
 
 
 @given(GROUP_MAPPINGS, GROUP_MAPPINGS)
@@ -261,7 +260,7 @@ def test_clustering_matches_two_copy_oracle_on_partitions(one, two):
 
 def test_from_assignment_rejects_an_empty_cluster_id():
     with pytest.raises(ValueError, match="cluster_id"):
-        Clustering.from_assignment({InstanceID(1, 1): ""})
+        Clustering.from_assignment({(1, 1): ""})
 
 
 def test_ingest_authority_groups_rows(tmp_path):
@@ -323,9 +322,9 @@ def test_ingest_annotations(tmp_path):
         "instance_id\tethnicity\tgender\n1_1\tKorean-English\tFemale\n2_1\t\tNULL\n",
     )
     annotations = ingest_annotations(path)
-    assert annotations[InstanceID(1, 1)].ethnicity == "Korean-English"
-    assert annotations[InstanceID(2, 1)].ethnicity == ""
-    assert annotations[InstanceID(2, 1)].gender == "NULL"
+    assert annotations[(1, 1)].ethnicity == "Korean-English"
+    assert annotations[(2, 1)].ethnicity == ""
+    assert annotations[(2, 1)].gender == "NULL"
 
 
 def test_ingest_annotations_duplicate_instance(tmp_path):
@@ -346,7 +345,7 @@ def test_ingest_annotations_keep_still_validates_every_row(tmp_path, row, messag
     text = "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n2_1\tEnglish\tMale\n"
     path = write_tsv(tmp_path / "annotations.tsv", text)
     kept = ingest_annotations(path, keep={(2, 1), (9, 9)})
-    assert kept == {(2, 1): ingest_annotations(path)[InstanceID(2, 1)]}
+    assert kept == {(2, 1): ingest_annotations(path)[(2, 1)]}
     write_tsv(path, text + row + "\n")
     with pytest.raises(IngestError, match=message) as err:
         ingest_annotations(path, keep={(2, 1)})
@@ -415,7 +414,7 @@ def test_write_round_trips(tmp_path):
 
 
 def test_gzip_write_is_deterministic(tmp_path):
-    clustering = Clustering({"A": {InstanceID(1, 1)}})
+    clustering = Clustering({"A": {(1, 1)}})
     first = tmp_path / "first.tsv.gz"
     second = tmp_path / "second.tsv.gz"
     write_clustering(first, clustering)

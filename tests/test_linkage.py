@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from linklab import baseline, linkage
 from linklab.corpus import (
@@ -14,8 +14,8 @@ from linklab.corpus import (
     Clustering,
     Corpus,
     GrantRecord,
-    InstanceID,
     PaperRecord,
+    format_instance_id,
 )
 from linklab.baseline import cluster_aini, cluster_fini, corpus_names
 from linklab.errors import EvaluationError, IngestError
@@ -38,6 +38,7 @@ from linklab.linkage import (
     write_pairs,
 )
 from linklab.metrics import pair_accuracy_detail
+import oracles
 from oracles import naive_selfcitation_pairs
 
 
@@ -82,14 +83,14 @@ def test_link_authority_matches_title_and_name(corpus):
         "orc-2": profile("orc-2", "Smith, J", TITLE_2),
     }
     result = link_authority(corpus, registry)
-    assert [(str(l.instance), l.label_id) for l in result.labels] == [
+    assert [(format_instance_id(l.instance), l.label_id) for l in result.labels] == [
         ("1_1", "orc-1"),
         ("2_1", "orc-1"),
         ("2_2", "orc-2"),
     ]
     assert all(l.source == "authority" for l in result.labels)
     first = result.labels[0].instance
-    assert corpus.papers[first.pmid].authors[first.position - 1] == "Hertzog, P J"
+    assert corpus.papers[first[0]].authors[first[1] - 1] == "Hertzog, P J"
     assert result.conflicts == ()
     assert result.stats["labels"] == 3
 
@@ -107,7 +108,7 @@ def test_link_authority_ignores_short_and_duplicate_titles(corpus):
 def test_link_authority_keep_first_elects_lowest_pmid(corpus):
     registry = {"orc-4": profile("orc-4", "Park, Quin", TITLE_DUP)}
     result = link_authority(corpus, registry, dup_title_policy="keep-first")
-    assert [(str(l.instance), l.label_id) for l in result.labels] == [("4_1", "orc-4")]
+    assert [(format_instance_id(l.instance), l.label_id) for l in result.labels] == [("4_1", "orc-4")]
     assert result.stats["duplicate_title_copies_dropped"] == 1
     with pytest.raises(ValueError, match="dup_title_policy"):
         link_authority(corpus, registry, dup_title_policy="maybe")
@@ -124,7 +125,7 @@ def test_link_authority_normalizes_before_matching():
         "orc-9": profile("orc-9", "Kim, J", "the role of P53 in cancer-risk?")
     }
     result = link_authority(corpus, registry)
-    assert [str(l.instance) for l in result.labels] == ["9_1"]
+    assert [format_instance_id(l.instance) for l in result.labels] == ["9_1"]
 
 
 def test_link_authority_ambiguous_profiles_conflict():
@@ -138,7 +139,7 @@ def test_link_authority_ambiguous_profiles_conflict():
     assert len(result.conflicts) == 1
     conflict = result.conflicts[0]
     assert conflict.reason == "instance_multilabel"
-    assert conflict.instance == InstanceID(7, 1)
+    assert conflict.instance == (7, 1)
     assert "orc-a" in conflict.detail and "orc-b" in conflict.detail
 
 
@@ -149,8 +150,8 @@ def test_link_authority_two_positions_one_profile_conflict():
     assert result.labels == ()
     assert {c.reason for c in result.conflicts} == {"paper_multimatch"}
     assert {c.instance for c in result.conflicts} == {
-        InstanceID(8, 1),
-        InstanceID(8, 2),
+        (8, 1),
+        (8, 2),
     }
 
 
@@ -165,7 +166,7 @@ def test_link_grants_labels_funded_papers(corpus):
         "nih-1": GrantRecord("nih-1", "Hertzog, Paul", frozenset({1, 2, 77})),
     }
     result = link_grants(corpus, grants)
-    assert [(str(l.instance), l.label_id) for l in result.labels] == [
+    assert [(format_instance_id(l.instance), l.label_id) for l in result.labels] == [
         ("1_1", "nih-1"),
         ("2_1", "nih-1"),
     ]
@@ -191,8 +192,8 @@ def test_selfcitation_pairs_empty_and_single():
     )
     assert len(extract_selfcitation_pairs(corpus, [])) == 0
     pairs = extract_selfcitation_pairs(corpus, [CitationEdge(2, 1)])
-    assert list(pairs) == [(InstanceID(1, 1), InstanceID(2, 1))]
-    assert (InstanceID(2, 1), InstanceID(1, 1)) in pairs
+    assert list(pairs) == [((1, 1), (2, 1))]
+    assert ((2, 1), (1, 1)) in pairs
 
 
 def test_selfcitation_pairs_skip_out_of_corpus_edges():
@@ -252,6 +253,86 @@ def test_selfcitation_pairs_match_quadratic_oracle(case):
     assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
 
 
+# Two papers drawing one title duplicate it (dropped or kept per policy);
+# "epsilon-one" normalizes to TITLE_1 only with nonalpha="space"; "Tiny
+# title" is too short to use; the last title is on no paper.
+LINK_TITLES = [TITLE_1, TITLE_2, TITLE_DUP, "Tiny title", "Alpha beta gamma delta epsilon-one"]
+PROFILE_TITLES = LINK_TITLES + ["A title that no paper in the corpus has"]
+
+
+@st.composite
+def linked_corpora(draw):
+    """A corpus plus profiles and PIs whose names come from its byline pool."""
+    papers = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(LINK_TITLES),
+                st.lists(st.sampled_from(BYLINE_NAMES), min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    corpus = make_corpus(
+        *((pmid, 2000, title, authors) for pmid, (title, authors) in enumerate(papers, start=1))
+    )
+    # few names for several people, so one name often stands behind two labels
+    name = st.sampled_from(BYLINE_NAMES)
+    titles = st.frozensets(st.sampled_from(PROFILE_TITLES), min_size=1, max_size=3)
+    registry = {
+        f"orc-{i}": AuthorityProfile(f"orc-{i}", person, work)
+        for i, (person, work) in enumerate(draw(st.lists(st.tuples(name, titles), max_size=5)))
+    }
+    # pmids past the corpus are funded papers outside it
+    pmids = st.frozensets(st.integers(1, len(papers) + 2), min_size=1, max_size=4)
+    grants = {
+        f"pi-{i}": GrantRecord(f"pi-{i}", person, funded)
+        for i, (person, funded) in enumerate(draw(st.lists(st.tuples(name, pmids), max_size=5)))
+    }
+    policy = draw(st.sampled_from(linkage.DUP_TITLE_POLICIES))
+    nonalpha = draw(st.sampled_from(["delete", "space"]))
+    return corpus, registry, grants, policy, nonalpha
+
+
+# every case the generator is meant to reach, at once: a mononym profile and
+# a mononym PI on in-corpus papers, a PI pmid outside the corpus, a duplicate
+# title, two byline positions under one key, and one name on two labels
+LINKED_EXAMPLE = (
+    make_corpus(
+        (1, 2000, TITLE_1, ["Kim, J", "Einstein", "Kim, Jin"]),
+        (2, 2000, TITLE_DUP, ["Lee, Ann", "Einstein"]),
+        (3, 2000, TITLE_DUP, ["Lee, Ann"]),
+        (4, 2000, TITLE_2, ["Lee, A. B.", "123"]),
+    ),
+    {
+        "orc-0": profile("orc-0", "Kim, J", TITLE_1),
+        "orc-1": profile("orc-1", "Einstein", TITLE_1, TITLE_2),
+        "orc-2": profile("orc-2", "Lee, Ann", TITLE_DUP, TITLE_2),
+        "orc-3": profile("orc-3", "Lee, A. B.", TITLE_2),
+        "orc-4": profile("orc-4", "123", TITLE_2),
+    },
+    {
+        "pi-0": GrantRecord("pi-0", "Einstein", frozenset({2})),
+        "pi-1": GrantRecord("pi-1", "Lee, Ann", frozenset({3, 4, 9})),
+        "pi-2": GrantRecord("pi-2", "Lee, A", frozenset({4})),
+        "pi-3": GrantRecord("pi-3", "123", frozenset({1, 8})),
+    },
+    "keep-first",
+    "delete",
+)
+
+
+@given(linked_corpora())
+@example(LINKED_EXAMPLE)
+@example(LINKED_EXAMPLE[:3] + ("drop-all", "space"))
+def test_person_linkers_match_the_earlier_loops(case):
+    corpus, registry, grants, policy, nonalpha = case
+    assert link_authority(
+        corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
+    ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
+    assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
+
+
 def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     parses = Counter()
     titles = Counter()
@@ -295,47 +376,47 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
 
 
 def test_pairset_validation():
-    a, b = InstanceID(1, 1), InstanceID(1, 2)
+    a, b = (1, 1), (1, 2)
     with pytest.raises(ValueError, match="identical"):
         PairSet([(a, a)])
     with pytest.raises(ValueError, match="one paper"):
         PairSet([(a, b)])
-    c = InstanceID(2, 1)
+    c = (2, 1)
     assert PairSet([(a, c), (c, a)]).pairs == frozenset({(a, c)})
 
 
 def test_join_labels_inner_join(corpus):
     labels = [
-        LabeledInstance(InstanceID(1, 1), "orc-1", "authority"),
-        LabeledInstance(InstanceID(2, 1), "orc-1", "authority"),
-        LabeledInstance(InstanceID(2, 2), "orc-2", "authority"),
+        LabeledInstance((1, 1), "orc-1", "authority"),
+        LabeledInstance((2, 1), "orc-1", "authority"),
+        LabeledInstance((2, 2), "orc-2", "authority"),
     ]
     clustering = Clustering(
-        {"c1": {InstanceID(1, 1), InstanceID(2, 1)}, "c2": {InstanceID(3, 1)}}
+        {"c1": {(1, 1), (2, 1)}, "c2": {(3, 1)}}
     )
     annotations = {
-        InstanceID(1, 1): Annotation("English", "Male"),
+        (1, 1): Annotation("English", "Male"),
     }
     dataset = join_labels(labels, clustering, corpus, annotations)
     assert len(dataset) == 2
     assert dataset.dropped_unclustered == 1
     first, second = dataset.rows
-    assert first == EvalRow(InstanceID(1, 1), "orc-1", "c1", 1999, "English", "Male")
+    assert first == EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male")
     assert second.year == 2001
     assert second.ethnicity is None
 
 
 def test_join_labels_disjoint_is_empty(corpus):
-    labels = [LabeledInstance(InstanceID(1, 1), "orc-1", "authority")]
-    clustering = Clustering({"c9": {InstanceID(5, 1)}})
+    labels = [LabeledInstance((1, 1), "orc-1", "authority")]
+    clustering = Clustering({"c9": {(5, 1)}})
     dataset = join_labels(labels, clustering, corpus)
     assert len(dataset) == 0
     assert dataset.dropped_unclustered == 1
 
 
 def test_join_labels_missing_paper(corpus):
-    labels = [LabeledInstance(InstanceID(99, 1), "orc-1", "authority")]
-    clustering = Clustering({"c1": {InstanceID(99, 1)}})
+    labels = [LabeledInstance((99, 1), "orc-1", "authority")]
+    clustering = Clustering({"c1": {(99, 1)}})
     dataset = join_labels(labels, clustering, corpus)
     assert len(dataset) == 0
     assert dataset.dropped_missing_paper == 1
@@ -345,23 +426,20 @@ def test_join_labels_missing_paper(corpus):
 
 def test_join_labels_rejects_mixed_sources(corpus):
     labels = [
-        LabeledInstance(InstanceID(1, 1), "orc-1", "authority"),
-        LabeledInstance(InstanceID(1, 1), "nih-1", "grant"),
+        LabeledInstance((1, 1), "orc-1", "authority"),
+        LabeledInstance((1, 1), "nih-1", "grant"),
     ]
-    clustering = Clustering({"c1": {InstanceID(1, 1)}})
+    clustering = Clustering({"c1": {(1, 1)}})
     with pytest.raises(ValueError, match="one labeling source"):
         join_labels(labels, clustering, corpus)
 
 
-def rows_from(assignments):
-    return [
-        EvalRow(InstanceID(i, 1), truth, pred, 2000, None, None)
-        for i, (truth, pred) in enumerate(assignments, start=1)
-    ]
+def labels_from(truth_labels):
+    return {(i, 1): label for i, label in enumerate(truth_labels, start=1)}
 
 
 def test_label_agreement_identical():
-    a = EvalDataset(rows_from([("x", "p"), ("x", "p"), ("y", "q")]))
+    a = labels_from(["x", "x", "y"])
     report = label_agreement(a, a)
     assert report.overlap_count == 3
     assert report.agree_count == 3
@@ -369,41 +447,34 @@ def test_label_agreement_identical():
 
 
 def test_label_agreement_is_namespace_invariant():
-    a = EvalDataset(rows_from([("x", "p"), ("x", "p"), ("y", "q")]))
-    b = EvalDataset(rows_from([("u9", "p"), ("u9", "p"), ("v7", "q")]))
+    a = labels_from(["x", "x", "y"])
+    b = labels_from(["u9", "u9", "v7"])
     report = label_agreement(a, b)
     assert report.agree_count == 3
     assert report.disagreements == ()
 
 
 def test_label_agreement_planted_move():
-    a = EvalDataset(
-        rows_from([("x", "p")] * 3 + [("y", "q")] * 2)
-    )
-    moved = rows_from([("x", "p")] * 3 + [("y", "q")] * 2)
-    moved[2] = moved[2]._replace(truth_label="z")
-    b_rows = [
-        EvalRow(r.instance, {"x": "A", "y": "B", "z": "B"}[r.truth_label], r.predicted_cluster_id, r.year, None, None)
-        for r in moved
-    ]
-    report = label_agreement(a, EvalDataset(b_rows))
+    a = labels_from(["x"] * 3 + ["y"] * 2)
+    moved = dict(a)
+    moved[3, 1] = "z"
+    b = {instance: {"x": "A", "y": "B", "z": "B"}[label] for instance, label in moved.items()}
+    report = label_agreement(a, b)
     assert report.overlap_count == 5
     assert report.agree_count == 4
-    assert report.disagreements == ((InstanceID(3, 1), "x", "B"),)
+    assert report.disagreements == (((3, 1), "x", "B"),)
 
 
 def test_label_agreement_no_overlap():
-    a = EvalDataset(rows_from([("x", "p")]))
-    b = EvalDataset(
-        [EvalRow(InstanceID(9, 1), "x", "p", 2000, None, None)]
-    )
+    a = labels_from(["x"])
+    b = {(9, 1): "x"}
     assert label_agreement(a, b) == (0, 0, ())
 
 
 def test_labels_round_trip(tmp_path):
     labels = (
-        LabeledInstance(InstanceID(1, 1), "orc-1", "authority"),
-        LabeledInstance(InstanceID(2, 1), "nih-1", "grant"),
+        LabeledInstance((1, 1), "orc-1", "authority"),
+        LabeledInstance((2, 1), "nih-1", "grant"),
     )
     path = tmp_path / "labels.tsv"
     write_labels(path, labels)
@@ -430,7 +501,7 @@ def test_read_labels_rejects_bad_rows(tmp_path):
 
 
 def test_pairs_round_trip(tmp_path):
-    pairs = PairSet([(InstanceID(2, 1), InstanceID(1, 1))])
+    pairs = PairSet([((2, 1), (1, 1))])
     path = tmp_path / "pairs.tsv"
     write_pairs(path, pairs)
     assert read_pairs(path) == pairs
@@ -442,8 +513,8 @@ def test_pairs_round_trip(tmp_path):
 def test_eval_dataset_round_trip(tmp_path):
     dataset = EvalDataset(
         [
-            EvalRow(InstanceID(1, 1), "orc-1", "c1", 1999, "English", "Male"),
-            EvalRow(InstanceID(2, 1), "orc-2", "c2", 2001, None, None),
+            EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male"),
+            EvalRow((2, 1), "orc-2", "c2", 2001, None, None),
         ]
     )
     path = tmp_path / "eval_dataset.tsv"

@@ -18,7 +18,7 @@ from linklab.metrics import (
 )
 from oracles import make_instances, naive_b3, random_partition
 
-A, B, C = InstanceID(1, 1), InstanceID(2, 1), InstanceID(3, 1)
+A, B, C = (1, 1), (2, 1), (3, 1)
 
 
 def test_identity_scores_one():
@@ -54,14 +54,14 @@ def test_extremes():
 
 
 def test_extra_predicted_instances_are_ignored():
-    extra = InstanceID(9, 9)
+    extra = (9, 9)
     truth = Clustering({"t1": {A, B}})
     predicted = Clustering({"p1": {A, B}, "p2": {extra}})
     assert b3_scores(truth, predicted) == B3Scores(1.0, 1.0, 1.0, 2, 0)
 
 
 def test_restrict_predicted_flag():
-    extra = InstanceID(9, 9)
+    extra = (9, 9)
     truth = Clustering({"t1": {A, B}})
     predicted = Clustering({"p1": {A, B, extra}})
     restricted = b3_scores(truth, predicted)
@@ -163,7 +163,7 @@ def test_stratified_single_stratum_equals_whole():
 
 
 def test_stratified_weighted_mean_identity():
-    d = InstanceID(4, 1)
+    d = (4, 1)
     rows = [
         Row(A, "t1", "p1", 1991, None, None),
         Row(B, "t1", "p1", 1991, None, None),
@@ -210,7 +210,7 @@ def _clusters(rows, field):
 )
 def test_stratified_matches_naive_oracle(cells):
     rows = [
-        Row(InstanceID(i, 1), truth, predicted, 2000, ethnicity, None)
+        Row((i, 1), truth, predicted, 2000, ethnicity, None)
         for i, (truth, predicted, ethnicity) in enumerate(cells, start=1)
     ]
     result = stratified_eval(rows, "ethnicity")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from linklab.corpus import Clustering, Corpus, InstanceID, PaperRecord
+from linklab.corpus import Clustering, Corpus, PaperRecord
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalDataset, EvalRow, PairSet
 from linklab.metrics import b3_scores
@@ -27,7 +27,7 @@ from linklab.profile import (
 
 def rows_with(attrs):
     return [
-        EvalRow(InstanceID(i, 1), f"t{i}", f"p{i}", year, eth, gen)
+        EvalRow((i, 1), f"t{i}", f"p{i}", year, eth, gen)
         for i, (year, eth, gen) in enumerate(attrs, start=1)
     ]
 
@@ -73,8 +73,8 @@ def test_pair_year_distribution_counts_both_members():
     )
     pairs = PairSet(
         [
-            (InstanceID(1, 1), InstanceID(2, 1)),
-            (InstanceID(2, 1), InstanceID(3, 1)),
+            ((1, 1), (2, 1)),
+            ((2, 1), (3, 1)),
         ]
     )
     dist = pair_year_distribution(pairs, corpus)
@@ -112,7 +112,7 @@ def test_ccdf_empty_errors():
 
 
 def test_reference_sample_deterministic():
-    population = [InstanceID(i, 1) for i in range(1, 200)]
+    population = [(i, 1) for i in range(1, 200)]
     first = reference_sample(population, 50, seed=9)
     second = reference_sample(population, 50, seed=9)
     assert first == second
@@ -123,7 +123,7 @@ def test_reference_sample_deterministic():
 
 
 def test_reference_sample_bounds():
-    population = [InstanceID(1, 1)]
+    population = [(1, 1)]
     with pytest.raises(ValueError):
         reference_sample(population, 2, seed=1)
     with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ def test_reference_sample_tracks_population_ccdf():
     blocks = {}
     for block_id in range(2000):
         size = rng.choice([1, 1, 1, 2, 2, 5, 9])
-        members = {InstanceID(block_id * 100 + k, 1) for k in range(1, size + 1)}
+        members = {(block_id * 100 + k, 1) for k in range(1, size + 1)}
         blocks[str(block_id)] = members
         population.extend(members)
     sample = reference_sample(population, 4000, seed=77)
@@ -162,7 +162,7 @@ def names_for(cluster_forms):
     for cluster_id, forms in cluster_forms.items():
         members = set()
         for raw in forms:
-            instance = InstanceID(counter, 1)
+            instance = (counter, 1)
             counter += 1
             members.add(instance)
             names[instance] = parse_name(raw)
@@ -215,7 +215,7 @@ def test_typology_flipped_takes_priority():
 
 def annotated_rows(tags):
     return [
-        EvalRow(InstanceID(i, 1), "t", "p", 2000, tag, None)
+        EvalRow((i, 1), "t", "p", 2000, tag, None)
         for i, tag in enumerate(tags, start=1)
     ]
 
@@ -266,7 +266,7 @@ def test_perturb_preserves_unstratified_scores():
     rng = random.Random(8)
     rows = [
         EvalRow(
-            InstanceID(i, 1),
+            (i, 1),
             f"t{rng.randint(1, 10)}",
             f"p{rng.randint(1, 10)}",
             2000,

@@ -160,7 +160,7 @@ def test_variant_forms_alternate_along_career():
     for author in variants:
         assert len(author.forms) == 2
         observed = [
-            bundle.corpus.papers[instance.pmid].authors[instance.position - 1]
+            bundle.corpus.papers[instance[0]].authors[instance[1] - 1]
             for instance in author.instances
         ]
         assert observed == [author.forms[i % 2] for i in range(len(observed))]
@@ -363,3 +363,54 @@ def test_role_overflow_rejected():
                 midinitial_variant_rate=0.4,
             )
         )
+
+
+@pytest.fixture(scope="module")
+def handed_out_ids():
+    """Every instance id the program builds, by where it comes from."""
+    bundle = generate(
+        SynthConfig(
+            seed=2,
+            n_authors=60,
+            homonym_rate=0.3,
+            authority_coverage=0.6,
+            grant_coverage=0.6,
+            selfcitation_rate=0.5,
+        )
+    )
+    authority = link_authority(bundle.corpus, bundle.registry)
+    grants = link_grants(bundle.corpus, bundle.grants)
+    pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
+    return {
+        "corpus_names": [instance for instance, _ in corpus_names(bundle.corpus)],
+        "Corpus.instances": list(bundle.corpus.instances()),
+        "link_authority labels": [label.instance for label in authority.labels],
+        "link_authority conflicts": [record.instance for record in authority.conflicts],
+        "link_grants labels": [label.instance for label in grants.labels],
+        "link_grants conflicts": [record.instance for record in grants.conflicts],
+        "extract_selfcitation_pairs": [instance for pair in pairs for instance in pair],
+        "synth truth": list(bundle.truth),
+        "synth annotations": list(bundle.annotations),
+        "synth authors": [instance for author in bundle.authors for instance in author.instances],
+    }
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "corpus_names",
+        "Corpus.instances",
+        "link_authority labels",
+        "link_authority conflicts",
+        "link_grants labels",
+        "link_grants conflicts",
+        "extract_selfcitation_pairs",
+        "synth truth",
+        "synth annotations",
+        "synth authors",
+    ],
+)
+def test_every_instance_id_is_a_plain_tuple(handed_out_ids, source):
+    ids = handed_out_ids[source]
+    assert ids
+    assert {type(instance) for instance in ids} == {tuple}

@@ -11,14 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from linklab.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _synth_bundle(tmp_path, monkeypatch) -> Path:
+def _synth_bundle(tmp_path, monkeypatch, **config) -> Path:
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps({"n_authors": 20}))
+    (tmp_path / "config.json").write_text(json.dumps({"n_authors": 20, **config}))
     assert main(["synth", "--seed", "1", "--config", "config.json", "--out", "bundle"]) == EXIT_OK
     return tmp_path / "bundle"
 
@@ -64,3 +66,24 @@ def test_kernels_read_every_data_row(tmp_path, monkeypatch):
     data_rows = sum(path.read_text(encoding="utf-8").count("\n") - 1 for path in tables)
     assert data_rows > 0
     assert result["tsv.rows_read"] == data_rows
+
+
+@pytest.mark.parametrize(
+    "argv,spans,count",
+    [
+        (["link-authority", "--papers", "bundle/papers.tsv", "--authority", "bundle/authority.tsv"],
+         ("linkage.link_authority", "corpus.ingest_authority"), "linkage.authority_candidates"),
+        (["link-grants", "--papers", "bundle/papers.tsv", "--grants", "bundle/grants.tsv"],
+         ("linkage.link_grants", "corpus.ingest_grants"), "linkage.grant_candidates"),
+    ],
+)
+def test_traced_link_commands_record_spans_and_candidates(tmp_path, monkeypatch, argv, spans, count):
+    _synth_bundle(tmp_path, monkeypatch, authority_coverage=0.5, grant_coverage=0.5)
+    spans_path = tmp_path / "spans.json"
+    done = _traced(str(spans_path), "--", *argv, "--out", "linked")
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(spans_path.read_text())
+    assert trace["exit"] == 0
+    names = {name for name, *_ in trace["spans"]}
+    assert set(spans) <= names, sorted(names)
+    assert trace["counts"].get(count, 0) > 0, trace["counts"]

@@ -94,10 +94,15 @@ ROW_FAULTS = [
     (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\t\tT two", "empty field"),
     (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\tLee, Ann\tT two",
      "authority 'a1' has conflicting names 'Kim, Ji' and 'Lee, Ann'"),
+    # an empty field is found before a conflicting name
+    (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\tLee, Ann\t", "empty field"),
     (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "\tKim, Ji\t2", "empty field"),
     (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tKim, Ji\tx", "pmid must be a positive integer, got 'x'"),
     (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tLee, Ann\t2",
      "PI 'p1' has conflicting names 'Kim, Ji' and 'Lee, Ann'"),
+    # a bad pmid is found before a conflicting name; an empty one is a bad pmid
+    (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tLee, Ann\tx", "pmid must be a positive integer, got 'x'"),
+    (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tKim, Ji\t", "pmid must be a positive integer, got ''"),
     (ingest_citations, CITATIONS_COLUMNS, "1\t2", "x\t2", "citing_pmid must be a positive integer, got 'x'"),
     (ingest_citations, CITATIONS_COLUMNS, "1\t2", "1\t0", "cited_pmid must be a positive integer, got '0'"),
     (ingest_citations, CITATIONS_COLUMNS, "1\t2", "3\t3", "self-loop: paper 3 cites itself"),
@@ -129,13 +134,14 @@ ROW_FAULTS += [
     (reader, columns, good, "x", f"expected {len(columns)} columns, got 1")
     for reader, (columns, good) in READERS.items()
 ]
+CASE_IDS = []
+for case in ROW_FAULTS:
+    case_id = f"{case[0].__name__}: {case[4]}"
+    # a message met again names its bad row, so earlier ids stay as they are
+    CASE_IDS.append(case_id if case_id not in CASE_IDS else f"{case_id}, row {case[3]!r}")
 
 
-@pytest.mark.parametrize(
-    "reader,columns,good,bad,message",
-    ROW_FAULTS,
-    ids=[f"{case[0].__name__}: {case[4]}" for case in ROW_FAULTS],
-)
+@pytest.mark.parametrize("reader,columns,good,bad,message", ROW_FAULTS, ids=CASE_IDS)
 def test_a_bad_second_row_is_reported_with_its_path_and_row(tmp_path, reader, columns, good, bad, message):
     path = tmp_path / "table.tsv"
     path.write_text("\t".join(columns) + f"\n{good}\n{bad}\n", encoding="utf-8")
