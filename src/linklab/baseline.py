@@ -1,9 +1,10 @@
 """Heuristic disambiguators used as performance floors.
 
-Both baselines group instances by a deterministic name key: the
-blocking key (surname + first initial) or the refined key (surname +
-all initials). The refined grouping always splits blocks, never merges
-across them, so it refines the blocking partition.
+Both baselines group instances by a deterministic name key, which is
+also the cluster id: the blocking key (surname + first initial) or the
+refined key (surname + all initials). The refined grouping always
+splits blocks, never merges across them, so it refines the blocking
+partition.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Iterable, Iterator
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
 from .errors import ParseError
-from .normalize import BlockKey, NameKey, PersonName, aini_key, fini_key, parse_name
+from .normalize import PersonName, aini_key, fini_key, parse_name
 
 UNPARSEABLE_PREFIX = "?unparseable:"
 
@@ -24,7 +25,7 @@ def corpus_names(corpus: Corpus) -> Iterator[tuple[InstanceID, PersonName | None
     carrying it shares the result.
     """
     parsed: dict[str, PersonName | None] = {}
-    for paper in corpus:
+    for paper in corpus.values():
         for position, raw in enumerate(paper.authors, start=1):
             if raw in parsed:
                 name = parsed[raw]
@@ -41,20 +42,12 @@ def _sentinel_id(instance: InstanceID) -> str:
     return UNPARSEABLE_PREFIX + format_instance_id(instance)
 
 
-def fini_cluster_id(key: BlockKey) -> str:
-    return f"{key.surname}|{key.first_initial}"
-
-
-def aini_cluster_id(key: NameKey) -> str:
-    return f"{key.surname}|{key.all_initials}"
-
-
 def cluster_fini(
     instances: Iterable[tuple[InstanceID, PersonName | None]]
 ) -> Clustering:
     """Group by blocking key; unparseable names become singletons."""
     return Clustering.from_assignment({
-        instance: _sentinel_id(instance) if name is None else fini_cluster_id(fini_key(name))
+        instance: _sentinel_id(instance) if name is None else fini_key(name)
         for instance, name in instances
     })
 
@@ -64,7 +57,7 @@ def cluster_aini(
 ) -> Clustering:
     """Group by refined key; unparseable names become singletons."""
     return Clustering.from_assignment({
-        instance: _sentinel_id(instance) if name is None else aini_cluster_id(aini_key(name))
+        instance: _sentinel_id(instance) if name is None else aini_key(name)
         for instance, name in instances
     })
 

@@ -355,7 +355,8 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
             out / "dist_pair_year.tsv", {"percent": pair_year_distribution(pairs, corpus)}
         )
     if args.sample is not None:
-        sample = reference_sample(corpus.instances(), args.sample, args.seed)
+        population = (instance for paper in corpus.values() for instance in paper.instances())
+        sample = reference_sample(population, args.sample, args.seed)
         rows = ((format_instance_id(instance),) for instance in sorted(sample))
         write_rows(out / "sample.tsv", ("instance_id",), rows)
     return "profile: wrote %s" % ",".join(sorted(path.name for path in out.iterdir()))

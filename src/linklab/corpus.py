@@ -1,8 +1,10 @@
 """Core data model and file ingestion.
 
-A corpus is a set of papers keyed by PMID; every author mention is an
-instance, a (pmid, position) tuple with a 1-based byline position, written
-"<pmid>_<position>" in files (parse_instance_id, format_instance_id).
+A corpus is a plain dict from PMID to PaperRecord; every author mention is
+an instance, a (pmid, position) tuple with a 1-based byline position,
+written "<pmid>_<position>" in files (parse_instance_id,
+format_instance_id). A corpus keeps the row order of its file; nothing
+computed from it depends on that order.
 Alongside the corpus live four auxiliary tables used to build labeled
 evaluation data: authority profiles (person + work titles), grant PI
 records, citation edges, and per-instance demographic annotations.
@@ -108,37 +110,8 @@ class Annotation:
     gender: str
 
 
-class Corpus:
-    """An immutable collection of papers keyed by PMID."""
-
-    def __init__(self, papers: Mapping[int, PaperRecord]):
-        self._papers = dict(papers)
-
-    @property
-    def papers(self) -> Mapping[int, PaperRecord]:
-        return self._papers
-
-    def __len__(self) -> int:
-        return len(self._papers)
-
-    def __contains__(self, pmid: int) -> bool:
-        return pmid in self._papers
-
-    def __iter__(self) -> Iterator[PaperRecord]:
-        for pmid in sorted(self._papers):
-            yield self._papers[pmid]
-
-    def get(self, pmid: int) -> PaperRecord | None:
-        return self._papers.get(pmid)
-
-    def instances(self) -> Iterator[InstanceID]:
-        for paper in self:
-            yield from paper.instances()
-
-    def has_instance(self, instance: InstanceID) -> bool:
-        pmid, position = instance
-        paper = self._papers.get(pmid)
-        return paper is not None and 1 <= position <= len(paper.authors)
+# A corpus is the dict of its papers, keyed by pmid.
+Corpus = dict[int, PaperRecord]
 
 
 class Clustering(Mapping[InstanceID, str]):
@@ -215,16 +188,23 @@ def _positive_int(text: str, field: str) -> int:
     raise ParseError(f"{field} must be a positive integer, got {text!r}")
 
 
+# an optional "-" and ASCII digits: int() would also take spaces, "+",
+# "_" and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int(text: str, field: str) -> int:
+    if _INTEGER.fullmatch(text) is None:
+        raise ParseError(f"{field} must be an integer, got {text!r}")
     try:
         return int(text)
-    except ValueError:
-        raise ParseError(f"{field} must be an integer, got {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{field} is too long: {len(text.lstrip('-'))} digits") from None
 
 
 def ingest_corpus(path: str | Path) -> Corpus:
     """Read papers.tsv (pmid, year, title, authors; byline joined by "|")."""
-    papers: dict[int, PaperRecord] = {}
+    papers: Corpus = {}
     with read_table(path, PAPERS_COLUMNS) as rows:
         for pmid_s, year_s, title, authors_s in rows:
             pmid = _positive_int(pmid_s, "pmid")
@@ -237,7 +217,7 @@ def ingest_corpus(path: str | Path) -> Corpus:
             if pmid in papers:
                 raise ParseError(f"duplicate pmid {pmid}")
             papers[pmid] = PaperRecord(pmid=pmid, year=year, raw_title=title, authors=authors)
-    return Corpus(papers)
+    return papers
 
 
 def ingest_clustering(path: str | Path) -> Clustering:
@@ -343,7 +323,7 @@ def ingest_annotations(
 
 def write_corpus(path: str | Path, corpus: Corpus) -> None:
     def rows() -> Iterator[tuple[str, ...]]:
-        for paper in corpus:
+        for _, paper in sorted(corpus.items()):
             for name in paper.authors:
                 if "|" in name:
                     raise ValueError(f"author name {name!r} contains '|'")

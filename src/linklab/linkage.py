@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import open_text_write, read_table, write_rows
+from .baseline import corpus_names
 from .corpus import (
     AuthorityProfile,
     Annotation,
@@ -29,14 +30,7 @@ from .corpus import (
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError
-from .normalize import (
-    BlockKey,
-    PersonName,
-    fini_key,
-    is_keyed,
-    normalize_title,
-    parse_name,
-)
+from .normalize import PersonName, fini_key, is_keyed, normalize_title, parse_name
 
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
@@ -127,30 +121,21 @@ def _parse_keyed(raw: str) -> PersonName | None:
     return name if is_keyed(name) else None
 
 
-def _keyed_bylines(corpus: Corpus) -> dict[int, dict[BlockKey, list[int]]]:
+def _keyed_bylines(corpus: Corpus) -> dict[int, dict[str, list[int]]]:
     """Every paper's keyed byline positions, grouped by blocking key.
 
-    Each distinct raw name is parsed once per call; a paper with no
-    keyed name maps to an empty dict.
+    Names come from corpus_names, one parse per distinct raw name; every
+    pmid maps to a dict, an empty one when the paper has no keyed name.
     """
-    keys: dict[str, BlockKey | None] = {}
-    bylines: dict[int, dict[BlockKey, list[int]]] = {}
-    for paper in corpus:
-        grouped: dict[BlockKey, list[int]] = {}
-        for position, raw in enumerate(paper.authors, start=1):
-            if raw in keys:
-                key = keys[raw]
-            else:
-                name = _parse_keyed(raw)
-                key = keys[raw] = None if name is None else fini_key(name)
-            if key is not None:
-                grouped.setdefault(key, []).append(position)
-        bylines[paper.pmid] = grouped
+    bylines: dict[int, dict[str, list[int]]] = {pmid: {} for pmid in corpus}
+    for (pmid, position), name in corpus_names(corpus):
+        if name is not None and is_keyed(name):
+            bylines[pmid].setdefault(fini_key(name), []).append(position)
     return bylines
 
 
 def _match_people(
-    bylines: Mapping[int, Mapping[BlockKey, list[int]]],
+    bylines: Mapping[int, Mapping[str, list[int]]],
     people: Iterable[tuple[str, str, Iterable[int]]],
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
     """Match each (person id, raw name, pmids) to the byline positions under its key.
@@ -245,12 +230,11 @@ def link_authority(
 
     def title_text(raw: str) -> str | None:
         if raw not in title_texts:
-            norm = normalize_title(raw, nonalpha=nonalpha)
-            title_texts[raw] = None if norm is None else norm.text
+            title_texts[raw] = normalize_title(raw, nonalpha=nonalpha)
         return title_texts[raw]
 
     pmids_by_title: dict[str, list[int]] = {}
-    for paper in corpus:
+    for paper in corpus.values():
         text = title_text(paper.raw_title)
         if text is not None:
             pmids_by_title.setdefault(text, []).append(paper.pmid)
@@ -404,7 +388,8 @@ def join_labels(
         if cluster_id is None:
             dropped_unclustered += 1
             continue
-        if not corpus.has_instance(instance):
+        paper = corpus.get(instance[0])
+        if paper is None or not 1 <= instance[1] <= len(paper.authors):
             if strict:
                 raise EvaluationError(
                     f"labeled instance {format_instance_id(instance)} is not in the corpus"
@@ -417,7 +402,7 @@ def join_labels(
                 instance=instance,
                 truth_label=label.label_id,
                 predicted_cluster_id=cluster_id,
-                year=corpus.get(instance[0]).year,
+                year=paper.year,
                 ethnicity=annotation.ethnicity if annotation else None,
                 gender=annotation.gender if annotation else None,
             )

@@ -2,11 +2,15 @@
 
 Titles are usable for matching only when the raw form has at least five
 whitespace tokens; accepted titles are ASCII-folded, stripped of
-non-alphabetic characters, lowercased, and whitespace-collapsed.
+non-alphabetic characters, lowercased, and whitespace-collapsed; the
+resulting string is the title key.
 
-Person names yield two keys: the blocking key (surname plus first
+Person names yield two keys, each a "surname|initials" string that is
+also the baseline's cluster id: the blocking key (surname plus first
 forename initial) and the finer name key (surname plus all forename
-initials). Equal name keys always imply equal blocking keys.
+initials). A surname holds only lowercase letters and single spaces and
+initials only lowercase letters, so the "|" is unambiguous and equal
+name keys always imply equal blocking keys.
 """
 
 from __future__ import annotations
@@ -68,14 +72,7 @@ _NONALPHA_TABLES = {
 }
 
 
-class NormTitle(NamedTuple):
-    """A matchable title: lowercase alphabetic words with single spaces."""
-
-    text: str
-    word_count_raw: int
-
-
-def normalize_title(raw: str, *, nonalpha: str = "delete") -> NormTitle | None:
+def normalize_title(raw: str, *, nonalpha: str = "delete") -> str | None:
     """Canonicalize a title, or return None when it is too short to match.
 
     Rejection is a filter outcome, not an error: titles with fewer than
@@ -90,13 +87,12 @@ def normalize_title(raw: str, *, nonalpha: str = "delete") -> NormTitle | None:
     table = _NONALPHA_TABLES.get(nonalpha)
     if table is None:
         raise ValueError(f"nonalpha must be 'delete' or 'space', got {nonalpha!r}")
-    raw_tokens = raw.split()
-    if len(raw_tokens) < 5:
+    if len(raw.split()) < 5:
         return None
     words = ascii_fold(raw).lower().translate(table).split()
     if len(words) < 5:
         return None
-    return NormTitle(text=" ".join(words), word_count_raw=len(raw_tokens))
+    return " ".join(words)
 
 
 class PersonName(NamedTuple):
@@ -106,20 +102,6 @@ class PersonName(NamedTuple):
     surname: str
     forenames: tuple[str, ...]
     first_initial: str
-    all_initials: str
-
-
-class BlockKey(NamedTuple):
-    """Blocking key: surname plus first forename initial."""
-
-    surname: str
-    first_initial: str
-
-
-class NameKey(NamedTuple):
-    """Refined key: surname plus all forename initials."""
-
-    surname: str
     all_initials: str
 
 
@@ -161,13 +143,14 @@ def parse_name(raw: str) -> PersonName:
     )
 
 
-def fini_key(name: PersonName) -> BlockKey:
-    """Blocking key of a name; the initial is empty for mononyms."""
-    return BlockKey(surname=name.surname, first_initial=name.first_initial)
+def fini_key(name: PersonName) -> str:
+    """Blocking key of a name, "surname|first initial"; the initial is empty for mononyms."""
+    return f"{name.surname}|{name.first_initial}"
 
 
-def aini_key(name: PersonName) -> NameKey:
-    return NameKey(surname=name.surname, all_initials=name.all_initials)
+def aini_key(name: PersonName) -> str:
+    """Refined key of a name, "surname|all initials"."""
+    return f"{name.surname}|{name.all_initials}"
 
 
 def is_keyed(name: PersonName) -> bool:

@@ -316,7 +316,7 @@ def generate(config: SynthConfig) -> Bundle:
             )
         )
 
-    papers = {}
+    papers: Corpus = {}
     for paper_index, byline in enumerate(paper_authors):
         pmid = paper_index + 1
         names = tuple(
@@ -326,7 +326,6 @@ def generate(config: SynthConfig) -> Bundle:
         papers[pmid] = PaperRecord(
             pmid=pmid, year=years[paper_index], raw_title=titles[paper_index], authors=names
         )
-    corpus = Corpus(papers)
 
     registry: dict[str, AuthorityProfile] = {}
     grants: dict[str, GrantRecord] = {}
@@ -401,7 +400,7 @@ def generate(config: SynthConfig) -> Bundle:
         "config": _config_dict(config),
     }
     return Bundle(
-        corpus=corpus,
+        corpus=papers,
         registry=registry,
         grants=grants,
         citations=tuple(sorted(edges)),

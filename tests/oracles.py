@@ -5,6 +5,7 @@ import gzip
 import unicodedata
 import zlib
 from collections.abc import Mapping
+from typing import NamedTuple
 
 from linklab._tsv import open_text_read, write_rows
 from linklab.corpus import CLUSTERING_COLUMNS, format_instance_id
@@ -59,6 +60,40 @@ def naive_clean_tokens(text):
         if letters:
             tokens.append(letters)
     return tokens
+
+
+class BlockKey(NamedTuple):
+    """The earlier blocking key: surname plus first forename initial."""
+
+    surname: str
+    first_initial: str
+
+
+class NameKey(NamedTuple):
+    """The earlier refined key: surname plus all forename initials."""
+
+    surname: str
+    all_initials: str
+
+
+def tuple_fini_key(name):
+    """The earlier normalize.fini_key."""
+    return BlockKey(surname=name.surname, first_initial=name.first_initial)
+
+
+def tuple_aini_key(name):
+    """The earlier normalize.aini_key."""
+    return NameKey(surname=name.surname, all_initials=name.all_initials)
+
+
+def fini_cluster_id(key):
+    """The earlier baseline.fini_cluster_id: a blocking key as its cluster id."""
+    return f"{key.surname}|{key.first_initial}"
+
+
+def aini_cluster_id(key):
+    """The earlier baseline.aini_cluster_id: a refined key as its cluster id."""
+    return f"{key.surname}|{key.all_initials}"
 
 
 def naive_selfcitation_pairs(corpus, citations):
@@ -247,12 +282,11 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
 
     def title_text(raw):
         if raw not in title_texts:
-            norm = normalize_title(raw, nonalpha=nonalpha)
-            title_texts[raw] = None if norm is None else norm.text
+            title_texts[raw] = normalize_title(raw, nonalpha=nonalpha)
         return title_texts[raw]
 
     pmids_by_title = {}
-    for paper in corpus:
+    for paper in corpus.values():
         text = title_text(paper.raw_title)
         if text is not None:
             pmids_by_title.setdefault(text, []).append(paper.pmid)

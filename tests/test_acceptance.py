@@ -390,7 +390,7 @@ def test_criterion_8_determinism_and_cli_equivalence(tmp_path, monkeypatch):
         assert filecmp.cmp(tmp_path / "run1" / name, tmp_path / "run2" / name, shallow=False)
 
     bundle = generate(config)
-    instances = list(bundle.corpus.instances())
+    instances = [i for paper in bundle.corpus.values() for i in paper.instances()]
     assert reference_sample(instances, 10, seed=3) == reference_sample(
         instances, 10, seed=3
     )

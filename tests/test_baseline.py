@@ -8,7 +8,7 @@ from linklab.baseline import (
     corpus_names,
     unparseable_count,
 )
-from linklab.corpus import Corpus, PaperRecord
+from linklab.corpus import PaperRecord
 from linklab.normalize import aini_key, fini_key, parse_name
 
 
@@ -52,12 +52,10 @@ def test_unparseable_names_become_singletons():
 
 
 def test_corpus_names_parses_bylines():
-    corpus = Corpus(
-        {
-            1: PaperRecord(1, 1999, "T", ("Wang, Wei", "...")),
-            2: PaperRecord(2, 2000, "U", ("Hertzog, P J",)),
-        }
-    )
+    corpus = {
+        1: PaperRecord(1, 1999, "T", ("Wang, Wei", "...")),
+        2: PaperRecord(2, 2000, "U", ("Hertzog, P J",)),
+    }
     parsed = dict(corpus_names(corpus))
     assert parsed[(1, 1)].surname == "wang"
     assert parsed[(1, 2)] is None

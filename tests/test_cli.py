@@ -4,6 +4,8 @@ import filecmp
 import gzip
 import hashlib
 import json
+import random
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -551,6 +553,10 @@ BAD_INPUTS = [
     ("NUL byte as a byline name", "nul.tsv", PAPERS.replace("Lee, Ann", "\x00").encode(), _baseline("nul.tsv"), EXIT_FORMAT),
     ("5000-digit pmid", "huge.tsv", f"pmid\tyear\ttitle\tauthors\n{HUGE}\t2001\tA title\tKim, Ji\n".encode(),
      _baseline("huge.tsv"), EXIT_FORMAT),
+    ("5000-digit year", "huge.tsv", f"pmid\tyear\ttitle\tauthors\n1\t{HUGE}\tA title\tKim, Ji\n".encode(),
+     _baseline("huge.tsv"), EXIT_FORMAT),
+    ("year in Arabic-Indic digits", "year.tsv", PAPERS.replace("2001", "\u0662\u0660\u0660\u0661").encode(),
+     _baseline("year.tsv"), EXIT_FORMAT),
     *(
         (
             f"5000-digit {part} in an instance id",
@@ -634,6 +640,8 @@ MESSAGES = {
     "NUL byte in a byline name": "nul.tsv, row 1",
     "NUL byte as a byline name": "nul.tsv, row 1",
     "5000-digit pmid": "huge.tsv, row 1: pmid is too long: 5000 digits",
+    "5000-digit year": "huge.tsv, row 1: year is too long: 5000 digits",
+    "year in Arabic-Indic digits": "year.tsv, row 1: year must be an integer",
     "5000-digit pmid in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
     "5000-digit position in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
     "5000-digit citing_pmid": "huge.tsv, row 2: citing_pmid is too long: 5000 digits",
@@ -731,3 +739,58 @@ def test_evaluate_needs_truth_or_pairs(workdir, bundle_dir, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
         assert not (workdir / "eval" / "metrics.json").exists()
+
+
+def _commands(bundle: str) -> list[list[str]]:
+    """Every command that reads papers.tsv, each writing under <bundle>-out/."""
+    papers = f"{bundle}/papers.tsv"
+    raw = [
+        ("fini", "baseline", "--papers", papers, "--method", "fini"),
+        ("aini", "baseline", "--papers", papers, "--method", "aini"),
+        ("auth", "link-authority", "--papers", papers, "--authority", f"{bundle}/authority.tsv"),
+        (
+            "auth_keep", "link-authority", "--papers", papers, "--authority", f"{bundle}/authority.tsv",
+            "--dup-title-policy", "keep-first",
+        ),
+        ("grants", "link-grants", "--papers", papers, "--grants", f"{bundle}/grants.tsv"),
+        ("pairs", "pairs", "--papers", papers, "--citations", f"{bundle}/citations.tsv"),
+        (
+            "eval", "evaluate", "--truth", f"{bundle}-out/auth/labels.tsv",
+            "--pred", f"{bundle}-out/fini/clustering.tsv", "--papers", papers,
+            "--annotations", f"{bundle}/annotations.tsv",
+        ),
+        (
+            "profile", "profile", "--papers", papers, "--truth", f"{bundle}/truth_clustering.tsv",
+            "--pairs", f"{bundle}-out/pairs/pairs.tsv", "--sample", "25", "--seed", "3",
+        ),
+    ]
+    return [[*argv, "--out", f"{bundle}-out/{out}"] for out, *argv in raw]
+
+
+def test_outputs_do_not_depend_on_the_row_order_of_papers(workdir, capsys):
+    config = {**CONFIG, "duplicate_title_rate": 0.1}
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert main(["synth", "--seed", "5", "--config", "config.json", "--out", "sorted"]) == EXIT_OK
+    shutil.copytree(workdir / "sorted", workdir / "shuffled")
+    header, *rows = (workdir / "sorted" / "papers.tsv").read_text().splitlines(keepends=True)
+    shuffled = random.Random(5).sample(rows, len(rows))
+    assert shuffled != rows
+    (workdir / "shuffled" / "papers.tsv").write_text(header + "".join(shuffled))
+    capsys.readouterr()
+
+    def run(bundle: str) -> tuple[list[str], dict[str, str]]:
+        summaries = []
+        for argv in _commands(bundle):
+            assert main(argv) == EXIT_OK
+            summaries.append(capsys.readouterr().out)
+        root = workdir / f"{bundle}-out"
+        artifacts = {
+            str(path.relative_to(root)): _sha(path)
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "run_manifest.json"
+        }
+        return summaries, artifacts
+
+    summaries, artifacts = run("sorted")
+    assert len(artifacts) > len(_commands("sorted"))
+    assert run("shuffled") == (summaries, artifacts)

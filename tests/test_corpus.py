@@ -95,10 +95,10 @@ def test_ingest_corpus(tmp_path):
     )
     corpus = ingest_corpus(path)
     assert len(corpus) == 3
-    assert corpus.papers[3].authors == ("Smith, John", "Lee, Ann")
-    assert corpus.papers[1].year == 2001
-    assert [p.pmid for p in corpus] == [1, 2, 3]
-    assert list(corpus.instances()) == [
+    assert corpus[3].authors == ("Smith, John", "Lee, Ann")
+    assert corpus[1].year == 2001
+    assert list(corpus) == [3, 1, 2]  # row order of the file
+    assert sorted(i for paper in corpus.values() for i in paper.instances()) == [
         (1, 1),
         (2, 1),
         (2, 2),
@@ -106,10 +106,7 @@ def test_ingest_corpus(tmp_path):
         (3, 1),
         (3, 2),
     ]
-    assert corpus.papers[3].authors[2 - 1] == "Lee, Ann"
-    assert corpus.has_instance((2, 3))
-    assert not corpus.has_instance((2, 4))
-    assert not corpus.has_instance((9, 1))
+    assert corpus[3].authors[2 - 1] == "Lee, Ann"
 
 
 def test_ingest_corpus_duplicate_pmid_errors_at_second_row(tmp_path):
@@ -123,6 +120,15 @@ def test_ingest_corpus_duplicate_pmid_errors_at_second_row(tmp_path):
     with pytest.raises(IngestError, match="duplicate pmid 7") as err:
         ingest_corpus(path)
     assert err.value.row == 3
+
+
+def test_year_takes_a_minus_sign_and_leading_zeros(tmp_path):
+    path = write_tsv(
+        tmp_path / "papers.tsv",
+        "pmid\tyear\ttitle\tauthors\n1\t-5\tOne\tA, B\n2\t007\tTwo\tA, B\n",
+    )
+    corpus = ingest_corpus(path)
+    assert (corpus[1].year, corpus[2].year) == (-5, 7)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +160,7 @@ def test_ingest_corpus_gzip(tmp_path):
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("pmid\tyear\ttitle\tauthors\n1\t1999\tOnly one\tSolo, Han\n")
     corpus = ingest_corpus(path)
-    assert corpus.papers[1].raw_title == "Only one"
+    assert corpus[1].raw_title == "Only one"
 
 
 def test_ingest_clustering(tmp_path):
@@ -378,7 +384,9 @@ def test_write_round_trips(tmp_path):
     corpus = ingest_corpus(corpus_path)
     out = tmp_path / "papers_out.tsv"
     write_corpus(out, corpus)
-    assert ingest_corpus(out).papers == corpus.papers
+    written = ingest_corpus(out)
+    assert written == corpus
+    assert list(written) == [1, 2]  # written in pmid order
 
     registry = ingest_authority(
         write_tsv(

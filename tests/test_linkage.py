@@ -12,7 +12,6 @@ from linklab.corpus import (
     AuthorityProfile,
     CitationEdge,
     Clustering,
-    Corpus,
     GrantRecord,
     PaperRecord,
     format_instance_id,
@@ -43,12 +42,10 @@ from oracles import naive_selfcitation_pairs
 
 
 def make_corpus(*papers):
-    return Corpus(
-        {
-            pmid: PaperRecord(pmid, year, title, tuple(authors))
-            for pmid, year, title, authors in papers
-        }
-    )
+    return {
+        pmid: PaperRecord(pmid, year, title, tuple(authors))
+        for pmid, year, title, authors in papers
+    }
 
 
 def profile(authority_id, name, *titles):
@@ -90,7 +87,7 @@ def test_link_authority_matches_title_and_name(corpus):
     ]
     assert all(l.source == "authority" for l in result.labels)
     first = result.labels[0].instance
-    assert corpus.papers[first[0]].authors[first[1] - 1] == "Hertzog, P J"
+    assert corpus[first[0]].authors[first[1] - 1] == "Hertzog, P J"
     assert result.conflicts == ()
     assert result.stats["labels"] == 3
 
@@ -414,9 +411,12 @@ def test_join_labels_disjoint_is_empty(corpus):
     assert dataset.dropped_unclustered == 1
 
 
-def test_join_labels_missing_paper(corpus):
-    labels = [LabeledInstance((99, 1), "orc-1", "authority")]
-    clustering = Clustering({"c1": {(99, 1)}})
+@pytest.mark.parametrize(
+    "instance", [(99, 1), (2, 3)], ids=["pmid-not-in-corpus", "position-past-byline"]
+)
+def test_join_labels_missing_paper(corpus, instance):
+    labels = [LabeledInstance(instance, "orc-1", "authority")]
+    clustering = Clustering({"c1": {instance}})
     dataset = join_labels(labels, clustering, corpus)
     assert len(dataset) == 0
     assert dataset.dropped_missing_paper == 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from linklab.corpus import Clustering, Corpus, PaperRecord
+from linklab.corpus import Clustering, PaperRecord
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalDataset, EvalRow, PairSet
 from linklab.metrics import b3_scores
@@ -64,13 +64,11 @@ def test_distribution_errors():
 
 
 def test_pair_year_distribution_counts_both_members():
-    corpus = Corpus(
-        {
-            1: PaperRecord(1, 1991, "T", ("A, B",)),
-            2: PaperRecord(2, 1992, "U", ("A, B",)),
-            3: PaperRecord(3, 1992, "V", ("A, B",)),
-        }
-    )
+    corpus = {
+        1: PaperRecord(1, 1991, "T", ("A, B",)),
+        2: PaperRecord(2, 1992, "U", ("A, B",)),
+        3: PaperRecord(3, 1992, "V", ("A, B",)),
+    }
     pairs = PairSet(
         [
             ((1, 1), (2, 1)),

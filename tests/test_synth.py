@@ -36,7 +36,7 @@ def test_generate_clean_bundle_shape():
     groups = bundle.truth.groups()
     assert len(groups) == 50
     # every instance belongs to exactly one truth cluster and one paper byline
-    corpus_instances = set(bundle.corpus.instances())
+    corpus_instances = {i for paper in bundle.corpus.values() for i in paper.instances()}
     assert set(bundle.truth) == corpus_instances
     for author in bundle.authors:
         assert set(groups[author.author_id]) == set(author.instances)
@@ -72,7 +72,7 @@ def test_generate_same_seed_identical():
     assert a.truth == b.truth
     assert a.citations == b.citations
     assert a.annotations == b.annotations
-    assert {p.pmid: p for p in a.corpus} == {p.pmid: p for p in b.corpus}
+    assert a.corpus == b.corpus
     assert a.registry == b.registry
     assert a.grants == b.grants
 
@@ -82,8 +82,8 @@ def test_different_seed_differs():
     cfg_b = SynthConfig(seed=2, n_authors=40)
     a = generate(cfg_a)
     b = generate(cfg_b)
-    assert {p.pmid: p.raw_title for p in a.corpus} != {
-        p.pmid: p.raw_title for p in b.corpus
+    assert {p.pmid: p.raw_title for p in a.corpus.values()} != {
+        p.pmid: p.raw_title for p in b.corpus.values()
     }
 
 
@@ -118,7 +118,7 @@ def test_write_bundle_round_trip(tmp_path):
     bundle = generate(cfg)
     write_bundle(bundle, tmp_path)
     corpus = ingest_corpus(tmp_path / "papers.tsv")
-    assert {p.pmid: p for p in corpus} == {p.pmid: p for p in bundle.corpus}
+    assert corpus == bundle.corpus
     assert ingest_authority(tmp_path / "authority.tsv") == bundle.registry
     assert ingest_grants(tmp_path / "grants.tsv") == bundle.grants
     assert ingest_citations(tmp_path / "citations.tsv") == bundle.citations
@@ -160,7 +160,7 @@ def test_variant_forms_alternate_along_career():
     for author in variants:
         assert len(author.forms) == 2
         observed = [
-            bundle.corpus.papers[instance[0]].authors[instance[1] - 1]
+            bundle.corpus[instance[0]].authors[instance[1] - 1]
             for instance in author.instances
         ]
         assert observed == [author.forms[i % 2] for i in range(len(observed))]
@@ -316,7 +316,7 @@ def test_duplicate_title_rate_plants_copies():
     bundle = generate(cfg)
     expected = bundle.manifest["duplicate_title_papers"]
     assert expected == int(0.1 * len(bundle.corpus))
-    titles = [p.raw_title for p in bundle.corpus]
+    titles = [p.raw_title for p in bundle.corpus.values()]
     assert len(titles) - len(set(titles)) >= 1
 
 
@@ -383,7 +383,9 @@ def handed_out_ids():
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
     return {
         "corpus_names": [instance for instance, _ in corpus_names(bundle.corpus)],
-        "Corpus.instances": list(bundle.corpus.instances()),
+        "PaperRecord.instances": [
+            instance for paper in bundle.corpus.values() for instance in paper.instances()
+        ],
         "link_authority labels": [label.instance for label in authority.labels],
         "link_authority conflicts": [record.instance for record in authority.conflicts],
         "link_grants labels": [label.instance for label in grants.labels],
@@ -399,7 +401,7 @@ def handed_out_ids():
     "source",
     [
         "corpus_names",
-        "Corpus.instances",
+        "PaperRecord.instances",
         "link_authority labels",
         "link_authority conflicts",
         "link_grants labels",

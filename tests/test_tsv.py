@@ -73,6 +73,11 @@ def test_records_match_the_csv_reader(bom, text, gz, bad_byte):
         assert _outcome(_records, path) == _outcome(oracles.csv_records, path)
 
 
+# years int() would take but the readers refuse: a space, a no-break
+# space, a plus sign, an underscore and Arabic-Indic digits
+BAD_YEARS = (" 2001", "2001\xa0", "+2001", "2_001", "\u0662\u0660\u0660\u0661")
+HUGE = "1" * 5000
+
 # (reader, its columns, a good data row, a bad data row, the message for the bad row)
 ROW_FAULTS = [
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "x\t2001\tT\tA, B",
@@ -81,6 +86,13 @@ ROW_FAULTS = [
      "pmid must be a positive integer, got '0'"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\tyr\tT\tA, B",
      "year must be an integer, got 'yr'"),
+    *(
+        (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", f"2\t{year}\tT\tA, B",
+         f"year must be an integer, got {year!r}")
+        for year in BAD_YEARS
+    ),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", f"2\t{HUGE}\tT\tA, B",
+     "year is too long: 5000 digits"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\t\tA, B", "missing title"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\tA, B|",
      "empty author name in byline"),
@@ -127,6 +139,14 @@ ROW_FAULTS = [
      "truth_label and predicted_cluster_id are required"),
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_2\ta\tc1\tyr\t\t",
      "year must be an integer, got 'yr'"),
+    *(
+        (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", f"1_2\ta\tc1\t{year}\t\t",
+         f"year must be an integer, got {year!r}")
+        for year in BAD_YEARS
+    ),
+    # the sign is not a digit
+    (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", f"1_2\ta\tc1\t-{HUGE}\t\t",
+     "year is too long: 5000 digits"),
 ]
 READERS = {reader: (columns, good) for reader, columns, good, _, _ in ROW_FAULTS}
 # a row of one field, which no table has; _tsv itself rejects it
