@@ -21,14 +21,21 @@ import platform
 import shutil
 import sys
 import tempfile
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__
 from ._tsv import read_header, write_rows
-from .baseline import cluster_aini, cluster_fini, corpus_names, unparseable_count
+from .baseline import (
+    ParsedNames,
+    cluster_aini,
+    cluster_fini,
+    corpus_names,
+    fini_block_sizes,
+    name_lookup,
+    unparseable_count,
+)
 from .corpus import (
     CLUSTERING_COLUMNS,
     InstanceID,
@@ -219,8 +226,7 @@ def cmd_pairs(args: argparse.Namespace, out: Path) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace, out: Path) -> str:
-    corpus = ingest_corpus(args.papers)
-    names = list(corpus_names(corpus))
+    names = corpus_names(ingest_corpus(args.papers))
     clustering = cluster_fini(names) if args.method == "fini" else cluster_aini(names)
     write_clustering(out / "clustering.tsv", clustering)
     return "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
@@ -345,11 +351,13 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
                 out / f"dist_{attribute}.tsv", {"percent": distribution(dataset, attribute)}
             )
     if corpus is not None:
-        names = list(corpus_names(corpus))
-        sizes = Counter(cluster_fini(names).values()).values()
+        # one parse per distinct byline name, shared by the block sizes and the typology
+        parsed = ParsedNames()
+        sizes = fini_block_sizes(corpus_names(corpus, parsed))
         write_ccdf(out / "ccdf.tsv", {"fraction_at_least": block_size_ccdf(sizes)})
     if truth is not None:
-        write_typology(out / "typology.tsv", classify_synonym_types(truth, dict(names)))
+        report = classify_synonym_types(truth, name_lookup(corpus, parsed))
+        write_typology(out / "typology.tsv", report)
     if pairs is not None:
         write_distribution(
             out / "dist_pair_year.tsv", {"percent": pair_year_distribution(pairs, corpus)}

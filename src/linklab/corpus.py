@@ -44,10 +44,21 @@ InstanceID = tuple[int, int]
 _INSTANCE_ID = re.compile(r"[0-9]+_[0-9]+")
 
 
+# A bad field is echoed in its error message up to this many characters.
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """repr() of a bad field for a one-line message; a long one is cut and its length given."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 def parse_instance_id(s: str) -> InstanceID:
     """Parse the canonical "<pmid>_<position>" form of an instance ID."""
     if _INSTANCE_ID.fullmatch(s) is None:
-        raise ParseError(f"instance id {s!r} is not of the form <pmid>_<position>")
+        raise ParseError(f"instance id {_echo(s)} is not of the form <pmid>_<position>")
     pmid_s, _, pos_s = s.partition("_")
     try:
         pmid = int(pmid_s)
@@ -55,9 +66,9 @@ def parse_instance_id(s: str) -> InstanceID:
     except ValueError:  # more digits than int() converts
         raise ParseError(f"instance id is too long: {len(s)} characters") from None
     if pmid < 1:
-        raise ParseError(f"instance id {s!r}: pmid must be >= 1")
+        raise ParseError(f"instance id {_echo(s)}: pmid must be >= 1")
     if position < 1:
-        raise ParseError(f"instance id {s!r}: position must be >= 1")
+        raise ParseError(f"instance id {_echo(s)}: position must be >= 1")
     return pmid, position
 
 
@@ -185,7 +196,7 @@ def _positive_int(text: str, field: str) -> int:
             raise ParseError(f"{field} is too long: {len(text)} digits") from None
         if value >= 1:
             return value
-    raise ParseError(f"{field} must be a positive integer, got {text!r}")
+    raise ParseError(f"{field} must be a positive integer, got {_echo(text)}")
 
 
 # an optional "-" and ASCII digits: int() would also take spaces, "+",
@@ -195,7 +206,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _int(text: str, field: str) -> int:
     if _INTEGER.fullmatch(text) is None:
-        raise ParseError(f"{field} must be an integer, got {text!r}")
+        raise ParseError(f"{field} must be an integer, got {_echo(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import open_text_write, read_table, write_rows
-from .baseline import corpus_names
+from .baseline import _shared_keys, corpus_names
 from .corpus import (
     AuthorityProfile,
     Annotation,
@@ -73,21 +73,25 @@ class LinkResult(NamedTuple):
     stats: dict[str, int]
 
 
+def _canonical_pairs(
+    pairs: Iterable[tuple[InstanceID, InstanceID]]
+) -> Iterator[tuple[InstanceID, InstanceID]]:
+    """Each pair as (smaller, larger), after checking it spans two papers."""
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"pair of identical instances {format_instance_id(a)}")
+        if a[0] == b[0]:
+            raise ValueError(
+                f"pair within one paper: {format_instance_id(a)}, {format_instance_id(b)}"
+            )
+        yield (a, b) if a <= b else (b, a)
+
+
 class PairSet:
     """Unordered positive instance pairs spanning distinct papers."""
 
     def __init__(self, pairs: Iterable[tuple[InstanceID, InstanceID]]):
-        canonical: set[tuple[InstanceID, InstanceID]] = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"pair of identical instances {format_instance_id(a)}")
-            if a[0] == b[0]:
-                raise ValueError(
-                    f"pair within one paper: {format_instance_id(a)}, "
-                    f"{format_instance_id(b)}"
-                )
-            canonical.add((a, b) if a <= b else (b, a))
-        self._pairs = frozenset(canonical)
+        self._pairs = frozenset(_canonical_pairs(pairs))
 
     @property
     def pairs(self) -> frozenset[tuple[InstanceID, InstanceID]]:
@@ -121,16 +125,21 @@ def _parse_keyed(raw: str) -> PersonName | None:
     return name if is_keyed(name) else None
 
 
+def _keyed_fini_key(name: PersonName) -> str | None:
+    return fini_key(name) if is_keyed(name) else None
+
+
 def _keyed_bylines(corpus: Corpus) -> dict[int, dict[str, list[int]]]:
     """Every paper's keyed byline positions, grouped by blocking key.
 
-    Names come from corpus_names, one parse per distinct raw name; every
-    pmid maps to a dict, an empty one when the paper has no keyed name.
+    Names come from corpus_names, one parse and one key string per
+    distinct raw name; every pmid maps to a dict, an empty one when the
+    paper has no keyed name.
     """
     bylines: dict[int, dict[str, list[int]]] = {pmid: {} for pmid in corpus}
-    for (pmid, position), name in corpus_names(corpus):
-        if name is not None and is_keyed(name):
-            bylines[pmid].setdefault(fini_key(name), []).append(position)
+    for (pmid, position), key in _shared_keys(corpus_names(corpus), _keyed_fini_key):
+        if key is not None:
+            bylines[pmid].setdefault(key, []).append(position)
     return bylines
 
 

@@ -12,7 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,7 +44,7 @@ def pair_year_distribution(pairs: PairSet, corpus: Corpus) -> dict[str, float]:
     """Year percentages over pair members; both members of a pair count."""
     counts: Counter[str] = Counter()
     total = 0
-    for a, b in pairs:
+    for a, b in pairs.pairs:
         for member in (a, b):
             paper = corpus.get(member[0])
             if paper is None:
@@ -125,10 +125,12 @@ def _classify_forms(forms: Sequence[PersonName]) -> str:
 
 
 def classify_synonym_types(
-    truth: Clustering, names: Mapping[InstanceID, PersonName | None]
+    truth: Clustering, name_of: Callable[[InstanceID], PersonName | None]
 ) -> TypologyReport:
     """Assign one variant type to each author with several blocking keys.
 
+    `name_of` gives the parsed name of a truth instance, or None when it
+    has none (baseline.name_lookup over a corpus, or a dict's `get`).
     Authors whose name forms all share one blocking key are not
     multiform and are never counted. Priority when several rules match:
     flipped_order, then surname_variant, then initial_variant.
@@ -139,7 +141,7 @@ def classify_synonym_types(
         keys = set()
         forms: dict[tuple[str, tuple[str, ...]], PersonName] = {}
         for instance in members:
-            name = names.get(instance)
+            name = name_of(instance)
             if name is None or not is_keyed(name):
                 continue
             keys.add(fini_key(name))

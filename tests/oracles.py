@@ -4,10 +4,12 @@ import csv
 import gzip
 import unicodedata
 import zlib
+from collections import Counter
 from collections.abc import Mapping
 from typing import NamedTuple
 
 from linklab._tsv import open_text_read, write_rows
+from linklab.baseline import cluster_fini, corpus_names
 from linklab.corpus import CLUSTERING_COLUMNS, format_instance_id
 from linklab.errors import IngestError, ParseError
 from linklab.linkage import (
@@ -20,6 +22,7 @@ from linklab.linkage import (
     _resolve_candidates,
 )
 from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
+from linklab.profile import block_size_ccdf, classify_synonym_types
 
 
 def naive_ascii_fold(text):
@@ -123,6 +126,17 @@ def naive_selfcitation_pairs(corpus, citations):
                     b = (cited.pmid, pos_b)
                     pairs.add((a, b) if a <= b else (b, a))
     return pairs
+
+
+def profile_ccdf(corpus):
+    """The earlier `profile` block sizes: a whole fini clustering of a name list, counted."""
+    names = list(corpus_names(corpus))
+    return block_size_ccdf(Counter(cluster_fini(names).values()).values())
+
+
+def profile_typology(truth, corpus):
+    """The earlier `profile` typology: a dict of every instance's parsed name."""
+    return classify_synonym_types(truth, dict(corpus_names(corpus)).get)
 
 
 def naive_b3(truth_clusters, predicted_clusters):

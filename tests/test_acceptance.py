@@ -217,7 +217,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
     # tolerance: +/- 0.5% absolute
     assert deficit == pytest.approx(share, abs=0.005)
 
-    report = classify_synonym_types(bundle_synonym.truth, names)
+    report = classify_synonym_types(bundle_synonym.truth, names.get)
     planted = {
         author.author_id: author.variant
         for author in bundle_synonym.authors
@@ -243,7 +243,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
             members.add(instance)
             constructed_names[instance] = parse_name(raw)
         truth[cluster_id] = members
-    constructed_report = classify_synonym_types(Clustering(truth), constructed_names)
+    constructed_report = classify_synonym_types(Clustering(truth), constructed_names.get)
     assert constructed_report.assignments == {
         "a1": "surname_variant",
         "a2": "initial_variant",

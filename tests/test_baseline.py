@@ -9,6 +9,7 @@ from linklab.baseline import (
     unparseable_count,
 )
 from linklab.corpus import PaperRecord
+from linklab.linkage import _keyed_bylines
 from linklab.normalize import aini_key, fini_key, parse_name
 
 
@@ -96,3 +97,26 @@ def test_aini_refines_fini_partition():
     aini = cluster_aini(instances)
     for members in aini.groups().values():
         assert len({fini[m] for m in members}) == 1
+
+
+def _one_object_per_value(keys):
+    """True when equal keys are all one str object."""
+    first = {}
+    return all(first.setdefault(key, key) is key for key in keys)
+
+
+def test_instances_under_one_key_share_one_string():
+    # "Wang, Wei", "Wang, W" and "W Wang" are three raw strings with one
+    # blocking key; "Li, A B" and "Li, A. B." two with one refined key
+    corpus = {
+        1: PaperRecord(1, 1999, "T", ("Wang, Wei", "Wang, W", "Li, A B", "Einstein", "123")),
+        2: PaperRecord(2, 2000, "U", ("Wang, Wei", "W Wang", "Li, A. B.", "Einstein")),
+        3: PaperRecord(3, 2001, "V", ("Li, A B", "Wang, W")),
+    }
+    for make in (cluster_fini, cluster_aini):
+        clustering = make(corpus_names(corpus))
+        assert len(set(clustering.values())) < len(clustering)
+        assert _one_object_per_value(clustering.values())
+    keys = [key for grouped in _keyed_bylines(corpus).values() for key in grouped]
+    assert len(set(keys)) < len(keys)
+    assert _one_object_per_value(keys)

@@ -415,6 +415,20 @@ def test_profile_usage_checks(workdir, bundle_dir, capsys):
     assert not (workdir / "prof").exists() or not list((workdir / "prof").iterdir())
 
 
+def test_profile_reads_every_input_before_it_computes(workdir, capsys):
+    # a header-only eval dataset has nothing to profile (exit 5), but the bad
+    # pairs row is read before anything is computed and fails first (exit 4)
+    (workdir / "eval.tsv").write_text(EVAL.splitlines(keepends=True)[0])
+    (workdir / "papers.tsv").write_text(PAPERS)
+    (workdir / "pairs.tsv").write_text("instance_a\tinstance_b\n1_1\tx\n")
+    argv = ["profile", "--eval", "eval.tsv", "--papers", "papers.tsv", "--out", "prof"]
+    assert main(argv) == EXIT_EVALUATION
+    capsys.readouterr()
+    assert main([*argv, "--pairs", "pairs.tsv"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "pairs.tsv, row 1" in err
+
+
 def test_stratum_requires_labels_truth(workdir, bundle_dir):
     assert main(["baseline", "--papers", "bundle/papers.tsv", "--method", "fini", "--out", "fini"]) == EXIT_OK
     code = main(
@@ -555,6 +569,8 @@ BAD_INPUTS = [
      _baseline("huge.tsv"), EXIT_FORMAT),
     ("5000-digit year", "huge.tsv", f"pmid\tyear\ttitle\tauthors\n1\t{HUGE}\tA title\tKim, Ji\n".encode(),
      _baseline("huge.tsv"), EXIT_FORMAT),
+    ("5000-character pmid", "long.tsv", f"pmid\tyear\ttitle\tauthors\n{'x' * 5000}\t2001\tA title\tKim, Ji\n".encode(),
+     _baseline("long.tsv"), EXIT_FORMAT),
     ("year in Arabic-Indic digits", "year.tsv", PAPERS.replace("2001", "\u0662\u0660\u0660\u0661").encode(),
      _baseline("year.tsv"), EXIT_FORMAT),
     *(
@@ -641,6 +657,7 @@ MESSAGES = {
     "NUL byte as a byline name": "nul.tsv, row 1",
     "5000-digit pmid": "huge.tsv, row 1: pmid is too long: 5000 digits",
     "5000-digit year": "huge.tsv, row 1: year is too long: 5000 digits",
+    "5000-character pmid": f"long.tsv, row 1: pmid must be a positive integer, got {'x' * 40!r}... (5000 characters)",
     "year in Arabic-Indic digits": "year.tsv, row 1: year must be an integer",
     "5000-digit pmid in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
     "5000-digit position in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
@@ -673,6 +690,8 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.count("\n") == 1
+        # a bad field is echoed cut short, whatever its length
+        assert len(err) <= 200
         if code != EXIT_EVALUATION:
             assert name in err
         assert MESSAGES.get(case, "") in err

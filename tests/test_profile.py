@@ -2,10 +2,17 @@
 
 import math
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from linklab.corpus import Clustering, PaperRecord
+from linklab import baseline
+from linklab.baseline import ParsedNames, corpus_names, fini_block_sizes, name_lookup
+from linklab.cli import EXIT_OK, main
+from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corpus
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalDataset, EvalRow, PairSet
 from linklab.metrics import b3_scores
@@ -23,6 +30,8 @@ from linklab.profile import (
     write_distribution,
     write_typology,
 )
+from linklab.synth import SynthConfig, generate
+import oracles
 
 
 def rows_with(attrs):
@@ -177,7 +186,7 @@ def test_typology_worked_examples():
             "a4": ["Smith, John", "Smith, J."],
         }
     )
-    report = classify_synonym_types(truth, names)
+    report = classify_synonym_types(truth, names.get)
     assert report.assignments == {
         "a1": "surname_variant",
         "a2": "initial_variant",
@@ -199,7 +208,7 @@ def test_typology_skips_single_key_authors():
             "a2": ["Lee, Ann"],
         }
     )
-    report = classify_synonym_types(truth, names)
+    report = classify_synonym_types(truth, names.get)
     assert report.assignments == {}
     assert report.counts.total_multiform_authors == 0
 
@@ -207,7 +216,7 @@ def test_typology_skips_single_key_authors():
 def test_typology_flipped_takes_priority():
     # The pair is flipped-order even though the surnames also differ.
     truth, names = names_for({"a1": ["Wei, Wang", "Wang, Wei"]})
-    report = classify_synonym_types(truth, names)
+    report = classify_synonym_types(truth, names.get)
     assert report.assignments["a1"] == "flipped_order"
 
 
@@ -320,10 +329,133 @@ def test_write_typology(tmp_path):
             "a2": ["Wei, Wang", "Wang, Wei"],
         }
     )
-    report = classify_synonym_types(truth, names)
+    report = classify_synonym_types(truth, names.get)
     path = tmp_path / "typology.tsv"
     write_typology(path, report)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "type\tcount\tshare_percent"
     assert lines[1] == "surname_variant\t1\t50.000000"
     assert lines[3] == "flipped_order\t1\t50.000000"
+
+
+# "Kim, J", "Kim, Jin" and "J Kim" share a blocking key and "Wei, Wang" is
+# "Wang, Wei" flipped; "Einstein" is a mononym, "123" and "..." do not parse.
+PROFILE_NAMES = [
+    "Kim, J", "Kim, Jin", "J Kim", "Kim, M", "Lee, Ann", "Lee, A. B.", "Ann Lee-Park",
+    "Wei, Wang", "Wang, Wei", "Einstein", "123", "...",
+]
+
+
+@st.composite
+def profiled_corpora(draw):
+    """A corpus and a truth clustering over instances in it, past its bylines and outside it."""
+    bylines = draw(
+        st.lists(st.lists(st.sampled_from(PROFILE_NAMES), min_size=1, max_size=5), min_size=1, max_size=6)
+    )
+    corpus = {
+        pmid: PaperRecord(pmid, 2000, "T", tuple(authors))
+        for pmid, authors in enumerate(bylines, start=1)
+    }
+    # positions up to 6 run past every byline; the last pmid is not in the corpus
+    instances = [(pmid, position) for pmid in range(1, len(bylines) + 2) for position in range(1, 7)]
+    members = draw(st.lists(st.sampled_from(instances), min_size=1, max_size=20, unique=True))
+    authors = draw(st.lists(st.sampled_from(["a1", "a2", "a3"]), min_size=len(members), max_size=len(members)))
+    return corpus, Clustering.from_assignment(dict(zip(members, authors)))
+
+
+# every case at once: a shared key, a flipped pair, a mononym, unparseable
+# names, and truth instances past a byline's end and outside the corpus
+PROFILED_EXAMPLE = (
+    {
+        1: PaperRecord(1, 2000, "T", ("Kim, J", "Einstein", "Wei, Wang")),
+        2: PaperRecord(2, 2001, "U", ("Kim, Jin", "123", "Wang, Wei", "Einstein")),
+        3: PaperRecord(3, 2002, "V", ("...", "Lee, Ann", "Kim, M")),
+    },
+    Clustering({
+        "a1": {(1, 1), (2, 1), (3, 3), (3, 9)},
+        "a2": {(1, 3), (2, 3), (1, 2), (2, 4)},
+        "a3": {(3, 2), (2, 2), (7, 1)},
+    }),
+)
+
+
+@given(profiled_corpora())
+@example(PROFILED_EXAMPLE)
+def test_block_sizes_and_typology_match_the_earlier_profile(case):
+    corpus, truth = case
+    parsed = ParsedNames()
+    ccdf = block_size_ccdf(fini_block_sizes(corpus_names(corpus, parsed)))
+    assert ccdf == oracles.profile_ccdf(corpus)
+    expected = oracles.profile_typology(truth, corpus)
+    assert classify_synonym_types(truth, name_lookup(corpus, parsed)) == expected
+    # the lookup parses what the block-size pass did not
+    assert classify_synonym_types(truth, name_lookup(corpus, ParsedNames())) == expected
+
+
+def test_profiled_example_reaches_every_case():
+    corpus, truth = PROFILED_EXAMPLE
+    report = oracles.profile_typology(truth, corpus)
+    assert report.assignments == {"a1": "initial_variant", "a2": "flipped_order"}
+    # kim|j and einstein| twice; wei|w, wang|w, kim|m and lee|a once; two that do not parse
+    assert sorted(fini_block_sizes(corpus_names(corpus))) == [1, 1, 1, 1, 1, 1, 2, 2]
+
+
+def _profile_outputs(corpus, truth) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """ccdf.tsv and typology.tsv from `linklab profile`, and from the earlier path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_corpus(tmp / "papers.tsv", corpus)
+        write_clustering(tmp / "truth.tsv", truth)
+        argv = ["profile", "--papers", str(tmp / "papers.tsv"), "--truth", str(tmp / "truth.tsv")]
+        assert main([*argv, "--out", str(tmp / "out")]) == EXIT_OK
+        write_ccdf(tmp / "ccdf.tsv", {"fraction_at_least": oracles.profile_ccdf(corpus)})
+        write_typology(tmp / "typology.tsv", oracles.profile_typology(truth, corpus))
+        names = ("ccdf.tsv", "typology.tsv")
+        return (
+            {name: (tmp / "out" / name).read_bytes() for name in names},
+            {name: (tmp / name).read_bytes() for name in names},
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    homonym_rate=st.sampled_from([0.0, 0.2]),
+    synonym_rate=st.sampled_from([0.0, 0.2, 0.5]),
+    midinitial_rate=st.sampled_from([0.0, 0.2]),
+)
+def test_profile_command_matches_the_earlier_path_on_synth_bundles(
+    seed, homonym_rate, synonym_rate, midinitial_rate
+):
+    bundle = generate(
+        SynthConfig(
+            seed=seed,
+            n_authors=40,
+            homonym_rate=homonym_rate,
+            synonym_rate=synonym_rate,
+            midinitial_variant_rate=midinitial_rate,
+        )
+    )
+    got, expected = _profile_outputs(bundle.corpus, bundle.truth)
+    assert got == expected
+
+
+def test_profile_command_matches_the_earlier_path_on_the_hand_built_corpus():
+    got, expected = _profile_outputs(*PROFILED_EXAMPLE)
+    assert got == expected
+
+
+def test_profile_parses_each_distinct_name_once(monkeypatch, tmp_path):
+    parses = Counter()
+
+    def counting_parse(raw, parse=baseline.parse_name):
+        parses[raw] += 1
+        return parse(raw)
+
+    monkeypatch.setattr(baseline, "parse_name", counting_parse)
+    corpus, truth = PROFILED_EXAMPLE
+    write_corpus(tmp_path / "papers.tsv", corpus)
+    write_clustering(tmp_path / "truth.tsv", truth)
+    argv = ["profile", "--papers", str(tmp_path / "papers.tsv"), "--truth", str(tmp_path / "truth.tsv")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert parses == Counter({raw: 1 for paper in corpus.values() for raw in paper.authors})

@@ -173,7 +173,7 @@ def test_synonym_typology_matches_planted():
     cfg = SynthConfig(seed=7, n_authors=400, papers_per_author=(6, 6), synonym_rate=0.05)
     bundle = generate(cfg)
     names = dict(corpus_names(bundle.corpus))
-    report = classify_synonym_types(bundle.truth, names)
+    report = classify_synonym_types(bundle.truth, names.get)
     planted = {
         a.author_id: a.variant
         for a in bundle.authors

@@ -77,6 +77,9 @@ def test_records_match_the_csv_reader(bom, text, gz, bad_byte):
 # space, a plus sign, an underscore and Arabic-Indic digits
 BAD_YEARS = (" 2001", "2001\xa0", "+2001", "2_001", "\u0662\u0660\u0660\u0661")
 HUGE = "1" * 5000
+# a field no message echoes in full: its first 40 characters and its length
+LONG = "x" * 5000
+LONG_ECHO = f"{'x' * 40!r}... (5000 characters)"
 
 # (reader, its columns, a good data row, a bad data row, the message for the bad row)
 ROW_FAULTS = [
@@ -93,6 +96,10 @@ ROW_FAULTS = [
     ),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", f"2\t{HUGE}\tT\tA, B",
      "year is too long: 5000 digits"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", f"{LONG}\t2001\tT\tA, B",
+     f"pmid must be a positive integer, got {LONG_ECHO}"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", f"2\t{LONG}\tT\tA, B",
+     f"year must be an integer, got {LONG_ECHO}"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\t\tA, B", "missing title"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\tA, B|",
      "empty author name in byline"),
@@ -100,6 +107,8 @@ ROW_FAULTS = [
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "\t1_2", "empty cluster_id"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1-2",
      "instance id '1-2' is not of the form <pmid>_<position>"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", f"c1\t{LONG}",
+     f"instance id {LONG_ECHO} is not of the form <pmid>_<position>"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t0_2", "instance id '0_2': pmid must be >= 1"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1_0", "instance id '1_0': position must be >= 1"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c2\t1_1", "instance 1_1 already assigned to cluster 'c1'"),
