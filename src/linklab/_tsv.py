@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing, contextmanager
 from pathlib import Path
 
-from .errors import IngestError, ParseError
+from .errors import IngestError, ParseError, echo
 
 
 def _is_gz(path: str | Path) -> bool:
@@ -96,7 +96,8 @@ def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, l
     if header is None:
         raise IngestError("empty file, expected a header row", path=str(path))
     if header != expected:
-        raise IngestError(f"bad header {header!r}, expected {expected!r}", path=str(path))
+        got, want = "\t".join(header), "\t".join(expected)
+        raise IngestError(f"bad header {echo(got)}, expected {want!r}", path=str(path))
     for row_no, fields in enumerate(records, start=1):
         if not fields:
             continue

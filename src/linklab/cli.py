@@ -222,7 +222,7 @@ def cmd_pairs(args: argparse.Namespace, out: Path) -> str:
     citations = ingest_citations(args.citations)
     pairs = extract_selfcitation_pairs(corpus, citations)
     write_pairs(out / "pairs.tsv", pairs)
-    return "pairs: pairs=%d edges=%d" % (len(pairs.pairs), len(citations))
+    return "pairs: pairs=%d edges=%d" % (len(pairs), len(citations))
 
 
 def cmd_baseline(args: argparse.Namespace, out: Path) -> str:
@@ -264,18 +264,19 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
         annotations = ingest_annotations(
             args.annotations, keep={label.instance for label in labels}
         )
-    dataset = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
-    if not dataset:
+    joined = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
+    rows = joined.rows
+    if not rows:
         raise EvaluationError(
             "nothing to evaluate: no labeled instance joined a predicted cluster"
-            f" (dropped_unclustered={dataset.dropped_unclustered}"
-            f" dropped_missing_paper={dataset.dropped_missing_paper})"
+            f" (dropped_unclustered={joined.dropped_unclustered}"
+            f" dropped_missing_paper={joined.dropped_missing_paper})"
         )
-    write_eval_dataset(out / "eval_dataset.tsv", dataset)
-    strata = None if args.stratum is None else stratified_eval(dataset, args.stratum)
+    write_eval_dataset(out / "eval_dataset.tsv", rows)
+    strata = None if args.stratum is None else stratified_eval(rows, args.stratum)
     overall = strata.pop("ALL") if strata is not None else b3_scores(
-        {row.instance: row.truth_label for row in dataset},
-        {row.instance: row.predicted_cluster_id for row in dataset},
+        {row.instance: row.truth_label for row in rows},
+        {row.instance: row.predicted_cluster_id for row in rows},
     )
     write_metrics_json(out / "metrics.json", overall, strata)
     return (
@@ -286,8 +287,8 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
             overall.precision,
             overall.f1,
             overall.n,
-            dataset.dropped_unclustered,
-            dataset.dropped_missing_paper,
+            joined.dropped_unclustered,
+            joined.dropped_missing_paper,
         )
     )
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple, TypeVar
 
 from ._tsv import read_table, write_rows
-from .errors import ParseError
+from .errors import ParseError, echo
 
 PAPERS_COLUMNS = ("pmid", "year", "title", "authors")
 CLUSTERING_COLUMNS = ("cluster_id", "instance_id")
@@ -44,21 +44,10 @@ InstanceID = tuple[int, int]
 _INSTANCE_ID = re.compile(r"[0-9]+_[0-9]+")
 
 
-# A bad field is echoed in its error message up to this many characters.
-_ECHO_LIMIT = 40
-
-
-def _echo(text: str) -> str:
-    """repr() of a bad field for a one-line message; a long one is cut and its length given."""
-    if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
-
-
 def parse_instance_id(s: str) -> InstanceID:
     """Parse the canonical "<pmid>_<position>" form of an instance ID."""
     if _INSTANCE_ID.fullmatch(s) is None:
-        raise ParseError(f"instance id {_echo(s)} is not of the form <pmid>_<position>")
+        raise ParseError(f"instance id {echo(s)} is not of the form <pmid>_<position>")
     pmid_s, _, pos_s = s.partition("_")
     try:
         pmid = int(pmid_s)
@@ -66,9 +55,9 @@ def parse_instance_id(s: str) -> InstanceID:
     except ValueError:  # more digits than int() converts
         raise ParseError(f"instance id is too long: {len(s)} characters") from None
     if pmid < 1:
-        raise ParseError(f"instance id {_echo(s)}: pmid must be >= 1")
+        raise ParseError(f"instance id {echo(s)}: pmid must be >= 1")
     if position < 1:
-        raise ParseError(f"instance id {_echo(s)}: position must be >= 1")
+        raise ParseError(f"instance id {echo(s)}: position must be >= 1")
     return pmid, position
 
 
@@ -128,26 +117,10 @@ Corpus = dict[int, PaperRecord]
 class Clustering(Mapping[InstanceID, str]):
     """A partition of instances into named, non-empty, disjoint clusters.
 
-    Read-only mapping from each instance to its cluster id; `groups()`
-    lists the members of each cluster.
+    Read-only mapping from each instance to its cluster id, built only by
+    `from_assignment`, so its clusters are disjoint and non-empty by
+    construction; `groups()` lists the members of each cluster.
     """
-
-    def __init__(self, clusters: Mapping[str, Iterable[InstanceID]]):
-        assignment: dict[InstanceID, str] = {}
-        for cluster_id in sorted(clusters):
-            if not cluster_id:
-                raise ValueError("empty cluster_id")
-            size = len(assignment)
-            for instance in clusters[cluster_id]:
-                other = assignment.setdefault(instance, cluster_id)
-                if other != cluster_id:
-                    raise ValueError(
-                        f"instance {format_instance_id(instance)} is in both "
-                        f"clusters {other!r} and {cluster_id!r}"
-                    )
-            if len(assignment) == size:
-                raise ValueError(f"cluster {cluster_id!r} has no members")
-        self._assignment = assignment
 
     @classmethod
     def from_assignment(cls, assignment: dict[InstanceID, str]) -> "Clustering":
@@ -196,7 +169,7 @@ def _positive_int(text: str, field: str) -> int:
             raise ParseError(f"{field} is too long: {len(text)} digits") from None
         if value >= 1:
             return value
-    raise ParseError(f"{field} must be a positive integer, got {_echo(text)}")
+    raise ParseError(f"{field} must be a positive integer, got {echo(text)}")
 
 
 # an optional "-" and ASCII digits: int() would also take spaces, "+",
@@ -206,7 +179,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _int(text: str, field: str) -> int:
     if _INTEGER.fullmatch(text) is None:
-        raise ParseError(f"{field} must be an integer, got {_echo(text)}")
+        raise ParseError(f"{field} must be an integer, got {echo(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
@@ -242,7 +215,8 @@ def ingest_clustering(path: str | Path) -> Clustering:
             instance = parse_instance_id(instance_s)
             if instance in assignment:
                 raise ParseError(
-                    f"instance {instance_s} already assigned to cluster {assignment[instance]!r}"
+                    f"instance {echo(instance_s)} already assigned to cluster"
+                    f" {echo(assignment[instance])}"
                 )
             assignment[instance] = ids.setdefault(cluster_id, cluster_id)
     return Clustering.from_assignment(assignment)
@@ -263,7 +237,8 @@ def _read_people(
                 known = people[person_id] = (name, set())
             elif known[0] != name:
                 raise ParseError(
-                    f"{who} {person_id!r} has conflicting names {known[0]!r} and {name!r}"
+                    f"{who} {echo(person_id)} has conflicting names"
+                    f" {echo(known[0])} and {echo(name)}"
                 )
             known[1].add(value)
     return people
@@ -321,7 +296,7 @@ def ingest_annotations(
         for instance_s, ethnicity, gender in rows:
             instance = parse_instance_id(instance_s)
             if instance in annotations or instance in skipped:
-                raise ParseError(f"duplicate annotation for instance {instance_s}")
+                raise ParseError(f"duplicate annotation for instance {echo(instance_s)}")
             if keep is not None and instance not in keep:
                 skipped.add(instance)
                 continue

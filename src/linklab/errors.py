@@ -1,4 +1,14 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how a message quotes a bad field."""
+
+# A bad field is echoed in its error message up to this many characters.
+_ECHO_LIMIT = 24
+
+
+def echo(text: str) -> str:
+    """repr() of a bad field for a one-line message; a long one is cut and its length given."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 class LinklabError(Exception):

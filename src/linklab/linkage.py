@@ -29,7 +29,7 @@ from .corpus import (
     format_instance_id,
     parse_instance_id,
 )
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError, ParseError, echo
 from .normalize import PersonName, fini_key, is_keyed, normalize_title, parse_name
 
 SOURCE_AUTHORITY = "authority"
@@ -73,47 +73,9 @@ class LinkResult(NamedTuple):
     stats: dict[str, int]
 
 
-def _canonical_pairs(
-    pairs: Iterable[tuple[InstanceID, InstanceID]]
-) -> Iterator[tuple[InstanceID, InstanceID]]:
-    """Each pair as (smaller, larger), after checking it spans two papers."""
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"pair of identical instances {format_instance_id(a)}")
-        if a[0] == b[0]:
-            raise ValueError(
-                f"pair within one paper: {format_instance_id(a)}, {format_instance_id(b)}"
-            )
-        yield (a, b) if a <= b else (b, a)
-
-
-class PairSet:
-    """Unordered positive instance pairs spanning distinct papers."""
-
-    def __init__(self, pairs: Iterable[tuple[InstanceID, InstanceID]]):
-        self._pairs = frozenset(_canonical_pairs(pairs))
-
-    @property
-    def pairs(self) -> frozenset[tuple[InstanceID, InstanceID]]:
-        return self._pairs
-
-    def __iter__(self):
-        return iter(sorted(self._pairs))
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, pair: tuple[InstanceID, InstanceID]) -> bool:
-        a, b = pair
-        return ((a, b) if a <= b else (b, a)) in self._pairs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairSet):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __repr__(self) -> str:
-        return f"PairSet({len(self._pairs)} pairs)"
+def _ordered(a: InstanceID, b: InstanceID) -> tuple[InstanceID, InstanceID]:
+    """A positive pair as (smaller, larger), the one form a pair set holds."""
+    return (a, b) if a <= b else (b, a)
 
 
 def _parse_keyed(raw: str) -> PersonName | None:
@@ -305,8 +267,11 @@ def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult
 
 def extract_selfcitation_pairs(
     corpus: Corpus, citations: Iterable[CitationEdge]
-) -> PairSet:
-    """Pair same-key instances across each in-corpus citation edge."""
+) -> frozenset[tuple[InstanceID, InstanceID]]:
+    """Pair same-key instances across each in-corpus citation edge.
+
+    Each pair spans two papers and is (smaller, larger) instance.
+    """
     bylines = _keyed_bylines(corpus)
     pairs: set[tuple[InstanceID, InstanceID]] = set()
     for edge in citations:
@@ -317,8 +282,10 @@ def extract_selfcitation_pairs(
         for key, citing_positions in citing.items():
             for pos_cited in cited.get(key, ()):
                 for pos_citing in citing_positions:
-                    pairs.add(((edge.citing_pmid, pos_citing), (edge.cited_pmid, pos_cited)))
-    return PairSet(pairs)
+                    pairs.add(
+                        _ordered((edge.citing_pmid, pos_citing), (edge.cited_pmid, pos_cited))
+                    )
+    return frozenset(pairs)
 
 
 class EvalRow(NamedTuple):
@@ -330,33 +297,10 @@ class EvalRow(NamedTuple):
     gender: str | None
 
 
-class EvalDataset:
-    """Joined rows carrying a truth label and a predicted cluster id."""
-
-    def __init__(
-        self,
-        rows: Iterable[EvalRow],
-        *,
-        dropped_unclustered: int = 0,
-        dropped_missing_paper: int = 0,
-    ):
-        self.rows = tuple(sorted(rows))
-        self.dropped_unclustered = dropped_unclustered
-        self.dropped_missing_paper = dropped_missing_paper
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EvalDataset):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"EvalDataset({len(self.rows)} rows)"
+class JoinResult(NamedTuple):
+    rows: tuple[EvalRow, ...]  # in instance order
+    dropped_unclustered: int
+    dropped_missing_paper: int
 
 
 def join_labels(
@@ -366,7 +310,7 @@ def join_labels(
     annotations: Mapping[InstanceID, Annotation] | None = None,
     *,
     strict: bool = False,
-) -> EvalDataset:
+) -> JoinResult:
     """Inner-join labels with predicted clusters; attach year and tags.
 
     Labeled instances without a predicted cluster are dropped and
@@ -382,8 +326,9 @@ def join_labels(
             label.source,
         ):
             raise ValueError(
-                f"instance {format_instance_id(label.instance)} carries two labels "
-                f"({existing.source}:{existing.label_id}, {label.source}:{label.label_id}); "
+                f"instance {echo(format_instance_id(label.instance))} carries two labels "
+                f"({existing.source}:{echo(existing.label_id)},"
+                f" {label.source}:{echo(label.label_id)}); "
                 "join one labeling source at a time"
             )
         by_instance[label.instance] = label
@@ -416,11 +361,7 @@ def join_labels(
                 gender=annotation.gender if annotation else None,
             )
         )
-    return EvalDataset(
-        rows,
-        dropped_unclustered=dropped_unclustered,
-        dropped_missing_paper=dropped_missing_paper,
-    )
+    return JoinResult(tuple(rows), dropped_unclustered, dropped_missing_paper)
 
 
 class AgreementReport(NamedTuple):
@@ -482,11 +423,11 @@ def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
         for instance_s, label_id, source in rows:
             instance = parse_instance_id(instance_s)
             if source not in seen:
-                raise ParseError(f"unknown source {source!r}")
+                raise ParseError(f"unknown source {echo(source)}")
             if not label_id:
                 raise ParseError("empty label_id")
             if instance in seen[source]:
-                raise ParseError(f"duplicate label for instance {instance_s} from {source}")
+                raise ParseError(f"duplicate label for instance {echo(instance_s)} from {source}")
             seen[source].add(instance)
             labels.append(
                 LabeledInstance(
@@ -496,12 +437,13 @@ def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
     return tuple(labels)
 
 
-def write_pairs(path: str | Path, pairs: PairSet) -> None:
+def write_pairs(path: str | Path, pairs: Iterable[tuple[InstanceID, InstanceID]]) -> None:
     rows = ((format_instance_id(a), format_instance_id(b)) for a, b in sorted(pairs))
     write_rows(path, PAIRS_COLUMNS, rows)
 
 
-def read_pairs(path: str | Path) -> PairSet:
+def read_pairs(path: str | Path) -> frozenset[tuple[InstanceID, InstanceID]]:
+    """Read pairs.tsv; each pair comes back as (smaller, larger) instance."""
     pairs = []
     with read_table(path, PAIRS_COLUMNS) as rows:
         for a_s, b_s in rows:
@@ -509,13 +451,14 @@ def read_pairs(path: str | Path) -> PairSet:
             b = parse_instance_id(b_s)
             if a[0] == b[0]:
                 raise ParseError(
-                    f"invalid pair ({a_s}, {b_s}): members must come from distinct papers"
+                    f"invalid pair ({echo(a_s)}, {echo(b_s)}):"
+                    " members must come from distinct papers"
                 )
-            pairs.append((a, b))
-    return PairSet(pairs)
+            pairs.append(_ordered(a, b))
+    return frozenset(pairs)
 
 
-def write_eval_dataset(path: str | Path, dataset: EvalDataset) -> None:
+def write_eval_dataset(path: str | Path, dataset: Iterable[EvalRow]) -> None:
     rows = (
         (
             format_instance_id(row.instance),
@@ -530,8 +473,11 @@ def write_eval_dataset(path: str | Path, dataset: EvalDataset) -> None:
     write_rows(path, EVAL_COLUMNS, rows)
 
 
-def read_eval_dataset(path: str | Path) -> EvalDataset:
-    """Read an eval dataset; equal labels, cluster ids and tags share one string object."""
+def read_eval_dataset(path: str | Path) -> tuple[EvalRow, ...]:
+    """Read an eval dataset's rows in instance order, whatever the file's order.
+
+    Equal labels, cluster ids and tags share one string object.
+    """
     rows = []
     seen: set[InstanceID] = set()
     strings: dict[str, str] = {}
@@ -539,7 +485,7 @@ def read_eval_dataset(path: str | Path) -> EvalDataset:
         for instance_s, truth_label, predicted_id, year_s, ethnicity, gender in table:
             instance = parse_instance_id(instance_s)
             if instance in seen:
-                raise ParseError(f"duplicate row for instance {instance_s}")
+                raise ParseError(f"duplicate row for instance {echo(instance_s)}")
             seen.add(instance)
             if not truth_label or not predicted_id:
                 raise ParseError("truth_label and predicted_cluster_id are required")
@@ -553,7 +499,7 @@ def read_eval_dataset(path: str | Path) -> EvalDataset:
                     gender=strings.setdefault(gender, gender) if gender else None,
                 )
             )
-    return EvalDataset(rows)
+    return tuple(sorted(rows))
 
 
 def write_conflicts(path: str | Path, conflicts: Iterable[ConflictRecord]) -> None:

@@ -135,10 +135,11 @@ def stratify(rows: Iterable, stratum: str) -> dict[str, list]:
 def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
     """Per-stratum B-cubed scores plus an unrestricted "ALL" entry.
 
-    `dataset` is an EvalDataset; the stratum is one of year, gender, or
-    ethnicity. Rows missing the attribute fall into "UNKNOWN". Within a
-    stratum, truth and predicted clusters are restricted to that
-    stratum's instances before scoring.
+    `dataset` is the EvalRows of a join (join_labels(...).rows) or of
+    read_eval_dataset; the stratum is one of year, gender, or ethnicity.
+    Rows missing the attribute fall into "UNKNOWN". Within a stratum,
+    truth and predicted clusters are restricted to that stratum's
+    instances before scoring.
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}, expected one of {STRATA}")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from ._tsv import write_rows
 from .corpus import Clustering, Corpus, InstanceID
 from .errors import EvaluationError
-from .linkage import EvalDataset, PairSet
+from .linkage import EvalRow
 from .metrics import STRATA, stratify
 from .normalize import PersonName, fini_key, is_keyed
 
@@ -40,11 +40,13 @@ def distribution(rows: Iterable, attribute: str) -> dict[str, float]:
     return {key: 100.0 * len(group) / total for key, group in stratify(rows, attribute).items()}
 
 
-def pair_year_distribution(pairs: PairSet, corpus: Corpus) -> dict[str, float]:
+def pair_year_distribution(
+    pairs: Iterable[tuple[InstanceID, InstanceID]], corpus: Corpus
+) -> dict[str, float]:
     """Year percentages over pair members; both members of a pair count."""
     counts: Counter[str] = Counter()
     total = 0
-    for a, b in pairs.pairs:
+    for a, b in pairs:
         for member in (a, b):
             paper = corpus.get(member[0])
             if paper is None:
@@ -161,13 +163,17 @@ def classify_synonym_types(
     return TypologyReport(counts, assignments)
 
 
-def perturb_tags(dataset: EvalDataset, fraction: float, seed: int) -> EvalDataset:
+def perturb_tags(
+    dataset: Iterable[EvalRow], fraction: float, seed: int
+) -> tuple[EvalRow, ...]:
     """Reassign ethnicity tags for a fixed share of each tag group.
 
     Per group of rows sharing a tag, exactly floor(fraction * size)
     uniformly chosen rows receive a replacement drawn uniformly from
     the other observed tags. Rows without a tag are untouched; all
-    non-ethnicity fields are preserved.
+    non-ethnicity fields and the row order are preserved. The draws
+    follow the row order, so a seed repeats its result on rows in
+    instance order, the order read_eval_dataset gives.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -189,11 +195,7 @@ def perturb_tags(dataset: EvalDataset, fraction: float, seed: int) -> EvalDatase
         others = [t for t in tags if t != tag]
         for index in changed:
             rows[index] = rows[index]._replace(ethnicity=rng.choice(others))
-    return EvalDataset(
-        rows,
-        dropped_unclustered=dataset.dropped_unclustered,
-        dropped_missing_paper=dataset.dropped_missing_paper,
-    )
+    return tuple(rows)
 
 
 def write_distribution(

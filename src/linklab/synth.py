@@ -138,8 +138,9 @@ def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[st
     if not items:
         raise ConfigError(f"{name} must not be empty")
     for key, share in items:
-        if share < 0:
-            raise ConfigError(f"{name}[{key!r}] must be non-negative")
+        # NaN fails every comparison, so it would also pass the sum check
+        if not (math.isfinite(share) and share >= 0):
+            raise ConfigError(f"{name}[{key!r}] must be a finite non-negative number")
     if abs(sum(share for _, share in items) - 1.0) > 1e-9:
         raise ConfigError(f"{name} must sum to 1")
     counts = []

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from linklab._tsv import open_text_read, write_rows
 from linklab.baseline import cluster_fini, corpus_names
-from linklab.corpus import CLUSTERING_COLUMNS, format_instance_id
+from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id
 from linklab.errors import IngestError, ParseError
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
@@ -183,6 +183,11 @@ def random_partition(rng, instances, max_clusters=None):
 
 def make_instances(n):
     return [(i, 1) for i in range(1, n + 1)]
+
+
+def clustering_of(groups):
+    """A Clustering of {cluster_id: members}; a partition is assumed, not checked."""
+    return Clustering.from_assignment({i: cid for cid, members in groups.items() for i in members})
 
 
 class TwoCopyClustering(Mapping):

@@ -17,7 +17,6 @@ from linklab.baseline import cluster_aini, cluster_fini, corpus_names
 from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, ingest_corpus, write_clustering
 from linklab.linkage import (
-    EvalDataset,
     EvalRow,
     extract_selfcitation_pairs,
     label_agreement,
@@ -35,7 +34,7 @@ from linklab.profile import (
 )
 from linklab.synth import SynthConfig, generate, write_bundle
 
-from oracles import make_instances, naive_b3, random_partition
+from oracles import clustering_of, make_instances, naive_b3, random_partition
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
         instances = make_instances(rng.randint(1, 50))
         truth = random_partition(rng, instances)
         predicted = random_partition(rng, instances)
-        fast = b3_scores(Clustering(truth), Clustering(predicted))
+        fast = b3_scores(clustering_of(truth), clustering_of(predicted))
         slow = naive_b3(truth, predicted)
         # tolerance: 1e-12 against the per-instance double-loop oracle
         assert abs(fast.recall - slow[0]) <= 1e-12
@@ -155,8 +154,8 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
 
 def test_criterion_2_worked_b3_values():
     a, b, c = (1, 1), (2, 1), (3, 1)
-    truth = Clustering({"t1": {a, b}, "t2": {c}})
-    predicted = Clustering({"p1": {a}, "p2": {b, c}})
+    truth = clustering_of({"t1": {a, b}, "t2": {c}})
+    predicted = clustering_of({"p1": {a}, "p2": {b, c}})
     scores = b3_scores(truth, predicted)
     # exact: (2/3, 2/3, 2/3)
     assert scores.recall == 2 / 3
@@ -166,8 +165,8 @@ def test_criterion_2_worked_b3_values():
     identity = b3_scores(truth, truth)
     assert (identity.recall, identity.precision, identity.f1) == (1.0, 1.0, 1.0)
 
-    one_cluster = Clustering({"t": {a, b, c}})
-    singletons = Clustering({"s1": {a}, "s2": {b}, "s3": {c}})
+    one_cluster = clustering_of({"t": {a, b, c}})
+    singletons = clustering_of({"s1": {a}, "s2": {b}, "s3": {c}})
     # singleton predictions can never mix truth clusters
     assert b3_scores(one_cluster, singletons).precision == 1.0
     # a single predicted cluster can never split truth clusters
@@ -184,7 +183,7 @@ def test_criterion_3_pair_accuracy_structure(
     checked = 0
     for bundle in (bundle_midinitial, bundle_mixed, bundle_clean):
         pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
-        if not pairs.pairs:
+        if not pairs:
             continue
         checked += 1
         names = dict(corpus_names(bundle.corpus))
@@ -243,7 +242,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
             members.add(instance)
             constructed_names[instance] = parse_name(raw)
         truth[cluster_id] = members
-    constructed_report = classify_synonym_types(Clustering(truth), constructed_names.get)
+    constructed_report = classify_synonym_types(clustering_of(truth), constructed_names.get)
     assert constructed_report.assignments == {
         "a1": "surname_variant",
         "a2": "initial_variant",
@@ -320,7 +319,7 @@ def test_criterion_6_ccdf_contract(bundle_mixed):
 # ---------------------------------------------------------------------------
 # criterion 7
 
-def _tagged_dataset() -> EvalDataset:
+def _tagged_dataset() -> tuple[EvalRow, ...]:
     rows = []
     tags = [("English", 100), ("Korean", 57), ("Spanish", 23)]
     index = 0
@@ -337,7 +336,7 @@ def _tagged_dataset() -> EvalDataset:
                     "Female" if index % 2 else "Male",
                 )
             )
-    return EvalDataset(rows)
+    return tuple(rows)
 
 
 def test_criterion_7_perturbation_mechanics():

@@ -284,7 +284,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
         )
         == EXIT_OK
     )
-    dataset = join_labels(result.labels, fini, corpus)
+    dataset = join_labels(result.labels, fini, corpus).rows
     write_eval_dataset(workdir / "api_eval.tsv", dataset)
     assert filecmp.cmp(workdir / "api_eval.tsv", workdir / "eval" / "eval_dataset.tsv", shallow=False)
     scores = b3_scores(
@@ -484,6 +484,12 @@ EVAL = (
 LONG_BYLINE = "|".join(f"Surname{i}, Given" for i in range(15000))
 # more digits than int() converts by default
 HUGE = "1" * 5000
+# a field no message echoes in full, and the first 24 characters it is cut to
+LONG = "s" * 5000
+LONG_ECHO = f"{'s' * 24!r}... (5000 characters)"
+# a valid instance id of 4002 characters: its pmid has fewer digits than int()'s limit
+LONG_ID = f"{'1' * 4000}_1"
+LONG_ID_ECHO = f"{'1' * 24!r}... (4002 characters)"
 
 
 def _gz_flipped(data: bytes, offset: int) -> bytes:
@@ -515,6 +521,12 @@ BAD_CONFIGS = {
     '{"year_range": [1991]}': "year_range",
     '{"ethnicity_shares": [1, 2]}': "ethnicity_shares",
     '{"gender_shares": {"Male": "half"}}': "gender_shares",
+}
+# A NaN share has the right type but fails every comparison, the sum check's too.
+NAN_SHARES = {
+    '{"ethnicity_shares": {"A": NaN}}': "ethnicity_shares['A'] must be a finite non-negative number",
+    '{"gender_shares": {"Male": 0.5, "Female": NaN}}': "gender_shares['Female'] must be a finite",
+    '{"synonym_type_shares": {"flipped_order": NaN}}': "synonym_type_shares['flipped_order'] must be a finite",
 }
 
 
@@ -612,7 +624,7 @@ BAD_INPUTS = [
     ),
     *(
         (f"synth config {text}", "config.json", text.encode(), _synth_with_config(), EXIT_EVALUATION)
-        for text in BAD_CONFIGS
+        for text in [*BAD_CONFIGS, *NAN_SHARES]
     ),
     ("--out names a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken"), EXIT_USAGE),
     ("--out under a file", "taken", b"a file\n", _baseline("papers.tsv", out="taken/sub"), EXIT_USAGE),
@@ -633,6 +645,67 @@ BAD_INPUTS = [
             EXIT_FORMAT,
         )
         for fault, row in (("malformed id", "9_x\tEnglish\tMale\n"), ("duplicate", "5_1\tA\tB\n5_1\tA\tB\n"))
+    ),
+    # a message quotes each bad field cut short, whatever its length
+    (
+        "5000-character label source",
+        "labels.tsv",
+        f"instance_id\tlabel_id\tsource\n1_1\tx\t{LONG}\n".encode(),
+        ["agree", "--a", "labels.tsv", "--b", "labels.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "instance repeated under a 5000-character cluster id",
+        "long.tsv",
+        f"cluster_id\tinstance_id\n{LONG}\t1_1\nc2\t1_1\n".encode(),
+        ["evaluate", "--truth", "clustering.tsv", "--pred", "long.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "conflicting names of a 5000-character authority id",
+        "authority.tsv",
+        f"authority_id\tname\ttitle\n{LONG}\t{'n' * 4800}\tT one\n{LONG}\tKim, Ji\tT two\n".encode(),
+        ["link-authority", "--papers", "papers.tsv", "--authority", "authority.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    # the join, not a reader, finds two labels on one instance: exit 5, no row
+    (
+        "one instance with two 5000-character labels",
+        "labels.tsv",
+        f"instance_id\tlabel_id\tsource\n1_1\t{LONG}\tauthority\n1_1\t{'t' * 5000}\tgrant\n".encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_EVALUATION,
+    ),
+    ("5000-character header column", "long.tsv", f"{LONG}\tyear\ttitle\tauthors\n".encode(), _baseline("long.tsv"),
+     EXIT_FORMAT),
+    (
+        "duplicate 4002-character instance in labels",
+        "labels.tsv",
+        f"instance_id\tlabel_id\tsource\n{LONG_ID}\tx\tauthority\n{LONG_ID}\ty\tauthority\n".encode(),
+        ["agree", "--a", "labels.tsv", "--b", "labels.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "duplicate 4002-character instance in an eval dataset",
+        "eval.tsv",
+        (EVAL.splitlines(keepends=True)[0] + f"{LONG_ID}\ta\tc1\t2001\tEnglish\tMale\n" * 2).encode(),
+        ["perturb", "--eval", "eval.tsv", "--fraction", "0.5", "--seed", "1", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "duplicate 4002-character instance in annotations",
+        "ann.tsv",
+        (ANNOTATIONS + f"{LONG_ID}\tA\tB\n" * 2).encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv",
+         "--annotations", "ann.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "pair of 4002-character instances on one paper",
+        "pairs.tsv",
+        f"instance_a\tinstance_b\n{LONG_ID}\t{LONG_ID[:-1]}2\n".encode(),
+        ["evaluate", "--pairs", "pairs.tsv", "--pred", "clustering.tsv", "--out", "out"],
+        EXIT_FORMAT,
     ),
     (
         "profile of a header-only corpus",
@@ -657,7 +730,7 @@ MESSAGES = {
     "NUL byte as a byline name": "nul.tsv, row 1",
     "5000-digit pmid": "huge.tsv, row 1: pmid is too long: 5000 digits",
     "5000-digit year": "huge.tsv, row 1: year is too long: 5000 digits",
-    "5000-character pmid": f"long.tsv, row 1: pmid must be a positive integer, got {'x' * 40!r}... (5000 characters)",
+    "5000-character pmid": f"long.tsv, row 1: pmid must be a positive integer, got {'x' * 24!r}... (5000 characters)",
     "year in Arabic-Indic digits": "year.tsv, row 1: year must be an integer",
     "5000-digit pmid in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
     "5000-digit position in an instance id": "huge.tsv, row 3: instance id is too long: 5002 characters",
@@ -668,6 +741,27 @@ MESSAGES = {
     "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
     "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",
     **{f"synth config {text}": field for text, field in BAD_CONFIGS.items()},
+    **{f"synth config {text}": message for text, message in NAN_SHARES.items()},
+    "5000-character label source": f"labels.tsv, row 1: unknown source {LONG_ECHO}",
+    "instance repeated under a 5000-character cluster id":
+        f"long.tsv, row 2: instance '1_1' already assigned to cluster {LONG_ECHO}",
+    "conflicting names of a 5000-character authority id": (
+        f"authority.tsv, row 2: authority {LONG_ECHO} has conflicting names"
+        f" {'n' * 24!r}... (4800 characters) and 'Kim, Ji'"
+    ),
+    "one instance with two 5000-character labels": (
+        f"instance '1_1' carries two labels (authority:{LONG_ECHO},"
+        f" grant:{'t' * 24!r}... (5000 characters))"
+    ),
+    "5000-character header column": f"long.tsv: bad header {'s' * 24!r}... (5019 characters), expected",
+    "duplicate 4002-character instance in labels":
+        f"labels.tsv, row 2: duplicate label for instance {LONG_ID_ECHO} from authority",
+    "duplicate 4002-character instance in an eval dataset":
+        f"eval.tsv, row 2: duplicate row for instance {LONG_ID_ECHO}",
+    "duplicate 4002-character instance in annotations":
+        f"ann.tsv, row 4: duplicate annotation for instance {LONG_ID_ECHO}",
+    "pair of 4002-character instances on one paper":
+        f"pairs.tsv, row 1: invalid pair ({LONG_ID_ECHO}, {LONG_ID_ECHO})",
 }
 
 

@@ -1,7 +1,9 @@
 """Labeling pipelines, label joins, and agreement."""
 
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,7 +13,6 @@ from linklab.corpus import (
     Annotation,
     AuthorityProfile,
     CitationEdge,
-    Clustering,
     GrantRecord,
     PaperRecord,
     format_instance_id,
@@ -19,10 +20,8 @@ from linklab.corpus import (
 from linklab.baseline import cluster_aini, cluster_fini, corpus_names
 from linklab.errors import EvaluationError, IngestError
 from linklab.linkage import (
-    EvalDataset,
     EvalRow,
     LabeledInstance,
-    PairSet,
     extract_selfcitation_pairs,
     join_labels,
     label_agreement,
@@ -38,7 +37,7 @@ from linklab.linkage import (
 )
 from linklab.metrics import pair_accuracy_detail
 import oracles
-from oracles import naive_selfcitation_pairs
+from oracles import clustering_of, naive_selfcitation_pairs
 
 
 def make_corpus(*papers):
@@ -189,8 +188,8 @@ def test_selfcitation_pairs_empty_and_single():
     )
     assert len(extract_selfcitation_pairs(corpus, [])) == 0
     pairs = extract_selfcitation_pairs(corpus, [CitationEdge(2, 1)])
-    assert list(pairs) == [((1, 1), (2, 1))]
-    assert ((2, 1), (1, 1)) in pairs
+    # the cited instance comes first: it is the smaller one
+    assert pairs == frozenset({((1, 1), (2, 1))})
 
 
 def test_selfcitation_pairs_skip_out_of_corpus_edges():
@@ -216,7 +215,7 @@ def test_selfcitation_pairs_match_brute_force():
     }
 
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
 
     names = list(corpus_names(corpus))
     assert pair_accuracy_detail(pairs, cluster_fini(names)).accuracy == 1.0
@@ -247,7 +246,19 @@ def cited_corpora(draw):
 def test_selfcitation_pairs_match_quadratic_oracle(case):
     corpus, edges = case
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs.pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+
+
+@given(cited_corpora())
+def test_selfcitation_pairs_are_ordered_and_survive_a_round_trip(case):
+    corpus, edges = case
+    pairs = extract_selfcitation_pairs(corpus, edges)
+    # (smaller, larger), members on two papers
+    assert all(a < b and a[0] != b[0] for a, b in pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pairs(path, pairs)
+        assert read_pairs(path) == pairs
 
 
 # Two papers drawing one title duplicate it (dropped or kept per policy);
@@ -372,14 +383,15 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         assert max(titles.values(), default=1) == 1, (name, titles)
 
 
-def test_pairset_validation():
-    a, b = (1, 1), (1, 2)
-    with pytest.raises(ValueError, match="identical"):
-        PairSet([(a, a)])
-    with pytest.raises(ValueError, match="one paper"):
-        PairSet([(a, b)])
-    c = (2, 1)
-    assert PairSet([(a, c), (c, a)]).pairs == frozenset({(a, c)})
+def test_pairset_validation(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    # one pair in both orders is one (smaller, larger) pair
+    path.write_text("instance_a\tinstance_b\n2_1\t1_1\n1_1\t2_1\n", encoding="utf-8")
+    assert read_pairs(path) == frozenset({((1, 1), (2, 1))})
+    for bad in ("1_1\t1_2", "1_1\t1_1"):  # within one paper, identical instances
+        path.write_text(f"instance_a\tinstance_b\n{bad}\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="distinct papers"):
+            read_pairs(path)
 
 
 def test_join_labels_inner_join(corpus):
@@ -388,16 +400,15 @@ def test_join_labels_inner_join(corpus):
         LabeledInstance((2, 1), "orc-1", "authority"),
         LabeledInstance((2, 2), "orc-2", "authority"),
     ]
-    clustering = Clustering(
+    clustering = clustering_of(
         {"c1": {(1, 1), (2, 1)}, "c2": {(3, 1)}}
     )
     annotations = {
         (1, 1): Annotation("English", "Male"),
     }
-    dataset = join_labels(labels, clustering, corpus, annotations)
-    assert len(dataset) == 2
-    assert dataset.dropped_unclustered == 1
-    first, second = dataset.rows
+    joined = join_labels(labels, clustering, corpus, annotations)
+    assert joined.dropped_unclustered == 1
+    first, second = joined.rows
     assert first == EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male")
     assert second.year == 2001
     assert second.ethnicity is None
@@ -405,10 +416,10 @@ def test_join_labels_inner_join(corpus):
 
 def test_join_labels_disjoint_is_empty(corpus):
     labels = [LabeledInstance((1, 1), "orc-1", "authority")]
-    clustering = Clustering({"c9": {(5, 1)}})
-    dataset = join_labels(labels, clustering, corpus)
-    assert len(dataset) == 0
-    assert dataset.dropped_unclustered == 1
+    clustering = clustering_of({"c9": {(5, 1)}})
+    joined = join_labels(labels, clustering, corpus)
+    assert joined.rows == ()
+    assert joined.dropped_unclustered == 1
 
 
 @pytest.mark.parametrize(
@@ -416,10 +427,10 @@ def test_join_labels_disjoint_is_empty(corpus):
 )
 def test_join_labels_missing_paper(corpus, instance):
     labels = [LabeledInstance(instance, "orc-1", "authority")]
-    clustering = Clustering({"c1": {instance}})
-    dataset = join_labels(labels, clustering, corpus)
-    assert len(dataset) == 0
-    assert dataset.dropped_missing_paper == 1
+    clustering = clustering_of({"c1": {instance}})
+    joined = join_labels(labels, clustering, corpus)
+    assert joined.rows == ()
+    assert joined.dropped_missing_paper == 1
     with pytest.raises(EvaluationError, match="not in the corpus"):
         join_labels(labels, clustering, corpus, strict=True)
 
@@ -429,7 +440,7 @@ def test_join_labels_rejects_mixed_sources(corpus):
         LabeledInstance((1, 1), "orc-1", "authority"),
         LabeledInstance((1, 1), "nih-1", "grant"),
     ]
-    clustering = Clustering({"c1": {(1, 1)}})
+    clustering = clustering_of({"c1": {(1, 1)}})
     with pytest.raises(ValueError, match="one labeling source"):
         join_labels(labels, clustering, corpus)
 
@@ -501,27 +512,23 @@ def test_read_labels_rejects_bad_rows(tmp_path):
 
 
 def test_pairs_round_trip(tmp_path):
-    pairs = PairSet([((2, 1), (1, 1))])
+    pairs = frozenset({((1, 1), (2, 1)), ((1, 2), (3, 1))})
     path = tmp_path / "pairs.tsv"
     write_pairs(path, pairs)
+    assert path.read_text(encoding="utf-8") == "instance_a\tinstance_b\n1_1\t2_1\n1_2\t3_1\n"
     assert read_pairs(path) == pairs
-    path.write_text("instance_a\tinstance_b\n1_1\t1_2\n", encoding="utf-8")
-    with pytest.raises(IngestError, match="distinct papers"):
-        read_pairs(path)
 
 
 def test_eval_dataset_round_trip(tmp_path):
-    dataset = EvalDataset(
-        [
-            EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male"),
-            EvalRow((2, 1), "orc-2", "c2", 2001, None, None),
-        ]
+    dataset = (
+        EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male"),
+        EvalRow((2, 1), "orc-2", "c2", 2001, None, None),
     )
     path = tmp_path / "eval_dataset.tsv"
     write_eval_dataset(path, dataset)
     again = read_eval_dataset(path)
     assert again == dataset
-    assert again.rows[1].ethnicity is None
+    assert again[1].ethnicity is None
 
 
 def test_write_conflicts(tmp_path, corpus):

@@ -16,19 +16,19 @@ from linklab.metrics import (
     pair_accuracy_detail,
     stratified_eval,
 )
-from oracles import make_instances, naive_b3, random_partition
+from oracles import clustering_of, make_instances, naive_b3, random_partition
 
 A, B, C = (1, 1), (2, 1), (3, 1)
 
 
 def test_identity_scores_one():
-    clustering = Clustering({"x": {A, B}, "y": {C}})
+    clustering = clustering_of({"x": {A, B}, "y": {C}})
     assert b3_scores(clustering, clustering) == B3Scores(1.0, 1.0, 1.0, 3, 0)
 
 
 def test_worked_example_two_thirds():
-    truth = Clustering({"t1": {A, B}, "t2": {C}})
-    predicted = Clustering({"p1": {A}, "p2": {B, C}})
+    truth = clustering_of({"t1": {A, B}, "t2": {C}})
+    predicted = clustering_of({"p1": {A}, "p2": {B, C}})
     scores = b3_scores(truth, predicted)
     assert scores.recall == pytest.approx(2 / 3, abs=1e-15)
     assert scores.precision == pytest.approx(2 / 3, abs=1e-15)
@@ -37,8 +37,8 @@ def test_worked_example_two_thirds():
 
 
 def test_worked_example_singletons():
-    truth = Clustering({"t": {A, B, C}})
-    predicted = Clustering({"p1": {A}, "p2": {B}, "p3": {C}})
+    truth = clustering_of({"t": {A, B, C}})
+    predicted = clustering_of({"p1": {A}, "p2": {B}, "p3": {C}})
     scores = b3_scores(truth, predicted)
     assert scores.recall == pytest.approx(1 / 3, abs=1e-15)
     assert scores.precision == 1.0
@@ -46,31 +46,31 @@ def test_worked_example_singletons():
 
 
 def test_extremes():
-    truth = Clustering({"t1": {A, B}, "t2": {C}})
-    singletons = Clustering({"p1": {A}, "p2": {B}, "p3": {C}})
-    giant = Clustering({"p": {A, B, C}})
+    truth = clustering_of({"t1": {A, B}, "t2": {C}})
+    singletons = clustering_of({"p1": {A}, "p2": {B}, "p3": {C}})
+    giant = clustering_of({"p": {A, B, C}})
     assert b3_scores(truth, singletons).precision == 1.0
     assert b3_scores(truth, giant).recall == 1.0
 
 
 def test_extra_predicted_instances_are_ignored():
     extra = (9, 9)
-    truth = Clustering({"t1": {A, B}})
-    predicted = Clustering({"p1": {A, B}, "p2": {extra}})
+    truth = clustering_of({"t1": {A, B}})
+    predicted = clustering_of({"p1": {A, B}, "p2": {extra}})
     assert b3_scores(truth, predicted) == B3Scores(1.0, 1.0, 1.0, 2, 0)
 
 
 def test_restrict_predicted_flag():
     extra = (9, 9)
-    truth = Clustering({"t1": {A, B}})
-    predicted = Clustering({"p1": {A, B, extra}})
+    truth = clustering_of({"t1": {A, B}})
+    predicted = clustering_of({"p1": {A, B, extra}})
     restricted = b3_scores(truth, predicted)
     assert restricted.precision == 1.0
 
 
 def test_missing_instance_strict_and_lenient():
-    truth = Clustering({"t1": {A, B}, "t2": {C}})
-    predicted = Clustering({"p1": {A, B}})
+    truth = clustering_of({"t1": {A, B}, "t2": {C}})
+    predicted = clustering_of({"p1": {A, B}})
     with pytest.raises(EvaluationError, match="no predicted cluster"):
         b3_scores(truth, predicted)
     scores = b3_scores(truth, predicted, strict=False)
@@ -79,18 +79,18 @@ def test_missing_instance_strict_and_lenient():
 
 def test_lenient_drop_restricts_truth_cluster():
     # b is dropped, so a's truth cluster shrinks to {a} for scoring.
-    truth = Clustering({"t1": {A, B}})
-    predicted = Clustering({"p1": {A}})
+    truth = clustering_of({"t1": {A, B}})
+    predicted = clustering_of({"p1": {A}})
     scores = b3_scores(truth, predicted, strict=False)
     assert scores == B3Scores(1.0, 1.0, 1.0, 1, 1)
 
 
 def test_empty_and_unevaluable_inputs_error():
-    predicted = Clustering({"p": {A}})
-    empty = Clustering({})
+    predicted = clustering_of({"p": {A}})
+    empty = clustering_of({})
     with pytest.raises(EvaluationError, match="empty"):
         b3_scores(empty, predicted)
-    truth = Clustering({"t": {B}})
+    truth = clustering_of({"t": {B}})
     with pytest.raises(EvaluationError, match="no truth instance"):
         b3_scores(truth, predicted, strict=False)
 
@@ -102,7 +102,7 @@ def test_matches_naive_oracle_on_random_partitions():
         instances = make_instances(n)
         truth = random_partition(rng, instances)
         predicted = random_partition(rng, instances)
-        fast = b3_scores(Clustering(truth), Clustering(predicted))
+        fast = b3_scores(clustering_of(truth), clustering_of(predicted))
         slow = naive_b3(truth, predicted)
         assert fast.recall == pytest.approx(slow[0], abs=1e-12)
         assert fast.precision == pytest.approx(slow[1], abs=1e-12)
@@ -113,20 +113,20 @@ def test_precision_recall_symmetry():
     rng = random.Random(99)
     for _ in range(50):
         instances = make_instances(rng.randint(1, 40))
-        one = Clustering(random_partition(rng, instances))
-        two = Clustering(random_partition(rng, instances))
+        one = clustering_of(random_partition(rng, instances))
+        two = clustering_of(random_partition(rng, instances))
         assert b3_scores(one, two).precision == pytest.approx(
             b3_scores(two, one).recall, abs=1e-15
         )
 
 
 def test_pair_accuracy_giant_cluster():
-    predicted = Clustering({"p": {A, B, C}})
+    predicted = clustering_of({"p": {A, B, C}})
     assert pair_accuracy_detail([(A, B), (B, C)], predicted).accuracy == 1.0
 
 
 def test_pair_accuracy_counts_splits():
-    predicted = Clustering({"p1": {A, B}, "p2": {C}})
+    predicted = clustering_of({"p1": {A, B}, "p2": {C}})
     detail = pair_accuracy_detail([(A, B), (B, C), (A, C)], predicted)
     assert detail.accuracy == pytest.approx(1 / 3)
     assert detail.evaluated == 3
@@ -134,7 +134,7 @@ def test_pair_accuracy_counts_splits():
 
 
 def test_pair_accuracy_drops_unclustered_members():
-    predicted = Clustering({"p1": {A, B}})
+    predicted = clustering_of({"p1": {A, B}})
     detail = pair_accuracy_detail([(A, B), (A, C)], predicted)
     assert detail == (1.0, 1, 1)
     with pytest.raises(EvaluationError, match="no pair"):

@@ -14,7 +14,7 @@ from linklab.baseline import ParsedNames, corpus_names, fini_block_sizes, name_l
 from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corpus
 from linklab.errors import EvaluationError
-from linklab.linkage import EvalDataset, EvalRow, PairSet
+from linklab.linkage import EvalRow
 from linklab.metrics import b3_scores
 from linklab.normalize import parse_name
 from linklab.profile import (
@@ -32,6 +32,7 @@ from linklab.profile import (
 )
 from linklab.synth import SynthConfig, generate
 import oracles
+from oracles import clustering_of
 
 
 def rows_with(attrs):
@@ -78,12 +79,7 @@ def test_pair_year_distribution_counts_both_members():
         2: PaperRecord(2, 1992, "U", ("A, B",)),
         3: PaperRecord(3, 1992, "V", ("A, B",)),
     }
-    pairs = PairSet(
-        [
-            ((1, 1), (2, 1)),
-            ((2, 1), (3, 1)),
-        ]
-    )
+    pairs = frozenset({((1, 1), (2, 1)), ((2, 1), (3, 1))})
     dist = pair_year_distribution(pairs, corpus)
     assert dist == {"1991": 25.0, "1992": 75.0}
 
@@ -174,7 +170,7 @@ def names_for(cluster_forms):
             members.add(instance)
             names[instance] = parse_name(raw)
         truth[cluster_id] = members
-    return Clustering(truth), names
+    return clustering_of(truth), names
 
 
 def test_typology_worked_examples():
@@ -229,7 +225,7 @@ def annotated_rows(tags):
 
 def test_perturb_changes_floor_counts_per_group():
     tags = ["English"] * 100 + ["Korean"] * 57 + [None] * 10
-    dataset = EvalDataset(annotated_rows(tags))
+    dataset = tuple(annotated_rows(tags))
     perturbed = perturb_tags(dataset, 0.10, seed=3)
     changed = [
         (before, after)
@@ -249,12 +245,12 @@ def test_perturb_changes_floor_counts_per_group():
 
 
 def test_perturb_fraction_zero_is_identity():
-    dataset = EvalDataset(annotated_rows(["English", "Korean", "English"]))
+    dataset = tuple(annotated_rows(["English", "Korean", "English"]))
     assert perturb_tags(dataset, 0.0, seed=1) == dataset
 
 
 def test_perturb_is_deterministic():
-    dataset = EvalDataset(annotated_rows(["English"] * 40 + ["Korean"] * 40))
+    dataset = tuple(annotated_rows(["English"] * 40 + ["Korean"] * 40))
     one = perturb_tags(dataset, 0.25, seed=11)
     two = perturb_tags(dataset, 0.25, seed=11)
     assert one == two
@@ -262,7 +258,7 @@ def test_perturb_is_deterministic():
 
 
 def test_perturb_requires_two_tags():
-    dataset = EvalDataset(annotated_rows(["English", "English", None]))
+    dataset = tuple(annotated_rows(["English", "English", None]))
     with pytest.raises(EvaluationError, match="2 distinct"):
         perturb_tags(dataset, 0.1, seed=1)
     with pytest.raises(ValueError, match="fraction"):
@@ -282,7 +278,7 @@ def test_perturb_preserves_unstratified_scores():
         )
         for i in range(1, 200)
     ]
-    dataset = EvalDataset(rows)
+    dataset = tuple(rows)
     perturbed = perturb_tags(dataset, 0.10, seed=5)
 
     def scores(rows):
@@ -371,7 +367,7 @@ PROFILED_EXAMPLE = (
         2: PaperRecord(2, 2001, "U", ("Kim, Jin", "123", "Wang, Wei", "Einstein")),
         3: PaperRecord(3, 2002, "V", ("...", "Lee, Ann", "Kim, M")),
     },
-    Clustering({
+    clustering_of({
         "a1": {(1, 1), (2, 1), (3, 3), (3, 9)},
         "a2": {(1, 3), (2, 3), (1, 2), (2, 4)},
         "a3": {(3, 2), (2, 2), (7, 1)},
@@ -459,3 +455,46 @@ def test_profile_parses_each_distinct_name_once(monkeypatch, tmp_path):
     argv = ["profile", "--papers", str(tmp_path / "papers.tsv"), "--truth", str(tmp_path / "truth.tsv")]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert parses == Counter({raw: 1 for paper in corpus.values() for raw in paper.authors})
+
+
+TAGS = st.sampled_from(["English", "Korean", "Spanish", ""])
+
+
+@st.composite
+def eval_files(draw):
+    """The data lines of an eval dataset in instance order, and the same lines shuffled."""
+    rows = draw(st.lists(st.tuples(TAGS, TAGS, st.integers(1999, 2001)), min_size=1, max_size=12))
+    lines = [
+        f"{i}_{1 + i % 2}\tt{i % 3}\tp{i % 2}\t{year}\t{ethnicity}\t{gender}\n"
+        for i, (ethnicity, gender, year) in enumerate(rows, start=1)
+    ]
+    return lines, draw(st.permutations(lines))
+
+
+@settings(max_examples=25, deadline=None)
+@given(eval_files(), st.integers(0, 3))
+def test_perturb_and_profile_do_not_depend_on_the_eval_row_order(files, seed):
+    header = "instance_id\ttruth_label\tpredicted_cluster_id\tyear\tethnicity\tgender\n"
+
+    def run(tmp: Path, lines: list[str]) -> tuple[list[int], dict[str, bytes]]:
+        (tmp / "eval.tsv").write_text(header + "".join(lines), encoding="utf-8")
+        codes = [
+            main([*argv, "--eval", str(tmp / "eval.tsv"), "--out", str(tmp / out)])
+            for out, argv in (
+                ("perturb", ["perturb", "--fraction", "0.5", "--seed", str(seed)]),
+                ("profile", ["profile"]),
+            )
+        ]
+        # the manifests differ: they hold the checksum of the input
+        written = {
+            str(path.relative_to(tmp)): path.read_bytes()
+            for path in sorted(tmp.glob("*/*"))
+            if path.name != "run_manifest.json"
+        }
+        return codes, written
+
+    in_order, shuffled = files
+    with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as two:
+        expected = run(Path(one), in_order)
+        assert expected[1]  # profile always writes its distributions
+        assert run(Path(two), shuffled) == expected

@@ -215,7 +215,7 @@ def test_midinitial_rate_drives_aini_pair_accuracy():
     )
     bundle = generate(cfg)
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
-    assert len(pairs.pairs) == 400 * 3
+    assert len(pairs) == 400 * 3
     names = dict(corpus_names(bundle.corpus))
     assert pair_accuracy_detail(pairs, cluster_fini(names.items())).accuracy == 1.0
     assert pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy == pytest.approx(

@@ -75,10 +75,15 @@ def test_kernels_read_every_data_row(tmp_path, monkeypatch):
          ("linkage.link_authority", "corpus.ingest_authority"), "linkage.authority_candidates"),
         (["link-grants", "--papers", "bundle/papers.tsv", "--grants", "bundle/grants.tsv"],
          ("linkage.link_grants", "corpus.ingest_grants"), "linkage.grant_candidates"),
+        # the harness counts the pairs with len() of what pairing returns
+        (["pairs", "--papers", "bundle/papers.tsv", "--citations", "bundle/citations.tsv"],
+         ("linkage.extract_selfcitation_pairs", "corpus.ingest_citations"), "linkage.pairs"),
     ],
 )
 def test_traced_link_commands_record_spans_and_candidates(tmp_path, monkeypatch, argv, spans, count):
-    _synth_bundle(tmp_path, monkeypatch, authority_coverage=0.5, grant_coverage=0.5)
+    _synth_bundle(
+        tmp_path, monkeypatch, authority_coverage=0.5, grant_coverage=0.5, selfcitation_rate=0.8
+    )
     spans_path = tmp_path / "spans.json"
     done = _traced(str(spans_path), "--", *argv, "--out", "linked")
     assert done.returncode == 0, done.stderr

@@ -77,9 +77,9 @@ def test_records_match_the_csv_reader(bom, text, gz, bad_byte):
 # space, a plus sign, an underscore and Arabic-Indic digits
 BAD_YEARS = (" 2001", "2001\xa0", "+2001", "2_001", "\u0662\u0660\u0660\u0661")
 HUGE = "1" * 5000
-# a field no message echoes in full: its first 40 characters and its length
+# a field no message echoes in full: its first 24 characters and its length
 LONG = "x" * 5000
-LONG_ECHO = f"{'x' * 40!r}... (5000 characters)"
+LONG_ECHO = f"{'x' * 24!r}... (5000 characters)"
 
 # (reader, its columns, a good data row, a bad data row, the message for the bad row)
 ROW_FAULTS = [
@@ -111,7 +111,7 @@ ROW_FAULTS = [
      f"instance id {LONG_ECHO} is not of the form <pmid>_<position>"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t0_2", "instance id '0_2': pmid must be >= 1"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1_0", "instance id '1_0': position must be >= 1"),
-    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c2\t1_1", "instance 1_1 already assigned to cluster 'c1'"),
+    (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c2\t1_1", "instance '1_1' already assigned to cluster 'c1'"),
     (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\t\tT two", "empty field"),
     (ingest_authority, AUTHORITY_COLUMNS, "a1\tKim, Ji\tT one", "a1\tLee, Ann\tT two",
      "authority 'a1' has conflicting names 'Kim, Ji' and 'Lee, Ann'"),
@@ -130,20 +130,20 @@ ROW_FAULTS = [
     (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_x\tA\tB",
      "instance id '1_x' is not of the form <pmid>_<position>"),
     (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_1\tA\tB",
-     "duplicate annotation for instance 1_1"),
+     "duplicate annotation for instance '1_1'"),
     (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "x\ty\tgrant",
      "instance id 'x' is not of the form <pmid>_<position>"),
     (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_2\tx\torcid", "unknown source 'orcid'"),
     (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_2\t\tgrant", "empty label_id"),
     (read_labels, LABELS_COLUMNS, "1_1\tx\tauthority", "1_1\ty\tauthority",
-     "duplicate label for instance 1_1 from authority"),
+     "duplicate label for instance '1_1' from authority"),
     (read_pairs, PAIRS_COLUMNS, "1_1\t2_1", "1_1\t2-1", "instance id '2-1' is not of the form <pmid>_<position>"),
     (read_pairs, PAIRS_COLUMNS, "1_1\t2_1", "1_1\t1_2",
-     "invalid pair (1_1, 1_2): members must come from distinct papers"),
+     "invalid pair ('1_1', '1_2'): members must come from distinct papers"),
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_y\ta\tc1\t2001\t\t",
      "instance id '1_y' is not of the form <pmid>_<position>"),
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_1\ta\tc1\t2001\t\t",
-     "duplicate row for instance 1_1"),
+     "duplicate row for instance '1_1'"),
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_2\t\tc1\t2001\t\t",
      "truth_label and predicted_cluster_id are required"),
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", "1_2\ta\tc1\tyr\t\t",
