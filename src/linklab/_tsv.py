@@ -84,30 +84,38 @@ def read_header(path: str | Path) -> tuple[str, ...] | None:
     return None if header is None else tuple(header)
 
 
-def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row_number, fields) per data row after validating the header.
+def _table_rows(path: str | Path, columns: Sequence[str], at: list[int]) -> Iterator[list[str]]:
+    """Yield the fields of every data row after validating the header.
 
-    Row numbers are 1-based over data rows (the header is row 0).
-    A row with the wrong number of fields raises IngestError.
+    Row numbers are 1-based over data rows (the header is row 0); `at[0]`
+    holds the number of the row yielded last. Blank rows are skipped, and
+    a row with the wrong number of fields raises IngestError.
     """
     expected = list(columns)
-    records = _records(path)
-    header = next(records, None)
-    if header is None:
-        raise IngestError("empty file, expected a header row", path=str(path))
-    if header != expected:
-        got, want = "\t".join(header), "\t".join(expected)
-        raise IngestError(f"bad header {echo(got)}, expected {want!r}", path=str(path))
-    for row_no, fields in enumerate(records, start=1):
-        if not fields:
-            continue
-        if len(fields) != len(expected):
-            raise IngestError(
-                f"expected {len(expected)} columns, got {len(fields)}",
-                row=row_no,
-                path=str(path),
-            )
-        yield row_no, fields
+    width = len(expected)
+    with closing(_records(path)) as records:
+        header = next(records, None)
+        if header is None:
+            raise IngestError("empty file, expected a header row", path=str(path))
+        if header != expected:
+            got, want = "\t".join(header), "\t".join(expected)
+            raise IngestError(f"bad header {echo(got)}, expected {want!r}", path=str(path))
+        for row_no, fields in enumerate(records, start=1):
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise IngestError(
+                    f"expected {width} columns, got {len(fields)}", row=row_no, path=str(path)
+                )
+            at[0] = row_no
+            yield fields
+
+
+def read_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row_number, fields) per data row, with read_table's checks and row numbers."""
+    at = [0]
+    for fields in _table_rows(path, columns, at):
+        yield at[0], fields
 
 
 @contextmanager
@@ -117,18 +125,12 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[Iterator[li
     A ParseError raised in the with body becomes an IngestError naming
     the path and the row read last; IngestError passes through as it is.
     """
-    row_no = 0
-
-    def fields() -> Iterator[list[str]]:
-        nonlocal row_no
-        for row_no, row in read_rows(path, columns):
-            yield row
-
-    rows = fields()
+    at = [0]
+    rows = _table_rows(path, columns, at)
     try:
         yield rows
     except ParseError as exc:
-        raise IngestError(str(exc), row=row_no, path=str(path)) from None
+        raise IngestError(str(exc), row=at[0], path=str(path)) from None
     finally:
         rows.close()
 
@@ -138,7 +140,10 @@ def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence
     with open_text_write(path) as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
-            for field in row:
-                if "\t" in field or "\n" in field or "\r" in field:
-                    raise ValueError(f"field {field!r} contains a tab or newline")
-            fh.write("\t".join(row) + "\n")
+            line = "\t".join(row)
+            # a row of clean fields joins to exactly len(row) - 1 tabs and no line break
+            if line.count("\t") >= len(row) or "\n" in line or "\r" in line:
+                for field in row:
+                    if "\t" in field or "\n" in field or "\r" in field:
+                        raise ValueError(f"field {field!r} contains a tab or newline")
+            fh.write(line + "\n")

@@ -14,6 +14,7 @@ violation, 5 evaluation or configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -66,7 +67,14 @@ from .linkage import (
     write_pairs,
 )
 from .linkage import DUP_TITLE_POLICIES
-from .metrics import STRATA, b3_scores, pair_accuracy_detail, stratified_eval, write_metrics_json
+from .metrics import (
+    STRATA,
+    b3_rows,
+    b3_scores,
+    pair_accuracy_detail,
+    stratified_eval,
+    write_metrics_json,
+)
 from .profile import (
     block_size_ccdf,
     classify_synonym_types,
@@ -274,10 +282,7 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
         )
     write_eval_dataset(out / "eval_dataset.tsv", rows)
     strata = None if args.stratum is None else stratified_eval(rows, args.stratum)
-    overall = strata.pop("ALL") if strata is not None else b3_scores(
-        {row.instance: row.truth_label for row in rows},
-        {row.instance: row.predicted_cluster_id for row in rows},
-    )
+    overall = strata.pop("ALL") if strata is not None else b3_rows(rows)
     write_metrics_json(out / "metrics.json", overall, strata)
     return (
         "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d"
@@ -570,6 +575,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if not _can_be_directory(args.out):
         return _usage_error(f"--out {args.out} is not a directory")
+    collecting = gc.isenabled()
+    # a run's tables hold no cycles, so the collector would only rewalk them as they grow
+    gc.disable()
     try:
         return _run(args)
     except SystemExit as exc:
@@ -584,6 +592,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EvaluationError, ConfigError, ValueError) as exc:
         print(f"linklab: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ def ingest_corpus(path: str | Path) -> Corpus:
             if not authors_s or any(name == "" for name in authors):
                 raise ParseError("empty author name in byline")
             if pmid in papers:
-                raise ParseError(f"duplicate pmid {pmid}")
+                raise ParseError(f"duplicate pmid {echo(pmid_s)}")
             papers[pmid] = PaperRecord(pmid=pmid, year=year, raw_title=title, authors=authors)
     return papers
 
@@ -276,7 +276,7 @@ def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
             citing = _positive_int(citing_s, "citing_pmid")
             cited = _positive_int(cited_s, "cited_pmid")
             if citing == cited:
-                raise ParseError(f"self-loop: paper {citing} cites itself")
+                raise ParseError(f"self-loop: paper {echo(citing_s)} cites itself")
             edges.add(CitationEdge(citing, cited))
     return tuple(sorted(edges))
 

@@ -346,7 +346,7 @@ def join_labels(
         if paper is None or not 1 <= instance[1] <= len(paper.authors):
             if strict:
                 raise EvaluationError(
-                    f"labeled instance {format_instance_id(instance)} is not in the corpus"
+                    f"labeled instance {echo(format_instance_id(instance))} is not in the corpus"
                 )
             dropped_missing_paper += 1
             continue

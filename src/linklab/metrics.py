@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import InstanceID, format_instance_id
-from .errors import EvaluationError
+from .errors import EvaluationError, echo
 
 
 class B3Scores(NamedTuple):
@@ -40,6 +42,28 @@ def _f1(recall: float, precision: float) -> float:
     return 2 * recall * precision / (recall + precision)
 
 
+def _b3(overlap: Counter[tuple[str, str]], dropped: int) -> B3Scores:
+    """B-cubed from the instance count of each (truth id, predicted id) cell, summed in cell order."""
+    truth_sizes: Counter[str] = Counter()
+    predicted_sizes: Counter[str] = Counter()
+    for (truth_id, predicted_id), count in overlap.items():
+        truth_sizes[truth_id] += count
+        predicted_sizes[predicted_id] += count
+    n = sum(truth_sizes.values())
+    if n == 0:
+        raise EvaluationError("nothing to evaluate: no truth instance has a prediction")
+
+    recall_sum = 0.0
+    precision_sum = 0.0
+    for (truth_id, predicted_id), count in sorted(overlap.items()):
+        shared = count * count
+        recall_sum += shared / truth_sizes[truth_id]
+        precision_sum += shared / predicted_sizes[predicted_id]
+    recall = recall_sum / n
+    precision = precision_sum / n
+    return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
+
+
 def b3_scores(
     truth: Mapping[InstanceID, str],
     predicted: Mapping[InstanceID, str],
@@ -57,38 +81,33 @@ def b3_scores(
     """
     if not truth:
         raise EvaluationError("nothing to evaluate: truth clustering is empty")
+    # one (truth id, predicted id) cell per instance, counted in C; a None
+    # predicted id is a truth instance with no prediction
+    overlap = Counter(zip(truth.values(), map(predicted.get, truth)))
+    missing = [cell for cell in overlap if cell[1] is None]
+    if missing and strict:
+        instance = next(instance for instance in truth if predicted.get(instance) is None)
+        raise EvaluationError(
+            f"instance {echo(format_instance_id(instance))} has no "
+            "predicted cluster (use lenient mode to drop)"
+        )
+    return _b3(overlap, sum(overlap.pop(cell) for cell in missing))
 
-    overlap: Counter[tuple[str, str]] = Counter()
-    truth_sizes: Counter[str] = Counter()
-    predicted_sizes: Counter[str] = Counter()
-    dropped = 0
-    for instance, truth_id in truth.items():
-        predicted_id = predicted.get(instance)
-        if predicted_id is None:
-            if strict:
-                raise EvaluationError(
-                    f"instance {format_instance_id(instance)} has no "
-                    "predicted cluster (use lenient mode to drop)"
-                )
-            dropped += 1
-            continue
-        overlap[(truth_id, predicted_id)] += 1
-        truth_sizes[truth_id] += 1
-        predicted_sizes[predicted_id] += 1
 
-    n = sum(truth_sizes.values())
-    if n == 0:
-        raise EvaluationError("nothing to evaluate: no truth instance has a prediction")
+# an eval row's (truth label, predicted cluster id) cell
+_CELL = attrgetter("truth_label", "predicted_cluster_id")
 
-    recall_sum = 0.0
-    precision_sum = 0.0
-    for (truth_id, predicted_id), count in sorted(overlap.items()):
-        shared = count * count
-        recall_sum += shared / truth_sizes[truth_id]
-        precision_sum += shared / predicted_sizes[predicted_id]
-    recall = recall_sum / n
-    precision = precision_sum / n
-    return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
+
+def b3_rows(rows: Iterable) -> B3Scores:
+    """B-cubed of the truth labels against the predicted cluster ids of eval rows.
+
+    `rows` are EvalRows, one per instance (join_labels(...).rows or
+    read_eval_dataset).
+    """
+    overlap = Counter(map(_CELL, rows))
+    if not overlap:
+        raise EvaluationError("nothing to evaluate: empty dataset")
+    return _b3(overlap, 0)
 
 
 def pair_accuracy_detail(
@@ -132,29 +151,23 @@ def stratify(rows: Iterable, stratum: str) -> dict[str, list]:
     return dict(sorted(groups.items()))
 
 
-def stratified_eval(dataset, stratum: str) -> dict[str, B3Scores]:
+def stratified_eval(dataset: Iterable, stratum: str) -> dict[str, B3Scores]:
     """Per-stratum B-cubed scores plus an unrestricted "ALL" entry.
 
     `dataset` is the EvalRows of a join (join_labels(...).rows) or of
-    read_eval_dataset; the stratum is one of year, gender, or ethnicity.
-    Rows missing the attribute fall into "UNKNOWN". Within a stratum,
-    truth and predicted clusters are restricted to that stratum's
-    instances before scoring.
+    read_eval_dataset, one row per instance; the stratum is one of year,
+    gender, or ethnicity. Rows missing the attribute fall into "UNKNOWN".
+    Within a stratum, truth and predicted clusters are restricted to that
+    stratum's instances before scoring.
     """
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum {stratum!r}, expected one of {STRATA}")
-    rows = list(dataset)
-    if not rows:
+    groups = stratify(dataset, stratum)
+    if not groups:
         raise EvaluationError("nothing to evaluate: empty dataset")
-
-    def score(subset) -> B3Scores:
-        return b3_scores(
-            {row.instance: row.truth_label for row in subset},
-            {row.instance: row.predicted_cluster_id for row in subset},
-        )
-
-    result = {value: score(group) for value, group in stratify(rows, stratum).items()}
-    result["ALL"] = score(rows)
+    # one group's cells at a time, so no more than one tally is alive at once
+    result = {value: _b3(Counter(map(_CELL, group)), 0) for value, group in groups.items()}
+    result["ALL"] = _b3(Counter(map(_CELL, chain.from_iterable(groups.values()))), 0)
     return result
 
 

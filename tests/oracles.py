@@ -6,12 +6,13 @@ import unicodedata
 import zlib
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import contextmanager
 from typing import NamedTuple
 
-from linklab._tsv import open_text_read, write_rows
+from linklab._tsv import _records, open_text_read, open_text_write, write_rows
 from linklab.baseline import cluster_fini, corpus_names
 from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id
-from linklab.errors import IngestError, ParseError
+from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
     SOURCE_AUTHORITY,
@@ -21,6 +22,7 @@ from linklab.linkage import (
     _parse_keyed,
     _resolve_candidates,
 )
+from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
 from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
 from linklab.profile import block_size_ccdf, classify_synonym_types
 
@@ -387,3 +389,126 @@ def link_grants(corpus, grants):
         "conflict_drops": len(candidates) - len(labels),
     }
     return LinkResult(labels, conflicts, stats)
+
+
+def b3_scores(truth, predicted, *, strict=True):
+    """The earlier metrics.b3_scores: three Counter updates per instance.
+
+    Its strict message quotes the instance through errors.echo, as the
+    current one does.
+    """
+    if not truth:
+        raise EvaluationError("nothing to evaluate: truth clustering is empty")
+
+    overlap = Counter()
+    truth_sizes = Counter()
+    predicted_sizes = Counter()
+    dropped = 0
+    for instance, truth_id in truth.items():
+        predicted_id = predicted.get(instance)
+        if predicted_id is None:
+            if strict:
+                raise EvaluationError(
+                    f"instance {echo(format_instance_id(instance))} has no "
+                    "predicted cluster (use lenient mode to drop)"
+                )
+            dropped += 1
+            continue
+        overlap[(truth_id, predicted_id)] += 1
+        truth_sizes[truth_id] += 1
+        predicted_sizes[predicted_id] += 1
+
+    n = sum(truth_sizes.values())
+    if n == 0:
+        raise EvaluationError("nothing to evaluate: no truth instance has a prediction")
+
+    recall_sum = 0.0
+    precision_sum = 0.0
+    for (truth_id, predicted_id), count in sorted(overlap.items()):
+        shared = count * count
+        recall_sum += shared / truth_sizes[truth_id]
+        precision_sum += shared / predicted_sizes[predicted_id]
+    recall = recall_sum / n
+    precision = precision_sum / n
+    return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
+
+
+def stratify(rows, stratum):
+    """The earlier metrics.stratify."""
+    groups = {}
+    for row in rows:
+        value = getattr(row, stratum)
+        key = UNKNOWN_STRATUM if value is None or value == "" else str(value)
+        groups.setdefault(key, []).append(row)
+    return dict(sorted(groups.items()))
+
+
+def stratified_eval(dataset, stratum):
+    """The earlier metrics.stratified_eval: two instance dicts per stratum, b3_scores on each."""
+    if stratum not in STRATA:
+        raise ValueError(f"unknown stratum {stratum!r}, expected one of {STRATA}")
+    rows = list(dataset)
+    if not rows:
+        raise EvaluationError("nothing to evaluate: empty dataset")
+
+    def score(subset):
+        return b3_scores(
+            {row.instance: row.truth_label for row in subset},
+            {row.instance: row.predicted_cluster_id for row in subset},
+        )
+
+    result = {value: score(group) for value, group in stratify(rows, stratum).items()}
+    result["ALL"] = score(rows)
+    return result
+
+
+def read_rows(path, columns):
+    """The earlier _tsv.read_rows: a generator over _records, numbering every row."""
+    expected = list(columns)
+    records = _records(path)
+    header = next(records, None)
+    if header is None:
+        raise IngestError("empty file, expected a header row", path=str(path))
+    if header != expected:
+        got, want = "\t".join(header), "\t".join(expected)
+        raise IngestError(f"bad header {echo(got)}, expected {want!r}", path=str(path))
+    for row_no, fields in enumerate(records, start=1):
+        if not fields:
+            continue
+        if len(fields) != len(expected):
+            raise IngestError(
+                f"expected {len(expected)} columns, got {len(fields)}",
+                row=row_no,
+                path=str(path),
+            )
+        yield row_no, fields
+
+
+@contextmanager
+def read_table(path, columns):
+    """The earlier _tsv.read_table: a third generator over read_rows keeps the row number."""
+    row_no = 0
+
+    def fields():
+        nonlocal row_no
+        for row_no, row in read_rows(path, columns):
+            yield row
+
+    rows = fields()
+    try:
+        yield rows
+    except ParseError as exc:
+        raise IngestError(str(exc), row=row_no, path=str(path)) from None
+    finally:
+        rows.close()
+
+
+def field_scan_write_rows(path, columns, rows):
+    """The earlier _tsv.write_rows: every field checked before its row is joined."""
+    with open_text_write(path) as fh:
+        fh.write("\t".join(columns) + "\n")
+        for row in rows:
+            for field in row:
+                if "\t" in field or "\n" in field or "\r" in field:
+                    raise ValueError(f"field {field!r} contains a tab or newline")
+            fh.write("\t".join(row) + "\n")

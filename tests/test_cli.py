@@ -1,6 +1,7 @@
 """End to end tests for the command line driver."""
 
 import filecmp
+import gc
 import gzip
 import hashlib
 import json
@@ -490,6 +491,7 @@ LONG_ECHO = f"{'s' * 24!r}... (5000 characters)"
 # a valid instance id of 4002 characters: its pmid has fewer digits than int()'s limit
 LONG_ID = f"{'1' * 4000}_1"
 LONG_ID_ECHO = f"{'1' * 24!r}... (4002 characters)"
+LONG_PMID, LONG_PMID_ECHO = LONG_ID[:-2], f"{'1' * 24!r}... (4000 characters)"
 
 
 def _gz_flipped(data: bytes, offset: int) -> bytes:
@@ -708,6 +710,35 @@ BAD_INPUTS = [
         EXIT_FORMAT,
     ),
     (
+        "strict evaluate of a 4002-character instance with no prediction",
+        "truth.tsv",
+        f"cluster_id\tinstance_id\nc1\t{LONG_ID}\n".encode(),
+        ["evaluate", "--truth", "truth.tsv", "--pred", "clustering.tsv", "--strict", "--out", "out"],
+        EXIT_EVALUATION,
+    ),
+    (
+        "strict join of a 4002-character instance outside the corpus",
+        "labels.tsv",
+        f"instance_id\tlabel_id\tsource\n{LONG_ID}\tx\tauthority\n".encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "long_id.tsv", "--papers", "papers.tsv", "--strict",
+         "--out", "out"],
+        EXIT_EVALUATION,
+    ),
+    (
+        "duplicate 4000-digit pmid",
+        "dup.tsv",
+        f"pmid\tyear\ttitle\tauthors\n{LONG_PMID}\t2001\tOne\tKim, Ji\n{LONG_PMID}\t2002\tTwo\tLee, Ann\n".encode(),
+        _baseline("dup.tsv"),
+        EXIT_FORMAT,
+    ),
+    (
+        "4000-digit pmid citing itself",
+        "loop.tsv",
+        f"citing_pmid\tcited_pmid\n{LONG_PMID}\t{LONG_PMID}\n".encode(),
+        ["pairs", "--papers", "papers.tsv", "--citations", "loop.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
         "profile of a header-only corpus",
         "empty.tsv",
         PAPERS.splitlines(keepends=True)[0].encode(),
@@ -762,6 +793,12 @@ MESSAGES = {
         f"ann.tsv, row 4: duplicate annotation for instance {LONG_ID_ECHO}",
     "pair of 4002-character instances on one paper":
         f"pairs.tsv, row 1: invalid pair ({LONG_ID_ECHO}, {LONG_ID_ECHO})",
+    "strict evaluate of a 4002-character instance with no prediction":
+        f"instance {LONG_ID_ECHO} has no predicted cluster",
+    "strict join of a 4002-character instance outside the corpus":
+        f"labeled instance {LONG_ID_ECHO} is not in the corpus",
+    "duplicate 4000-digit pmid": f"dup.tsv, row 2: duplicate pmid {LONG_PMID_ECHO}",
+    "4000-digit pmid citing itself": f"loop.tsv, row 1: self-loop: paper {LONG_PMID_ECHO} cites itself",
 }
 
 
@@ -775,6 +812,7 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
     (workdir / "clustering.tsv").write_text(CLUSTERING)
     (workdir / "labels.tsv").write_text(LABELS)
     (workdir / "eval.tsv").write_text(EVAL)
+    (workdir / "long_id.tsv").write_text(f"cluster_id\tinstance_id\nc1\t{LONG_ID}\n")
     (workdir / name).parent.mkdir(exist_ok=True)
     (workdir / name).write_bytes(data)
     out = workdir / argv[argv.index("--out") + 1]
@@ -907,3 +945,70 @@ def test_outputs_do_not_depend_on_the_row_order_of_papers(workdir, capsys):
     summaries, artifacts = run("sorted")
     assert len(artifacts) > len(_commands("sorted"))
     assert run("shuffled") == (summaries, artifacts)
+
+
+def _score_commands(bundle: str) -> list[list[str]]:
+    """The scoring commands, on the outputs of _commands(bundle)."""
+    out = f"{bundle}-out"
+    raw = [
+        ("eval_year", "evaluate", "--truth", f"{out}/auth/labels.tsv", "--pred", f"{out}/fini/clustering.tsv",
+         "--papers", f"{bundle}/papers.tsv", "--annotations", f"{bundle}/annotations.tsv", "--stratum", "year"),
+        ("eval_clustering", "evaluate", "--truth", f"{bundle}/truth_clustering.tsv", "--pred",
+         f"{out}/aini/clustering.tsv", "--strict"),
+        ("eval_pairs", "evaluate", "--pairs", f"{out}/pairs/pairs.tsv", "--pred", f"{out}/fini/clustering.tsv"),
+        ("perturb", "perturb", "--eval", f"{out}/eval/eval_dataset.tsv", "--fraction", "0.5", "--seed", "2"),
+        ("agree", "agree", "--a", f"{out}/auth/labels.tsv", "--b", f"{out}/grants/labels.tsv"),
+    ]
+    return [[*argv, "--out", f"{out}/{name}"] for name, *argv in raw]
+
+
+def _cyclic_garbage_per_command(workdir: Path, n_authors: int) -> list[int]:
+    """What gc.collect() finds after each command on an n-author bundle, the collector off."""
+    bundle = f"bundle{n_authors}"
+    (workdir / f"{bundle}.json").write_text(json.dumps({**CONFIG, "n_authors": n_authors}))
+    found = []
+    for argv in (
+        ["synth", "--seed", "4", "--config", f"{bundle}.json", "--out", bundle],
+        *_commands(bundle),
+        *_score_commands(bundle),
+    ):
+        gc.collect()
+        assert main(argv) == EXIT_OK, argv
+        found.append(gc.collect())
+    return found
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(workdir, capsys):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        small = _cyclic_garbage_per_command(workdir, 20)
+        large = _cyclic_garbage_per_command(workdir, 400)
+    finally:
+        if collecting:
+            gc.enable()
+    # what is left is argparse's and the run's own bookkeeping, a few hundred objects
+    assert all(count <= 1000 for count in small)
+    assert all(count <= limit for count, limit in zip(large, small)), (small, large)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+def test_main_leaves_the_cycle_collector_as_it_found_it(workdir, bundle_dir, capsys, collecting):
+    (workdir / "bad_config.json").write_text('{"n_authors": "abc"}')
+    truth = "bundle/truth_clustering.tsv"
+    runs = [
+        (["evaluate", "--truth", truth, "--pred", truth, "--out", "ok"], EXIT_OK),
+        (["frobnicate", "--out", "x"], EXIT_USAGE),
+        (["evaluate", "--pred", truth, "--out", "usage"], EXIT_USAGE),
+        (["baseline", "--papers", "absent.tsv", "--method", "fini", "--out", "missing"], EXIT_MISSING_INPUT),
+        (["baseline", "--papers", truth, "--method", "fini", "--out", "format"], EXIT_FORMAT),
+        (["synth", "--seed", "1", "--config", "bad_config.json", "--out", "config"], EXIT_EVALUATION),
+    ]
+    before = gc.isenabled()
+    try:
+        for argv, code in runs:
+            (gc.enable if collecting else gc.disable)()
+            assert main(argv) == code
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if before else gc.disable)()

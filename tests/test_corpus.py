@@ -117,7 +117,7 @@ def test_ingest_corpus_duplicate_pmid_errors_at_second_row(tmp_path):
         "8\t1999\tTwo\tA, B\n"
         "7\t2000\tThree\tA, B\n",
     )
-    with pytest.raises(IngestError, match="duplicate pmid 7") as err:
+    with pytest.raises(IngestError, match="duplicate pmid '7'") as err:
         ingest_corpus(path)
     assert err.value.row == 3
 

@@ -7,10 +7,14 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from linklab.corpus import Clustering, InstanceID
 from linklab.errors import EvaluationError
+from linklab.linkage import EvalRow
 from linklab.metrics import (
+    STRATA,
     B3Scores,
+    b3_rows,
     b3_scores,
     metrics_to_json,
     pair_accuracy_detail,
@@ -249,3 +253,80 @@ def test_metrics_json_key_order():
     payload = json.loads(metrics_to_json(scores, {"ALL": scores}))
     assert list(payload) == ["recall", "precision", "f1", "n", "dropped", "strata"]
     assert payload["strata"]["ALL"]["n"] == 4
+
+
+def _outcome(score, *args, **kwargs):
+    """repr() of what a scorer returns, so floats must agree to the last bit, or its error."""
+    try:
+        return repr(score(*args, **kwargs))
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
+
+
+INSTANCES = st.tuples(st.integers(1, 25), st.integers(1, 4))
+# ids whose sort order differs from their insertion order, an upper-case
+# letter and a non-ASCII one included
+CLUSTER_IDS = st.sampled_from(["c", "a", "b", "B", "\xe9", "a b", "a0"])
+
+
+@st.composite
+def truth_and_prediction(draw):
+    """A truth partition, a prediction that may miss some of its instances, and extras."""
+    truth = draw(st.dictionaries(INSTANCES, CLUSTER_IDS, max_size=40))
+    order = list(truth)
+    missing = set()
+    if order and draw(st.booleans()):
+        missing = draw(st.sets(st.sampled_from(order), min_size=1, max_size=len(order)))
+    predicted = draw(st.dictionaries(INSTANCES, CLUSTER_IDS, max_size=5))
+    for instance in order:
+        predicted.pop(instance, None)
+        if instance not in missing:
+            predicted[instance] = draw(CLUSTER_IDS)
+    return truth, predicted
+
+
+@given(truth_and_prediction(), st.booleans(), st.booleans())
+def test_b3_scores_match_the_earlier_scorer_bit_for_bit(pair, strict, as_clustering):
+    truth, predicted = pair
+    if as_clustering:
+        truth, predicted = Clustering.from_assignment(truth), Clustering.from_assignment(predicted)
+    assert _outcome(b3_scores, truth, predicted, strict=strict) == _outcome(
+        oracles.b3_scores, truth, predicted, strict=strict
+    )
+
+
+def test_strict_b3_names_the_first_unpredicted_instance_in_truth_order():
+    truth = {(3, 1): "a", (1, 1): "a", (2, 1): "b"}
+    predicted = {(3, 1): "p"}
+    with pytest.raises(EvaluationError) as err:
+        b3_scores(truth, predicted)
+    assert str(err.value) == "instance '1_1' has no predicted cluster (use lenient mode to drop)"
+    assert b3_scores(truth, predicted, strict=False).dropped == 2
+
+
+YEARS = st.one_of(st.none(), st.integers(1990, 1994))
+TAGS = st.sampled_from([None, "", "English", "Korean", "UNKNOWN", "b"])
+
+
+@given(
+    st.dictionaries(
+        INSTANCES,
+        st.tuples(CLUSTER_IDS, CLUSTER_IDS, YEARS, TAGS, TAGS),
+        max_size=40,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_stratified_eval_matches_the_earlier_scorer_bit_for_bit(cells, rng):
+    rows = [EvalRow(instance, *cell) for instance, cell in cells.items()]
+    rng.shuffle(rows)
+    for stratum in STRATA:
+        # stratified_eval streams its input; the earlier one listed it first
+        got = _outcome(lambda: list(stratified_eval(iter(rows), stratum).items()))
+        want = _outcome(lambda: list(oracles.stratified_eval(rows, stratum).items()))
+        assert got == want
+    truth = {row.instance: row.truth_label for row in rows}
+    predicted = {row.instance: row.predicted_cluster_id for row in rows}
+    if rows:
+        assert _outcome(b3_rows, iter(rows)) == _outcome(oracles.b3_scores, truth, predicted)
+    else:
+        assert _outcome(b3_rows, rows) == "EvaluationError: nothing to evaluate: empty dataset"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from linklab._tsv import _records
+from linklab._tsv import _records, read_rows, read_table, write_rows
 from linklab.corpus import (
     ANNOTATIONS_COLUMNS,
     AUTHORITY_COLUMNS,
@@ -23,7 +23,7 @@ from linklab.corpus import (
     ingest_corpus,
     ingest_grants,
 )
-from linklab.errors import IngestError
+from linklab.errors import IngestError, ParseError
 from linklab.linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
@@ -103,7 +103,7 @@ ROW_FAULTS = [
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\t\tA, B", "missing title"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\tA, B|",
      "empty author name in byline"),
-    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "1\t2002\tT\tA, B", "duplicate pmid 1"),
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "1\t2002\tT\tA, B", "duplicate pmid '1'"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "\t1_2", "empty cluster_id"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1-2",
      "instance id '1-2' is not of the form <pmid>_<position>"),
@@ -126,7 +126,7 @@ ROW_FAULTS = [
     (ingest_grants, GRANTS_COLUMNS, "p1\tKim, Ji\t1", "p1\tKim, Ji\t", "pmid must be a positive integer, got ''"),
     (ingest_citations, CITATIONS_COLUMNS, "1\t2", "x\t2", "citing_pmid must be a positive integer, got 'x'"),
     (ingest_citations, CITATIONS_COLUMNS, "1\t2", "1\t0", "cited_pmid must be a positive integer, got '0'"),
-    (ingest_citations, CITATIONS_COLUMNS, "1\t2", "3\t3", "self-loop: paper 3 cites itself"),
+    (ingest_citations, CITATIONS_COLUMNS, "1\t2", "3\t3", "self-loop: paper '3' cites itself"),
     (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_x\tA\tB",
      "instance id '1_x' is not of the form <pmid>_<position>"),
     (ingest_annotations, ANNOTATIONS_COLUMNS, "1_1\tEnglish\tMale", "1_1\tA\tB",
@@ -179,3 +179,76 @@ def test_a_bad_second_row_is_reported_with_its_path_and_row(tmp_path, reader, co
     assert err.value.path == str(path)
     assert err.value.row == 2
     assert str(err.value) == f"{path}, row 2: {message}"
+
+
+COLUMNS = ("a", "b")
+# line endings, tabs, NUL and letters: blank rows, wrong widths and bad bytes
+BODY_TEXT = st.text(alphabet="\t\r\na\0\xe9", max_size=30)
+HEADERS = st.sampled_from(["a\tb\n", "a\tb\r\n", "a\tb\r", "a\tb", "a\tc\n", "a\n", "\n", ""])
+
+
+def _table(tmp, bom, header, body, gz, bad_byte):
+    data = ("\ufeff" if bom else "").encode() + (header + body).encode()
+    if bad_byte:
+        data += b"\xff"
+    path = Path(tmp) / ("table.tsv.gz" if gz else "table.tsv")
+    path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+    return path
+
+
+def _table_outcome(read_table_fn, path, fail_at):
+    """The rows read_table gives, and the error: its own, or a ParseError raised at row `fail_at`."""
+    got = []
+    try:
+        with read_table_fn(path, COLUMNS) as rows:
+            for fields in rows:
+                if len(got) == fail_at:
+                    raise ParseError("bad row")
+                got.append(fields)
+    except IngestError as exc:
+        return got, (str(exc), exc.row, exc.path)
+    return got, None
+
+
+@given(st.booleans(), HEADERS, BODY_TEXT, st.booleans(), st.booleans(), st.integers(0, 4))
+@example(True, "a\tb\r\n", "x\ty\r\n\r\nz\tw\r\n", False, False, 4)
+@example(False, "a\tb\n", "x\ty\n\nz\tw\n", True, False, 1)
+@example(False, "a\tb\n", "x\ty\rz\n\nw\n", False, False, 4)
+@example(False, "a\tb\n", "x\ty\n\0\tz\n", False, False, 4)
+@example(False, "a\tb\n", "x\ty\n", False, True, 4)
+@example(False, "", "", False, False, 0)
+def test_read_table_matches_the_three_layer_reader(bom, header, body, gz, bad_byte, fail_at):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _table(tmp, bom, header, body, gz, bad_byte)
+        assert _table_outcome(read_table, path, fail_at) == _table_outcome(
+            oracles.read_table, path, fail_at
+        )
+        assert _outcome(lambda p: read_rows(p, COLUMNS), path) == _outcome(
+            lambda p: oracles.read_rows(p, COLUMNS), path
+        )
+
+
+def _write_outcome(write, path, rows):
+    try:
+        write(path, COLUMNS, iter(rows))
+    except ValueError as exc:
+        return str(exc), path.read_bytes()
+    return None, path.read_bytes()
+
+
+# rows of any width: a tab, \n or \r may sit in any field
+WRITE_ROWS = st.lists(st.lists(st.text(alphabet="\t\n\rab", max_size=4), max_size=4), max_size=6)
+
+
+@given(WRITE_ROWS, st.booleans())
+@example([["a", "b"], ["a\tb"]], False)
+@example([["a", "b"], ["", "b\t"]], False)
+@example([["\n"], ["a", "b\r"]], True)
+@example([["a", "b\r\n", "c\t"]], False)
+@example([[], [""], ["", "", ""]], False)
+def test_write_rows_matches_the_field_scanning_writer(rows, gz):
+    with tempfile.TemporaryDirectory() as tmp:
+        name = "table.tsv.gz" if gz else "table.tsv"
+        got = _write_outcome(write_rows, Path(tmp) / ("new-" + name), rows)
+        want = _write_outcome(oracles.field_scan_write_rows, Path(tmp) / ("old-" + name), rows)
+    assert got == want
