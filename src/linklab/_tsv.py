@@ -145,5 +145,5 @@ def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence
             if line.count("\t") >= len(row) or "\n" in line or "\r" in line:
                 for field in row:
                     if "\t" in field or "\n" in field or "\r" in field:
-                        raise ValueError(f"field {field!r} contains a tab or newline")
+                        raise ValueError(f"field {echo(field)} contains a tab or newline")
             fh.write(line + "\n")

@@ -49,7 +49,7 @@ from .corpus import (
     ingest_grants,
     write_clustering,
 )
-from .errors import ConfigError, EvaluationError, IngestError, ParseError
+from .errors import ConfigError, EvaluationError, IngestError, ParseError, echo
 from .linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
@@ -266,12 +266,7 @@ def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     labels = read_labels(args.truth)
     predicted = ingest_clustering(args.pred)
     corpus = ingest_corpus(args.papers)
-    annotations = None
-    if args.annotations is not None:
-        # the join looks up only labeled instances; the rest are validated, not kept
-        annotations = ingest_annotations(
-            args.annotations, keep={label.instance for label in labels}
-        )
+    annotations = None if args.annotations is None else ingest_annotations(args.annotations)
     joined = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
     rows = joined.rows
     if not rows:
@@ -472,11 +467,11 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
     field_types = get_type_hints(SynthConfig)
     unknown = sorted(set(raw) - set(field_types))
     if unknown:
-        raise ConfigError("unknown config fields: " + ", ".join(unknown))
+        raise ConfigError(f"unknown config fields: {echo(', '.join(unknown))}")
     for key, value in raw.items():
         expected, accepts = _CONFIG_TYPES[field_types[key]]
         if not accepts(value):
-            raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
+            raise ConfigError(f"{key} must be {expected}, got {echo(json.dumps(value))}")
         if type(value) is list:
             raw[key] = tuple(value)
     return SynthConfig(seed=seed, **raw)

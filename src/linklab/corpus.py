@@ -8,6 +8,8 @@ computed from it depends on that order.
 Alongside the corpus live four auxiliary tables used to build labeled
 evaluation data: authority profiles (person + work titles), grant PI
 records, citation edges, and per-instance demographic annotations.
+Every record is a NamedTuple: it compares, unpacks and sorts as the
+tuple of its fields, and _replace makes a changed copy.
 
 All tables are TSV with one header row; see the ingest_* functions for
 the exact columns. Ingestion is streaming, validates per row, and
@@ -17,8 +19,7 @@ reports errors with 1-based data row numbers.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Container, ItemsView, Iterable, Iterator, Mapping, ValuesView
-from dataclasses import dataclass
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -65,8 +66,7 @@ def format_instance_id(instance: InstanceID) -> str:
     return f"{instance[0]}_{instance[1]}"
 
 
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
+class PaperRecord(NamedTuple):
     """A paper with its raw title and byline names in order."""
 
     pmid: int
@@ -79,8 +79,7 @@ class PaperRecord:
             yield self.pmid, position
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorityProfile:
+class AuthorityProfile(NamedTuple):
     """A curated person profile: one name plus the titles of their works."""
 
     authority_id: str
@@ -88,8 +87,7 @@ class AuthorityProfile:
     work_titles: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class GrantRecord:
+class GrantRecord(NamedTuple):
     """A grant principal investigator and the papers their grants funded."""
 
     pi_id: str
@@ -102,8 +100,7 @@ class CitationEdge(NamedTuple):
     cited_pmid: int
 
 
-@dataclass(frozen=True, slots=True)
-class Annotation:
+class Annotation(NamedTuple):
     """Verbatim demographic tags for one instance; no recoding at ingest."""
 
     ethnicity: str
@@ -281,25 +278,18 @@ def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
     return tuple(sorted(edges))
 
 
-def ingest_annotations(
-    path: str | Path, *, keep: Container[InstanceID] | None = None
-) -> dict[InstanceID, Annotation]:
+def ingest_annotations(path: str | Path) -> dict[InstanceID, Annotation]:
     """Read annotations.tsv (instance_id, ethnicity, gender); tags kept verbatim.
 
-    Every row is validated, but with `keep` only the annotations of those
-    instances are returned. Rows with equal tags share one Annotation.
+    Rows with equal tags share one Annotation.
     """
     annotations: dict[InstanceID, Annotation] = {}
-    skipped: set[InstanceID] = set()  # rows outside `keep`, for the duplicate check
     shared: dict[tuple[str, str], Annotation] = {}
     with read_table(path, ANNOTATIONS_COLUMNS) as rows:
         for instance_s, ethnicity, gender in rows:
             instance = parse_instance_id(instance_s)
-            if instance in annotations or instance in skipped:
+            if instance in annotations:
                 raise ParseError(f"duplicate annotation for instance {echo(instance_s)}")
-            if keep is not None and instance not in keep:
-                skipped.add(instance)
-                continue
             annotation = shared.get((ethnicity, gender))
             if annotation is None:
                 annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)
@@ -312,7 +302,7 @@ def write_corpus(path: str | Path, corpus: Corpus) -> None:
         for _, paper in sorted(corpus.items()):
             for name in paper.authors:
                 if "|" in name:
-                    raise ValueError(f"author name {name!r} contains '|'")
+                    raise ValueError(f"author name {echo(name)} contains '|'")
             yield str(paper.pmid), str(paper.year), paper.raw_title, "|".join(paper.authors)
 
     write_rows(path, PAPERS_COLUMNS, rows())

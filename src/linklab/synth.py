@@ -10,20 +10,21 @@ duplicate titles, authority/grant coverage, and self-citation edges.
 Instance-level bookkeeping is kept so oracle tests can check pipeline
 output against the planted truth. Output is deterministic per seed: a
 single seeded RNG drives all choices, and regeneration is
-byte-identical when written.
+byte-identical when written. The config, the planted authors and the
+bundle are NamedTuples, like the corpus records.
 
 This is a test rig, not a statistically faithful bibliography model.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .corpus import (
     Annotation,
@@ -41,7 +42,7 @@ from .corpus import (
     write_corpus,
     write_grants,
 )
-from .errors import ConfigError
+from .errors import ConfigError, echo
 from .profile import TYPE_FLIPPED, TYPE_INITIAL, TYPE_SURNAME
 
 VARIANT_HOMONYM = "homonym"
@@ -62,9 +63,12 @@ _TITLE_WORDS = (
 )
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for one generated bundle; rates are author-level shares."""
+class SynthConfig(NamedTuple):
+    """Knobs for one generated bundle; rates are author-level shares.
+
+    A default is one object shared by every config, so the mapping
+    defaults are read-only views.
+    """
 
     seed: int
     n_authors: int = 100
@@ -72,8 +76,8 @@ class SynthConfig:
     max_coauthors: int = 4
     homonym_rate: float = 0.0
     synonym_rate: float = 0.0
-    synonym_type_shares: Mapping[str, float] = field(
-        default_factory=lambda: {TYPE_SURNAME: 0.77, TYPE_INITIAL: 0.15, TYPE_FLIPPED: 0.08}
+    synonym_type_shares: Mapping[str, float] = MappingProxyType(
+        {TYPE_SURNAME: 0.77, TYPE_INITIAL: 0.15, TYPE_FLIPPED: 0.08}
     )
     midinitial_variant_rate: float = 0.0
     authority_coverage: float = 0.0
@@ -83,16 +87,13 @@ class SynthConfig:
     duplicate_title_rate: float = 0.0
     selfcitation_rate: float = 0.0
     year_range: tuple[int, int] = (1991, 2009)
-    ethnicity_shares: Mapping[str, float] = field(
-        default_factory=lambda: {"English": 0.6, "Korean": 0.25, "Spanish": 0.15}
+    ethnicity_shares: Mapping[str, float] = MappingProxyType(
+        {"English": 0.6, "Korean": 0.25, "Spanish": 0.15}
     )
-    gender_shares: Mapping[str, float] = field(
-        default_factory=lambda: {"Male": 0.5, "Female": 0.5}
-    )
+    gender_shares: Mapping[str, float] = MappingProxyType({"Male": 0.5, "Female": 0.5})
 
 
-@dataclass(frozen=True)
-class PlantedAuthor:
+class PlantedAuthor(NamedTuple):
     """Ground truth for one author; form of instances[i] is forms[i % len(forms)]."""
 
     author_id: str
@@ -106,8 +107,7 @@ class PlantedAuthor:
     instances: tuple[InstanceID, ...]
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     corpus: Corpus
     registry: dict[str, AuthorityProfile]
     grants: dict[str, GrantRecord]
@@ -129,7 +129,7 @@ def _b26(n: int) -> str:
 
 def _check_rate(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        raise ConfigError(f"{name} must be in [0, 1], got {echo(str(value))}")
 
 
 def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[str, int]:
@@ -140,7 +140,7 @@ def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[st
     for key, share in items:
         # NaN fails every comparison, so it would also pass the sum check
         if not (math.isfinite(share) and share >= 0):
-            raise ConfigError(f"{name}[{key!r}] must be a finite non-negative number")
+            raise ConfigError(f"{name}[{echo(key)}] must be a finite non-negative number")
     if abs(sum(share for _, share in items) - 1.0) > 1e-9:
         raise ConfigError(f"{name} must sum to 1")
     counts = []
@@ -157,14 +157,16 @@ def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[st
 
 def _validate(config: SynthConfig) -> None:
     if config.n_authors < 1:
-        raise ConfigError(f"n_authors must be >= 1, got {config.n_authors}")
+        raise ConfigError(f"n_authors must be >= 1, got {echo(str(config.n_authors))}")
     lo, hi = config.papers_per_author
     if lo < 1 or lo > hi:
-        raise ConfigError(f"papers_per_author must satisfy 1 <= lo <= hi, got {lo, hi}")
+        raise ConfigError(
+            f"papers_per_author must satisfy 1 <= lo <= hi, got {echo(str((lo, hi)))}"
+        )
     if config.max_coauthors < 1:
         raise ConfigError("max_coauthors must be >= 1")
     if config.year_range[0] > config.year_range[1]:
-        raise ConfigError(f"invalid year_range {config.year_range}")
+        raise ConfigError(f"invalid year_range {echo(str(config.year_range))}")
     for name in (
         "homonym_rate",
         "synonym_rate",
@@ -179,7 +181,7 @@ def _validate(config: SynthConfig) -> None:
         _check_rate(getattr(config, name), name)
     unknown = set(config.synonym_type_shares) - set(SYNONYM_TYPES)
     if unknown:
-        raise ConfigError(f"unknown synonym types {sorted(unknown)}")
+        raise ConfigError(f"unknown synonym types {echo(', '.join(sorted(unknown)))}")
 
 
 def _assign_roles(config: SynthConfig) -> list[str | None]:
@@ -413,7 +415,7 @@ def generate(config: SynthConfig) -> Bundle:
 
 
 def _config_dict(config: SynthConfig) -> dict:
-    raw = dataclasses.asdict(config)
+    raw = config._asdict()
     raw["papers_per_author"] = list(config.papers_per_author)
     raw["year_range"] = list(config.year_range)
     for key in ("synonym_type_shares", "ethnicity_shares", "gender_shares"):

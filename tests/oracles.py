@@ -510,5 +510,5 @@ def field_scan_write_rows(path, columns, rows):
         for row in rows:
             for field in row:
                 if "\t" in field or "\n" in field or "\r" in field:
-                    raise ValueError(f"field {field!r} contains a tab or newline")
+                    raise ValueError(f"field {echo(field)} contains a tab or newline")
             fh.write("\t".join(row) + "\n")

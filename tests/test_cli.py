@@ -5,9 +5,13 @@ import gc
 import gzip
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -32,7 +36,7 @@ from linklab.linkage import (
 )
 from linklab.metrics import b3_scores, write_metrics_json
 from linklab.profile import block_size_ccdf, write_ccdf
-from linklab.synth import SynthConfig, generate, write_bundle
+from linklab.synth import BUNDLE_FILES, SynthConfig, generate, write_bundle
 
 CONFIG = {
     "n_authors": 60,
@@ -173,6 +177,33 @@ def test_synth_twice_is_byte_identical(workdir):
     hashes_two = _tree_hashes(workdir / "two")
     assert hashes_one == hashes_two
     assert "run_manifest.json" in hashes_one
+
+
+def test_synth_config_of_every_default_equals_an_empty_one(workdir):
+    defaults = SynthConfig(seed=1)._asdict()
+    del defaults["seed"]
+    # tuples dump as JSON lists; a read-only mapping default as an object
+    (workdir / "every.json").write_text(
+        json.dumps({k: dict(v) if isinstance(v, Mapping) else v for k, v in defaults.items()})
+    )
+    (workdir / "none.json").write_text("{}")
+    for name in ("every", "none"):
+        assert main(["synth", "--seed", "1", "--config", f"{name}.json", "--out", name]) == EXIT_OK
+    assert main(["synth", "--seed", "1", "--out", "plain"]) == EXIT_OK
+    bundles = [
+        {file: _sha(workdir / out / file) for file in BUNDLE_FILES} for out in ("every", "none", "plain")
+    ]
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command is a new process, so each module its imports pull in is paid per run
+    code = "import sys, linklab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_outputs_identical_across_out_directories(workdir, bundle_dir):
@@ -492,6 +523,7 @@ LONG_ECHO = f"{'s' * 24!r}... (5000 characters)"
 LONG_ID = f"{'1' * 4000}_1"
 LONG_ID_ECHO = f"{'1' * 24!r}... (4002 characters)"
 LONG_PMID, LONG_PMID_ECHO = LONG_ID[:-2], f"{'1' * 24!r}... (4000 characters)"
+TAB_TAG = "t" * 1500 + "\t" + "t" * 1499
 
 
 def _gz_flipped(data: bytes, offset: int) -> bytes:
@@ -738,6 +770,34 @@ BAD_INPUTS = [
         ["pairs", "--papers", "papers.tsv", "--citations", "loop.tsv", "--out", "out"],
         EXIT_FORMAT,
     ),
+    ("5000-character string as n_authors", "config.json", json.dumps({"n_authors": LONG}).encode(),
+     _synth_with_config(), EXIT_EVALUATION),
+    ("5000-character unknown config field", "config.json", json.dumps({LONG: 1}).encode(),
+     _synth_with_config(), EXIT_EVALUATION),
+    (
+        "5000-character ethnicity tag with a negative share",
+        "config.json",
+        json.dumps({"ethnicity_shares": {LONG: -1.0, "A": 2.0}}).encode(),
+        _synth_with_config(),
+        EXIT_EVALUATION,
+    ),
+    ("4000-digit papers_per_author lo above hi", "config.json",
+     f'{{"papers_per_author": [{LONG_PMID}, 2]}}'.encode(), _synth_with_config(), EXIT_EVALUATION),
+    ("4000-digit year_range start after its end", "config.json",
+     f'{{"year_range": [{LONG_PMID}, 1991]}}'.encode(), _synth_with_config(), EXIT_EVALUATION),
+    ("4000-digit homonym_rate", "config.json", f'{{"homonym_rate": {LONG_PMID}}}'.encode(),
+     _synth_with_config(), EXIT_EVALUATION),
+    ("negative 4000-digit n_authors", "config.json", f'{{"n_authors": -{LONG_PMID}}}'.encode(),
+     _synth_with_config(), EXIT_EVALUATION),
+    ("5000-character synonym type", "config.json", json.dumps({"synonym_type_shares": {LONG: 1.0}}).encode(),
+     _synth_with_config(), EXIT_EVALUATION),
+    (
+        "3000-character ethnicity tag holding a tab",
+        "config.json",
+        json.dumps({"ethnicity_shares": {TAB_TAG: 1.0}}).encode(),
+        _synth_with_config(),
+        EXIT_EVALUATION,
+    ),
     (
         "profile of a header-only corpus",
         "empty.tsv",
@@ -799,6 +859,20 @@ MESSAGES = {
         f"labeled instance {LONG_ID_ECHO} is not in the corpus",
     "duplicate 4000-digit pmid": f"dup.tsv, row 2: duplicate pmid {LONG_PMID_ECHO}",
     "4000-digit pmid citing itself": f"loop.tsv, row 1: self-loop: paper {LONG_PMID_ECHO} cites itself",
+    "5000-character string as n_authors":
+        "n_authors must be an integer, got " + repr('"' + "s" * 23) + "... (5002 characters)",
+    "5000-character unknown config field": f"unknown config fields: {LONG_ECHO}",
+    "5000-character ethnicity tag with a negative share":
+        f"ethnicity_shares[{LONG_ECHO}] must be a finite non-negative number",
+    "4000-digit papers_per_author lo above hi":
+        f"papers_per_author must satisfy 1 <= lo <= hi, got {'(' + '1' * 23!r}... (4005 characters)",
+    "4000-digit year_range start after its end":
+        f"invalid year_range {'(' + '1' * 23!r}... (4008 characters)",
+    "4000-digit homonym_rate": f"homonym_rate must be in [0, 1], got {LONG_PMID_ECHO}",
+    "negative 4000-digit n_authors": f"n_authors must be >= 1, got {'-' + '1' * 23!r}... (4001 characters)",
+    "5000-character synonym type": f"unknown synonym types {LONG_ECHO}",
+    "3000-character ethnicity tag holding a tab":
+        f"field {'t' * 24!r}... (3000 characters) contains a tab or newline",
 }
 
 

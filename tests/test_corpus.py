@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from linklab.corpus import (
     Clustering,
+    PaperRecord,
     format_instance_id,
     ingest_annotations,
     ingest_authority,
@@ -339,11 +340,9 @@ def test_ingest_annotations_duplicate_instance(tmp_path):
 def test_ingest_annotations_keep_still_validates_every_row(tmp_path, row, message):
     text = "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n2_1\tEnglish\tMale\n"
     path = write_tsv(tmp_path / "annotations.tsv", text)
-    kept = ingest_annotations(path, keep={(2, 1), (9, 9)})
-    assert kept == {(2, 1): ingest_annotations(path)[(2, 1)]}
     write_tsv(path, text + row + "\n")
     with pytest.raises(IngestError, match=message) as err:
-        ingest_annotations(path, keep={(2, 1)})
+        ingest_annotations(path)
     assert err.value.row == 3
 
 
@@ -363,6 +362,14 @@ def test_ingest_is_order_insensitive(tmp_path):
     a = write_tsv(tmp_path / "a.tsv", header + "".join(rows))
     b = write_tsv(tmp_path / "b.tsv", header + "".join(reversed(rows)))
     assert ingest_authority(a) == ingest_authority(b)
+
+
+def test_write_corpus_rejects_a_bar_in_a_name_in_one_short_line(tmp_path):
+    name = "n" * 1500 + "|" + "n" * 1499
+    corpus = {1: PaperRecord(1, 2001, "Title", (name,))}
+    with pytest.raises(ValueError) as err:
+        write_corpus(tmp_path / "papers.tsv", corpus)
+    assert str(err.value) == f"author name {'n' * 24!r}... (3000 characters) contains '|'"
 
 
 def test_write_round_trips(tmp_path):

@@ -366,6 +366,55 @@ def test_role_overflow_rejected():
 
 
 @pytest.fixture(scope="module")
+def records():
+    """One of each record type, by type name, with the name of one of its fields."""
+    config = SynthConfig(seed=4, n_authors=20, authority_coverage=1.0, grant_coverage=1.0)
+    bundle = generate(config)
+    return {
+        type(record).__name__: (record, field)
+        for record, field in (
+            (config, "seed"),
+            (bundle, "corpus"),
+            (bundle.authors[0], "author_id"),
+            (bundle.corpus[1], "pmid"),
+            (next(iter(bundle.registry.values())), "authority_id"),
+            (next(iter(bundle.grants.values())), "pi_id"),
+            (next(iter(bundle.annotations.values())), "ethnicity"),
+        )
+    }
+
+
+RECORD_TYPES = (
+    "SynthConfig",
+    "Bundle",
+    "PlantedAuthor",
+    "PaperRecord",
+    "AuthorityProfile",
+    "GrantRecord",
+    "Annotation",
+)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_named_tuples_that_reject_assignment(records, name):
+    record, field = records[name]
+    assert isinstance(record, tuple) and field in record._fields
+    before = getattr(record, field)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("field", ["synonym_type_shares", "ethnicity_shares", "gender_shares"])
+def test_config_mapping_defaults_are_read_only(field):
+    shares = getattr(SynthConfig(seed=1), field)
+    with pytest.raises(TypeError):
+        shares["extra"] = 1.0
+    assert "extra" not in getattr(SynthConfig(seed=2), field)
+
+
+@pytest.fixture(scope="module")
 def handed_out_ids():
     """Every instance id the program builds, by where it comes from."""
     bundle = generate(
