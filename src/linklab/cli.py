@@ -47,13 +47,16 @@ from .corpus import (
     ingest_clustering,
     ingest_corpus,
     ingest_grants,
+    ingest_paper_years,
     write_clustering,
 )
 from .errors import ConfigError, EvaluationError, IngestError, ParseError, echo
 from .linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
+    JoinResult,
     extract_selfcitation_pairs,
+    index_labels,
     join_labels,
     label_agreement,
     link_authority,
@@ -260,14 +263,27 @@ def _evaluate_pairs(args: argparse.Namespace, out: Path) -> str:
     )
 
 
+def _join_label_files(args: argparse.Namespace) -> JoinResult:
+    """Read --truth, --pred, --papers and --annotations, in that order, and join them.
+
+    Every row of every input is checked, but only labeled instances are
+    kept, under the labels' own tuples, and of the papers only the year
+    and byline length. A label conflict is raised by the join, once every
+    input has been read.
+    """
+    index = index_labels(read_labels(args.truth))
+    predicted = ingest_clustering(args.pred, keep=index.labels)
+    papers = ingest_paper_years(args.papers)
+    annotations = (
+        None if args.annotations is None else ingest_annotations(args.annotations, keep=index.labels)
+    )
+    return join_labels(index, predicted, papers, annotations, strict=args.strict)
+
+
 def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     if args.papers is None:
         raise _usage_exit("evaluate with a labels file needs --papers for the join")
-    labels = read_labels(args.truth)
-    predicted = ingest_clustering(args.pred)
-    corpus = ingest_corpus(args.papers)
-    annotations = None if args.annotations is None else ingest_annotations(args.annotations)
-    joined = join_labels(labels, predicted, corpus, annotations, strict=args.strict)
+    joined = _join_label_files(args)
     rows = joined.rows
     if not rows:
         raise EvaluationError(

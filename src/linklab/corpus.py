@@ -19,7 +19,15 @@ reports errors with 1-based data row numbers.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import (
+    Callable,
+    ItemsView,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    ValuesView,
+)
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -183,9 +191,15 @@ def _int(text: str, field: str) -> int:
         raise ParseError(f"{field} is too long: {len(text.lstrip('-'))} digits") from None
 
 
-def ingest_corpus(path: str | Path) -> Corpus:
-    """Read papers.tsv (pmid, year, title, authors; byline joined by "|")."""
-    papers: Corpus = {}
+def _read_papers(
+    path: str | Path, record: Callable[[int, int, str, tuple[str, ...]], _V]
+) -> dict[int, _V]:
+    """Check every papers.tsv row; keep record(pmid, year, title, byline names) per pmid.
+
+    The one row validator of papers.tsv, so every reader of it accepts and
+    rejects the same files.
+    """
+    papers: dict[int, _V] = {}
     with read_table(path, PAPERS_COLUMNS) as rows:
         for pmid_s, year_s, title, authors_s in rows:
             pmid = _positive_int(pmid_s, "pmid")
@@ -197,25 +211,61 @@ def ingest_corpus(path: str | Path) -> Corpus:
                 raise ParseError("empty author name in byline")
             if pmid in papers:
                 raise ParseError(f"duplicate pmid {echo(pmid_s)}")
-            papers[pmid] = PaperRecord(pmid=pmid, year=year, raw_title=title, authors=authors)
+            papers[pmid] = record(pmid, year, title, authors)
     return papers
 
 
-def ingest_clustering(path: str | Path) -> Clustering:
-    """Read clustering.tsv (cluster_id, instance_id); enforce the partition."""
+def ingest_corpus(path: str | Path) -> Corpus:
+    """Read papers.tsv (pmid, year, title, authors; byline joined by "|")."""
+    return _read_papers(path, PaperRecord)
+
+
+def ingest_paper_years(path: str | Path) -> dict[int, tuple[int, int]]:
+    """Read papers.tsv as pmid -> (year, byline length), checked as ingest_corpus checks it.
+
+    No title or name is kept; equal (year, length) pairs share one tuple.
+    """
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def year_and_length(
+        pmid: int, year: int, title: str, authors: tuple[str, ...]
+    ) -> tuple[int, int]:
+        value = (year, len(authors))
+        return shared.setdefault(value, value)
+
+    return _read_papers(path, year_and_length)
+
+
+def ingest_clustering(
+    path: str | Path, keep: Mapping[InstanceID, Sequence] | None = None
+) -> Clustering:
+    """Read clustering.tsv (cluster_id, instance_id); enforce the partition.
+
+    With `keep`, every row is still checked, but only the instances that
+    are keys of `keep` are kept, each under `keep[instance][0]`: the
+    caller's own tuple for it (the `instance` of a `LabeledInstance`, say),
+    so both hold one object.
+    """
     assignment: dict[InstanceID, str] = {}
+    # the instances not kept, with their cluster ids for the partition check
+    others = assignment if keep is None else {}
     ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
     with read_table(path, CLUSTERING_COLUMNS) as rows:
         for cluster_id, instance_s in rows:
             if not cluster_id:
                 raise ParseError("empty cluster_id")
             instance = parse_instance_id(instance_s)
-            if instance in assignment:
+            table = others
+            if keep is not None:
+                kept = keep.get(instance)
+                if kept is not None:
+                    instance, table = kept[0], assignment
+            if instance in table:
                 raise ParseError(
                     f"instance {echo(instance_s)} already assigned to cluster"
-                    f" {echo(assignment[instance])}"
+                    f" {echo(table[instance])}"
                 )
-            assignment[instance] = ids.setdefault(cluster_id, cluster_id)
+            table[instance] = ids.setdefault(cluster_id, cluster_id)
     return Clustering.from_assignment(assignment)
 
 
@@ -278,18 +328,29 @@ def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
     return tuple(sorted(edges))
 
 
-def ingest_annotations(path: str | Path) -> dict[InstanceID, Annotation]:
+def ingest_annotations(
+    path: str | Path, keep: Mapping[InstanceID, Sequence] | None = None
+) -> dict[InstanceID, Annotation]:
     """Read annotations.tsv (instance_id, ethnicity, gender); tags kept verbatim.
 
-    Rows with equal tags share one Annotation.
+    Rows with equal tags share one Annotation. `keep` works as in
+    ingest_clustering: every row is checked, the instances that are keys
+    of `keep` are kept under `keep[instance][0]`.
     """
     annotations: dict[InstanceID, Annotation] = {}
+    others: set[InstanceID] = set()  # with keep, the instances not kept
     shared: dict[tuple[str, str], Annotation] = {}
     with read_table(path, ANNOTATIONS_COLUMNS) as rows:
         for instance_s, ethnicity, gender in rows:
             instance = parse_instance_id(instance_s)
-            if instance in annotations:
+            if instance in annotations or instance in others:
                 raise ParseError(f"duplicate annotation for instance {echo(instance_s)}")
+            if keep is not None:
+                kept = keep.get(instance)
+                if kept is None:
+                    others.add(instance)
+                    continue
+                instance = kept[0]
             annotation = shared.get((ethnicity, gender))
             if annotation is None:
                 annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)

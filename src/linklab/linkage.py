@@ -303,47 +303,67 @@ class JoinResult(NamedTuple):
     dropped_missing_paper: int
 
 
-def join_labels(
-    labels: Iterable[LabeledInstance],
-    clustering: Mapping[InstanceID, str],
-    corpus: Corpus,
-    annotations: Mapping[InstanceID, Annotation] | None = None,
-    *,
-    strict: bool = False,
-) -> JoinResult:
-    """Inner-join labels with predicted clusters; attach year and tags.
+class LabelIndex(NamedTuple):
+    """Labels by instance, keyed by each label's own instance tuple."""
 
-    Labeled instances without a predicted cluster are dropped and
-    counted. Instances missing from the corpus (no year available) are
-    an error in strict mode, otherwise dropped and counted.
+    labels: dict[InstanceID, LabeledInstance]
+    conflict: str | None  # the first instance carrying two labels, raised by join_labels
+
+
+def index_labels(labels: Iterable[LabeledInstance]) -> LabelIndex:
+    """Index labels by instance; note, not raise, the first instance with two labels.
+
+    An instance's first label is kept. The index is a `keep` mapping for
+    ingest_clustering and ingest_annotations, which then key what they
+    keep by the labels' own tuples.
     """
-    annotations = annotations or {}
     by_instance: dict[InstanceID, LabeledInstance] = {}
+    conflict = None
     for label in labels:
-        existing = by_instance.get(label.instance)
-        if existing is not None and (existing.label_id, existing.source) != (
+        existing = by_instance.setdefault(label.instance, label)
+        if conflict is None and (existing.label_id, existing.source) != (
             label.label_id,
             label.source,
         ):
-            raise ValueError(
+            conflict = (
                 f"instance {echo(format_instance_id(label.instance))} carries two labels "
                 f"({existing.source}:{echo(existing.label_id)},"
                 f" {label.source}:{echo(label.label_id)}); "
                 "join one labeling source at a time"
             )
-        by_instance[label.instance] = label
+    return LabelIndex(by_instance, conflict)
 
+
+def join_labels(
+    index: LabelIndex,
+    clustering: Mapping[InstanceID, str],
+    papers: Mapping[int, tuple[int, int]],
+    annotations: Mapping[InstanceID, Annotation] | None = None,
+    *,
+    strict: bool = False,
+) -> JoinResult:
+    """Inner-join indexed labels with predicted clusters; attach year and tags.
+
+    `papers` maps a pmid to its (year, byline length), as
+    ingest_paper_years reads it. An index that noted an instance with two
+    labels raises ValueError. Labeled instances without a predicted
+    cluster are dropped and counted. Instances missing from the papers
+    (no year available) are an error in strict mode, otherwise dropped
+    and counted.
+    """
+    if index.conflict is not None:
+        raise ValueError(index.conflict)
+    annotations = annotations or {}
     rows = []
     dropped_unclustered = 0
     dropped_missing_paper = 0
-    for instance in sorted(by_instance):
-        label = by_instance[instance]
+    for instance in sorted(index.labels):
         cluster_id = clustering.get(instance)
         if cluster_id is None:
             dropped_unclustered += 1
             continue
-        paper = corpus.get(instance[0])
-        if paper is None or not 1 <= instance[1] <= len(paper.authors):
+        paper = papers.get(instance[0])
+        if paper is None or not 1 <= instance[1] <= paper[1]:
             if strict:
                 raise EvaluationError(
                     f"labeled instance {echo(format_instance_id(instance))} is not in the corpus"
@@ -354,9 +374,9 @@ def join_labels(
         rows.append(
             EvalRow(
                 instance=instance,
-                truth_label=label.label_id,
+                truth_label=index.labels[instance].label_id,
                 predicted_cluster_id=cluster_id,
-                year=paper.year,
+                year=paper[0],
                 ethnicity=annotation.ethnicity if annotation else None,
                 gender=annotation.gender if annotation else None,
             )

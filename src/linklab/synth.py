@@ -49,6 +49,13 @@ VARIANT_HOMONYM = "homonym"
 VARIANT_MIDINITIAL = "midinitial"
 SYNONYM_TYPES = (TYPE_SURNAME, TYPE_INITIAL, TYPE_FLIPPED)
 
+# The most instances a config may plant: n_authors times the upper bound of
+# papers_per_author. It sits far above any bundle the tests or the benchmark
+# make (the 100k-author bundle plants about 400k) and keeps a config of
+# absurd size from the generator's lists, where it would end in a
+# MemoryError or OverflowError traceback.
+MAX_PLANTED_INSTANCES = 10_000_000
+
 _TITLE_WORDS = (
     "analysis",
     "clinical",
@@ -162,6 +169,11 @@ def _validate(config: SynthConfig) -> None:
     if lo < 1 or lo > hi:
         raise ConfigError(
             f"papers_per_author must satisfy 1 <= lo <= hi, got {echo(str((lo, hi)))}"
+        )
+    if config.n_authors * hi > MAX_PLANTED_INSTANCES:
+        raise ConfigError(
+            f"n_authors * papers_per_author[1] must be <= {MAX_PLANTED_INSTANCES},"
+            f" got {echo(str(config.n_authors))} * {echo(str(hi))}"
         )
     if config.max_coauthors < 1:
         raise ConfigError("max_coauthors must be >= 1")

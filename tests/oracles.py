@@ -17,6 +17,8 @@ from linklab.linkage import (
     DUP_TITLE_POLICIES,
     SOURCE_AUTHORITY,
     SOURCE_GRANT,
+    EvalRow,
+    JoinResult,
     LinkResult,
     _keyed_bylines,
     _parse_keyed,
@@ -431,6 +433,60 @@ def b3_scores(truth, predicted, *, strict=True):
     recall = recall_sum / n
     precision = precision_sum / n
     return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
+
+
+def join_labels(labels, clustering, corpus, annotations=None, *, strict=False):
+    """The earlier linkage.join_labels, fed by the full readers.
+
+    It indexes the labels itself, raising at the first instance with two
+    labels, and reads the year and byline of each instance from a whole
+    corpus of PaperRecords.
+    """
+    annotations = annotations or {}
+    by_instance = {}
+    for label in labels:
+        existing = by_instance.get(label.instance)
+        if existing is not None and (existing.label_id, existing.source) != (
+            label.label_id,
+            label.source,
+        ):
+            raise ValueError(
+                f"instance {echo(format_instance_id(label.instance))} carries two labels "
+                f"({existing.source}:{echo(existing.label_id)},"
+                f" {label.source}:{echo(label.label_id)}); "
+                "join one labeling source at a time"
+            )
+        by_instance[label.instance] = label
+
+    rows = []
+    dropped_unclustered = 0
+    dropped_missing_paper = 0
+    for instance in sorted(by_instance):
+        label = by_instance[instance]
+        cluster_id = clustering.get(instance)
+        if cluster_id is None:
+            dropped_unclustered += 1
+            continue
+        paper = corpus.get(instance[0])
+        if paper is None or not 1 <= instance[1] <= len(paper.authors):
+            if strict:
+                raise EvaluationError(
+                    f"labeled instance {echo(format_instance_id(instance))} is not in the corpus"
+                )
+            dropped_missing_paper += 1
+            continue
+        annotation = annotations.get(instance)
+        rows.append(
+            EvalRow(
+                instance=instance,
+                truth_label=label.label_id,
+                predicted_cluster_id=cluster_id,
+                year=paper.year,
+                ethnicity=annotation.ethnicity if annotation else None,
+                gender=annotation.gender if annotation else None,
+            )
+        )
+    return JoinResult(tuple(rows), dropped_unclustered, dropped_missing_paper)
 
 
 def stratify(rows, stratum):

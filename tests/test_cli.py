@@ -25,9 +25,10 @@ from linklab.cli import (
     EXIT_USAGE,
     main,
 )
-from linklab.corpus import ingest_corpus, write_clustering
+from linklab.corpus import ingest_corpus, ingest_paper_years, write_clustering
 from linklab.linkage import (
     LabeledInstance,
+    index_labels,
     join_labels,
     link_authority,
     read_eval_dataset,
@@ -316,7 +317,9 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
         )
         == EXIT_OK
     )
-    dataset = join_labels(result.labels, fini, corpus).rows
+    dataset = join_labels(
+        index_labels(result.labels), fini, ingest_paper_years(bundle_dir / "papers.tsv")
+    ).rows
     write_eval_dataset(workdir / "api_eval.tsv", dataset)
     assert filecmp.cmp(workdir / "api_eval.tsv", workdir / "eval" / "eval_dataset.tsv", shallow=False)
     scores = b3_scores(
@@ -513,6 +516,8 @@ EVAL = (
     "1_1\ta\tc1\t2001\tEnglish\tMale\n"
     "1_2\tb\tc1\t2001\tKorean\tFemale\n"
 )
+# one instance labeled by both sources: the join refuses it (exit 5)
+CONFLICT_LABELS = "instance_id\tlabel_id\tsource\n1_1\tx\tauthority\n1_1\ty\tgrant\n"
 LONG_BYLINE = "|".join(f"Surname{i}, Given" for i in range(15000))
 # more digits than int() converts by default
 HUGE = "1" * 5000
@@ -680,6 +685,46 @@ BAD_INPUTS = [
         )
         for fault, row in (("malformed id", "9_x\tEnglish\tMale\n"), ("duplicate", "5_1\tA\tB\n5_1\tA\tB\n"))
     ),
+    # labels-mode evaluate keeps only labeled instances, but checks every row
+    (
+        "predicted clustering: one unlabeled instance in two clusters",
+        "pred.tsv",
+        (CLUSTERING + "c7\t5_1\nc8\t05_1\n").encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "pred.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "annotations: one unlabeled instance annotated twice, written two ways",
+        "ann.tsv",
+        (ANNOTATIONS + "5_1\tA\tB\n05_1\tA\tB\n").encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers.tsv",
+         "--annotations", "ann.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    (
+        "papers: empty author name on a paper with no labeled instance",
+        "papers2.tsv",
+        (PAPERS + "9\t2002\tOther title\tKim, Ji||Lee, Ann\n").encode(),
+        ["evaluate", "--truth", "labels.tsv", "--pred", "clustering.tsv", "--papers", "papers2.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    # a bad input outranks the label conflict, which the join finds after every read
+    (
+        "two-source label conflict and a malformed --pred",
+        "pred.tsv",
+        (CLUSTERING + "c2\t1_x\n").encode(),
+        ["evaluate", "--truth", "conflict.tsv", "--pred", "pred.tsv", "--papers", "papers.tsv", "--out", "out"],
+        EXIT_FORMAT,
+    ),
+    # a config too large to generate is refused before anything is allocated
+    *(
+        (f"synth config planting {what}", "config.json", text.encode(), _synth_with_config(), EXIT_EVALUATION)
+        for what, text in (
+            ("a 401-digit number of authors", f'{{"n_authors": 1{"0" * 400}}}'),
+            ("10^11 authors", '{"n_authors": 100000000000}'),
+            ("up to 10^15 papers per author", '{"papers_per_author": [1, 1000000000000000]}'),
+        )
+    ),
     # a message quotes each bad field cut short, whatever its length
     (
         "5000-character label source",
@@ -831,6 +876,20 @@ MESSAGES = {
     "labels that join no predicted instance": "dropped_unclustered=2",
     "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
     "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",
+    "predicted clustering: one unlabeled instance in two clusters":
+        "pred.tsv, row 4: instance '05_1' already assigned to cluster 'c7'",
+    "annotations: one unlabeled instance annotated twice, written two ways":
+        "ann.tsv, row 4: duplicate annotation for instance '05_1'",
+    "papers: empty author name on a paper with no labeled instance":
+        "papers2.tsv, row 2: empty author name in byline",
+    "two-source label conflict and a malformed --pred":
+        "pred.tsv, row 3: instance id '1_x' is not of the form <pmid>_<position>",
+    "synth config planting a 401-digit number of authors":
+        f"n_authors * papers_per_author[1] must be <= 10000000, got {'1' + '0' * 23!r}... (401 characters) * '6'",
+    "synth config planting 10^11 authors":
+        "n_authors * papers_per_author[1] must be <= 10000000, got '100000000000' * '6'",
+    "synth config planting up to 10^15 papers per author":
+        "n_authors * papers_per_author[1] must be <= 10000000, got '100' * '1000000000000000'",
     **{f"synth config {text}": field for text, field in BAD_CONFIGS.items()},
     **{f"synth config {text}": message for text, message in NAN_SHARES.items()},
     "5000-character label source": f"labels.tsv, row 1: unknown source {LONG_ECHO}",
@@ -887,6 +946,7 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
     (workdir / "labels.tsv").write_text(LABELS)
     (workdir / "eval.tsv").write_text(EVAL)
     (workdir / "long_id.tsv").write_text(f"cluster_id\tinstance_id\nc1\t{LONG_ID}\n")
+    (workdir / "conflict.tsv").write_text(CONFLICT_LABELS)
     (workdir / name).parent.mkdir(exist_ok=True)
     (workdir / name).write_bytes(data)
     out = workdir / argv[argv.index("--out") + 1]

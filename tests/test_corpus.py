@@ -18,6 +18,7 @@ from linklab.corpus import (
     ingest_clustering,
     ingest_corpus,
     ingest_grants,
+    ingest_paper_years,
     parse_instance_id,
     write_annotations,
     write_authority,
@@ -27,6 +28,7 @@ from linklab.corpus import (
     write_grants,
 )
 from linklab.errors import IngestError, ParseError
+from linklab.linkage import LabeledInstance, index_labels
 
 import oracles
 from oracles import TwoCopyClustering, clustering_of, write_two_copy_clustering
@@ -110,6 +112,20 @@ def test_ingest_corpus(tmp_path):
     assert corpus[3].authors[2 - 1] == "Lee, Ann"
 
 
+def test_ingest_paper_years_keeps_the_year_and_byline_length(tmp_path):
+    path = write_tsv(
+        tmp_path / "papers.tsv",
+        "pmid\tyear\ttitle\tauthors\n"
+        "3\t1999\tThird paper\tSmith, John|Lee, Ann\n"
+        "1\t2001\tFirst paper\tSolo, Han\n"
+        "2\t1999\tSecond paper\tOne, A|Two, B\n",
+    )
+    years = ingest_paper_years(path)
+    assert years == {pmid: (paper.year, len(paper.authors)) for pmid, paper in ingest_corpus(path).items()}
+    assert list(years) == [3, 1, 2]  # row order of the file
+    assert years[3] is years[2]  # equal pairs share one tuple
+
+
 def test_ingest_corpus_duplicate_pmid_errors_at_second_row(tmp_path):
     path = write_tsv(
         tmp_path / "papers.tsv",
@@ -185,6 +201,42 @@ def test_ingest_clustering_rejects_double_assignment(tmp_path):
     with pytest.raises(IngestError, match="already assigned") as err:
         ingest_clustering(path)
     assert err.value.row == 2
+
+
+def test_kept_instances_are_keyed_by_the_labels_own_tuples(tmp_path):
+    labels = [LabeledInstance((1, 1), "a", "authority"), LabeledInstance((3, 1), "b", "grant")]
+    keep = index_labels(labels).labels
+    clustering = ingest_clustering(
+        write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nA\t01_1\nB\t2_1\nA\t3_1\n"), keep=keep
+    )
+    annotations = ingest_annotations(
+        write_tsv(tmp_path / "ann.tsv", "instance_id\tethnicity\tgender\n2_1\tE\tM\n3_1\tE\tM\n"), keep=keep
+    )
+    assert dict(clustering) == {(1, 1): "A", (3, 1): "A"}
+    assert list(annotations) == [(3, 1)]
+    for kept in (clustering, annotations):
+        for instance in kept:
+            assert instance is keep[instance].instance
+
+
+@pytest.mark.parametrize(
+    "reader,text,row,message",
+    [
+        (ingest_clustering, "cluster_id\tinstance_id\nA\t1_1\nB\t5_1\nC\t05_1\n", 3,
+         "instance '05_1' already assigned to cluster 'B'"),
+        (ingest_clustering, "cluster_id\tinstance_id\nA\t1_1\nB\t5_x\n", 2, "is not of the form"),
+        (ingest_clustering, "cluster_id\tinstance_id\nA\t1_1\n\t5_1\n", 2, "empty cluster_id"),
+        (ingest_annotations, "instance_id\tethnicity\tgender\n1_1\tE\tM\n5_1\tE\tM\n5_1\tK\tF\n", 3,
+         "duplicate annotation for instance '5_1'"),
+        (ingest_annotations, "instance_id\tethnicity\tgender\n1_1\tE\tM\n5_x\tE\tM\n", 2,
+         "is not of the form"),
+    ],
+)
+def test_keep_still_checks_the_rows_it_does_not_keep(tmp_path, reader, text, row, message):
+    keep = index_labels([LabeledInstance((1, 1), "a", "authority")]).labels
+    with pytest.raises(IngestError, match=message) as err:
+        reader(write_tsv(tmp_path / "table.tsv", text), keep=keep)
+    assert err.value.row == row
 
 
 def test_clustering_round_trip(tmp_path):

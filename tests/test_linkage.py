@@ -1,5 +1,6 @@
 """Labeling pipelines, label joins, and agreement."""
 
+import argparse
 import random
 import tempfile
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from linklab import baseline, linkage
+from linklab.cli import _join_label_files
 from linklab.corpus import (
     Annotation,
     AuthorityProfile,
@@ -16,6 +18,9 @@ from linklab.corpus import (
     GrantRecord,
     PaperRecord,
     format_instance_id,
+    ingest_annotations,
+    ingest_clustering,
+    ingest_corpus,
 )
 from linklab.baseline import cluster_aini, cluster_fini, corpus_names
 from linklab.errors import EvaluationError, IngestError
@@ -23,6 +28,7 @@ from linklab.linkage import (
     EvalRow,
     LabeledInstance,
     extract_selfcitation_pairs,
+    index_labels,
     join_labels,
     label_agreement,
     link_authority,
@@ -45,6 +51,15 @@ def make_corpus(*papers):
         pmid: PaperRecord(pmid, year, title, tuple(authors))
         for pmid, year, title, authors in papers
     }
+
+
+def paper_years(corpus):
+    """pmid -> (year, byline length), the papers table join_labels reads."""
+    return {pmid: (paper.year, len(paper.authors)) for pmid, paper in corpus.items()}
+
+
+def join(labels, clustering, corpus, annotations=None, **kwargs):
+    return join_labels(index_labels(labels), clustering, paper_years(corpus), annotations, **kwargs)
 
 
 def profile(authority_id, name, *titles):
@@ -406,7 +421,7 @@ def test_join_labels_inner_join(corpus):
     annotations = {
         (1, 1): Annotation("English", "Male"),
     }
-    joined = join_labels(labels, clustering, corpus, annotations)
+    joined = join(labels, clustering, corpus, annotations)
     assert joined.dropped_unclustered == 1
     first, second = joined.rows
     assert first == EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male")
@@ -417,7 +432,7 @@ def test_join_labels_inner_join(corpus):
 def test_join_labels_disjoint_is_empty(corpus):
     labels = [LabeledInstance((1, 1), "orc-1", "authority")]
     clustering = clustering_of({"c9": {(5, 1)}})
-    joined = join_labels(labels, clustering, corpus)
+    joined = join(labels, clustering, corpus)
     assert joined.rows == ()
     assert joined.dropped_unclustered == 1
 
@@ -428,11 +443,11 @@ def test_join_labels_disjoint_is_empty(corpus):
 def test_join_labels_missing_paper(corpus, instance):
     labels = [LabeledInstance(instance, "orc-1", "authority")]
     clustering = clustering_of({"c1": {instance}})
-    joined = join_labels(labels, clustering, corpus)
+    joined = join(labels, clustering, corpus)
     assert joined.rows == ()
     assert joined.dropped_missing_paper == 1
     with pytest.raises(EvaluationError, match="not in the corpus"):
-        join_labels(labels, clustering, corpus, strict=True)
+        join(labels, clustering, corpus, strict=True)
 
 
 def test_join_labels_rejects_mixed_sources(corpus):
@@ -441,8 +456,122 @@ def test_join_labels_rejects_mixed_sources(corpus):
         LabeledInstance((1, 1), "nih-1", "grant"),
     ]
     clustering = clustering_of({"c1": {(1, 1)}})
+    index = index_labels(labels)  # noted, not raised: the other inputs are read first
+    assert index.labels[(1, 1)] is labels[0]
     with pytest.raises(ValueError, match="one labeling source"):
-        join_labels(labels, clustering, corpus)
+        join_labels(index, clustering, paper_years(corpus))
+
+
+def test_index_labels_keys_by_each_labels_own_tuple():
+    first = LabeledInstance((1, 1), "orc-1", "authority")
+    again = LabeledInstance((1, 1), "orc-1", "authority")
+    index = index_labels([first, again, LabeledInstance((2, 1), "orc-2", "authority")])
+    assert index.conflict is None
+    assert index.labels[(1, 1)] is first
+    assert next(iter(index.labels)) is first.instance
+
+
+# Instances on pmids 1-3 at positions 1-3; a drawn paper has 1 or 2 names,
+# so some labeled instances lie on no paper or past a byline.
+JOIN_INSTANCE = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def join_inputs(draw):
+    """The four tables of a labels-mode join, as lists of data rows.
+
+    Each table holds distinct keys, and now and then one more row that
+    repeats one of them: a duplicate pmid, label, assignment or
+    annotation. An id may carry a leading zero, which names the same
+    instance.
+    """
+
+    def instance_id(instance):
+        return f"{draw(st.sampled_from(['', '0']))}{instance[0]}_{instance[1]}"
+
+    def table(keys, value, row):
+        drawn = list(draw(st.dictionaries(keys, value, max_size=8)).items())
+        if drawn and draw(st.sampled_from([True, *[False] * 5])):
+            drawn.append((draw(st.sampled_from(drawn))[0], draw(value)))
+        return [row(key, value) for key, value in drawn]
+
+    papers = table(
+        st.integers(1, 3),
+        st.integers(1, 2),
+        lambda pmid, length: f"{pmid}\t{1990 + length}\tT\t{'|'.join(['Kim, Ji'] * length)}",
+    )
+    labels = table(
+        JOIN_INSTANCE, st.sampled_from(["a", "b"]),
+        lambda i, label: f"{instance_id(i)}\t{label}\t{linkage.SOURCE_AUTHORITY}",
+    )
+    # a grant label on an instance the authority also labels is a two-source conflict
+    labels += [
+        f"{instance_id(i)}\tg\t{linkage.SOURCE_GRANT}"
+        for i in draw(st.lists(JOIN_INSTANCE, max_size=1))
+    ]
+    pred = table(JOIN_INSTANCE, st.sampled_from(["c1", "c2", "c3"]), lambda i, c: f"{c}\t{instance_id(i)}")
+    annotations = None
+    if draw(st.booleans()):
+        annotations = table(
+            JOIN_INSTANCE, st.sampled_from(["A", "B"]), lambda i, tag: f"{instance_id(i)}\t{tag}\tMale"
+        )
+    return papers, labels, pred, annotations
+
+
+def _outcome(join):
+    try:
+        joined = join()
+    except (ValueError, EvaluationError, IngestError) as exc:
+        return type(exc).__name__, str(exc)
+    return joined.rows, joined.dropped_unclustered, joined.dropped_missing_paper
+
+
+# labeled: 1_1 and 2_1 join, 2_2 and 2_3 have no prediction, 3_1 lies on
+# no paper and 1_2 past its byline; ids with a leading zero name 1_1 and 2_1
+JOIN_EXAMPLE = (
+    ["1\t1991\tT\tKim, Ji", "2\t1992\tT\tKim, Ji|Kim, Ji"],
+    [f"{i}\t{label}\tauthority" for i, label in
+     (("1_1", "a"), ("2_1", "b"), ("2_2", "a"), ("3_1", "a"), ("1_2", "b"), ("2_3", "a"))],
+    ["c1\t01_1", "c2\t2_1", "c1\t3_1", "c2\t1_2", "c3\t3_3"],
+    ["1_1\tA\tMale", "02_1\tB\tMale", "3_3\tA\tMale"],
+)
+
+
+@given(join_inputs(), st.booleans())
+@example(JOIN_EXAMPLE, False)
+@example(JOIN_EXAMPLE, True)
+@example((*JOIN_EXAMPLE[:3], None), False)
+def test_join_of_kept_rows_matches_the_full_reader_oracle(tables, strict):
+    """The labels-mode join keeps only labeled rows and no paper text, to the same effect.
+
+    The oracle reads every input in full and joins with the earlier
+    join_labels; a failure must be the same error with the same text.
+    """
+    headers = ("pmid\tyear\ttitle\tauthors", "instance_id\tlabel_id\tsource",
+               "cluster_id\tinstance_id", "instance_id\tethnicity\tgender")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, header, rows in zip(("papers", "labels", "pred", "ann"), headers, tables):
+            path = None
+            if rows is not None:
+                path = Path(tmp) / f"{name}.tsv"
+                path.write_text("".join(f"{line}\n" for line in (header, *rows)), encoding="utf-8")
+            paths.append(path)
+        papers, labels, pred, annotations = paths
+
+        def full():
+            return oracles.join_labels(
+                read_labels(labels),
+                ingest_clustering(pred),
+                ingest_corpus(papers),
+                None if annotations is None else ingest_annotations(annotations),
+                strict=strict,
+            )
+
+        args = argparse.Namespace(
+            truth=labels, pred=pred, papers=papers, annotations=annotations, strict=strict
+        )
+        assert _outcome(lambda: _join_label_files(args)) == _outcome(full)
 
 
 def labels_from(truth_labels):

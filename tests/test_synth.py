@@ -19,8 +19,10 @@ from linklab.linkage import extract_selfcitation_pairs, link_authority, link_gra
 from linklab.metrics import b3_scores, pair_accuracy_detail
 from linklab.normalize import aini_key, fini_key, parse_name
 from linklab.profile import classify_synonym_types, distribution
+from linklab import synth
 from linklab.synth import (
     BUNDLE_FILES,
+    MAX_PLANTED_INSTANCES,
     VARIANT_HOMONYM,
     VARIANT_MIDINITIAL,
     SynthConfig,
@@ -350,6 +352,37 @@ def test_selfcitation_edges_connect_consecutive_papers():
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigError):
         generate(SynthConfig(seed=1, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_authors": 10**400},
+        {"n_authors": 10**11},
+        {"papers_per_author": (1, 10**15)},
+        {"n_authors": MAX_PLANTED_INSTANCES // 2 + 1, "papers_per_author": (1, 2)},
+    ],
+)
+def test_a_config_over_the_instance_cap_is_refused_before_anything_is_built(monkeypatch, kwargs):
+    def build(*args):
+        raise AssertionError("the generator started building")
+
+    # the first step that allocates per author
+    monkeypatch.setattr(synth, "_assign_roles", build)
+    with pytest.raises(ConfigError, match=f"must be <= {MAX_PLANTED_INSTANCES}"):
+        generate(SynthConfig(seed=1, **kwargs))
+
+
+def test_the_instance_cap_admits_a_config_at_the_cap(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(config):
+        raise Built
+
+    monkeypatch.setattr(synth, "_assign_roles", build)
+    with pytest.raises(Built):
+        generate(SynthConfig(seed=1, n_authors=MAX_PLANTED_INSTANCES // 2, papers_per_author=(1, 2)))
 
 
 def test_role_overflow_rejected():

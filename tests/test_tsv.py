@@ -21,6 +21,7 @@ from linklab.corpus import (
     ingest_citations,
     ingest_clustering,
     ingest_corpus,
+    ingest_paper_years,
     ingest_grants,
 )
 from linklab.errors import IngestError, ParseError
@@ -157,6 +158,8 @@ ROW_FAULTS = [
     (read_eval_dataset, EVAL_COLUMNS, "1_1\ta\tc1\t2001\tEnglish\tMale", f"1_2\ta\tc1\t-{HUGE}\t\t",
      "year is too long: 5000 digits"),
 ]
+# ingest_paper_years checks papers.tsv through ingest_corpus's own row validator
+ROW_FAULTS += [(ingest_paper_years, *case[1:]) for case in ROW_FAULTS if case[0] is ingest_corpus]
 READERS = {reader: (columns, good) for reader, columns, good, _, _ in ROW_FAULTS}
 # a row of one field, which no table has; _tsv itself rejects it
 ROW_FAULTS += [
