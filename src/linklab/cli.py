@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import platform
@@ -23,6 +22,7 @@ import shutil
 import sys
 import tempfile
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 from typing import get_type_hints
 
@@ -109,6 +109,11 @@ def _can_be_directory(path: Path) -> bool:
 
 
 def _sha256(path: Path) -> str:
+    # imported here, not at the top: hashlib loads OpenSSL's libcrypto, a few
+    # MiB that every command would carry through its peak, and _run checksums
+    # only once the command has returned and its tables are freed
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
@@ -206,26 +211,18 @@ def cmd_link_authority(args: argparse.Namespace, out: Path) -> str:
     )
     _write_link_result(out, result)
     return (
-        "link-authority: labels=%d conflicts=%d papers=%d profiles=%d candidates=%d"
-        % (
-            len(result.labels),
-            len(result.conflicts),
-            result.stats["papers"],
-            result.stats["profiles"],
-            result.stats["candidates"],
-        )
-    )
+        "link-authority: labels={labels} conflicts={conflicts} papers={papers}"
+        " profiles={profiles} candidates={candidates}"
+    ).format(conflicts=len(result.conflicts), **result.stats)
 
 
 def cmd_link_grants(args: argparse.Namespace, out: Path) -> str:
     result = link_grants(ingest_corpus(args.papers), ingest_grants(args.grants))
     _write_link_result(out, result)
-    return "link-grants: labels=%d conflicts=%d grants=%d funded_in_corpus=%d" % (
-        len(result.labels),
-        len(result.conflicts),
-        result.stats["grants"],
-        result.stats["funded_pmids_in_corpus"],
-    )
+    return (
+        "link-grants: labels={labels} conflicts={conflicts} grants={grants}"
+        " funded_in_corpus={funded_pmids_in_corpus}"
+    ).format(conflicts=len(result.conflicts), **result.stats)
 
 
 def cmd_pairs(args: argparse.Namespace, out: Path) -> str:
@@ -256,11 +253,7 @@ def _evaluate_pairs(args: argparse.Namespace, out: Path) -> str:
         "dropped": detail.dropped,
     }
     _write_json(out / "metrics.json", payload)
-    return "evaluate: pair_accuracy=%.6f evaluated=%d dropped=%d" % (
-        detail.accuracy,
-        detail.evaluated,
-        detail.dropped,
-    )
+    return "evaluate: pair_accuracy=%.6f evaluated=%d dropped=%d" % detail
 
 
 def _join_label_files(args: argparse.Namespace) -> JoinResult:
@@ -319,13 +312,7 @@ def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
         ingest_clustering(args.truth), ingest_clustering(args.pred), strict=args.strict
     )
     write_metrics_json(out / "metrics.json", scores)
-    return "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d" % (
-        scores.recall,
-        scores.precision,
-        scores.f1,
-        scores.n,
-        scores.dropped,
-    )
+    return "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d" % scores
 
 
 def cmd_evaluate(args: argparse.Namespace, out: Path) -> str:
@@ -357,28 +344,51 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
         if args.seed is None:
             raise _usage_exit("profile --sample needs --seed (no hidden entropy)")
 
-    dataset = None if args.eval is None else read_eval_dataset(args.eval)
-    corpus = None if args.papers is None else ingest_corpus(args.papers)
-    truth = None if args.truth is None else ingest_clustering(args.truth)
-    pairs = None if args.pairs is None else read_pairs(args.pairs)
+    # Inputs are read in the order eval, papers, truth, pairs. Each artifact is
+    # written once its inputs are read, and then every input but the corpus is
+    # dropped. An evaluation error waits until every input is read, so a
+    # format error in a later input still wins.
+    held: list[Exception] = []
 
-    if dataset is not None:
-        for attribute in STRATA:
-            write_distribution(
-                out / f"dist_{attribute}.tsv", {"percent": distribution(dataset, attribute)}
-            )
+    @contextmanager
+    def holding():
+        try:
+            yield
+        except (EvaluationError, ValueError) as exc:
+            held.append(exc)
+
+    if args.eval is not None:
+        dataset = read_eval_dataset(args.eval)
+        with holding():
+            for attribute in STRATA:
+                write_distribution(
+                    out / f"dist_{attribute}.tsv", {"percent": distribution(dataset, attribute)}
+                )
+        del dataset
+    corpus = None if args.papers is None else ingest_corpus(args.papers)
     if corpus is not None:
         # one parse per distinct byline name, shared by the block sizes and the typology
         parsed = ParsedNames()
-        sizes = fini_block_sizes(corpus_names(corpus, parsed))
-        write_ccdf(out / "ccdf.tsv", {"fraction_at_least": block_size_ccdf(sizes)})
-    if truth is not None:
-        report = classify_synonym_types(truth, name_lookup(corpus, parsed))
-        write_typology(out / "typology.tsv", report)
-    if pairs is not None:
-        write_distribution(
-            out / "dist_pair_year.tsv", {"percent": pair_year_distribution(pairs, corpus)}
-        )
+        with holding():
+            ccdf = block_size_ccdf(fini_block_sizes(corpus_names(corpus, parsed)))
+            write_ccdf(out / "ccdf.tsv", {"fraction_at_least": ccdf})
+        if args.truth is not None:
+            truth = ingest_clustering(args.truth)
+            with holding():
+                write_typology(
+                    out / "typology.tsv", classify_synonym_types(truth, name_lookup(corpus, parsed))
+                )
+            del truth
+        del parsed
+    if args.pairs is not None:
+        pairs = read_pairs(args.pairs)
+        with holding():
+            write_distribution(
+                out / "dist_pair_year.tsv", {"percent": pair_year_distribution(pairs, corpus)}
+            )
+        del pairs
+    if held:
+        raise held[0]
     if args.sample is not None:
         population = (instance for paper in corpus.values() for instance in paper.instances())
         sample = reference_sample(population, args.sample, args.seed)

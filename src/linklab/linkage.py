@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import open_text_write, read_table, write_rows
-from .baseline import _shared_keys, corpus_names
+from .baseline import _shared_keys
 from .corpus import (
     AuthorityProfile,
     Annotation,
@@ -87,27 +87,18 @@ def _parse_keyed(raw: str) -> PersonName | None:
     return name if is_keyed(name) else None
 
 
-def _keyed_fini_key(name: PersonName) -> str | None:
-    return fini_key(name) if is_keyed(name) else None
+def _key_index(corpus: Corpus) -> dict[str, str | None]:
+    """Every distinct raw byline name -> its blocking key, None when it has none.
 
-
-def _keyed_bylines(corpus: Corpus) -> dict[int, dict[str, list[int]]]:
-    """Every paper's keyed byline positions, grouped by blocking key.
-
-    Names come from corpus_names, one parse and one key string per
-    distinct raw name; every pmid maps to a dict, an empty one when the
-    paper has no keyed name.
+    Unparseable names and mononyms have no key. Each distinct name is
+    parsed once, and equal keys are one string object.
     """
-    bylines: dict[int, dict[str, list[int]]] = {pmid: {} for pmid in corpus}
-    for (pmid, position), key in _shared_keys(corpus_names(corpus), _keyed_fini_key):
-        if key is not None:
-            bylines[pmid].setdefault(key, []).append(position)
-    return bylines
+    names = dict.fromkeys(raw for paper in corpus.values() for raw in paper.authors)
+    return dict(_shared_keys(((raw, _parse_keyed(raw)) for raw in names), fini_key))
 
 
 def _match_people(
-    bylines: Mapping[int, Mapping[str, list[int]]],
-    people: Iterable[tuple[str, str, Iterable[int]]],
+    corpus: Corpus, people: Iterable[tuple[str, str, Iterable[int]]]
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
     """Match each (person id, raw name, pmids) to the byline positions under its key.
 
@@ -116,6 +107,7 @@ def _match_people(
     candidates, the number of people whose name is unusable (their pmids
     are not read), and the in-corpus pmids of the usable people.
     """
+    keys = _key_index(corpus)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable = 0
     pmids_in_corpus: set[int] = set()
@@ -126,57 +118,50 @@ def _match_people(
             continue
         key = fini_key(name)
         for pmid in pmids:
-            grouped = bylines.get(pmid)
-            if grouped is None:
+            paper = corpus.get(pmid)
+            if paper is None:
                 continue
             pmids_in_corpus.add(pmid)
-            for position in grouped.get(key, ()):
-                candidates.add(((pmid, position), person_id))
+            for position, raw in enumerate(paper.authors, start=1):
+                if keys[raw] == key:
+                    candidates.add(((pmid, position), person_id))
     return candidates, unusable, pmids_in_corpus
 
 
 def _resolve_candidates(
     candidates: set[tuple[InstanceID, str]], source: str
 ) -> tuple[tuple[LabeledInstance, ...], tuple[ConflictRecord, ...]]:
-    """Apply both ambiguity rules to the full candidate set at once."""
-    by_instance: dict[InstanceID, set[str]] = {}
-    by_paper_label: dict[tuple[int, str], set[InstanceID]] = {}
-    for instance, label_id in candidates:
-        by_instance.setdefault(instance, set()).add(label_id)
-        by_paper_label.setdefault((instance[0], label_id), set()).add(instance)
+    """Apply both ambiguity rules to the full candidate set at once.
 
-    dropped: set[tuple[InstanceID, str]] = set()
-    conflicts: list[ConflictRecord] = []
-    for instance in sorted(by_instance):
-        label_ids = by_instance[instance]
-        if len(label_ids) > 1:
-            dropped.update((instance, label_id) for label_id in label_ids)
-            conflicts.append(
-                ConflictRecord(
-                    "instance_multilabel",
-                    instance,
-                    f"{source}:{','.join(sorted(label_ids))}",
-                )
-            )
-    for pmid, label_id in sorted(by_paper_label):
-        instances = by_paper_label[(pmid, label_id)]
-        if len(instances) > 1:
-            listed = ",".join(format_instance_id(i) for i in sorted(instances))
-            for instance in sorted(instances):
-                dropped.add((instance, label_id))
-                conflicts.append(
-                    ConflictRecord(
-                        "paper_multimatch",
-                        instance,
-                        f"{source}:{label_id} instances:{listed}",
-                    )
-                )
-    labels = tuple(
-        LabeledInstance(instance, label_id, source)
-        for instance, label_id in sorted(candidates)
-        if (instance, label_id) not in dropped
-    )
-    return labels, tuple(sorted(conflicts))
+    Candidates are counted per instance and per (pmid, label); only the
+    few counted more than once are grouped, in order, to name them in
+    their conflicts.
+    """
+    per_instance = Counter(instance for instance, _ in candidates)
+    per_paper_label = Counter((instance[0], label_id) for instance, label_id in candidates)
+    label_ids: dict[InstanceID, list[str]] = {}
+    instances: dict[tuple[int, str], list[InstanceID]] = {}
+    labels = []
+    for instance, label_id in sorted(candidates):
+        multilabel = per_instance[instance] > 1
+        if multilabel:
+            label_ids.setdefault(instance, []).append(label_id)
+        if per_paper_label[instance[0], label_id] > 1:
+            instances.setdefault((instance[0], label_id), []).append(instance)
+        elif not multilabel:
+            labels.append(LabeledInstance(instance, label_id, source))
+
+    conflicts = [
+        ConflictRecord("instance_multilabel", instance, f"{source}:{','.join(ids)}")
+        for instance, ids in label_ids.items()
+    ]
+    for (_, label_id), members in instances.items():
+        listed = ",".join(map(format_instance_id, members))
+        conflicts.extend(
+            ConflictRecord("paper_multimatch", instance, f"{source}:{label_id} instances:{listed}")
+            for instance in members
+        )
+    return tuple(labels), tuple(sorted(conflicts))
 
 
 def link_authority(
@@ -227,7 +212,7 @@ def link_authority(
                 yield pmid
 
     candidates, unusable_profiles, _ = _match_people(
-        _keyed_bylines(corpus),
+        corpus,
         ((authority_id, profile.person_name, profile_pmids(profile))
          for authority_id, profile in registry.items()),
     )
@@ -248,7 +233,7 @@ def link_authority(
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
     candidates, unusable_pis, funded_in_corpus = _match_people(
-        _keyed_bylines(corpus),
+        corpus,
         ((pi_id, record.pi_name, record.funded_pmids) for pi_id, record in grants.items()),
     )
     funded = set().union(*(record.funded_pmids for record in grants.values()))
@@ -270,21 +255,30 @@ def extract_selfcitation_pairs(
 ) -> frozenset[tuple[InstanceID, InstanceID]]:
     """Pair same-key instances across each in-corpus citation edge.
 
-    Each pair spans two papers and is (smaller, larger) instance.
+    Each pair spans two papers and is (smaller, larger) instance. A citing
+    byline is grouped by key once per run of edges from that paper, so
+    edges sorted by citing pmid, as ingest_citations gives them, group
+    each byline once.
     """
-    bylines = _keyed_bylines(corpus)
+    keys = _key_index(corpus)
     pairs: set[tuple[InstanceID, InstanceID]] = set()
+    citing_pmid = None
     for edge in citations:
-        citing = bylines.get(edge.citing_pmid)
-        cited = bylines.get(edge.cited_pmid)
-        if citing is None or cited is None or edge.citing_pmid == edge.cited_pmid:
+        if edge.citing_pmid != citing_pmid:
+            citing_pmid = edge.citing_pmid
+            citing = corpus.get(citing_pmid)
+            citing_positions: dict[str, list[int]] = {}
+            if citing is not None:
+                for position, raw in enumerate(citing.authors, start=1):
+                    key = keys[raw]
+                    if key is not None:
+                        citing_positions.setdefault(key, []).append(position)
+        cited = corpus.get(edge.cited_pmid)
+        if not citing_positions or cited is None or edge.cited_pmid == citing_pmid:
             continue
-        for key, citing_positions in citing.items():
-            for pos_cited in cited.get(key, ()):
-                for pos_citing in citing_positions:
-                    pairs.add(
-                        _ordered((edge.citing_pmid, pos_citing), (edge.cited_pmid, pos_cited))
-                    )
+        for pos_cited, raw in enumerate(cited.authors, start=1):
+            for pos_citing in citing_positions.get(keys[raw], ()):
+                pairs.add(_ordered((citing_pmid, pos_citing), (edge.cited_pmid, pos_cited)))
     return frozenset(pairs)
 
 

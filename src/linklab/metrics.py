@@ -174,20 +174,10 @@ def stratified_eval(dataset: Iterable, stratum: str) -> dict[str, B3Scores]:
 def metrics_to_json(
     scores: B3Scores, strata: Mapping[str, B3Scores] | None = None
 ) -> str:
-    """Serialize scores as JSON with a stable key order."""
-
-    def entry(s: B3Scores) -> dict:
-        return {
-            "recall": s.recall,
-            "precision": s.precision,
-            "f1": s.f1,
-            "n": s.n,
-            "dropped": s.dropped,
-        }
-
-    payload = entry(scores)
+    """Serialize scores as JSON, keys in B3Scores field order."""
+    payload = scores._asdict()
     if strata is not None:
-        payload["strata"] = {value: entry(strata[value]) for value in sorted(strata)}
+        payload["strata"] = {value: strata[value]._asdict() for value in sorted(strata)}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 

@@ -10,19 +10,19 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
-from linklab.baseline import cluster_fini, corpus_names
+from linklab.baseline import _shared_keys, cluster_fini, corpus_names
 from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id
 from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
     SOURCE_AUTHORITY,
     SOURCE_GRANT,
+    ConflictRecord,
     EvalRow,
     JoinResult,
+    LabeledInstance,
     LinkResult,
-    _keyed_bylines,
     _parse_keyed,
-    _resolve_candidates,
 )
 from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
 from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
@@ -295,6 +295,64 @@ def csv_records(path):
         raise IngestError(f"damaged gzip data: {exc}", path=str(path)) from None
 
 
+def keyed_bylines(corpus):
+    """The earlier linkage._keyed_bylines: pmid -> blocking key -> keyed byline positions.
+
+    Every pmid maps to a dict, an empty one when the paper has no keyed name.
+    """
+
+    def keyed_fini_key(name):
+        return fini_key(name) if is_keyed(name) else None
+
+    bylines = {pmid: {} for pmid in corpus}
+    for (pmid, position), key in _shared_keys(corpus_names(corpus), keyed_fini_key):
+        if key is not None:
+            bylines[pmid].setdefault(key, []).append(position)
+    return bylines
+
+
+def resolve_candidates(candidates, source):
+    """The earlier linkage._resolve_candidates: one set per instance and per (pmid, label)."""
+    by_instance = {}
+    by_paper_label = {}
+    for instance, label_id in candidates:
+        by_instance.setdefault(instance, set()).add(label_id)
+        by_paper_label.setdefault((instance[0], label_id), set()).add(instance)
+
+    dropped = set()
+    conflicts = []
+    for instance in sorted(by_instance):
+        label_ids = by_instance[instance]
+        if len(label_ids) > 1:
+            dropped.update((instance, label_id) for label_id in label_ids)
+            conflicts.append(
+                ConflictRecord(
+                    "instance_multilabel",
+                    instance,
+                    f"{source}:{','.join(sorted(label_ids))}",
+                )
+            )
+    for pmid, label_id in sorted(by_paper_label):
+        instances = by_paper_label[(pmid, label_id)]
+        if len(instances) > 1:
+            listed = ",".join(format_instance_id(i) for i in sorted(instances))
+            for instance in sorted(instances):
+                dropped.add((instance, label_id))
+                conflicts.append(
+                    ConflictRecord(
+                        "paper_multimatch",
+                        instance,
+                        f"{source}:{label_id} instances:{listed}",
+                    )
+                )
+    labels = tuple(
+        LabeledInstance(instance, label_id, source)
+        for instance, label_id in sorted(candidates)
+        if (instance, label_id) not in dropped
+    )
+    return labels, tuple(sorted(conflicts))
+
+
 def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="delete"):
     """The earlier linkage.link_authority: its own per-profile matching loop."""
     if dup_title_policy not in DUP_TITLE_POLICIES:
@@ -324,7 +382,7 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
         else:
             duplicate_copies += len(pmids)
 
-    bylines = _keyed_bylines(corpus)
+    bylines = keyed_bylines(corpus)
     candidates = set()
     unusable_profiles = 0
     for authority_id in sorted(registry):
@@ -343,7 +401,7 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
             for position in bylines[pmid].get(profile_key, ()):
                 candidates.add(((pmid, position), authority_id))
 
-    labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
+    labels, conflicts = resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
         "papers": len(corpus),
         "titles_usable": len(title_to_pmid),
@@ -359,7 +417,7 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
 
 def link_grants(corpus, grants):
     """The earlier linkage.link_grants: its own per-PI matching loop."""
-    bylines = _keyed_bylines(corpus)
+    bylines = keyed_bylines(corpus)
     candidates = set()
     unusable_pis = 0
     funded = set()
@@ -380,7 +438,7 @@ def link_grants(corpus, grants):
             for position in grouped.get(pi_key, ()):
                 candidates.add(((pmid, position), pi_id))
 
-    labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
+    labels, conflicts = resolve_candidates(candidates, SOURCE_GRANT)
     stats = {
         "grants": len(grants),
         "pis_unusable_name": unusable_pis,

@@ -9,7 +9,7 @@ from linklab.baseline import (
     unparseable_count,
 )
 from linklab.corpus import PaperRecord
-from linklab.linkage import _keyed_bylines
+from linklab.linkage import _key_index
 from linklab.normalize import aini_key, fini_key, parse_name
 
 
@@ -117,6 +117,8 @@ def test_instances_under_one_key_share_one_string():
         clustering = make(corpus_names(corpus))
         assert len(set(clustering.values())) < len(clustering)
         assert _one_object_per_value(clustering.values())
-    keys = [key for grouped in _keyed_bylines(corpus).values() for key in grouped]
+    index = _key_index(corpus)
+    assert index["Einstein"] is None and index["123"] is None
+    keys = [key for key in index.values() if key is not None]
     assert len(set(keys)) < len(keys)
     assert _one_object_per_value(keys)

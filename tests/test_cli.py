@@ -207,6 +207,30 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_neither_hashlib_nor_openssl():
+    # hashlib loads OpenSSL's libcrypto; only the manifest checksums need it
+    code = "import sys, linklab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+def test_manifest_checksums_are_sha256_of_files_longer_than_one_read(workdir):
+    # the checksum reads 64 KiB at a time; this corpus and its clustering take several reads
+    rows = "".join(f"{pmid}\t2001\tA title\tKim, Ji|Lee, Ann|Park, Q\n" for pmid in range(1, 4001))
+    (workdir / "papers.tsv").write_text(PAPERS.splitlines(keepends=True)[0] + rows)
+    assert main(["baseline", "--papers", "papers.tsv", "--method", "fini", "--out", "fini"]) == EXIT_OK
+    manifest = json.loads((workdir / "fini" / "run_manifest.json").read_text())
+    for entry, path in (
+        (manifest["inputs"]["papers.tsv"], workdir / "papers.tsv"),
+        (manifest["outputs"]["clustering.tsv"], workdir / "fini" / "clustering.tsv"),
+    ):
+        assert entry["bytes"] == path.stat().st_size > 1 << 16
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_outputs_identical_across_out_directories(workdir, bundle_dir):
     def run(out: str):
         assert (
@@ -462,6 +486,32 @@ def test_profile_reads_every_input_before_it_computes(workdir, capsys):
     assert main([*argv, "--pairs", "pairs.tsv"]) == EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "pairs.tsv, row 1" in err
+
+
+def test_profile_holds_an_eval_error_until_truth_is_read(workdir, capsys):
+    # the header-only eval dataset is profiled, and fails, before truth is read
+    (workdir / "eval.tsv").write_text(EVAL.splitlines(keepends=True)[0])
+    (workdir / "papers.tsv").write_text(PAPERS)
+    (workdir / "truth.tsv").write_text(CLUSTERING + "c2\t1_x\n")
+    argv = ["profile", "--eval", "eval.tsv", "--papers", "papers.tsv", "--truth", "truth.tsv"]
+    assert main([*argv, "--out", "prof"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "truth.tsv, row 3" in err
+    assert not (workdir / "prof").exists() or not list((workdir / "prof").iterdir())
+
+
+def test_profile_holds_a_corpus_error_until_pairs_are_read(workdir, capsys):
+    # the header-only corpus has no blocks (exit 5), found before pairs are read
+    (workdir / "eval.tsv").write_text(EVAL)
+    (workdir / "papers.tsv").write_text(PAPERS.splitlines(keepends=True)[0])
+    (workdir / "pairs.tsv").write_text("instance_a\tinstance_b\n1_1\t2_1\n1_1\tx\n")
+    argv = ["profile", "--eval", "eval.tsv", "--papers", "papers.tsv", "--out", "prof"]
+    assert main(argv) == EXIT_EVALUATION
+    assert "no blocks" in capsys.readouterr().err
+    assert main([*argv, "--pairs", "pairs.tsv"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "pairs.tsv, row 2" in err
+    assert not (workdir / "prof").exists() or not list((workdir / "prof").iterdir())
 
 
 def test_stratum_requires_labels_truth(workdir, bundle_dir):

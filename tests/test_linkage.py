@@ -356,6 +356,49 @@ def test_person_linkers_match_the_earlier_loops(case):
     assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
 
 
+@st.composite
+def linkage_cases(draw):
+    """Every linker's input over one corpus: profiles, PIs and citation edges.
+
+    Bylines draw from BYLINE_NAMES (homonyms under one key, a mononym, a
+    name that does not parse), and one byline repeats one of its names.
+    Edges come in any order, with repeats, self-loops and outside papers.
+    """
+    corpus, registry, grants, policy, nonalpha = draw(linked_corpora())
+    paper = corpus[draw(st.sampled_from(sorted(corpus)))]
+    repeated = draw(st.sampled_from(paper.authors))
+    corpus[paper.pmid] = paper._replace(authors=(*paper.authors, repeated))
+    pmid = st.integers(1, len(corpus) + 2)
+    edges = draw(st.lists(st.builds(CitationEdge, pmid, pmid), max_size=15))
+    return corpus, registry, grants, edges, policy, nonalpha
+
+
+@given(linkage_cases())
+def test_linkers_and_pairs_match_their_oracles(case):
+    corpus, registry, grants, edges, policy, nonalpha = case
+    assert link_authority(
+        corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
+    ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
+    assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
+    pairs = extract_selfcitation_pairs(corpus, edges)
+    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+
+
+# instances on two papers, three labels: both ambiguity rules fire, often on one candidate
+CANDIDATES = st.sets(
+    st.tuples(st.tuples(st.integers(1, 2), st.integers(1, 3)), st.sampled_from(["a", "b", "c"])),
+    max_size=12,
+)
+
+
+@given(CANDIDATES, st.sampled_from(linkage.SOURCES))
+@example({((1, 1), "a"), ((1, 1), "b"), ((1, 2), "a"), ((2, 1), "c")}, linkage.SOURCE_GRANT)
+def test_resolve_candidates_matches_the_set_oracle(candidates, source):
+    assert linkage._resolve_candidates(candidates, source) == oracles.resolve_candidates(
+        candidates, source
+    )
+
+
 def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     parses = Counter()
     titles = Counter()
