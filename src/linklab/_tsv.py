@@ -136,14 +136,16 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[Iterator[li
 
 
 def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a header plus rows. Fields must be free of tabs and newlines."""
+    """Write a header plus rows; a field holding a tab, newline or NUL byte raises ValueError."""
     with open_text_write(path) as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             line = "\t".join(row)
-            # a row of clean fields joins to exactly len(row) - 1 tabs and no line break
-            if line.count("\t") >= len(row) or "\n" in line or "\r" in line:
+            # a row of clean fields joins to exactly len(row) - 1 tabs, no line break, no NUL
+            if line.count("\t") >= len(row) or "\n" in line or "\r" in line or "\0" in line:
                 for field in row:
                     if "\t" in field or "\n" in field or "\r" in field:
                         raise ValueError(f"field {echo(field)} contains a tab or newline")
+                    if "\0" in field:
+                        raise ValueError(f"field {echo(field)} contains a NUL byte")
             fh.write(line + "\n")

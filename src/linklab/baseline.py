@@ -1,4 +1,4 @@
-"""Heuristic disambiguators used as performance floors.
+"""Heuristic disambiguators used as performance floors, and the name-key index.
 
 Both baselines group instances by a deterministic name key, which is
 also the cluster id: the blocking key (surname + first initial) or the
@@ -6,19 +6,19 @@ refined key (surname + all initials). The refined grouping always
 splits blocks, never merges across them, so it refines the blocking
 partition.
 
-A command keeps one object per distinct raw byline string, not one per
-instance: each string is parsed once (ParsedNames), its key derived once,
-and every instance under one key shares one key string.
+`name_keys` is how a corpus's byline names become keys, for the
+baselines, the block sizes and linkage alike: one dict from each
+distinct raw byline string to its key, each string parsed once and
+every instance under one key sharing one key string.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
-from .errors import ParseError
-from .normalize import PersonName, aini_key, fini_key, parse_name
+from .normalize import PersonName, aini_key, fini_key, parse_or_none
 
 UNPARSEABLE_PREFIX = "?unparseable:"
 
@@ -31,28 +31,31 @@ class ParsedNames(dict[str, "PersonName | None"]):
     """
 
     def __missing__(self, raw: str) -> PersonName | None:
-        try:
-            name = parse_name(raw)
-        except ParseError:
-            name = None
-        self[raw] = name
+        name = self[raw] = parse_or_none(raw)
         return name
 
 
-def corpus_names(
-    corpus: Corpus, parsed: ParsedNames | None = None
-) -> Iterator[tuple[InstanceID, PersonName | None]]:
-    """Parse every byline name; None marks an unparseable one.
+def name_keys(
+    corpus: Corpus,
+    key: Callable[[PersonName], str | None],
+    parsed: ParsedNames | None = None,
+) -> dict[str, str | None]:
+    """Every distinct raw byline name -> its key; None when it has none.
 
-    Each distinct raw string is parsed once per cache, a new one per call
-    unless `parsed` is given, and every instance carrying it shares the
-    result.
+    A name has no key when it does not parse or when `key` returns None.
+    Each distinct name is parsed once, through `parsed` when given, and
+    equal keys are one string object.
     """
-    if parsed is None:
-        parsed = ParsedNames()
+    parse = parse_or_none if parsed is None else parsed.__getitem__
+    keys: dict[str, str | None] = {}
+    shared: dict[str, str] = {}
     for paper in corpus.values():
-        for position, raw in enumerate(paper.authors, start=1):
-            yield (paper.pmid, position), parsed[raw]
+        for raw in paper.authors:
+            if raw not in keys:
+                name = parse(raw)
+                name_key = None if name is None else key(name)
+                keys[raw] = None if name_key is None else shared.setdefault(name_key, name_key)
+    return keys
 
 
 def name_lookup(
@@ -75,67 +78,34 @@ def name_lookup(
     return name_of
 
 
-def _shared_keys(
-    instances: Iterable[tuple[InstanceID, PersonName | None]],
-    key: Callable[[PersonName], str | None],
-) -> Iterator[tuple[InstanceID, str | None]]:
-    """Each instance with its name's key; None for an unparseable name or a None key.
-
-    Keys are memoised by raw string, which caches its hash where a
-    PersonName re-hashes all five fields, and equal keys are one object.
-    """
-    by_raw: dict[str, str | None] = {}
-    shared: dict[str, str] = {}
-    for instance, name in instances:
-        if name is None:
-            yield instance, None
-            continue
-        try:
-            name_key = by_raw[name.raw]
-        except KeyError:
-            name_key = key(name)
-            if name_key is not None:
-                name_key = shared.setdefault(name_key, name_key)
-            by_raw[name.raw] = name_key
-        yield instance, name_key
+def _cluster(corpus: Corpus, key: Callable[[PersonName], str]) -> Clustering:
+    keys = name_keys(corpus, key)
+    assignment: dict[InstanceID, str] = {}
+    for paper in corpus.values():
+        for position, raw in enumerate(paper.authors, start=1):
+            instance = (paper.pmid, position)
+            assignment[instance] = keys[raw] or UNPARSEABLE_PREFIX + format_instance_id(instance)
+    return Clustering.from_assignment(assignment)
 
 
-def _sentinel_id(instance: InstanceID) -> str:
-    return UNPARSEABLE_PREFIX + format_instance_id(instance)
-
-
-def _cluster(
-    instances: Iterable[tuple[InstanceID, PersonName | None]],
-    key: Callable[[PersonName], str],
-) -> Clustering:
-    return Clustering.from_assignment({
-        instance: _sentinel_id(instance) if name_key is None else name_key
-        for instance, name_key in _shared_keys(instances, key)
-    })
-
-
-def cluster_fini(
-    instances: Iterable[tuple[InstanceID, PersonName | None]]
-) -> Clustering:
+def cluster_fini(corpus: Corpus) -> Clustering:
     """Group by blocking key; unparseable names become singletons."""
-    return _cluster(instances, fini_key)
+    return _cluster(corpus, fini_key)
 
 
-def cluster_aini(
-    instances: Iterable[tuple[InstanceID, PersonName | None]]
-) -> Clustering:
+def cluster_aini(corpus: Corpus) -> Clustering:
     """Group by refined key; unparseable names become singletons."""
-    return _cluster(instances, aini_key)
+    return _cluster(corpus, aini_key)
 
 
-def fini_block_sizes(
-    instances: Iterable[tuple[InstanceID, PersonName | None]]
-) -> list[int]:
+def fini_block_sizes(corpus: Corpus, parsed: ParsedNames) -> list[int]:
     """The size of every cluster_fini cluster, without building the clustering.
 
-    Each unparseable name is a block of one.
+    Each unparseable name is a block of one. Names are parsed through
+    `parsed`, so a later pass over the same cache parses none again.
     """
-    blocks = Counter(name_key for _, name_key in _shared_keys(instances, fini_key))
+    keys = name_keys(corpus, fini_key, parsed)
+    blocks = Counter(keys[raw] for paper in corpus.values() for raw in paper.authors)
     unparseable = blocks.pop(None, 0)
     return list(blocks.values()) + [1] * unparseable
 

@@ -32,7 +32,6 @@ from .baseline import (
     ParsedNames,
     cluster_aini,
     cluster_fini,
-    corpus_names,
     fini_block_sizes,
     name_lookup,
     unparseable_count,
@@ -234,8 +233,8 @@ def cmd_pairs(args: argparse.Namespace, out: Path) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace, out: Path) -> str:
-    names = corpus_names(ingest_corpus(args.papers))
-    clustering = cluster_fini(names) if args.method == "fini" else cluster_aini(names)
+    cluster = cluster_fini if args.method == "fini" else cluster_aini
+    clustering = cluster(ingest_corpus(args.papers))
     write_clustering(out / "clustering.tsv", clustering)
     return "baseline: method=%s clusters=%d instances=%d unparseable=%d" % (
         args.method,
@@ -370,7 +369,7 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
         # one parse per distinct byline name, shared by the block sizes and the typology
         parsed = ParsedNames()
         with holding():
-            ccdf = block_size_ccdf(fini_block_sizes(corpus_names(corpus, parsed)))
+            ccdf = block_size_ccdf(fini_block_sizes(corpus, parsed))
             write_ccdf(out / "ccdf.tsv", {"fraction_at_least": ccdf})
         if args.truth is not None:
             truth = ingest_clustering(args.truth)

@@ -6,7 +6,9 @@ papers, and pairing byline instances across citation edges. Labels are
 assigned only when a name's blocking key matches; any ambiguity (one
 instance drawing two labels, or one profile matching two positions on
 the same paper) drops the affected candidates and logs a conflict
-rather than guessing.
+rather than guessing. Byline, profile and PI names are keyed by one
+rule, normalize.match_key (byline names through baseline.name_keys), so
+an unparseable name or a mononym matches nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import open_text_write, read_table, write_rows
-from .baseline import _shared_keys
+from .baseline import name_keys
 from .corpus import (
     AuthorityProfile,
     Annotation,
@@ -30,7 +32,7 @@ from .corpus import (
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError, echo
-from .normalize import PersonName, fini_key, is_keyed, normalize_title, parse_name
+from .normalize import match_key, normalize_title, parse_or_none
 
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
@@ -78,25 +80,6 @@ def _ordered(a: InstanceID, b: InstanceID) -> tuple[InstanceID, InstanceID]:
     return (a, b) if a <= b else (b, a)
 
 
-def _parse_keyed(raw: str) -> PersonName | None:
-    """Parse a name for matching; unparseable and mononym names yield None."""
-    try:
-        name = parse_name(raw)
-    except ParseError:
-        return None
-    return name if is_keyed(name) else None
-
-
-def _key_index(corpus: Corpus) -> dict[str, str | None]:
-    """Every distinct raw byline name -> its blocking key, None when it has none.
-
-    Unparseable names and mononyms have no key. Each distinct name is
-    parsed once, and equal keys are one string object.
-    """
-    names = dict.fromkeys(raw for paper in corpus.values() for raw in paper.authors)
-    return dict(_shared_keys(((raw, _parse_keyed(raw)) for raw in names), fini_key))
-
-
 def _match_people(
     corpus: Corpus, people: Iterable[tuple[str, str, Iterable[int]]]
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
@@ -107,16 +90,16 @@ def _match_people(
     candidates, the number of people whose name is unusable (their pmids
     are not read), and the in-corpus pmids of the usable people.
     """
-    keys = _key_index(corpus)
+    keys = name_keys(corpus, match_key)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable = 0
     pmids_in_corpus: set[int] = set()
     for person_id, raw_name, pmids in people:
-        name = _parse_keyed(raw_name)
-        if name is None:
+        name = parse_or_none(raw_name)
+        key = None if name is None else match_key(name)
+        if key is None:
             unusable += 1
             continue
-        key = fini_key(name)
         for pmid in pmids:
             paper = corpus.get(pmid)
             if paper is None:
@@ -260,7 +243,7 @@ def extract_selfcitation_pairs(
     edges sorted by citing pmid, as ingest_citations gives them, group
     each byline once.
     """
-    keys = _key_index(corpus)
+    keys = name_keys(corpus, match_key)
     pairs: set[tuple[InstanceID, InstanceID]] = set()
     citing_pmid = None
     for edge in citations:

@@ -10,7 +10,8 @@ also the baseline's cluster id: the blocking key (surname plus first
 forename initial) and the finer name key (surname plus all forename
 initials). A surname holds only lowercase letters and single spaces and
 initials only lowercase letters, so the "|" is unambiguous and equal
-name keys always imply equal blocking keys.
+name keys always imply equal blocking keys. Linkage matches on the
+blocking key of names that carry an initial (match_key).
 """
 
 from __future__ import annotations
@@ -143,6 +144,14 @@ def parse_name(raw: str) -> PersonName:
     )
 
 
+def parse_or_none(raw: str) -> PersonName | None:
+    """parse_name, or None when the name does not parse."""
+    try:
+        return parse_name(raw)
+    except ParseError:
+        return None
+
+
 def fini_key(name: PersonName) -> str:
     """Blocking key of a name, "surname|first initial"; the initial is empty for mononyms."""
     return f"{name.surname}|{name.first_initial}"
@@ -154,9 +163,14 @@ def aini_key(name: PersonName) -> str:
 
 
 def is_keyed(name: PersonName) -> bool:
-    """True when the name carries at least one forename initial.
-
-    Mononyms are never matched against anything: their sentinel empty
-    initial is excluded from linkage and baseline grouping.
-    """
+    """True when the name carries at least one forename initial."""
     return name.first_initial != ""
+
+
+def match_key(name: PersonName) -> str | None:
+    """The blocking key a name is matched on, None for a mononym.
+
+    Mononyms are never matched against anything: linkage, self-citation
+    pairing and the synonym typology skip them.
+    """
+    return fini_key(name) if is_keyed(name) else None

@@ -21,7 +21,7 @@ from .corpus import Clustering, Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
-from .normalize import PersonName, fini_key, is_keyed
+from .normalize import PersonName, match_key
 
 TYPE_SURNAME = "surname_variant"
 TYPE_INITIAL = "initial_variant"
@@ -144,9 +144,10 @@ def classify_synonym_types(
         forms: dict[tuple[str, tuple[str, ...]], PersonName] = {}
         for instance in members:
             name = name_of(instance)
-            if name is None or not is_keyed(name):
+            key = None if name is None else match_key(name)
+            if key is None:
                 continue
-            keys.add(fini_key(name))
+            keys.add(key)
             forms.setdefault((name.surname, name.forenames), name)
         if len(keys) < 2:
             continue

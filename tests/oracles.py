@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
-from linklab.baseline import _shared_keys, cluster_fini, corpus_names
+from linklab.baseline import UNPARSEABLE_PREFIX
 from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id
 from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
@@ -22,7 +22,6 @@ from linklab.linkage import (
     JoinResult,
     LabeledInstance,
     LinkResult,
-    _parse_keyed,
 )
 from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
 from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
@@ -132,10 +131,70 @@ def naive_selfcitation_pairs(corpus, citations):
     return pairs
 
 
+def parse_keyed(raw):
+    """The earlier linkage._parse_keyed: unparseable and mononym names yield None."""
+    try:
+        name = parse_name(raw)
+    except ParseError:
+        return None
+    return name if is_keyed(name) else None
+
+
+def corpus_names(corpus):
+    """The earlier baseline.corpus_names: (instance, parsed name or None) per byline slot.
+
+    Each distinct raw string is parsed once per call.
+    """
+    parsed = {}
+    for paper in corpus.values():
+        for position, raw in enumerate(paper.authors, start=1):
+            if raw not in parsed:
+                try:
+                    parsed[raw] = parse_name(raw)
+                except ParseError:
+                    parsed[raw] = None
+            yield (paper.pmid, position), parsed[raw]
+
+
+def shared_keys(instances, key):
+    """The earlier baseline._shared_keys: each (instance, name) with its name's key.
+
+    None for an unparseable name or a None key; keys are memoised by raw
+    string and equal keys are one object.
+    """
+    by_raw = {}
+    shared = {}
+    for instance, name in instances:
+        if name is None:
+            yield instance, None
+            continue
+        try:
+            name_key = by_raw[name.raw]
+        except KeyError:
+            name_key = key(name)
+            if name_key is not None:
+                name_key = shared.setdefault(name_key, name_key)
+            by_raw[name.raw] = name_key
+        yield instance, name_key
+
+
+def cluster(instances, key):
+    """The earlier baseline._cluster: group (instance, name) pairs; unparseable names are singletons."""
+    return Clustering.from_assignment({
+        instance: UNPARSEABLE_PREFIX + format_instance_id(instance) if name_key is None else name_key
+        for instance, name_key in shared_keys(instances, key)
+    })
+
+
+def key_index(corpus):
+    """The earlier linkage._key_index: distinct raw byline name -> blocking key, None for none."""
+    names = dict.fromkeys(raw for paper in corpus.values() for raw in paper.authors)
+    return dict(shared_keys(((raw, parse_keyed(raw)) for raw in names), fini_key))
+
+
 def profile_ccdf(corpus):
     """The earlier `profile` block sizes: a whole fini clustering of a name list, counted."""
-    names = list(corpus_names(corpus))
-    return block_size_ccdf(Counter(cluster_fini(names).values()).values())
+    return block_size_ccdf(Counter(cluster(corpus_names(corpus), fini_key).values()).values())
 
 
 def profile_typology(truth, corpus):
@@ -305,7 +364,7 @@ def keyed_bylines(corpus):
         return fini_key(name) if is_keyed(name) else None
 
     bylines = {pmid: {} for pmid in corpus}
-    for (pmid, position), key in _shared_keys(corpus_names(corpus), keyed_fini_key):
+    for (pmid, position), key in shared_keys(corpus_names(corpus), keyed_fini_key):
         if key is not None:
             bylines[pmid].setdefault(key, []).append(position)
     return bylines
@@ -387,7 +446,7 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
     unusable_profiles = 0
     for authority_id in sorted(registry):
         profile = registry[authority_id]
-        profile_name = _parse_keyed(profile.person_name)
+        profile_name = parse_keyed(profile.person_name)
         if profile_name is None:
             unusable_profiles += 1
             continue
@@ -425,7 +484,7 @@ def link_grants(corpus, grants):
     for pi_id in sorted(grants):
         record = grants[pi_id]
         funded.update(record.funded_pmids)
-        pi_name = _parse_keyed(record.pi_name)
+        pi_name = parse_keyed(record.pi_name)
         if pi_name is None:
             unusable_pis += 1
             continue
@@ -618,11 +677,16 @@ def read_table(path, columns):
 
 
 def field_scan_write_rows(path, columns, rows):
-    """The earlier _tsv.write_rows: every field checked before its row is joined."""
+    """The earlier _tsv.write_rows: every field checked before its row is joined.
+
+    Like the current writer, it refuses a NUL byte as it refuses a tab or newline.
+    """
     with open_text_write(path) as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             for field in row:
                 if "\t" in field or "\n" in field or "\r" in field:
                     raise ValueError(f"field {echo(field)} contains a tab or newline")
+                if "\0" in field:
+                    raise ValueError(f"field {echo(field)} contains a NUL byte")
             fh.write("\t".join(row) + "\n")

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from linklab.baseline import cluster_aini, cluster_fini, corpus_names
+from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, name_lookup
 from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, ingest_corpus, write_clustering
 from linklab.linkage import (
@@ -186,9 +186,8 @@ def test_criterion_3_pair_accuracy_structure(
         if not pairs:
             continue
         checked += 1
-        names = dict(corpus_names(bundle.corpus))
-        fini_accuracy = pair_accuracy_detail(pairs, cluster_fini(names.items())).accuracy
-        aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy
+        fini_accuracy = pair_accuracy_detail(pairs, cluster_fini(bundle.corpus)).accuracy
+        aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(bundle.corpus)).accuracy
         # exact: both members of a pair share surname and first initial
         assert fini_accuracy == 1.0
         assert aini_accuracy <= fini_accuracy
@@ -197,8 +196,7 @@ def test_criterion_3_pair_accuracy_structure(
     pairs = extract_selfcitation_pairs(
         bundle_midinitial.corpus, bundle_midinitial.citations
     )
-    names = dict(corpus_names(bundle_midinitial.corpus))
-    aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy
+    aini_accuracy = pair_accuracy_detail(pairs, cluster_aini(bundle_midinitial.corpus)).accuracy
     planted_rate = 0.05
     # tolerance: 1 - planted rate within +/- 0.01
     assert aini_accuracy == pytest.approx(1.0 - planted_rate, abs=0.01)
@@ -209,14 +207,15 @@ def test_criterion_3_pair_accuracy_structure(
 # criterion 4
 
 def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
-    names = dict(corpus_names(bundle_synonym.corpus))
-    scores = b3_scores(bundle_synonym.truth, cluster_fini(names.items()))
+    scores = b3_scores(bundle_synonym.truth, cluster_fini(bundle_synonym.corpus))
     deficit = 1.0 - scores.recall
     share = bundle_synonym.manifest["multiform_variant_instance_share"]
     # tolerance: +/- 0.5% absolute
     assert deficit == pytest.approx(share, abs=0.005)
 
-    report = classify_synonym_types(bundle_synonym.truth, names.get)
+    report = classify_synonym_types(
+        bundle_synonym.truth, name_lookup(bundle_synonym.corpus, ParsedNames())
+    )
     planted = {
         author.author_id: author.variant
         for author in bundle_synonym.authors
@@ -308,7 +307,7 @@ def test_criterion_6_ccdf_contract(bundle_mixed):
     assert ccdf_fraction_at_least(points, 2) == pytest.approx(0.6347, abs=1e-9)
 
     # generated corpora satisfy the same shape contract
-    blocks = cluster_fini(corpus_names(bundle_mixed.corpus))
+    blocks = cluster_fini(bundle_mixed.corpus)
     generated = block_size_ccdf(Counter(blocks.values()).values())
     assert generated[0] == (1, 1.0)
     generated_fractions = [point.fraction_at_least for point in generated]
@@ -421,7 +420,7 @@ def test_criterion_8_determinism_and_cli_equivalence(tmp_path, monkeypatch):
     # CLI artifacts equal direct API calls on the same inputs
     assert main(["baseline", "--papers", "run1/papers.tsv", "--method", "fini", "--out", "fini"]) == EXIT_OK
     corpus = ingest_corpus(tmp_path / "run1" / "papers.tsv")
-    write_clustering(tmp_path / "api.tsv", cluster_fini(corpus_names(corpus)))
+    write_clustering(tmp_path / "api.tsv", cluster_fini(corpus))
     assert filecmp.cmp(tmp_path / "api.tsv", tmp_path / "fini" / "clustering.tsv", shallow=False)
     print("criterion 8: runs, output directories, and CLI/API all byte-identical")
 

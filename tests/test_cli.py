@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from linklab.baseline import cluster_fini, corpus_names
+from linklab.baseline import cluster_fini
 from linklab.cli import (
     EXIT_EVALUATION,
     EXIT_FORMAT,
@@ -300,8 +300,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
     # baseline
     assert main(["baseline", "--papers", "bundle/papers.tsv", "--method", "fini", "--out", "fini"]) == EXIT_OK
     corpus = ingest_corpus(bundle_dir / "papers.tsv")
-    names = list(corpus_names(corpus))
-    fini = cluster_fini(names)
+    fini = cluster_fini(corpus)
     write_clustering(workdir / "api_clustering.tsv", fini)
     assert filecmp.cmp(workdir / "api_clustering.tsv", workdir / "fini" / "clustering.tsv", shallow=False)
 
@@ -357,7 +356,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
 
     # profiling
     assert main(["profile", "--papers", "bundle/papers.tsv", "--out", "prof"]) == EXIT_OK
-    sizes = Counter(cluster_fini(names).values()).values()
+    sizes = Counter(fini.values()).values()
     write_ccdf(workdir / "api_ccdf.tsv", {"fraction_at_least": block_size_ccdf(sizes)})
     assert filecmp.cmp(workdir / "api_ccdf.tsv", workdir / "prof" / "ccdf.tsv", shallow=False)
 
@@ -893,6 +892,8 @@ BAD_INPUTS = [
         _synth_with_config(),
         EXIT_EVALUATION,
     ),
+    ("ethnicity tag holding a NUL byte", "config.json",
+     json.dumps({"ethnicity_shares": {"A\u0000B": 1.0}}).encode(), _synth_with_config(), EXIT_EVALUATION),
     (
         "profile of a header-only corpus",
         "empty.tsv",
@@ -982,6 +983,7 @@ MESSAGES = {
     "5000-character synonym type": f"unknown synonym types {LONG_ECHO}",
     "3000-character ethnicity tag holding a tab":
         f"field {'t' * 24!r}... (3000 characters) contains a tab or newline",
+    "ethnicity tag holding a NUL byte": "field 'A\\x00B' contains a NUL byte",
 }
 
 

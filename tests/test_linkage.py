@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from linklab import baseline, linkage
+from linklab import linkage, normalize
 from linklab.cli import _join_label_files
 from linklab.corpus import (
     Annotation,
@@ -22,7 +22,7 @@ from linklab.corpus import (
     ingest_clustering,
     ingest_corpus,
 )
-from linklab.baseline import cluster_aini, cluster_fini, corpus_names
+from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, fini_block_sizes, name_lookup
 from linklab.errors import EvaluationError, IngestError
 from linklab.linkage import (
     EvalRow,
@@ -42,6 +42,7 @@ from linklab.linkage import (
     write_pairs,
 )
 from linklab.metrics import pair_accuracy_detail
+from linklab.profile import classify_synonym_types
 import oracles
 from oracles import clustering_of, naive_selfcitation_pairs
 
@@ -232,9 +233,8 @@ def test_selfcitation_pairs_match_brute_force():
     pairs = extract_selfcitation_pairs(corpus, edges)
     assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
 
-    names = list(corpus_names(corpus))
-    assert pair_accuracy_detail(pairs, cluster_fini(names)).accuracy == 1.0
-    assert pair_accuracy_detail(pairs, cluster_aini(names)).accuracy <= 1.0
+    assert pair_accuracy_detail(pairs, cluster_fini(corpus)).accuracy == 1.0
+    assert pair_accuracy_detail(pairs, cluster_aini(corpus)).accuracy <= 1.0
 
 
 # "Kim, J", "Kim, Jin" and "J Kim" share one blocking key, so one byline
@@ -403,7 +403,7 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     parses = Counter()
     titles = Counter()
 
-    def counting_parse(raw, parse=linkage.parse_name):
+    def counting_parse(raw, parse=normalize.parse_name):
         parses[raw] += 1
         return parse(raw)
 
@@ -411,8 +411,7 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         titles[raw] += 1
         return normalize(raw, **kwargs)
 
-    monkeypatch.setattr(baseline, "parse_name", counting_parse)
-    monkeypatch.setattr(linkage, "parse_name", counting_parse)
+    monkeypatch.setattr(normalize, "parse_name", counting_parse)
     monkeypatch.setattr(linkage, "normalize_title", counting_title)
     corpus = make_corpus(
         (1, 1999, TITLE_1, ["Kim, J", "Lee, Ann", "Kim, J", "Einstein"]),
@@ -426,8 +425,18 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     }
     grants = {"nih-1": GrantRecord("nih-1", "Kim, Jin", frozenset({1, 2, 3}))}
     edges = [CitationEdge(2, 1), CitationEdge(3, 2), CitationEdge(4, 1), CitationEdge(4, 3)]
+    truth = clustering_of({"a1": {instance for paper in corpus.values() for instance in paper.instances()}})
+
+    def profile_path():
+        # block sizes and the typology share one cache, as `linklab profile` does
+        parsed = ParsedNames()
+        fini_block_sizes(corpus, parsed)
+        classify_synonym_types(truth, name_lookup(corpus, parsed))
+
     calls = {
-        "corpus_names": lambda: list(corpus_names(corpus)),
+        "cluster_fini": lambda: cluster_fini(corpus),
+        "cluster_aini": lambda: cluster_aini(corpus),
+        "profile": profile_path,
         "link_authority": lambda: link_authority(corpus, registry),
         "link_grants": lambda: link_grants(corpus, grants),
         "extract_selfcitation_pairs": lambda: extract_selfcitation_pairs(corpus, edges),

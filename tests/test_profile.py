@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linklab import baseline
-from linklab.baseline import ParsedNames, corpus_names, fini_block_sizes, name_lookup
+from linklab import normalize
+from linklab.baseline import ParsedNames, fini_block_sizes, name_lookup
 from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corpus
 from linklab.errors import EvaluationError
@@ -380,7 +380,7 @@ PROFILED_EXAMPLE = (
 def test_block_sizes_and_typology_match_the_earlier_profile(case):
     corpus, truth = case
     parsed = ParsedNames()
-    ccdf = block_size_ccdf(fini_block_sizes(corpus_names(corpus, parsed)))
+    ccdf = block_size_ccdf(fini_block_sizes(corpus, parsed))
     assert ccdf == oracles.profile_ccdf(corpus)
     expected = oracles.profile_typology(truth, corpus)
     assert classify_synonym_types(truth, name_lookup(corpus, parsed)) == expected
@@ -393,7 +393,7 @@ def test_profiled_example_reaches_every_case():
     report = oracles.profile_typology(truth, corpus)
     assert report.assignments == {"a1": "initial_variant", "a2": "flipped_order"}
     # kim|j and einstein| twice; wei|w, wang|w, kim|m and lee|a once; two that do not parse
-    assert sorted(fini_block_sizes(corpus_names(corpus))) == [1, 1, 1, 1, 1, 1, 2, 2]
+    assert sorted(fini_block_sizes(corpus, ParsedNames())) == [1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def _profile_outputs(corpus, truth) -> tuple[dict[str, bytes], dict[str, bytes]]:
@@ -444,11 +444,11 @@ def test_profile_command_matches_the_earlier_path_on_the_hand_built_corpus():
 def test_profile_parses_each_distinct_name_once(monkeypatch, tmp_path):
     parses = Counter()
 
-    def counting_parse(raw, parse=baseline.parse_name):
+    def counting_parse(raw, parse=normalize.parse_name):
         parses[raw] += 1
         return parse(raw)
 
-    monkeypatch.setattr(baseline, "parse_name", counting_parse)
+    monkeypatch.setattr(normalize, "parse_name", counting_parse)
     corpus, truth = PROFILED_EXAMPLE
     write_corpus(tmp_path / "papers.tsv", corpus)
     write_clustering(tmp_path / "truth.tsv", truth)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from linklab.baseline import cluster_aini, cluster_fini, corpus_names
+from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, name_lookup
 from linklab.corpus import (
     ingest_annotations,
     ingest_authority,
@@ -49,7 +49,7 @@ def test_clean_bundle_fini_equals_truth():
     # no homonyms and no synonyms: surname+initial recovers truth exactly
     cfg = SynthConfig(seed=1, n_authors=50, papers_per_author=(2, 4))
     bundle = generate(cfg)
-    fini = cluster_fini(corpus_names(bundle.corpus))
+    fini = cluster_fini(bundle.corpus)
     scores = b3_scores(bundle.truth, fini)
     assert scores.recall == 1.0
     assert scores.precision == 1.0
@@ -174,8 +174,7 @@ def test_variant_forms_alternate_along_career():
 def test_synonym_typology_matches_planted():
     cfg = SynthConfig(seed=7, n_authors=400, papers_per_author=(6, 6), synonym_rate=0.05)
     bundle = generate(cfg)
-    names = dict(corpus_names(bundle.corpus))
-    report = classify_synonym_types(bundle.truth, names.get)
+    report = classify_synonym_types(bundle.truth, name_lookup(bundle.corpus, ParsedNames()))
     planted = {
         a.author_id: a.variant
         for a in bundle.authors
@@ -195,7 +194,7 @@ def test_synonym_rate_drives_fini_recall_deficit():
         seed=7, n_authors=400, papers_per_author=(6, 6), max_coauthors=1, synonym_rate=0.05
     )
     bundle = generate(cfg)
-    fini = cluster_fini(corpus_names(bundle.corpus))
+    fini = cluster_fini(bundle.corpus)
     scores = b3_scores(bundle.truth, fini)
     share = bundle.manifest["multiform_variant_instance_share"]
     assert share == pytest.approx(0.025, abs=1e-12)
@@ -218,9 +217,8 @@ def test_midinitial_rate_drives_aini_pair_accuracy():
     bundle = generate(cfg)
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
     assert len(pairs) == 400 * 3
-    names = dict(corpus_names(bundle.corpus))
-    assert pair_accuracy_detail(pairs, cluster_fini(names.items())).accuracy == 1.0
-    assert pair_accuracy_detail(pairs, cluster_aini(names.items())).accuracy == pytest.approx(
+    assert pair_accuracy_detail(pairs, cluster_fini(bundle.corpus)).accuracy == 1.0
+    assert pair_accuracy_detail(pairs, cluster_aini(bundle.corpus)).accuracy == pytest.approx(
         0.95, abs=1e-12
     )
 
@@ -464,7 +462,7 @@ def handed_out_ids():
     grants = link_grants(bundle.corpus, bundle.grants)
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
     return {
-        "corpus_names": [instance for instance, _ in corpus_names(bundle.corpus)],
+        "cluster_fini": list(cluster_fini(bundle.corpus)),
         "PaperRecord.instances": [
             instance for paper in bundle.corpus.values() for instance in paper.instances()
         ],
@@ -482,7 +480,7 @@ def handed_out_ids():
 @pytest.mark.parametrize(
     "source",
     [
-        "corpus_names",
+        "cluster_fini",
         "PaperRecord.instances",
         "link_authority labels",
         "link_authority conflicts",

@@ -51,6 +51,26 @@ def test_traced_baseline_records_clustering_spans(tmp_path, monkeypatch):
     assert (tmp_path / "fini" / "clustering.tsv").is_file()
 
 
+def test_traced_profile_records_one_index_span_per_pass(tmp_path, monkeypatch):
+    # one bundle five times the other's size: the baseline spans stay per pass, not per name
+    span_counts = []
+    for n_authors in (10, 50):
+        (tmp_path / str(n_authors)).mkdir()
+        bundle = _synth_bundle(tmp_path / str(n_authors), monkeypatch, n_authors=n_authors)
+        spans_path = tmp_path / f"spans-{n_authors}.json"
+        done = _traced(
+            str(spans_path), "--", "profile", "--papers", str(bundle / "papers.tsv"),
+            "--truth", str(bundle / "truth_clustering.tsv"), "--out", "prof",
+        )
+        assert done.returncode == 0, done.stderr
+        trace = json.loads(spans_path.read_text())
+        assert trace["exit"] == 0
+        names = [name for name, *_ in trace["spans"]]
+        assert {"baseline.name_keys", "profile.classify_synonym_types"} <= set(names), names
+        span_counts.append(sum(name.startswith("baseline.") for name in names))
+    assert span_counts[0] == span_counts[1]
+
+
 def test_kernels_read_every_data_row(tmp_path, monkeypatch):
     bundle = _synth_bundle(tmp_path, monkeypatch)
     tables = sorted(bundle.glob("*.tsv"))

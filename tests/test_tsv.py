@@ -239,8 +239,8 @@ def _write_outcome(write, path, rows):
     return None, path.read_bytes()
 
 
-# rows of any width: a tab, \n or \r may sit in any field
-WRITE_ROWS = st.lists(st.lists(st.text(alphabet="\t\n\rab", max_size=4), max_size=4), max_size=6)
+# rows of any width: a tab, \n, \r or NUL may sit in any field
+WRITE_ROWS = st.lists(st.lists(st.text(alphabet="\t\n\r\0ab", max_size=4), max_size=4), max_size=6)
 
 
 @given(WRITE_ROWS, st.booleans())
@@ -249,6 +249,8 @@ WRITE_ROWS = st.lists(st.lists(st.text(alphabet="\t\n\rab", max_size=4), max_siz
 @example([["\n"], ["a", "b\r"]], True)
 @example([["a", "b\r\n", "c\t"]], False)
 @example([[], [""], ["", "", ""]], False)
+@example([["a", "b"], ["a\0", "b\t"]], False)
+@example([["a\0\tb"]], True)
 def test_write_rows_matches_the_field_scanning_writer(rows, gz):
     with tempfile.TemporaryDirectory() as tmp:
         name = "table.tsv.gz" if gz else "table.tsv"
