@@ -20,6 +20,7 @@ import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing, contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from .errors import IngestError, ParseError, echo
 
@@ -135,17 +136,25 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Iterator[Iterator[li
         rows.close()
 
 
+def _write_lines(fh: TextIO, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row as one line; a field holding a tab, newline or NUL byte raises ValueError.
+
+    The one field check of every writer, headerless ones included.
+    """
+    for row in rows:
+        line = "\t".join(row)
+        # a row of clean fields joins to exactly len(row) - 1 tabs, no line break, no NUL
+        if line.count("\t") >= len(row) or "\n" in line or "\r" in line or "\0" in line:
+            for field in row:
+                if "\t" in field or "\n" in field or "\r" in field:
+                    raise ValueError(f"field {echo(field)} contains a tab or newline")
+                if "\0" in field:
+                    raise ValueError(f"field {echo(field)} contains a NUL byte")
+        fh.write(line + "\n")
+
+
 def write_rows(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write a header plus rows; a field holding a tab, newline or NUL byte raises ValueError."""
     with open_text_write(path) as fh:
         fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            line = "\t".join(row)
-            # a row of clean fields joins to exactly len(row) - 1 tabs, no line break, no NUL
-            if line.count("\t") >= len(row) or "\n" in line or "\r" in line or "\0" in line:
-                for field in row:
-                    if "\t" in field or "\n" in field or "\r" in field:
-                        raise ValueError(f"field {echo(field)} contains a tab or newline")
-                    if "\0" in field:
-                        raise ValueError(f"field {echo(field)} contains a NUL byte")
-            fh.write(line + "\n")
+        _write_lines(fh, rows)

@@ -80,12 +80,12 @@ def name_lookup(
 
 def _cluster(corpus: Corpus, key: Callable[[PersonName], str]) -> Clustering:
     keys = name_keys(corpus, key)
-    assignment: dict[InstanceID, str] = {}
+    clustering = Clustering()
     for paper in corpus.values():
         for position, raw in enumerate(paper.authors, start=1):
             instance = (paper.pmid, position)
-            assignment[instance] = keys[raw] or UNPARSEABLE_PREFIX + format_instance_id(instance)
-    return Clustering.from_assignment(assignment)
+            clustering[instance] = keys[raw] or UNPARSEABLE_PREFIX + format_instance_id(instance)
+    return clustering
 
 
 def cluster_fini(corpus: Corpus) -> Clustering:

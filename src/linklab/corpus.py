@@ -19,15 +19,7 @@ reports errors with 1-based data row numbers.
 from __future__ import annotations
 
 import re
-from collections.abc import (
-    Callable,
-    ItemsView,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-    ValuesView,
-)
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -119,51 +111,29 @@ class Annotation(NamedTuple):
 Corpus = dict[int, PaperRecord]
 
 
-class Clustering(Mapping[InstanceID, str]):
-    """A partition of instances into named, non-empty, disjoint clusters.
+class Clustering(dict[InstanceID, str]):
+    """A clustering: a dict from each instance to its cluster id.
 
-    Read-only mapping from each instance to its cluster id, built only by
-    `from_assignment`, so its clusters are disjoint and non-empty by
-    construction; `groups()` lists the members of each cluster.
+    A plain dict in all but name; `groups` lists the members of each
+    cluster. The name is kept only because the benchmark's trace harness
+    (perfbench/traced.py) wraps `Clustering.__init__` and
+    `from_assignment` to time how clusterings are built.
     """
 
     @classmethod
-    def from_assignment(cls, assignment: dict[InstanceID, str]) -> "Clustering":
-        """Wrap a ready instance -> cluster-id dict; it is kept, not copied."""
+    def from_assignment(cls, assignment: Mapping[InstanceID, str]) -> Clustering:
+        """A copy of an instance -> cluster-id mapping; an empty cluster id raises ValueError."""
         if "" in assignment.values():
             raise ValueError("empty cluster_id")
-        clustering = cls.__new__(cls)
-        clustering._assignment = assignment
-        return clustering
+        return cls(assignment)
 
-    def groups(self) -> dict[str, list[InstanceID]]:
-        """Sorted members of each cluster, in cluster-id order; built per call."""
-        groups: dict[str, list[InstanceID]] = {}
-        for instance, cluster_id in self._assignment.items():
-            groups.setdefault(cluster_id, []).append(instance)
-        return {cluster_id: sorted(groups[cluster_id]) for cluster_id in sorted(groups)}
 
-    def __getitem__(self, instance: InstanceID) -> str:
-        return self._assignment[instance]
-
-    def __iter__(self) -> Iterator[InstanceID]:
-        return iter(self._assignment)
-
-    def __len__(self) -> int:
-        return len(self._assignment)
-
-    # the dict's own views and lookup, faster than the Mapping defaults
-    def items(self) -> ItemsView[InstanceID, str]:
-        return self._assignment.items()
-
-    def values(self) -> ValuesView[str]:
-        return self._assignment.values()
-
-    def get(self, instance: InstanceID, default: str | None = None) -> str | None:
-        return self._assignment.get(instance, default)
-
-    def __repr__(self) -> str:
-        return f"Clustering({len(set(self.values()))} clusters, {len(self)} instances)"
+def groups(clustering: Mapping[InstanceID, str]) -> dict[str, list[InstanceID]]:
+    """Sorted members of each cluster, in cluster-id order."""
+    members: dict[str, list[InstanceID]] = {}
+    for instance, cluster_id in clustering.items():
+        members.setdefault(cluster_id, []).append(instance)
+    return {cluster_id: sorted(members[cluster_id]) for cluster_id in sorted(members)}
 
 
 def _positive_int(text: str, field: str) -> int:
@@ -246,9 +216,9 @@ def ingest_clustering(
     caller's own tuple for it (the `instance` of a `LabeledInstance`, say),
     so both hold one object.
     """
-    assignment: dict[InstanceID, str] = {}
+    clustering = Clustering()
     # the instances not kept, with their cluster ids for the partition check
-    others = assignment if keep is None else {}
+    others = clustering if keep is None else {}
     ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
     with read_table(path, CLUSTERING_COLUMNS) as rows:
         for cluster_id, instance_s in rows:
@@ -259,14 +229,14 @@ def ingest_clustering(
             if keep is not None:
                 kept = keep.get(instance)
                 if kept is not None:
-                    instance, table = kept[0], assignment
+                    instance, table = kept[0], clustering
             if instance in table:
                 raise ParseError(
                     f"instance {echo(instance_s)} already assigned to cluster"
                     f" {echo(table[instance])}"
                 )
             table[instance] = ids.setdefault(cluster_id, cluster_id)
-    return Clustering.from_assignment(assignment)
+    return clustering
 
 
 def _read_people(
@@ -369,10 +339,10 @@ def write_corpus(path: str | Path, corpus: Corpus) -> None:
     write_rows(path, PAPERS_COLUMNS, rows())
 
 
-def write_clustering(path: str | Path, clustering: Clustering) -> None:
+def write_clustering(path: str | Path, clustering: Mapping[InstanceID, str]) -> None:
     rows = (
         (cluster_id, format_instance_id(instance))
-        for cluster_id, members in clustering.groups().items()
+        for cluster_id, members in groups(clustering).items()
         for instance in members
     )
     write_rows(path, CLUSTERING_COLUMNS, rows)

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from ._tsv import open_text_write, read_table, write_rows
+from ._tsv import _write_lines, open_text_write, read_table, write_rows
 from .baseline import name_keys
 from .corpus import (
     AuthorityProfile,
@@ -500,9 +500,13 @@ def read_eval_dataset(path: str | Path) -> tuple[EvalRow, ...]:
 
 
 def write_conflicts(path: str | Path, conflicts: Iterable[ConflictRecord]) -> None:
-    """Reason-coded drop records, one tab-separated line each (no header)."""
+    """Reason-coded drop records, one tab-separated line each (no header).
+
+    A field holding a tab, newline or NUL byte raises ValueError, as in write_rows.
+    """
+    rows = (
+        (record.reason, format_instance_id(record.instance), record.detail)
+        for record in sorted(conflicts)
+    )
     with open_text_write(path) as fh:
-        for record in sorted(conflicts):
-            fh.write(
-                f"{record.reason}\t{format_instance_id(record.instance)}\t{record.detail}\n"
-            )
+        _write_lines(fh, rows)

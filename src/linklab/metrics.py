@@ -5,7 +5,8 @@ precision averages |P(t) ∩ T(t)| / |P(t)|, where T(t) and P(t) are the
 truth and predicted clusters containing t. The aggregation tallies
 per-(truth, predicted) overlap counts, so cost is O(n log n) in
 instances rather than quadratic. Clusterings are plain
-instance-to-cluster-id mappings; a `Clustering` is one.
+instance-to-cluster-id mappings: a `Clustering` is a dict, so its
+lookups are the dict's own.
 """
 
 from __future__ import annotations

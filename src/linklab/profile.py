@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import write_rows
-from .corpus import Clustering, Corpus, InstanceID
+from .corpus import Corpus, InstanceID, groups
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
@@ -127,19 +127,21 @@ def _classify_forms(forms: Sequence[PersonName]) -> str:
 
 
 def classify_synonym_types(
-    truth: Clustering, name_of: Callable[[InstanceID], PersonName | None]
+    truth: Mapping[InstanceID, str], name_of: Callable[[InstanceID], PersonName | None]
 ) -> TypologyReport:
     """Assign one variant type to each author with several blocking keys.
 
-    `name_of` gives the parsed name of a truth instance, or None when it
-    has none (baseline.name_lookup over a corpus, or a dict's `get`).
+    `truth` is any instance -> cluster-id mapping, a Clustering or a
+    plain dict. `name_of` gives the parsed name of a truth instance, or
+    None when it has none (baseline.name_lookup over a corpus, or a
+    dict's `get`).
     Authors whose name forms all share one blocking key are not
     multiform and are never counted. Priority when several rules match:
     flipped_order, then surname_variant, then initial_variant.
     """
     assignments: dict[str, str] = {}
     tallies: Counter[str] = Counter()
-    for cluster_id, members in truth.groups().items():
+    for cluster_id, members in groups(truth).items():
         keys = set()
         forms: dict[tuple[str, tuple[str, ...]], PersonName] = {}
         for instance in members:
@@ -179,19 +181,19 @@ def perturb_tags(
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rows = list(dataset)
-    groups: dict[str, list[int]] = {}
+    by_tag: dict[str, list[int]] = {}
     for index, row in enumerate(rows):
         if row.ethnicity:
-            groups.setdefault(row.ethnicity, []).append(index)
-    if len(groups) < 2:
+            by_tag.setdefault(row.ethnicity, []).append(index)
+    if len(by_tag) < 2:
         raise EvaluationError(
             "perturbation needs at least 2 distinct ethnicity tags, "
-            f"found {len(groups)}"
+            f"found {len(by_tag)}"
         )
     rng = random.Random(seed)
-    tags = sorted(groups)
+    tags = sorted(by_tag)
     for tag in tags:
-        indices = groups[tag]
+        indices = by_tag[tag]
         changed = rng.sample(indices, math.floor(fraction * len(indices)))
         others = [t for t in tags if t != tag]
         for index in changed:

@@ -373,7 +373,7 @@ def generate(config: SynthConfig) -> Bundle:
         for author in authors
         for instance in author.instances
     }
-    truth = Clustering.from_assignment({i: a.author_id for a in authors for i in a.instances})
+    truth = Clustering((i, a.author_id) for a in authors for i in a.instances)
 
     n_instances = len(instance_forms)
     synonym_authors = [a for a in authors if a.variant in SYNONYM_TYPES]

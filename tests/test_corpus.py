@@ -12,6 +12,7 @@ from linklab.corpus import (
     Clustering,
     PaperRecord,
     format_instance_id,
+    groups,
     ingest_annotations,
     ingest_authority,
     ingest_citations,
@@ -186,7 +187,7 @@ def test_ingest_clustering(tmp_path):
         "cluster_id\tinstance_id\nA\t1_1\nA\t2_1\nB\t3_1\n",
     )
     clustering = ingest_clustering(path)
-    assert clustering.groups() == {
+    assert groups(clustering) == {
         "A": [(1, 1), (2, 1)],
         "B": [(3, 1)],
     }
@@ -278,7 +279,8 @@ def _written(write, clustering) -> bytes:
 
 def _assert_same(new, old):
     assert dict(new.items()) == dict(old.items())
-    assert new.groups() == {cid: sorted(members) for cid, members in sorted(old.clusters.items())}
+    expected = {cid: sorted(members) for cid, members in sorted(old.clusters.items())}
+    assert groups(new) == groups(dict(old.items())) == expected
     assert _written(write_clustering, new) == _written(write_two_copy_clustering, old)
 
 
@@ -302,7 +304,7 @@ def test_clustering_matches_two_copy_oracle_on_partitions(one, two):
     new_one, old_one = Clustering.from_assignment(dict(one)), TwoCopyClustering.from_assignment(one)
     new_two, old_two = Clustering.from_assignment(dict(two)), TwoCopyClustering.from_assignment(two)
     _assert_same(new_one, old_one)
-    assert new_one == clustering_of(new_one.groups())
+    assert new_one == clustering_of(groups(new_one))
     assert (new_one == new_two) == (old_one == old_two)
 
 

@@ -25,6 +25,7 @@ from linklab.corpus import (
 from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, fini_block_sizes, name_lookup
 from linklab.errors import EvaluationError, IngestError
 from linklab.linkage import (
+    ConflictRecord,
     EvalRow,
     LabeledInstance,
     extract_selfcitation_pairs,
@@ -724,6 +725,15 @@ def test_write_conflicts(tmp_path, corpus):
     assert path.read_text(encoding="utf-8") == (
         "instance_multilabel\t7_1\tauthority:orc-a,orc-b\n"
     )
+
+
+@pytest.mark.parametrize("field", ["a\tb", "a\nb", "a\rb", "a\0b"])
+def test_write_conflicts_refuses_a_field_write_labels_refuses(tmp_path, field):
+    with pytest.raises(ValueError, match="contains a") as conflicts_refused:
+        write_conflicts(tmp_path / "conflicts.tsv", [ConflictRecord("r", (7, 1), field)])
+    with pytest.raises(ValueError) as labels_refused:
+        write_labels(tmp_path / "labels.tsv", [LabeledInstance((7, 1), field, "authority")])
+    assert str(conflicts_refused.value) == str(labels_refused.value)
 
 
 def test_linking_is_input_order_insensitive(corpus):

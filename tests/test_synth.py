@@ -7,6 +7,7 @@ import pytest
 
 from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, name_lookup
 from linklab.corpus import (
+    groups,
     ingest_annotations,
     ingest_authority,
     ingest_citations,
@@ -35,13 +36,13 @@ def test_generate_clean_bundle_shape():
     cfg = SynthConfig(seed=1, n_authors=50, papers_per_author=(2, 4))
     bundle = generate(cfg)
     assert len(bundle.authors) == 50
-    groups = bundle.truth.groups()
-    assert len(groups) == 50
+    clusters = groups(bundle.truth)
+    assert len(clusters) == 50
     # every instance belongs to exactly one truth cluster and one paper byline
     corpus_instances = {i for paper in bundle.corpus.values() for i in paper.instances()}
     assert set(bundle.truth) == corpus_instances
     for author in bundle.authors:
-        assert set(groups[author.author_id]) == set(author.instances)
+        assert set(clusters[author.author_id]) == set(author.instances)
         assert 2 <= len(author.pmids) <= 4
 
 

@@ -98,6 +98,9 @@ def test_kernels_read_every_data_row(tmp_path, monkeypatch):
         # the harness counts the pairs with len() of what pairing returns
         (["pairs", "--papers", "bundle/papers.tsv", "--citations", "bundle/citations.tsv"],
          ("linkage.extract_selfcitation_pairs", "corpus.ingest_citations"), "linkage.pairs"),
+        # clustering-mode evaluate builds both clusterings inside ingest_clustering
+        (["evaluate", "--truth", "bundle/truth_clustering.tsv", "--pred", "bundle/truth_clustering.tsv"],
+         ("metrics.b3_scores", "corpus.ingest_clustering", "corpus.Clustering.__init__"), None),
     ],
 )
 def test_traced_link_commands_record_spans_and_candidates(tmp_path, monkeypatch, argv, spans, count):
@@ -111,4 +114,4 @@ def test_traced_link_commands_record_spans_and_candidates(tmp_path, monkeypatch,
     assert trace["exit"] == 0
     names = {name for name, *_ in trace["spans"]}
     assert set(spans) <= names, sorted(names)
-    assert trace["counts"].get(count, 0) > 0, trace["counts"]
+    assert count is None or trace["counts"].get(count, 0) > 0, trace["counts"]
