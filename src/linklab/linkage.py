@@ -323,10 +323,14 @@ def join_labels(
 
     `papers` maps a pmid to its (year, byline length), as
     ingest_paper_years reads it. An index that noted an instance with two
-    labels raises ValueError. Labeled instances without a predicted
-    cluster are dropped and counted. Instances missing from the papers
-    (no year available) are an error in strict mode, otherwise dropped
-    and counted.
+    labels raises ValueError before any label is taken from it. Labeled
+    instances without a predicted cluster are dropped and counted.
+    Instances missing from the papers (no year available) are an error in
+    strict mode, otherwise dropped and counted.
+
+    The join consumes the index: each label is popped as its row is
+    built, so the labels are freed while the rows are allocated, and a
+    successful join leaves `index.labels` empty.
     """
     if index.conflict is not None:
         raise ValueError(index.conflict)
@@ -334,7 +338,9 @@ def join_labels(
     rows = []
     dropped_unclustered = 0
     dropped_missing_paper = 0
-    for instance in sorted(index.labels):
+    labels = index.labels
+    for instance in sorted(labels):
+        label = labels.pop(instance)
         cluster_id = clustering.get(instance)
         if cluster_id is None:
             dropped_unclustered += 1
@@ -351,7 +357,7 @@ def join_labels(
         rows.append(
             EvalRow(
                 instance=instance,
-                truth_label=index.labels[instance].label_id,
+                truth_label=label.label_id,
                 predicted_cluster_id=cluster_id,
                 year=paper[0],
                 ethnicity=annotation.ethnicity if annotation else None,
@@ -374,9 +380,11 @@ def label_agreement(
 
     Label namespaces differ, so clusters are aligned by greedy largest-
     overlap matching (ties broken lexicographically); an instance whose
-    label pair is not part of the alignment is a disagreement.
+    label pair is not part of the alignment is a disagreement. The shared
+    instances are found by intersecting the two mappings' key views, so
+    neither mapping's instances are copied into a set of their own.
     """
-    overlap = sorted(set(labels_a) & set(labels_b))
+    overlap = sorted(labels_a.keys() & labels_b.keys())
     if not overlap:
         return AgreementReport(0, 0, ())
     cell_counts = Counter((labels_a[i], labels_b[i]) for i in overlap)
@@ -440,18 +448,26 @@ def write_pairs(path: str | Path, pairs: Iterable[tuple[InstanceID, InstanceID]]
 
 
 def read_pairs(path: str | Path) -> frozenset[tuple[InstanceID, InstanceID]]:
-    """Read pairs.tsv; each pair comes back as (smaller, larger) instance."""
+    """Read pairs.tsv; each pair comes back as (smaller, larger) instance.
+
+    An instance named by several pairs is one tuple object in all of them.
+    """
     pairs = []
+    instances: dict[InstanceID, InstanceID] = {}
     with read_table(path, PAIRS_COLUMNS) as rows:
         for a_s, b_s in rows:
             a = parse_instance_id(a_s)
+            a = instances.setdefault(a, a)
             b = parse_instance_id(b_s)
+            b = instances.setdefault(b, b)
             if a[0] == b[0]:
                 raise ParseError(
                     f"invalid pair ({echo(a_s)}, {echo(b_s)}):"
                     " members must come from distinct papers"
                 )
             pairs.append(_ordered(a, b))
+    # the index goes before the set is built, so the two tables are never held together
+    del instances
     return frozenset(pairs)
 
 
@@ -473,7 +489,8 @@ def write_eval_dataset(path: str | Path, dataset: Iterable[EvalRow]) -> None:
 def read_eval_dataset(path: str | Path) -> tuple[EvalRow, ...]:
     """Read an eval dataset's rows in instance order, whatever the file's order.
 
-    Equal labels, cluster ids and tags share one string object.
+    Equal labels, cluster ids and tags share one string object. The rows
+    are sorted in the list they are read into, not in a copy of it.
     """
     rows = []
     seen: set[InstanceID] = set()
@@ -496,7 +513,8 @@ def read_eval_dataset(path: str | Path) -> tuple[EvalRow, ...]:
                     gender=strings.setdefault(gender, gender) if gender else None,
                 )
             )
-    return tuple(sorted(rows))
+    rows.sort()
+    return tuple(rows)
 
 
 def write_conflicts(path: str | Path, conflicts: Iterable[ConflictRecord]) -> None:

@@ -44,7 +44,11 @@ def _f1(recall: float, precision: float) -> float:
 
 
 def _b3(overlap: Counter[tuple[str, str]], dropped: int) -> B3Scores:
-    """B-cubed from the instance count of each (truth id, predicted id) cell, summed in cell order."""
+    """B-cubed from the instance count of each (truth id, predicted id) cell, summed in cell order.
+
+    The cells are unique, so sorting the cells alone fixes the order;
+    each count is then looked up, and no (cell, count) tuple is made.
+    """
     truth_sizes: Counter[str] = Counter()
     predicted_sizes: Counter[str] = Counter()
     for (truth_id, predicted_id), count in overlap.items():
@@ -56,7 +60,9 @@ def _b3(overlap: Counter[tuple[str, str]], dropped: int) -> B3Scores:
 
     recall_sum = 0.0
     precision_sum = 0.0
-    for (truth_id, predicted_id), count in sorted(overlap.items()):
+    for cell in sorted(overlap):
+        truth_id, predicted_id = cell
+        count = overlap[cell]
         shared = count * count
         recall_sum += shared / truth_sizes[truth_id]
         precision_sum += shared / predicted_sizes[predicted_id]

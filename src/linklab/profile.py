@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import write_rows
-from .corpus import Corpus, InstanceID, groups
+from .corpus import Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
@@ -126,6 +126,20 @@ def _classify_forms(forms: Sequence[PersonName]) -> str:
     return TYPE_INITIAL
 
 
+def _multiform_clusters(
+    truth: Mapping[InstanceID, str], name_of: Callable[[InstanceID], PersonName | None]
+) -> set[str]:
+    """The clusters whose members' names carry at least two blocking keys."""
+    first_key: dict[str, str] = {}
+    multiform: set[str] = set()
+    for instance, cluster_id in truth.items():
+        name = name_of(instance)
+        key = None if name is None else match_key(name)
+        if key is not None and first_key.setdefault(cluster_id, key) != key:
+            multiform.add(cluster_id)
+    return multiform
+
+
 def classify_synonym_types(
     truth: Mapping[InstanceID, str], name_of: Callable[[InstanceID], PersonName | None]
 ) -> TypologyReport:
@@ -138,23 +152,24 @@ def classify_synonym_types(
     Authors whose name forms all share one blocking key are not
     multiform and are never counted. Priority when several rules match:
     flipped_order, then surname_variant, then initial_variant.
+    Assignments are in cluster-id order.
+
+    No cluster's members are grouped: a first pass finds the multiform
+    clusters, and a second gathers the name forms of their instances only,
+    in instance order, keeping each form's first parsed name.
     """
+    multiform = _multiform_clusters(truth, name_of)
+    forms_of: dict[str, dict[tuple[str, tuple[str, ...]], PersonName]] = {}
+    for instance in sorted(i for i, cluster_id in truth.items() if cluster_id in multiform):
+        name = name_of(instance)
+        if name is not None and match_key(name) is not None:
+            forms = forms_of.setdefault(truth[instance], {})
+            forms.setdefault((name.surname, name.forenames), name)
     assignments: dict[str, str] = {}
     tallies: Counter[str] = Counter()
-    for cluster_id, members in groups(truth).items():
-        keys = set()
-        forms: dict[tuple[str, tuple[str, ...]], PersonName] = {}
-        for instance in members:
-            name = name_of(instance)
-            key = None if name is None else match_key(name)
-            if key is None:
-                continue
-            keys.add(key)
-            forms.setdefault((name.surname, name.forenames), name)
-        if len(keys) < 2:
-            continue
-        ordered = [forms[key] for key in sorted(forms)]
-        assigned = _classify_forms(ordered)
+    for cluster_id in sorted(forms_of):
+        forms = forms_of[cluster_id]
+        assigned = _classify_forms([forms[key] for key in sorted(forms)])
         assignments[cluster_id] = assigned
         tallies[assigned] += 1
     counts = TypologyCounts(

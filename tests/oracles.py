@@ -11,12 +11,13 @@ from typing import NamedTuple
 
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
 from linklab.baseline import UNPARSEABLE_PREFIX
-from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id
+from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id, groups
 from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
     SOURCE_AUTHORITY,
     SOURCE_GRANT,
+    AgreementReport,
     ConflictRecord,
     EvalRow,
     JoinResult,
@@ -24,8 +25,16 @@ from linklab.linkage import (
     LinkResult,
 )
 from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
-from linklab.normalize import _FOLD, fini_key, is_keyed, normalize_title, parse_name
-from linklab.profile import block_size_ccdf, classify_synonym_types
+from linklab.normalize import _FOLD, fini_key, is_keyed, match_key, normalize_title, parse_name
+from linklab.profile import (
+    TYPE_FLIPPED,
+    TYPE_INITIAL,
+    TYPE_SURNAME,
+    TypologyCounts,
+    TypologyReport,
+    _classify_forms,
+    block_size_ccdf,
+)
 
 
 def naive_ascii_fold(text):
@@ -198,8 +207,59 @@ def profile_ccdf(corpus):
 
 
 def profile_typology(truth, corpus):
-    """The earlier `profile` typology: a dict of every instance's parsed name."""
+    """The earlier `profile` typology: grouped clusters and a dict of every instance's parsed name."""
     return classify_synonym_types(truth, dict(corpus_names(corpus)).get)
+
+
+def classify_synonym_types(truth, name_of):
+    """The earlier profile.classify_synonym_types: every cluster's sorted members, grouped."""
+    assignments = {}
+    tallies = Counter()
+    for cluster_id, members in groups(truth).items():
+        keys = set()
+        forms = {}
+        for instance in members:
+            name = name_of(instance)
+            key = None if name is None else match_key(name)
+            if key is None:
+                continue
+            keys.add(key)
+            forms.setdefault((name.surname, name.forenames), name)
+        if len(keys) < 2:
+            continue
+        assigned = _classify_forms([forms[key] for key in sorted(forms)])
+        assignments[cluster_id] = assigned
+        tallies[assigned] += 1
+    counts = TypologyCounts(
+        surname_variant=tallies[TYPE_SURNAME],
+        initial_variant=tallies[TYPE_INITIAL],
+        flipped_order=tallies[TYPE_FLIPPED],
+        total_multiform_authors=len(assignments),
+    )
+    return TypologyReport(counts, assignments)
+
+
+def label_agreement(labels_a, labels_b):
+    """The earlier linkage.label_agreement: the shared instances of two full set copies."""
+    overlap = sorted(set(labels_a) & set(labels_b))
+    if not overlap:
+        return AgreementReport(0, 0, ())
+    cell_counts = Counter((labels_a[i], labels_b[i]) for i in overlap)
+    used_a = set()
+    used_b = set()
+    accepted = set()
+    for (label_a, label_b), _ in sorted(cell_counts.items(), key=lambda item: (-item[1], item[0])):
+        if label_a in used_a or label_b in used_b:
+            continue
+        used_a.add(label_a)
+        used_b.add(label_b)
+        accepted.add((label_a, label_b))
+    disagreements = tuple(
+        (instance, labels_a[instance], labels_b[instance])
+        for instance in overlap
+        if (labels_a[instance], labels_b[instance]) not in accepted
+    )
+    return AgreementReport(len(overlap), len(overlap) - len(disagreements), disagreements)
 
 
 def naive_b3(truth_clusters, predicted_clusters):

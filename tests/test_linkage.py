@@ -462,6 +462,17 @@ def test_pairset_validation(tmp_path):
             read_pairs(path)
 
 
+def test_read_pairs_shares_one_tuple_per_instance(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    # 2_1 is the larger member of one pair and the smaller of another
+    path.write_text("instance_a\tinstance_b\n2_1\t1_1\n2_1\t3_1\n1_1\t3_2\n", encoding="utf-8")
+    pairs = read_pairs(path)
+    assert pairs == frozenset({((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 2))})
+    held = {pair: pair for pair in pairs}  # the pair objects the set holds
+    assert held[(1, 1), (2, 1)][1] is held[(2, 1), (3, 1)][0]
+    assert held[(1, 1), (2, 1)][0] is held[(1, 1), (3, 2)][0]
+
+
 def test_join_labels_inner_join(corpus):
     labels = [
         LabeledInstance((1, 1), "orc-1", "authority"),
@@ -513,6 +524,20 @@ def test_join_labels_rejects_mixed_sources(corpus):
     assert index.labels[(1, 1)] is labels[0]
     with pytest.raises(ValueError, match="one labeling source"):
         join_labels(index, clustering, paper_years(corpus))
+    assert index.labels == {(1, 1): labels[0]}  # raised before any label was popped
+
+
+def test_join_labels_consumes_its_index(corpus):
+    labels = [
+        LabeledInstance((1, 1), "orc-1", "authority"),  # joined
+        LabeledInstance((3, 1), "orc-2", "authority"),  # no predicted cluster
+        LabeledInstance((9, 1), "orc-3", "authority"),  # on no paper
+    ]
+    index = index_labels(labels)
+    joined = join_labels(index, clustering_of({"c1": {(1, 1), (9, 1)}}), paper_years(corpus))
+    assert joined.rows == (EvalRow((1, 1), "orc-1", "c1", 1999, None, None),)
+    assert (joined.dropped_unclustered, joined.dropped_missing_paper) == (1, 1)
+    assert index.labels == {}
 
 
 def test_index_labels_keys_by_each_labels_own_tuple():
@@ -629,6 +654,20 @@ def test_join_of_kept_rows_matches_the_full_reader_oracle(tables, strict):
 
 def labels_from(truth_labels):
     return {(i, 1): label for i, label in enumerate(truth_labels, start=1)}
+
+
+AGREE_INSTANCE = st.tuples(st.integers(1, 5), st.integers(1, 2))
+
+
+@given(
+    st.dictionaries(AGREE_INSTANCE, st.sampled_from(["x", "y", "z"])),
+    st.dictionaries(AGREE_INSTANCE, st.sampled_from(["p", "q", "x"])),
+)
+@example({(1, 1): "x", (2, 1): "y"}, {(3, 1): "x"})  # no shared instance
+@example({(1, 1): "x", (2, 1): "x", (3, 1): "y"}, {(1, 1): "p", (2, 1): "q", (3, 1): "p"})
+def test_label_agreement_matches_the_two_set_oracle(labels_a, labels_b):
+    """Intersecting key views gives the overlap, counts and disagreements of two set copies."""
+    assert label_agreement(labels_a, labels_b) == oracles.label_agreement(labels_a, labels_b)
 
 
 def test_label_agreement_identical():

@@ -216,6 +216,53 @@ def test_typology_flipped_takes_priority():
     assert report.assignments["a1"] == "flipped_order"
 
 
+# one name per blocking key except kim|j, which has three names in two forms
+# ("Kim, Ji" spelt two ways, and "Kim, Jo"); "Ji, Kim" is "Kim, Ji" flipped,
+# "Lee, Ji" a surname variant; a mononym and an unparsed name (None) carry no key
+TYPOLOGY_NAMES = [
+    *(parse_name(raw) for raw in
+      ("Kim, Ji", "KIM, Ji", "Kim, Jo", "Kim, Ann", "Ji, Kim", "Lee, Ji", "Einstein")),
+    None,
+]
+TYPOLOGY_INSTANCE = st.tuples(st.integers(1, 6), st.integers(1, 3))
+
+
+@st.composite
+def named_truths(draw):
+    """A truth over up to four clusters and names for most of its instances."""
+    truth = draw(st.dictionaries(TYPOLOGY_INSTANCE, st.sampled_from(["a1", "a2", "a3", "a4"]), max_size=16))
+    # an instance missing from the names has none, as one named None
+    names = {i: draw(st.sampled_from(TYPOLOGY_NAMES)) for i in truth if draw(st.integers(0, 5))}
+    return truth, names
+
+
+# a4 has three keys, a2 two (one repeated form), a5 two and a mononym,
+# a3 one key in two forms, a1 only a mononym, an unparsed name and an
+# instance with no name
+TYPOLOGY_EXAMPLE = (
+    {(1, 1): "a4", (2, 1): "a4", (3, 1): "a4", (1, 2): "a2", (2, 2): "a2", (3, 2): "a2",
+     (4, 1): "a3", (4, 2): "a3", (5, 1): "a1", (5, 2): "a1", (5, 3): "a1",
+     (6, 1): "a5", (6, 2): "a5", (6, 3): "a5"},
+    {(1, 1): TYPOLOGY_NAMES[0], (2, 1): TYPOLOGY_NAMES[3], (3, 1): TYPOLOGY_NAMES[5],
+     (1, 2): TYPOLOGY_NAMES[1], (2, 2): TYPOLOGY_NAMES[4], (3, 2): TYPOLOGY_NAMES[0],
+     (4, 1): TYPOLOGY_NAMES[2], (4, 2): TYPOLOGY_NAMES[0],
+     (5, 1): TYPOLOGY_NAMES[6], (5, 2): TYPOLOGY_NAMES[7],
+     (6, 1): TYPOLOGY_NAMES[2], (6, 2): TYPOLOGY_NAMES[6], (6, 3): TYPOLOGY_NAMES[3]},
+)
+
+
+@given(named_truths())
+@example(TYPOLOGY_EXAMPLE)
+@example(({}, {}))
+def test_typology_matches_the_grouped_oracle(case):
+    """Two passes without grouping give the grouped typology, assignments in the same order."""
+    truth, names = case
+    report = classify_synonym_types(truth, names.get)
+    expected = oracles.classify_synonym_types(truth, names.get)
+    assert report == expected
+    assert list(report.assignments.items()) == list(expected.assignments.items())
+
+
 def annotated_rows(tags):
     return [
         EvalRow((i, 1), "t", "p", 2000, tag, None)
