@@ -41,7 +41,6 @@ from .corpus import (
     InstanceID,
     format_instance_id,
     ingest_annotations,
-    ingest_authority,
     ingest_citations,
     ingest_clustering,
     ingest_corpus,
@@ -108,12 +107,16 @@ def _can_be_directory(path: Path) -> bool:
 
 
 def _sha256(path: Path) -> str:
-    # imported here, not at the top: hashlib loads OpenSSL's libcrypto, a few
-    # MiB that every command would carry through its peak, and _run checksums
-    # only once the command has returned and its tables are freed
-    import hashlib
-
-    digest = hashlib.sha256()
+    # the interpreter's built-in SHA-256 (_sha2 from Python 3.12, _sha256
+    # before it), with the same hex digests as hashlib's: hashlib loads
+    # OpenSSL's libcrypto, a few MiB that would set the peak of a command
+    # whose tables are already freed. hashlib is only the fallback.
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            digest = __import__(module).sha256()
+            break
+        except ImportError:
+            continue
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
@@ -202,9 +205,10 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def cmd_link_authority(args: argparse.Namespace, out: Path) -> str:
+    # link_authority reads --authority itself, after indexing the corpus's titles
     result = link_authority(
         ingest_corpus(args.papers),
-        ingest_authority(args.authority),
+        args.authority,
         dup_title_policy=args.dup_title_policy,
         nonalpha=args.nonalpha,
     )

@@ -177,7 +177,8 @@ def _read_papers(
             if not title:
                 raise ParseError("missing title")
             authors = tuple(authors_s.split("|"))
-            if not authors_s or any(name == "" for name in authors):
+            # an empty byline splits to ("",), so this also rejects it
+            if "" in authors:
                 raise ParseError("empty author name in byline")
             if pmid in papers:
                 raise ParseError(f"duplicate pmid {echo(pmid_s)}")
@@ -240,15 +241,22 @@ def ingest_clustering(
 
 
 def _read_people(
-    path: str | Path, columns: tuple[str, str, str], who: str, parse_value: Callable[[str], _V]
+    path: str | Path,
+    columns: tuple[str, str, str],
+    who: str,
+    parse_value: Callable[[str, str], _V | None],
 ) -> dict[str, tuple[str, set[_V]]]:
-    """Read (id, name, value) rows into id -> (name, values); one name per id."""
+    """Read (id, name, value) rows into id -> (name, values); one name per id.
+
+    parse_value(text, name) checks a row's value field and returns what
+    is kept of it, None for nothing.
+    """
     people: dict[str, tuple[str, set[_V]]] = {}
     with read_table(path, columns) as rows:
         for person_id, name, value_s in rows:
             if not person_id or not name:
                 raise ParseError("empty field")
-            value = parse_value(value_s)
+            value = parse_value(value_s, name)
             known = people.get(person_id)
             if known is None:
                 known = people[person_id] = (name, set())
@@ -257,7 +265,8 @@ def _read_people(
                     f"{who} {echo(person_id)} has conflicting names"
                     f" {echo(known[0])} and {echo(name)}"
                 )
-            known[1].add(value)
+            if value is not None:
+                known[1].add(value)
     return people
 
 
@@ -267,9 +276,21 @@ def _title(text: str) -> str:
     return text
 
 
-def ingest_authority(path: str | Path) -> dict[str, AuthorityProfile]:
-    """Read authority.tsv (authority_id, name, title; one row per work)."""
-    people = _read_people(path, AUTHORITY_COLUMNS, "authority", _title)
+def ingest_authority(
+    path: str | Path, resolve: Callable[[str, str], _V | None] | None = None
+) -> dict[str, AuthorityProfile] | dict[str, tuple[str, set[_V]]]:
+    """Read authority.tsv (authority_id, name, title; one row per work).
+
+    Without `resolve`, each profile keeps its titles. With it, each
+    checked row's title goes to resolve(title, name) as the row is read,
+    and no title is kept: id -> (name, the set of what resolve returned,
+    None left out) comes back instead.
+    """
+    if resolve is not None:
+        return _read_people(
+            path, AUTHORITY_COLUMNS, "authority", lambda text, name: resolve(_title(text), name)
+        )
+    people = _read_people(path, AUTHORITY_COLUMNS, "authority", lambda text, name: _title(text))
     return {
         authority_id: AuthorityProfile(authority_id, name, frozenset(titles))
         for authority_id, (name, titles) in people.items()
@@ -278,7 +299,9 @@ def ingest_authority(path: str | Path) -> dict[str, AuthorityProfile]:
 
 def ingest_grants(path: str | Path) -> dict[str, GrantRecord]:
     """Read grants.tsv (pi_id, pi_name, pmid; one row per funded paper)."""
-    people = _read_people(path, GRANTS_COLUMNS, "PI", lambda text: _positive_int(text, "pmid"))
+    people = _read_people(
+        path, GRANTS_COLUMNS, "PI", lambda text, name: _positive_int(text, "pmid")
+    )
     return {
         pi_id: GrantRecord(pi_id, name, frozenset(pmids))
         for pi_id, (name, pmids) in people.items()

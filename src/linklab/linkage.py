@@ -14,7 +14,7 @@ an unparseable name or a mononym matches nothing.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ from .corpus import (
     InstanceID,
     _int,
     format_instance_id,
+    ingest_authority,
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError, echo
@@ -80,23 +81,35 @@ def _ordered(a: InstanceID, b: InstanceID) -> tuple[InstanceID, InstanceID]:
     return (a, b) if a <= b else (b, a)
 
 
+class _MatchKeys(dict[str, "str | None"]):
+    """Raw person name -> its match key, None when the name is unusable.
+
+    A name is parsed on its first lookup, so each is parsed once however
+    many people or rows carry it.
+    """
+
+    def __missing__(self, raw: str) -> str | None:
+        name = parse_or_none(raw)
+        key = self[raw] = None if name is None else match_key(name)
+        return key
+
+
 def _match_people(
-    corpus: Corpus, people: Iterable[tuple[str, str, Iterable[int]]]
+    corpus: Corpus, people: Iterable[tuple[str, str | None, Iterable[int]]]
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
-    """Match each (person id, raw name, pmids) to the byline positions under its key.
+    """Match each (person id, match key, pmids) to the byline positions under its key.
 
     A person matches every position on one of their in-corpus pmids whose
-    name has the person's blocking key. Returns the (instance, person id)
-    candidates, the number of people whose name is unusable (their pmids
-    are not read), and the in-corpus pmids of the usable people.
+    name has the person's key. Returns the (instance, person id)
+    candidates, the number of people whose key is None (their name is
+    unusable; their pmids are not read), and the in-corpus pmids of the
+    usable people.
     """
     keys = name_keys(corpus, match_key)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable = 0
     pmids_in_corpus: set[int] = set()
-    for person_id, raw_name, pmids in people:
-        name = parse_or_none(raw_name)
-        key = None if name is None else match_key(name)
+    for person_id, key, pmids in people:
         if key is None:
             unusable += 1
             continue
@@ -147,34 +160,28 @@ def _resolve_candidates(
     return tuple(labels), tuple(sorted(conflicts))
 
 
-def link_authority(
+def _resolve_registry(
     corpus: Corpus,
-    registry: Mapping[str, AuthorityProfile],
-    *,
-    dup_title_policy: str = "drop-all",
-    nonalpha: str = "delete",
-) -> LinkResult:
-    """Label byline instances via profile work-title + blocking-key match.
+    registry: Mapping[str, AuthorityProfile] | str | Path,
+    keys: _MatchKeys,
+    dup_title_policy: str,
+    nonalpha: str,
+) -> tuple[dict[str, tuple[str, set[int]]], int, int]:
+    """Read the registry with each work title resolved to its pmid as it is read.
 
-    Corpus titles too short to normalize are unusable. A normalized
-    title appearing on more than one paper is removed entirely under
-    "drop-all" (the default; no survivor is elected) or mapped to its
-    lowest PMID under "keep-first".
+    Returns authority id -> (name, pmids), the number of usable titles
+    and the number of duplicate title copies dropped. A profile keeps no
+    title, and the title maps are freed on return. A title of a profile
+    whose name is unusable is not normalized. A title that is no corpus
+    title is normalized where it is read and not cached, so no copy of
+    it is kept.
     """
-    if dup_title_policy not in DUP_TITLE_POLICIES:
-        raise ValueError(
-            f"dup_title_policy must be one of {DUP_TITLE_POLICIES}, got {dup_title_policy!r}"
-        )
-    title_texts: dict[str, str | None] = {}
-
-    def title_text(raw: str) -> str | None:
-        if raw not in title_texts:
-            title_texts[raw] = normalize_title(raw, nonalpha=nonalpha)
-        return title_texts[raw]
-
+    texts: dict[str, str | None] = {}  # corpus raw title -> its normalized text
     pmids_by_title: dict[str, list[int]] = {}
     for paper in corpus.values():
-        text = title_text(paper.raw_title)
+        if paper.raw_title not in texts:
+            texts[paper.raw_title] = normalize_title(paper.raw_title, nonalpha=nonalpha)
+        text = texts[paper.raw_title]
         if text is not None:
             pmids_by_title.setdefault(text, []).append(paper.pmid)
     title_to_pmid: dict[str, int] = {}
@@ -187,24 +194,63 @@ def link_authority(
             duplicate_copies += len(pmids) - 1
         else:
             duplicate_copies += len(pmids)
+    del pmids_by_title  # freed before the registry is read
 
-    def profile_pmids(profile: AuthorityProfile) -> Iterator[int]:
-        for raw_title in profile.work_titles:
-            pmid = title_to_pmid.get(title_text(raw_title))
-            if pmid is not None:
-                yield pmid
+    def resolve(title: str, name: str) -> int | None:
+        if keys[name] is None:
+            return None
+        text = texts[title] if title in texts else normalize_title(title, nonalpha=nonalpha)
+        return title_to_pmid.get(text)
 
+    if isinstance(registry, Mapping):
+        # an in-memory registry goes through resolve as the file's rows do
+        profiles = {}
+        for authority_id, profile in registry.items():
+            pmids = {resolve(title, profile.person_name) for title in profile.work_titles}
+            pmids.discard(None)
+            profiles[authority_id] = (profile.person_name, pmids)
+    else:
+        profiles = ingest_authority(registry, resolve)
+    return profiles, len(title_to_pmid), duplicate_copies
+
+
+def link_authority(
+    corpus: Corpus,
+    registry: Mapping[str, AuthorityProfile] | str | Path,
+    *,
+    dup_title_policy: str = "drop-all",
+    nonalpha: str = "delete",
+) -> LinkResult:
+    """Label byline instances via profile work-title + blocking-key match.
+
+    `registry` is a mapping of profiles or the path of an authority.tsv,
+    read here once the corpus's titles are indexed. Either way each work
+    title is resolved to its pmid as its profile is read, and only the
+    pmids are kept.
+
+    Corpus titles too short to normalize are unusable. A normalized
+    title appearing on more than one paper is removed entirely under
+    "drop-all" (the default; no survivor is elected) or mapped to its
+    lowest PMID under "keep-first".
+    """
+    if dup_title_policy not in DUP_TITLE_POLICIES:
+        raise ValueError(
+            f"dup_title_policy must be one of {DUP_TITLE_POLICIES}, got {dup_title_policy!r}"
+        )
+    keys = _MatchKeys()
+    profiles, titles_usable, duplicate_copies = _resolve_registry(
+        corpus, registry, keys, dup_title_policy, nonalpha
+    )
     candidates, unusable_profiles, _ = _match_people(
         corpus,
-        ((authority_id, profile.person_name, profile_pmids(profile))
-         for authority_id, profile in registry.items()),
+        ((authority_id, keys[name], pmids) for authority_id, (name, pmids) in profiles.items()),
     )
     labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
         "papers": len(corpus),
-        "titles_usable": len(title_to_pmid),
+        "titles_usable": titles_usable,
         "duplicate_title_copies_dropped": duplicate_copies,
-        "profiles": len(registry),
+        "profiles": len(profiles),
         "profiles_unusable_name": unusable_profiles,
         "candidates": len(candidates),
         "labels": len(labels),
@@ -215,9 +261,10 @@ def link_authority(
 
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
+    keys = _MatchKeys()
     candidates, unusable_pis, funded_in_corpus = _match_people(
         corpus,
-        ((pi_id, record.pi_name, record.funded_pmids) for pi_id, record in grants.items()),
+        ((pi_id, keys[record.pi_name], record.funded_pmids) for pi_id, record in grants.items()),
     )
     funded = set().union(*(record.funded_pmids for record in grants.values()))
     labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)

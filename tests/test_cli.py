@@ -23,6 +23,8 @@ from linklab.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    MANIFEST_NAME,
+    _sha256,
     main,
 )
 from linklab.corpus import ingest_corpus, ingest_paper_years, write_clustering
@@ -207,14 +209,39 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
-def test_importing_the_cli_loads_neither_hashlib_nor_openssl():
-    # hashlib loads OpenSSL's libcrypto; only the manifest checksums need it
-    code = "import sys, linklab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+def test_importing_the_cli_loads_neither_hashlib_nor_openssl(workdir):
+    # hashlib loads OpenSSL's libcrypto; the manifest checksums use the
+    # interpreter's built-in SHA-256, so a whole command loads neither
+    (workdir / "papers.tsv").write_text(PAPERS)
+    loaded = "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    command = "main(['baseline', '--papers', 'papers.tsv', '--method', 'fini', '--out', 'fini'])"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "[]\n"
+    for code in (
+        f"import sys, linklab.cli; {loaded}",
+        f"import sys; from linklab.cli import main; assert {command} == 0; {loaded}",
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "[]"
+    assert json.loads((workdir / "fini" / MANIFEST_NAME).read_text())["inputs"]["papers.tsv"][
+        "sha256"
+    ] == _sha(workdir / "papers.tsv")
+
+
+# empty, one byte, exactly one 64 KiB read, and several reads with a short last one
+DIGEST_SIZES = [0, 1, 1 << 16, 3 * (1 << 16) + 5]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")], ids=["built-in", "hashlib"])
+@pytest.mark.parametrize("size", DIGEST_SIZES)
+def test_manifest_digest_is_hashlib_sha256(tmp_path, monkeypatch, size, blocked):
+    # with both built-in modules blocked, the checksum falls back to hashlib
+    for module in blocked:
+        monkeypatch.setitem(sys.modules, module, None)
+    path = tmp_path / "data.bin"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_manifest_checksums_are_sha256_of_files_longer_than_one_read(workdir):
@@ -1016,6 +1043,22 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
         assert _entries(out) == before
     assert not list(out.glob(".linklab-*"))
     assert (workdir / name).read_bytes() == data
+
+
+def test_a_bad_papers_file_outranks_a_bad_authority_file(workdir, capsys):
+    # link_authority reads --authority itself, after --papers: papers.tsv's error still wins
+    argv = ["link-authority", "--papers", "papers.tsv", "--authority", "authority.tsv", "--out", "out"]
+    (workdir / "authority.tsv").write_text("authority_id\tname\ttitle\na1\tKim, Ji\tT one\na1\t\tT two\n")
+    for papers, message in (
+        (PAPERS, "authority.tsv, row 2: empty field"),
+        (PAPERS + "2\t2001\tT\tKim, Ji|\n", "papers.tsv, row 2: empty author name in byline"),
+    ):
+        (workdir / "papers.tsv").write_text(papers)
+        assert main(argv) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
+        assert not (workdir / "out" / "labels.tsv").exists()
 
 
 def test_synth_into_a_non_empty_out(workdir):

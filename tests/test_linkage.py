@@ -21,6 +21,7 @@ from linklab.corpus import (
     ingest_annotations,
     ingest_clustering,
     ingest_corpus,
+    write_authority,
 )
 from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, fini_block_sizes, name_lookup
 from linklab.errors import EvaluationError, IngestError
@@ -318,6 +319,16 @@ def linked_corpora(draw):
     return corpus, registry, grants, policy, nonalpha
 
 
+def link_authority_both_ways(corpus, registry, **options):
+    """link_authority on an in-memory registry, checked against the same registry read from a file."""
+    result = link_authority(corpus, registry, **options)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "authority.tsv"
+        write_authority(path, registry)
+        assert link_authority(corpus, path, **options) == result
+    return result
+
+
 # every case the generator is meant to reach, at once: a mononym profile and
 # a mononym PI on in-corpus papers, a PI pmid outside the corpus, a duplicate
 # title, two byline positions under one key, and one name on two labels
@@ -351,7 +362,7 @@ LINKED_EXAMPLE = (
 @example(LINKED_EXAMPLE[:3] + ("drop-all", "space"))
 def test_person_linkers_match_the_earlier_loops(case):
     corpus, registry, grants, policy, nonalpha = case
-    assert link_authority(
+    assert link_authority_both_ways(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
     ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
     assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
@@ -377,7 +388,7 @@ def linkage_cases(draw):
 @given(linkage_cases())
 def test_linkers_and_pairs_match_their_oracles(case):
     corpus, registry, grants, edges, policy, nonalpha = case
-    assert link_authority(
+    assert link_authority_both_ways(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
     ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
     assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
@@ -449,6 +460,32 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         assert parses["Kim, J"] == 1, name
         assert max(parses.values()) == 1, (name, parses)
         assert max(titles.values(), default=1) == 1, (name, titles)
+
+
+@pytest.mark.parametrize("unusable", ["Einstein", "123"], ids=["mononym", "unparseable"])
+def test_an_unusable_profile_name_normalises_none_of_its_titles(monkeypatch, tmp_path, unusable):
+    titles = Counter()
+
+    def counting_title(raw, normalize=linkage.normalize_title, **kwargs):
+        titles[raw] += 1
+        return normalize(raw, **kwargs)
+
+    monkeypatch.setattr(linkage, "normalize_title", counting_title)
+    corpus = make_corpus((1, 1999, TITLE_1, ["Kim, J"]), (2, 2001, TITLE_2, ["Einstein"]))
+    # titles on no paper, so none is found among the corpus's normalized titles
+    other = "A title that no paper in the corpus has"
+    registry = {
+        "orc-1": profile("orc-1", unusable, other, other + " either", TITLE_2),
+        "orc-2": profile("orc-2", "Kim, Jin", other),
+    }
+    path = tmp_path / "authority.tsv"
+    write_authority(path, registry)
+    for source in (registry, path):
+        titles.clear()
+        result = link_authority(corpus, source)
+        assert result.stats["profiles_unusable_name"] == 1
+        # the corpus's titles, then the usable profile's one title on no paper
+        assert titles == Counter({TITLE_1: 1, TITLE_2: 1, other: 1}), source
 
 
 def test_pairset_validation(tmp_path):

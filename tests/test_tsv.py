@@ -104,6 +104,9 @@ ROW_FAULTS = [
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\t\tA, B", "missing title"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\tA, B|",
      "empty author name in byline"),
+    # an empty byline is one empty name
+    (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "2\t2001\tT\t",
+     "empty author name in byline"),
     (ingest_corpus, PAPERS_COLUMNS, "1\t2001\tA title\tKim, Ji", "1\t2002\tT\tA, B", "duplicate pmid '1'"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "\t1_2", "empty cluster_id"),
     (ingest_clustering, CLUSTERING_COLUMNS, "c1\t1_1", "c1\t1-2",
