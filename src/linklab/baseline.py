@@ -7,73 +7,62 @@ splits blocks, never merges across them, so it refines the blocking
 partition.
 
 `name_keys` is how a corpus's byline names become keys, for the
-baselines, the block sizes and linkage alike: one dict from each
-distinct raw byline string to its key, each string parsed once and
+baselines, linkage and the profile's name forms alike: one dict from
+each distinct raw byline string to its key, each string parsed once and
 every instance under one key sharing one key string.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from typing import TypeVar
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
-from .normalize import PersonName, aini_key, fini_key, parse_or_none
+from .normalize import PersonName, aini_key, fini_key, form_key, parse_or_none
 
 UNPARSEABLE_PREFIX = "?unparseable:"
 
-
-class ParsedNames(dict[str, "PersonName | None"]):
-    """Raw byline string -> its parsed name, None when it does not parse.
-
-    A string is parsed on its first lookup and kept for the life of the
-    cache, so one cache passed to several passes parses each string once.
-    """
-
-    def __missing__(self, raw: str) -> PersonName | None:
-        name = self[raw] = parse_or_none(raw)
-        return name
+_T = TypeVar("_T")
 
 
 def name_keys(
-    corpus: Corpus,
-    key: Callable[[PersonName], str | None],
-    parsed: ParsedNames | None = None,
+    corpus: Corpus, key: Callable[[PersonName], str | None]
 ) -> dict[str, str | None]:
     """Every distinct raw byline name -> its key; None when it has none.
 
     A name has no key when it does not parse or when `key` returns None.
-    Each distinct name is parsed once, through `parsed` when given, and
-    equal keys are one string object.
+    Each distinct name is parsed once, and equal keys are one string
+    object.
     """
-    parse = parse_or_none if parsed is None else parsed.__getitem__
     keys: dict[str, str | None] = {}
     shared: dict[str, str] = {}
     for paper in corpus.values():
         for raw in paper.authors:
             if raw not in keys:
-                name = parse(raw)
+                name = parse_or_none(raw)
                 name_key = None if name is None else key(name)
                 keys[raw] = None if name_key is None else shared.setdefault(name_key, name_key)
     return keys
 
 
 def name_lookup(
-    corpus: Corpus, parsed: ParsedNames
-) -> Callable[[InstanceID], PersonName | None]:
-    """A function from an instance to its parsed name, looked up in `parsed`.
+    corpus: Corpus, names: Mapping[str, _T | None]
+) -> Callable[[InstanceID], _T | None]:
+    """A function from an instance to what `names` holds for its byline name.
 
-    It returns None when the name does not parse, when the instance's
-    paper is not in the corpus, or when its position is past the end of
-    the byline.
+    `names` has every raw byline name of the corpus, as name_keys gives
+    them. The function returns None when `names` holds None, when the
+    instance's paper is not in the corpus, or when its position is past
+    the end of the byline.
     """
 
-    def name_of(instance: InstanceID) -> PersonName | None:
+    def name_of(instance: InstanceID) -> _T | None:
         pmid, position = instance
         paper = corpus.get(pmid)
         if paper is None or not 1 <= position <= len(paper.authors):
             return None
-        return parsed[paper.authors[position - 1]]
+        return names[paper.authors[position - 1]]
 
     return name_of
 
@@ -98,15 +87,18 @@ def cluster_aini(corpus: Corpus) -> Clustering:
     return _cluster(corpus, aini_key)
 
 
-def fini_block_sizes(corpus: Corpus, parsed: ParsedNames) -> list[int]:
+def fini_block_sizes(corpus: Corpus, forms: Mapping[str, str | None]) -> list[int]:
     """The size of every cluster_fini cluster, without building the clustering.
 
-    Each unparseable name is a block of one. Names are parsed through
-    `parsed`, so a later pass over the same cache parses none again.
+    `forms` is name_keys(corpus, name_form): each byline name's form,
+    whose form_key is the name's blocking key. Each unparseable name is
+    a block of one.
     """
-    keys = name_keys(corpus, fini_key, parsed)
-    blocks = Counter(keys[raw] for paper in corpus.values() for raw in paper.authors)
-    unparseable = blocks.pop(None, 0)
+    per_form = Counter(forms[raw] for paper in corpus.values() for raw in paper.authors)
+    unparseable = per_form.pop(None, 0)
+    blocks: Counter[str] = Counter()
+    for form, count in per_form.items():
+        blocks[form_key(form)] += count
     return list(blocks.values()) + [1] * unparseable
 
 

@@ -29,10 +29,10 @@ from typing import get_type_hints
 from . import __version__
 from ._tsv import read_header, write_rows
 from .baseline import (
-    ParsedNames,
     cluster_aini,
     cluster_fini,
     fini_block_sizes,
+    name_keys,
     name_lookup,
     unparseable_count,
 )
@@ -76,6 +76,7 @@ from .metrics import (
     stratified_eval,
     write_metrics_json,
 )
+from .normalize import name_form
 from .profile import (
     block_size_ccdf,
     classify_synonym_types,
@@ -311,9 +312,7 @@ def _evaluate_clusterings(args: argparse.Namespace, out: Path) -> str:
             "--stratum needs a labels file as --truth (attributes come from the join)"
         )
     _refuse(args, "evaluate with a clustering --truth", ("papers", "annotations"))
-    scores = b3_scores(
-        ingest_clustering(args.truth), ingest_clustering(args.pred), strict=args.strict
-    )
+    scores = b3_scores(args.truth, args.pred, strict=args.strict)
     write_metrics_json(out / "metrics.json", scores)
     return "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d" % scores
 
@@ -370,19 +369,20 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
         del dataset
     corpus = None if args.papers is None else ingest_corpus(args.papers)
     if corpus is not None:
-        # one parse per distinct byline name, shared by the block sizes and the typology
-        parsed = ParsedNames()
+        # one parse per distinct byline name, and of it one form, shared by
+        # the block sizes and the typology
+        forms = name_keys(corpus, name_form)
         with holding():
-            ccdf = block_size_ccdf(fini_block_sizes(corpus, parsed))
+            ccdf = block_size_ccdf(fini_block_sizes(corpus, forms))
             write_ccdf(out / "ccdf.tsv", {"fraction_at_least": ccdf})
         if args.truth is not None:
             truth = ingest_clustering(args.truth)
             with holding():
                 write_typology(
-                    out / "typology.tsv", classify_synonym_types(truth, name_lookup(corpus, parsed))
+                    out / "typology.tsv", classify_synonym_types(truth, name_lookup(corpus, forms))
                 )
             del truth
-        del parsed
+        del forms
     if args.pairs is not None:
         pairs = read_pairs(args.pairs)
         with holding():

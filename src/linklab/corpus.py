@@ -187,8 +187,16 @@ def _read_papers(
 
 
 def ingest_corpus(path: str | Path) -> Corpus:
-    """Read papers.tsv (pmid, year, title, authors; byline joined by "|")."""
-    return _read_papers(path, PaperRecord)
+    """Read papers.tsv (pmid, year, title, authors; byline joined by "|").
+
+    Equal byline names are one string object, on every paper that has them.
+    """
+    names: dict[str, str] = {}
+
+    def paper(pmid: int, year: int, title: str, authors: tuple[str, ...]) -> PaperRecord:
+        return PaperRecord(pmid, year, title, tuple([names.setdefault(n, n) for n in authors]))
+
+    return _read_papers(path, paper)
 
 
 def ingest_paper_years(path: str | Path) -> dict[int, tuple[int, int]]:
@@ -208,35 +216,56 @@ def ingest_paper_years(path: str | Path) -> dict[int, tuple[int, int]]:
 
 
 def ingest_clustering(
-    path: str | Path, keep: Mapping[InstanceID, Sequence] | None = None
-) -> Clustering:
+    path: str | Path,
+    keep: Mapping[InstanceID, Sequence] | None = None,
+    *,
+    onto: dict[InstanceID, str] | None = None,
+) -> Clustering | dict[InstanceID, str | tuple[str, str]]:
     """Read clustering.tsv (cluster_id, instance_id); enforce the partition.
 
     With `keep`, every row is still checked, but only the instances that
     are keys of `keep` are kept, each under `keep[instance][0]`: the
     caller's own tuple for it (the `instance` of a `LabeledInstance`, say),
     so both hold one object.
+
+    With `onto`, a clustering read before, the file is read as a second
+    clustering of its instances and no second table is made: the cluster
+    id of each instance of `onto` that a row lists is replaced by its
+    (`onto` id, file id) cell, one tuple per distinct cell, and `onto` is
+    returned. An instance the file does not list keeps its string id.
     """
-    clustering = Clustering()
+    clustering = Clustering() if onto is None else onto
     # the instances not kept, with their cluster ids for the partition check
-    others = clustering if keep is None else {}
+    others = clustering if keep is None and onto is None else {}
     ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
+    cells: dict[tuple[str, str], tuple[str, str]] = {}
     with read_table(path, CLUSTERING_COLUMNS) as rows:
         for cluster_id, instance_s in rows:
             if not cluster_id:
                 raise ParseError("empty cluster_id")
             instance = parse_instance_id(instance_s)
+            cluster_id = ids.setdefault(cluster_id, cluster_id)
             table = others
             if keep is not None:
                 kept = keep.get(instance)
                 if kept is not None:
                     instance, table = kept[0], clustering
+            elif onto is not None:
+                first = onto.get(instance)
+                if type(first) is str:
+                    cell = (first, cluster_id)
+                    onto[instance] = cells.setdefault(cell, cell)
+                    continue
+                if first is not None:
+                    raise ParseError(
+                        f"instance {echo(instance_s)} already assigned to cluster {echo(first[1])}"
+                    )
             if instance in table:
                 raise ParseError(
                     f"instance {echo(instance_s)} already assigned to cluster"
                     f" {echo(table[instance])}"
                 )
-            table[instance] = ids.setdefault(cluster_id, cluster_id)
+            table[instance] = cluster_id
     return clustering
 
 

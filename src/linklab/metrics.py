@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import InstanceID, format_instance_id
+from .corpus import InstanceID, format_instance_id, ingest_clustering
 from .errors import EvaluationError, echo
 
 
@@ -72,8 +72,8 @@ def _b3(overlap: Counter[tuple[str, str]], dropped: int) -> B3Scores:
 
 
 def b3_scores(
-    truth: Mapping[InstanceID, str],
-    predicted: Mapping[InstanceID, str],
+    truth: Mapping[InstanceID, str] | str | Path,
+    predicted: Mapping[InstanceID, str] | str | Path,
     *,
     strict: bool = True,
 ) -> B3Scores:
@@ -85,17 +85,33 @@ def b3_scores(
     dropped and counted. The overlap cells are summed in sorted order, so
     the scores do not depend on the order in which the mappings list
     their instances.
+
+    Given the paths of two clustering files instead of two mappings, it
+    reads them itself, the truth first, and holds one instance table:
+    each prediction read turns its truth instance's id into the
+    instance's cell (ingest_clustering's `onto`). Every row of both files
+    is checked before any evaluation error is raised.
     """
-    if not truth:
-        raise EvaluationError("nothing to evaluate: truth clustering is empty")
-    # one (truth id, predicted id) cell per instance, counted in C; a None
-    # predicted id is a truth instance with no prediction
-    overlap = Counter(zip(truth.values(), map(predicted.get, truth)))
+    if isinstance(predicted, Mapping):
+        if not truth:
+            raise EvaluationError("nothing to evaluate: truth clustering is empty")
+        # one (truth id, predicted id) cell per instance, counted in C; a None
+        # predicted id is a truth instance with no prediction
+        overlap = Counter(zip(truth.values(), map(predicted.get, truth)))
+        unpredicted = (instance for instance in truth if predicted.get(instance) is None)
+    else:
+        table = ingest_clustering(predicted, onto=ingest_clustering(truth))
+        if not table:
+            raise EvaluationError("nothing to evaluate: truth clustering is empty")
+        # an unpredicted instance still holds its truth id, a string
+        overlap = Counter(
+            (value, None) if type(value) is str else value for value in table.values()
+        )
+        unpredicted = (instance for instance, value in table.items() if type(value) is str)
     missing = [cell for cell in overlap if cell[1] is None]
     if missing and strict:
-        instance = next(instance for instance in truth if predicted.get(instance) is None)
         raise EvaluationError(
-            f"instance {echo(format_instance_id(instance))} has no "
+            f"instance {echo(format_instance_id(next(unpredicted)))} has no "
             "predicted cluster (use lenient mode to drop)"
         )
     return _b3(overlap, sum(overlap.pop(cell) for cell in missing))

@@ -11,7 +11,9 @@ forename initial) and the finer name key (surname plus all forename
 initials). A surname holds only lowercase letters and single spaces and
 initials only lowercase letters, so the "|" is unambiguous and equal
 name keys always imply equal blocking keys. Linkage matches on the
-blocking key of names that carry an initial (match_key).
+blocking key of names that carry an initial (match_key). A name form
+(name_form) keeps a name's surname and forenames in one string, from
+which its blocking key is a prefix.
 """
 
 from __future__ import annotations
@@ -160,6 +162,20 @@ def fini_key(name: PersonName) -> str:
 def aini_key(name: PersonName) -> str:
     """Refined key of a name, "surname|all initials"."""
     return f"{name.surname}|{name.all_initials}"
+
+
+def name_form(name: PersonName) -> str:
+    """A name's surname and forenames in one string, "surname|forename forename".
+
+    Name tokens hold only letters, so the form keeps both parts whole;
+    its blocking key is form_key of it.
+    """
+    return f"{name.surname}|{' '.join(name.forenames)}"
+
+
+def form_key(form: str) -> str:
+    """The blocking key (fini_key) of a name form: the form up to its first forename letter."""
+    return form[: form.index("|") + 2]
 
 
 def is_keyed(name: PersonName) -> bool:

@@ -21,7 +21,7 @@ from .corpus import Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
-from .normalize import PersonName, match_key
+from .normalize import form_key
 
 TYPE_SURNAME = "surname_variant"
 TYPE_INITIAL = "initial_variant"
@@ -112,64 +112,67 @@ class TypologyReport(NamedTuple):
     assignments: dict[str, str]
 
 
-def _classify_forms(forms: Sequence[PersonName]) -> str:
-    for a, b in itertools.combinations(forms, 2):
-        if (
-            a.forenames
-            and b.forenames
-            and a.surname == b.forenames[0]
-            and b.surname == a.forenames[0]
-        ):
+def _classify_forms(forms: Iterable[str]) -> str:
+    """The variant type of a multiform author, from its keyed name forms."""
+    # a keyed form has a forename; only the surname and the first forename count
+    split = (form.partition("|") for form in forms)
+    names = [(surname, forenames.partition(" ")[0]) for surname, _, forenames in split]
+    for (a_surname, a_first), (b_surname, b_first) in itertools.combinations(names, 2):
+        if a_surname == b_first and b_surname == a_first:
             return TYPE_FLIPPED
-    if len({form.surname for form in forms}) > 1:
+    if len({surname for surname, _ in names}) > 1:
         return TYPE_SURNAME
     return TYPE_INITIAL
 
 
+def _match_key(form: str | None) -> str | None:
+    """match_key of the name a form is of: None for no name or a mononym."""
+    return None if form is None or form.endswith("|") else form_key(form)
+
+
 def _multiform_clusters(
-    truth: Mapping[InstanceID, str], name_of: Callable[[InstanceID], PersonName | None]
+    truth: Mapping[InstanceID, str], form_of: Callable[[InstanceID], str | None]
 ) -> set[str]:
     """The clusters whose members' names carry at least two blocking keys."""
     first_key: dict[str, str] = {}
     multiform: set[str] = set()
     for instance, cluster_id in truth.items():
-        name = name_of(instance)
-        key = None if name is None else match_key(name)
+        key = _match_key(form_of(instance))
         if key is not None and first_key.setdefault(cluster_id, key) != key:
             multiform.add(cluster_id)
     return multiform
 
 
 def classify_synonym_types(
-    truth: Mapping[InstanceID, str], name_of: Callable[[InstanceID], PersonName | None]
+    truth: Mapping[InstanceID, str], form_of: Callable[[InstanceID], str | None]
 ) -> TypologyReport:
     """Assign one variant type to each author with several blocking keys.
 
     `truth` is any instance -> cluster-id mapping, a Clustering or a
-    plain dict. `name_of` gives the parsed name of a truth instance, or
-    None when it has none (baseline.name_lookup over a corpus, or a
-    dict's `get`).
+    plain dict. `form_of` gives the name form (normalize.name_form) of a
+    truth instance's name, or None when it has none
+    (baseline.name_lookup over name_keys(corpus, name_form), or a dict's
+    `get`).
     Authors whose name forms all share one blocking key are not
     multiform and are never counted. Priority when several rules match:
     flipped_order, then surname_variant, then initial_variant.
     Assignments are in cluster-id order.
 
-    No cluster's members are grouped: a first pass finds the multiform
-    clusters, and a second gathers the name forms of their instances only,
-    in instance order, keeping each form's first parsed name.
+    No cluster's members are grouped: a first pass compares blocking keys
+    to find the multiform clusters, and a second gathers the distinct
+    name forms of their instances only.
     """
-    multiform = _multiform_clusters(truth, name_of)
-    forms_of: dict[str, dict[tuple[str, tuple[str, ...]], PersonName]] = {}
-    for instance in sorted(i for i, cluster_id in truth.items() if cluster_id in multiform):
-        name = name_of(instance)
-        if name is not None and match_key(name) is not None:
-            forms = forms_of.setdefault(truth[instance], {})
-            forms.setdefault((name.surname, name.forenames), name)
+    multiform = _multiform_clusters(truth, form_of)
+    forms_of: dict[str, set[str]] = {}
+    for instance, cluster_id in truth.items():
+        if cluster_id in multiform:
+            form = form_of(instance)
+            if _match_key(form) is not None:
+                forms_of.setdefault(cluster_id, set()).add(form)
     assignments: dict[str, str] = {}
     tallies: Counter[str] = Counter()
     for cluster_id in sorted(forms_of):
-        forms = forms_of[cluster_id]
-        assigned = _classify_forms([forms[key] for key in sorted(forms)])
+        assigned = _classify_forms(forms_of[cluster_id])
         assignments[cluster_id] = assigned
         tallies[assigned] += 1
     counts = TypologyCounts(

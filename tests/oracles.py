@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import itertools
 import unicodedata
 import zlib
 from collections import Counter
@@ -25,14 +26,21 @@ from linklab.linkage import (
     LinkResult,
 )
 from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
-from linklab.normalize import _FOLD, fini_key, is_keyed, match_key, normalize_title, parse_name
+from linklab.normalize import (
+    _FOLD,
+    fini_key,
+    is_keyed,
+    match_key,
+    normalize_title,
+    parse_name,
+    parse_or_none,
+)
 from linklab.profile import (
     TYPE_FLIPPED,
     TYPE_INITIAL,
     TYPE_SURNAME,
     TypologyCounts,
     TypologyReport,
-    _classify_forms,
     block_size_ccdf,
 )
 
@@ -209,6 +217,32 @@ def profile_ccdf(corpus):
 def profile_typology(truth, corpus):
     """The earlier `profile` typology: grouped clusters and a dict of every instance's parsed name."""
     return classify_synonym_types(truth, dict(corpus_names(corpus)).get)
+
+
+class ParsedNames(dict):
+    """The earlier baseline.ParsedNames: raw byline string -> its parsed name, None when it does not parse.
+
+    A string is parsed on its first lookup and kept for the life of the cache.
+    """
+
+    def __missing__(self, raw):
+        name = self[raw] = parse_or_none(raw)
+        return name
+
+
+def _classify_forms(forms):
+    """The earlier profile._classify_forms, over parsed names."""
+    for a, b in itertools.combinations(forms, 2):
+        if (
+            a.forenames
+            and b.forenames
+            and a.surname == b.forenames[0]
+            and b.surname == a.forenames[0]
+        ):
+            return TYPE_FLIPPED
+    if len({form.surname for form in forms}) > 1:
+        return TYPE_SURNAME
+    return TYPE_INITIAL
 
 
 def classify_synonym_types(truth, name_of):

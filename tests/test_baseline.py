@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from linklab.baseline import (
-    ParsedNames,
     cluster_aini,
     cluster_fini,
     fini_block_sizes,
@@ -16,7 +15,7 @@ from linklab.baseline import (
     unparseable_count,
 )
 from linklab.corpus import PaperRecord, groups
-from linklab.normalize import aini_key, fini_key, match_key, parse_name
+from linklab.normalize import aini_key, fini_key, form_key, match_key, name_form, parse_name
 
 
 def named(*raws):
@@ -62,10 +61,13 @@ def test_name_keys_index_distinct_byline_names():
         "Wang, Wei": "wang|w", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|pj",
     }
     assert name_keys(corpus, match_key)["Einstein"] is None
-    parsed = ParsedNames()
-    name_keys(corpus, fini_key, parsed)
-    assert parsed.keys() == {"Wang, Wei", "...", "Einstein", "Hertzog, P J"}
-    assert parsed["..."] is None and parsed["Wang, Wei"].surname == "wang"
+    forms = name_keys(corpus, name_form)
+    assert forms == {
+        "Wang, Wei": "wang|wei", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|p j",
+    }
+    assert {raw: form_key(form) for raw, form in forms.items() if form} == {
+        raw: key for raw, key in name_keys(corpus, fini_key).items() if key
+    }
 
 
 def test_grouping_matches_brute_force():
@@ -146,7 +148,8 @@ def test_name_key_index_matches_the_earlier_routines(corpus):
         assert dict(got) == dict(oracles.cluster(oracles.corpus_names(corpus), key))
         assert _one_object_per_value(got.values())
     expected_sizes = Counter(oracles.cluster(oracles.corpus_names(corpus), fini_key).values())
-    assert sorted(fini_block_sizes(corpus, ParsedNames())) == sorted(expected_sizes.values())
+    forms = name_keys(corpus, name_form)
+    assert sorted(fini_block_sizes(corpus, forms)) == sorted(expected_sizes.values())
     index = name_keys(corpus, match_key)
     assert index == oracles.key_index(corpus)
     assert _one_object_per_value(key for key in index.values() if key is not None)

@@ -4,17 +4,21 @@ import filecmp
 import gc
 import gzip
 import hashlib
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linklab.baseline import cluster_fini
 from linklab.cli import (
@@ -27,7 +31,14 @@ from linklab.cli import (
     _sha256,
     main,
 )
-from linklab.corpus import ingest_corpus, ingest_paper_years, write_clustering
+from linklab.corpus import (
+    format_instance_id,
+    ingest_clustering,
+    ingest_corpus,
+    ingest_paper_years,
+    write_clustering,
+)
+from linklab.errors import EvaluationError, IngestError, ParseError
 from linklab.linkage import (
     LabeledInstance,
     index_labels,
@@ -37,7 +48,7 @@ from linklab.linkage import (
     write_eval_dataset,
     write_labels,
 )
-from linklab.metrics import b3_scores, write_metrics_json
+from linklab.metrics import b3_scores, metrics_to_json, write_metrics_json
 from linklab.profile import block_size_ccdf, write_ccdf
 from linklab.synth import BUNDLE_FILES, SynthConfig, generate, write_bundle
 
@@ -1241,3 +1252,80 @@ def test_main_leaves_the_cycle_collector_as_it_found_it(workdir, bundle_dir, cap
             assert gc.isenabled() is collecting, argv
     finally:
         (gc.enable if before else gc.disable)()
+
+
+def _evaluate_outcome(truth: Path, pred: Path, out: Path, strict: bool) -> tuple:
+    """Exit code, stdout, stderr and metrics.json of clustering-mode `linklab evaluate`."""
+    argv = ["evaluate", "--truth", str(truth), "--pred", str(pred), "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv + ["--strict"] * strict)
+    metrics = out / "metrics.json"
+    return code, stdout.getvalue(), stderr.getvalue(), metrics.read_bytes() if metrics.exists() else None
+
+
+def _two_clusterings_outcome(truth: Path, pred: Path, strict: bool) -> tuple:
+    """The same outcome from two clusterings read whole and scored as mappings."""
+    try:
+        scores = b3_scores(ingest_clustering(truth), ingest_clustering(pred), strict=strict)
+    except (IngestError, ParseError) as exc:
+        return EXIT_FORMAT, "", f"linklab: format violation: {exc}\n", None
+    except EvaluationError as exc:
+        return EXIT_EVALUATION, "", f"linklab: {exc}\n", None
+    summary = "evaluate: recall=%.6f precision=%.6f f1=%.6f n=%d dropped=%d\n" % scores
+    return EXIT_OK, summary, "", metrics_to_json(scores).encode()
+
+
+CLUSTERING_INSTANCES = st.tuples(st.integers(1, 12), st.integers(1, 3))
+# ids whose sort order differs from their insertion order, a non-ASCII one included
+CLUSTERING_IDS = st.sampled_from(["c", "a", "b", "B", "\xe9", "a b", "a0"])
+
+
+@st.composite
+def clustering_files(draw):
+    """Rows of a truth and a predicted clustering file, each may list an instance twice.
+
+    The prediction misses some truth instances and lists some outside it.
+    """
+    truth = draw(st.dictionaries(CLUSTERING_INSTANCES, CLUSTERING_IDS, max_size=20))
+    predicted = draw(st.dictionaries(CLUSTERING_INSTANCES, CLUSTERING_IDS, max_size=5))
+    for instance in truth:
+        predicted.pop(instance, None)
+        if draw(st.integers(0, 5)):
+            predicted[instance] = draw(CLUSTERING_IDS)
+    files = []
+    for clustering in (truth, predicted):
+        rows = draw(st.permutations(list(clustering.items())))
+        if rows and draw(st.integers(0, 3)) == 0:
+            # a second row for one listed instance, anywhere after its first
+            first = draw(st.integers(0, len(rows) - 1))
+            at = draw(st.integers(first + 1, len(rows)))
+            rows.insert(at, (rows[first][0], draw(CLUSTERING_IDS)))
+        files.append(rows)
+    return files
+
+
+def _write_clustering_rows(path: Path, rows) -> Path:
+    lines = [f"{cluster_id}\t{format_instance_id(instance)}\n" for instance, cluster_id in rows]
+    path.write_text("cluster_id\tinstance_id\n" + "".join(lines), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(clustering_files(), st.booleans())
+@example([[((1, 1), "a"), ((2, 1), "b")], [((2, 1), "p"), ((3, 1), "q"), ((2, 1), "r")]], False)
+@example([[((1, 1), "a"), ((2, 1), "b")], [((3, 1), "q"), ((1, 1), "p"), ((3, 1), "r")]], False)
+@example([[((1, 1), "a"), ((1, 1), "b")], [((3, 1), "q"), ((3, 1), "r")]], False)
+@example([[((2, 1), "a"), ((1, 1), "a")], [((3, 1), "q")]], True)
+@example([[((2, 1), "a"), ((1, 1), "a")], [((3, 1), "q")]], False)
+@example([[], [((3, 1), "q")]], False)
+@example([[], [((3, 1), "q"), ((3, 1), "r")]], True)
+def test_clustering_evaluate_matches_two_clusterings_scored_as_mappings(files, strict):
+    """Streaming --pred into the truth table changes no byte of what evaluate reports."""
+    truth_rows, pred_rows = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        truth = _write_clustering_rows(tmp / "truth.tsv", truth_rows)
+        pred = _write_clustering_rows(tmp / "pred.tsv", pred_rows)
+        got = _evaluate_outcome(truth, pred, tmp / "out", strict)
+        assert got == _two_clusterings_outcome(truth, pred, strict)

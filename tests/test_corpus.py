@@ -1,7 +1,9 @@
 """Data model and TSV ingestion."""
 
 import gzip
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,6 +240,66 @@ def test_keep_still_checks_the_rows_it_does_not_keep(tmp_path, reader, text, row
     with pytest.raises(IngestError, match=message) as err:
         reader(write_tsv(tmp_path / "table.tsv", text), keep=keep)
     assert err.value.row == row
+
+
+def test_onto_turns_truth_ids_into_shared_cells(tmp_path):
+    truth = {(1, 1): "t1", (2, 1): "t1", (3, 1): "t2", (4, 1): "t2"}
+    table = ingest_clustering(
+        write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nP\t1_1\nQ\t9_1\nP\t2_1\nP\t3_1\n"),
+        onto=truth,
+    )
+    assert table is truth
+    # 4_1 has no prediction and keeps its truth id; 9_1 is outside the truth
+    assert table == {(1, 1): ("t1", "P"), (2, 1): ("t1", "P"), (3, 1): ("t2", "P"), (4, 1): "t2"}
+    assert table[(1, 1)] is table[(2, 1)]
+
+
+@pytest.mark.parametrize(
+    "text,row,message",
+    [
+        # inside the truth, outside it, and a bad row after a good one
+        ("cluster_id\tinstance_id\nP\t1_1\nQ\t2_1\nR\t01_1\n", 3,
+         "instance '01_1' already assigned to cluster 'P'"),
+        ("cluster_id\tinstance_id\nP\t9_1\nQ\t1_1\nR\t9_1\n", 3,
+         "instance '9_1' already assigned to cluster 'P'"),
+        ("cluster_id\tinstance_id\nP\t1_1\n\t2_1\n", 2, "empty cluster_id"),
+    ],
+)
+def test_onto_checks_the_partition_inside_and_outside_the_truth(tmp_path, text, row, message):
+    with pytest.raises(IngestError, match=message) as err:
+        ingest_clustering(write_tsv(tmp_path / "pred.tsv", text), onto={(1, 1): "t", (2, 1): "t"})
+    assert err.value.row == row
+
+
+def test_equal_byline_names_are_one_object(tmp_path):
+    path = write_tsv(
+        tmp_path / "papers.tsv",
+        "pmid\tyear\ttitle\tauthors\n1\t2000\tT\tKim, J|Lee, A\n2\t2001\tU\tLee, A|Kim, J|Kim, J\n",
+    )
+    corpus = ingest_corpus(path)
+    assert corpus[1].authors == ("Kim, J", "Lee, A")
+    kim = corpus[1].authors[0]
+    assert corpus[2].authors[1] is kim and corpus[2].authors[2] is kim
+    assert corpus[2].authors[0] is corpus[1].authors[1]
+
+
+def test_paper_years_keep_no_byline_name(tmp_path):
+    # 400 papers of five distinct 200-letter names each: a memo of names
+    # would hold 400 KB, far more than the years of 400 papers
+    rows = [
+        f"{pmid}\t2000\tT\t" + "|".join(f"{pmid:04d}{slot}".ljust(200, "x") for slot in range(5))
+        for pmid in range(1, 401)
+    ]
+    path = write_tsv(tmp_path / "papers.tsv", "pmid\tyear\ttitle\tauthors\n" + "\n".join(rows) + "\n")
+    names_size = sum(sys.getsizeof(name) for paper in ingest_corpus(path).values() for name in paper.authors)
+    tracemalloc.start()
+    try:
+        years = ingest_paper_years(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(years) == 400
+    assert peak < names_size / 4
 
 
 def test_clustering_round_trip(tmp_path):

@@ -23,7 +23,7 @@ from linklab.corpus import (
     ingest_corpus,
     write_authority,
 )
-from linklab.baseline import ParsedNames, cluster_aini, cluster_fini, fini_block_sizes, name_lookup
+from linklab.baseline import cluster_aini, cluster_fini, fini_block_sizes, name_keys, name_lookup
 from linklab.errors import EvaluationError, IngestError
 from linklab.linkage import (
     ConflictRecord,
@@ -440,10 +440,10 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     truth = clustering_of({"a1": {instance for paper in corpus.values() for instance in paper.instances()}})
 
     def profile_path():
-        # block sizes and the typology share one cache, as `linklab profile` does
-        parsed = ParsedNames()
-        fini_block_sizes(corpus, parsed)
-        classify_synonym_types(truth, name_lookup(corpus, parsed))
+        # block sizes and the typology share one index of name forms, as `linklab profile` does
+        forms = name_keys(corpus, normalize.name_form)
+        fini_block_sizes(corpus, forms)
+        classify_synonym_types(truth, name_lookup(corpus, forms))
 
     calls = {
         "cluster_fini": lambda: cluster_fini(corpus),

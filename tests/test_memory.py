@@ -1,0 +1,60 @@
+"""Memory guards: what a command holds, as ratios between tables of one run.
+
+tracemalloc counts the Python allocations of a call in this process, so
+each guard compares two calls on the same small synth bundle, never an
+absolute size.
+"""
+
+import tracemalloc
+
+import pytest
+
+import oracles
+from linklab.baseline import cluster_fini, name_keys
+from linklab.corpus import ingest_clustering, ingest_corpus, write_clustering
+from linklab.metrics import b3_scores
+from linklab.normalize import name_form
+from linklab.synth import SynthConfig, generate, write_bundle
+
+
+def _peak(call) -> int:
+    """The most memory traced while `call` runs, what it returns included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    bundle = generate(SynthConfig(seed=3, n_authors=300, synonym_rate=0.1, homonym_rate=0.1))
+    write_bundle(bundle, out)
+    write_clustering(out / "fini.tsv", cluster_fini(bundle.corpus))
+    return out
+
+
+def test_clustering_scoring_holds_one_instance_table(bundle):
+    truth, pred = bundle / "truth_clustering.tsv", bundle / "fini.tsv"
+    read_truth = _peak(lambda: ingest_clustering(truth))
+    read_pred = _peak(lambda: ingest_clustering(pred))
+    # scoring the files adds to the truth's table less than half a second table
+    assert _peak(lambda: b3_scores(truth, pred)) < read_truth + read_pred / 2
+    # two tables read whole do not: the guard tells the two apart
+    both = _peak(lambda: b3_scores(ingest_clustering(truth), ingest_clustering(pred)))
+    assert both > read_truth + read_pred / 2
+
+
+def test_profile_name_index_is_smaller_than_parsed_names(bundle):
+    corpus = ingest_corpus(bundle / "papers.tsv")
+
+    def parse_all():
+        parsed = oracles.ParsedNames()
+        for paper in corpus.values():
+            for raw in paper.authors:
+                parsed[raw]
+        return parsed
+
+    assert _peak(lambda: name_keys(corpus, name_form)) < _peak(parse_all)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linklab import normalize
-from linklab.baseline import ParsedNames, fini_block_sizes, name_lookup
+from linklab.baseline import fini_block_sizes, name_keys, name_lookup
 from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corpus
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalRow
 from linklab.metrics import b3_scores
-from linklab.normalize import parse_name
+from linklab.normalize import name_form, parse_name
 from linklab.profile import (
     CCDFPoint,
     block_size_ccdf,
@@ -168,7 +168,7 @@ def names_for(cluster_forms):
             instance = (counter, 1)
             counter += 1
             members.add(instance)
-            names[instance] = parse_name(raw)
+            names[instance] = name_form(parse_name(raw))
         truth[cluster_id] = members
     return clustering_of(truth), names
 
@@ -255,9 +255,10 @@ TYPOLOGY_EXAMPLE = (
 @example(TYPOLOGY_EXAMPLE)
 @example(({}, {}))
 def test_typology_matches_the_grouped_oracle(case):
-    """Two passes without grouping give the grouped typology, assignments in the same order."""
+    """Two passes over name forms without grouping give the grouped typology of parsed names."""
     truth, names = case
-    report = classify_synonym_types(truth, names.get)
+    forms = {instance: name and name_form(name) for instance, name in names.items()}
+    report = classify_synonym_types(truth, forms.get)
     expected = oracles.classify_synonym_types(truth, names.get)
     assert report == expected
     assert list(report.assignments.items()) == list(expected.assignments.items())
@@ -381,11 +382,15 @@ def test_write_typology(tmp_path):
     assert lines[3] == "flipped_order\t1\t50.000000"
 
 
-# "Kim, J", "Kim, Jin" and "J Kim" share a blocking key and "Wei, Wang" is
-# "Wang, Wei" flipped; "Einstein" is a mononym, "123" and "..." do not parse.
+# "Kim, J", "Kim, Jin" and "J Kim" share a blocking key in two forms, as do
+# the multi-token surnames "van der Berg, J" and "van der Berg, Jan";
+# "J van der Berg" is a berg|j with three forenames. "Wei, Wang" is
+# "Wang, Wei" flipped, "Lee, Ann-Marie" and "Ann-Marie Lee" one hyphenated
+# forename; "Einstein" is a mononym, "123" and "..." do not parse.
 PROFILE_NAMES = [
     "Kim, J", "Kim, Jin", "J Kim", "Kim, M", "Lee, Ann", "Lee, A. B.", "Ann Lee-Park",
-    "Wei, Wang", "Wang, Wei", "Einstein", "123", "...",
+    "Wei, Wang", "Wang, Wei", "Einstein", "123", "...", "van der Berg, J", "van der Berg, Jan",
+    "J van der Berg", "Lee, Ann-Marie", "Ann-Marie Lee",
 ]
 
 
@@ -426,13 +431,10 @@ PROFILED_EXAMPLE = (
 @example(PROFILED_EXAMPLE)
 def test_block_sizes_and_typology_match_the_earlier_profile(case):
     corpus, truth = case
-    parsed = ParsedNames()
-    ccdf = block_size_ccdf(fini_block_sizes(corpus, parsed))
-    assert ccdf == oracles.profile_ccdf(corpus)
+    forms = name_keys(corpus, name_form)
+    assert block_size_ccdf(fini_block_sizes(corpus, forms)) == oracles.profile_ccdf(corpus)
     expected = oracles.profile_typology(truth, corpus)
-    assert classify_synonym_types(truth, name_lookup(corpus, parsed)) == expected
-    # the lookup parses what the block-size pass did not
-    assert classify_synonym_types(truth, name_lookup(corpus, ParsedNames())) == expected
+    assert classify_synonym_types(truth, name_lookup(corpus, forms)) == expected
 
 
 def test_profiled_example_reaches_every_case():
@@ -440,7 +442,7 @@ def test_profiled_example_reaches_every_case():
     report = oracles.profile_typology(truth, corpus)
     assert report.assignments == {"a1": "initial_variant", "a2": "flipped_order"}
     # kim|j and einstein| twice; wei|w, wang|w, kim|m and lee|a once; two that do not parse
-    assert sorted(fini_block_sizes(corpus, ParsedNames())) == [1, 1, 1, 1, 1, 1, 2, 2]
+    assert sorted(fini_block_sizes(corpus, name_keys(corpus, name_form))) == [1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def _profile_outputs(corpus, truth) -> tuple[dict[str, bytes], dict[str, bytes]]:
@@ -485,6 +487,27 @@ def test_profile_command_matches_the_earlier_path_on_synth_bundles(
 
 def test_profile_command_matches_the_earlier_path_on_the_hand_built_corpus():
     got, expected = _profile_outputs(*PROFILED_EXAMPLE)
+    assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiled_corpora())
+@example((
+    {
+        1: PaperRecord(1, 2000, "T", ("van der Berg, J", "Lee, Ann-Marie", "Einstein")),
+        2: PaperRecord(2, 2001, "U", ("J van der Berg", "Lee, Ann", "123")),
+        3: PaperRecord(3, 2002, "V", ("van der Berg, Jan", "Ann-Marie Lee", "...")),
+        4: PaperRecord(4, 2003, "W", ("Ann Lee-Park",)),
+    },
+    # a1: van der berg|j in two forms and berg|j; a2: lee|a in two forms and leepark|a
+    clustering_of({
+        "a1": {(1, 1), (2, 1), (3, 1)},
+        "a2": {(1, 2), (2, 2), (3, 2), (4, 1)},
+        "a3": {(1, 3), (2, 3), (3, 3)},
+    }),
+))
+def test_profile_command_matches_the_earlier_path_on_generated_corpora(case):
+    got, expected = _profile_outputs(*case)
     assert got == expected
 
 
