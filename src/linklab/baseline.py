@@ -19,7 +19,7 @@ from collections.abc import Callable, Mapping
 from typing import TypeVar
 
 from .corpus import Clustering, Corpus, InstanceID, format_instance_id
-from .normalize import PersonName, aini_key, fini_key, form_key, parse_or_none
+from .normalize import aini_key, fini_key, parse_or_none
 
 UNPARSEABLE_PREFIX = "?unparseable:"
 
@@ -27,11 +27,12 @@ _T = TypeVar("_T")
 
 
 def name_keys(
-    corpus: Corpus, key: Callable[[PersonName], str | None]
+    corpus: Corpus, key: Callable[[str], str | None]
 ) -> dict[str, str | None]:
     """Every distinct raw byline name -> its key; None when it has none.
 
-    A name has no key when it does not parse or when `key` returns None.
+    `key` maps a name form (normalize.parse_name) to its key. A name has
+    no key when it does not parse or when `key` returns None.
     Each distinct name is parsed once, and equal keys are one string
     object.
     """
@@ -40,8 +41,8 @@ def name_keys(
     for paper in corpus.values():
         for raw in paper.authors:
             if raw not in keys:
-                name = parse_or_none(raw)
-                name_key = None if name is None else key(name)
+                form = parse_or_none(raw)
+                name_key = None if form is None else key(form)
                 keys[raw] = None if name_key is None else shared.setdefault(name_key, name_key)
     return keys
 
@@ -67,7 +68,7 @@ def name_lookup(
     return name_of
 
 
-def _cluster(corpus: Corpus, key: Callable[[PersonName], str]) -> Clustering:
+def _cluster(corpus: Corpus, key: Callable[[str], str]) -> Clustering:
     keys = name_keys(corpus, key)
     clustering = Clustering()
     for paper in corpus.values():
@@ -90,15 +91,15 @@ def cluster_aini(corpus: Corpus) -> Clustering:
 def fini_block_sizes(corpus: Corpus, forms: Mapping[str, str | None]) -> list[int]:
     """The size of every cluster_fini cluster, without building the clustering.
 
-    `forms` is name_keys(corpus, name_form): each byline name's form,
-    whose form_key is the name's blocking key. Each unparseable name is
-    a block of one.
+    `forms` is name_keys(corpus, str): each byline name's form, whose
+    fini_key is the name's blocking key. Each unparseable name is a
+    block of one.
     """
     per_form = Counter(forms[raw] for paper in corpus.values() for raw in paper.authors)
     unparseable = per_form.pop(None, 0)
     blocks: Counter[str] = Counter()
     for form, count in per_form.items():
-        blocks[form_key(form)] += count
+        blocks[fini_key(form)] += count
     return list(blocks.values()) + [1] * unparseable
 
 

@@ -76,7 +76,6 @@ from .metrics import (
     stratified_eval,
     write_metrics_json,
 )
-from .normalize import name_form
 from .profile import (
     block_size_ccdf,
     classify_synonym_types,
@@ -100,10 +99,17 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 def _can_be_directory(path: Path) -> bool:
-    """True when `path` is a directory or mkdir could make it one."""
-    for existing in (path, *path.parents):
-        if existing.exists():
-            return existing.is_dir()
+    """True when `path` is a directory or mkdir could make it one.
+
+    A dangling symlink is no directory, and neither is a path the OS
+    will not look up (a name too long).
+    """
+    try:
+        for existing in (path, *path.parents):
+            if existing.exists() or existing.is_symlink():
+                return existing.is_dir()
+    except OSError:
+        return False
     return True
 
 
@@ -175,7 +181,9 @@ def _run(args: argparse.Namespace) -> int:
     """
     inputs = [v for k, v in vars(args).items() if k != "out" and isinstance(v, Path)]
     for path in inputs:
-        if not path.is_file():
+        # unlike Path.is_file before Python 3.13, False also for a name the
+        # OS will not look up (one too long)
+        if not os.path.isfile(path):
             raise FileNotFoundError(str(path))
     args.out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".linklab-", dir=args.out))
@@ -369,9 +377,9 @@ def cmd_profile(args: argparse.Namespace, out: Path) -> str:
         del dataset
     corpus = None if args.papers is None else ingest_corpus(args.papers)
     if corpus is not None:
-        # one parse per distinct byline name, and of it one form, shared by
-        # the block sizes and the typology
-        forms = name_keys(corpus, name_form)
+        # one parse per distinct byline name, its form kept as its key and
+        # shared by the block sizes and the typology
+        forms = name_keys(corpus, str)
         with holding():
             ccdf = block_size_ccdf(fini_block_sizes(corpus, forms))
             write_ccdf(out / "ccdf.tsv", {"fraction_at_least": ccdf})
@@ -489,6 +497,8 @@ def _load_synth_config(path: Path | None, seed: int) -> SynthConfig:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # bad JSON or UTF-8, or an integer of too many digits
         raise IngestError(f"invalid JSON: {exc}", path=path)
+    except RecursionError:
+        raise IngestError("invalid JSON: nested too deeply", path=path) from None
     if not isinstance(raw, dict):
         raise IngestError("config must be a JSON object", path=path)
     if "seed" in raw:

@@ -89,8 +89,8 @@ class _MatchKeys(dict[str, "str | None"]):
     """
 
     def __missing__(self, raw: str) -> str | None:
-        name = parse_or_none(raw)
-        key = self[raw] = None if name is None else match_key(name)
+        form = parse_or_none(raw)
+        key = self[raw] = None if form is None else match_key(form)
         return key
 
 

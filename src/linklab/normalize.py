@@ -5,21 +5,21 @@ whitespace tokens; accepted titles are ASCII-folded, stripped of
 non-alphabetic characters, lowercased, and whitespace-collapsed; the
 resulting string is the title key.
 
-Person names yield two keys, each a "surname|initials" string that is
-also the baseline's cluster id: the blocking key (surname plus first
-forename initial) and the finer name key (surname plus all forename
-initials). A surname holds only lowercase letters and single spaces and
-initials only lowercase letters, so the "|" is unambiguous and equal
-name keys always imply equal blocking keys. Linkage matches on the
-blocking key of names that carry an initial (match_key). A name form
-(name_form) keeps a name's surname and forenames in one string, from
-which its blocking key is a prefix.
+A parsed person name is one string, its form, "surname|forename
+forename". Surname and forename tokens hold only lowercase letters, so
+the "|" is unambiguous and the form keeps both parts whole. Four
+functions read a form: fini_key gives the blocking key (surname plus
+first forename initial, a prefix of the form), aini_key the finer name
+key (surname plus all forename initials), is_keyed whether the name has
+a forename, and match_key the blocking key of a name that has one, which
+linkage matches on. Both keys are "surname|initials" strings and double
+as the baselines' cluster ids; equal name keys always imply equal
+blocking keys.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -98,30 +98,20 @@ def normalize_title(raw: str, *, nonalpha: str = "delete") -> str | None:
     return " ".join(words)
 
 
-class PersonName(NamedTuple):
-    """A parsed byline or profile name with normalized parts."""
-
-    raw: str
-    surname: str
-    forenames: tuple[str, ...]
-    first_initial: str
-    all_initials: str
-
-
 def _clean_tokens(text: str) -> list[str]:
     """Fold, lowercase, and strip each whitespace token to its letters."""
     # deleting the non-letters before splitting drops the tokens that had none
     return ascii_fold(text).lower().translate(_NONALPHA_TABLES["delete"]).split()
 
 
-def parse_name(raw: str) -> PersonName:
-    """Parse a raw name string.
+def parse_name(raw: str) -> str:
+    """Parse a raw name string into its form, "surname|forename forename".
 
     The "Surname, Forenames" comma form is preferred; multi-token
     surnames before the comma are preserved. Without a comma the last
-    whitespace token is taken as the surname. Initials come from the
-    first letter of each forename token, so a hyphenated forename
-    yields one initial.
+    whitespace token is taken as the surname. Every token is folded,
+    lowercased and stripped to its letters, so a hyphenated forename is
+    one token; a mononym's form ends in "|".
     """
     head, comma, tail = raw.partition(",")
     if comma:
@@ -135,18 +125,10 @@ def parse_name(raw: str) -> PersonName:
     surname_tokens = _clean_tokens(surname_part)
     if not surname_tokens:
         raise ParseError(f"name {raw!r}: surname is empty after normalization")
-    forename_tokens = _clean_tokens(forename_part)
-    all_initials = "".join(token[0] for token in forename_tokens)
-    return PersonName(
-        raw=raw,
-        surname=" ".join(surname_tokens),
-        forenames=tuple(forename_tokens),
-        first_initial=all_initials[:1],
-        all_initials=all_initials,
-    )
+    return f"{' '.join(surname_tokens)}|{' '.join(_clean_tokens(forename_part))}"
 
 
-def parse_or_none(raw: str) -> PersonName | None:
+def parse_or_none(raw: str) -> str | None:
     """parse_name, or None when the name does not parse."""
     try:
         return parse_name(raw)
@@ -154,39 +136,29 @@ def parse_or_none(raw: str) -> PersonName | None:
         return None
 
 
-def fini_key(name: PersonName) -> str:
-    """Blocking key of a name, "surname|first initial"; the initial is empty for mononyms."""
-    return f"{name.surname}|{name.first_initial}"
+def fini_key(form: str) -> str:
+    """Blocking key of a name form, "surname|first initial": the form up to its first forename letter.
 
-
-def aini_key(name: PersonName) -> str:
-    """Refined key of a name, "surname|all initials"."""
-    return f"{name.surname}|{name.all_initials}"
-
-
-def name_form(name: PersonName) -> str:
-    """A name's surname and forenames in one string, "surname|forename forename".
-
-    Name tokens hold only letters, so the form keeps both parts whole;
-    its blocking key is form_key of it.
+    The initial is empty for mononyms.
     """
-    return f"{name.surname}|{' '.join(name.forenames)}"
-
-
-def form_key(form: str) -> str:
-    """The blocking key (fini_key) of a name form: the form up to its first forename letter."""
     return form[: form.index("|") + 2]
 
 
-def is_keyed(name: PersonName) -> bool:
-    """True when the name carries at least one forename initial."""
-    return name.first_initial != ""
+def aini_key(form: str) -> str:
+    """Refined key of a name form, "surname|all initials"."""
+    surname, _, forenames = form.partition("|")
+    return surname + "|" + "".join(token[0] for token in forenames.split())
 
 
-def match_key(name: PersonName) -> str | None:
-    """The blocking key a name is matched on, None for a mononym.
+def is_keyed(form: str) -> bool:
+    """True when the name form carries at least one forename."""
+    return not form.endswith("|")
+
+
+def match_key(form: str) -> str | None:
+    """The blocking key a name form is matched on, None for a mononym.
 
     Mononyms are never matched against anything: linkage, self-citation
     pairing and the synonym typology skip them.
     """
-    return fini_key(name) if is_keyed(name) else None
+    return fini_key(form) if is_keyed(form) else None

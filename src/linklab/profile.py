@@ -21,7 +21,7 @@ from .corpus import Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
-from .normalize import form_key
+from .normalize import match_key
 
 TYPE_SURNAME = "surname_variant"
 TYPE_INITIAL = "initial_variant"
@@ -125,11 +125,6 @@ def _classify_forms(forms: Iterable[str]) -> str:
     return TYPE_INITIAL
 
 
-def _match_key(form: str | None) -> str | None:
-    """match_key of the name a form is of: None for no name or a mononym."""
-    return None if form is None or form.endswith("|") else form_key(form)
-
-
 def _multiform_clusters(
     truth: Mapping[InstanceID, str], form_of: Callable[[InstanceID], str | None]
 ) -> set[str]:
@@ -137,7 +132,8 @@ def _multiform_clusters(
     first_key: dict[str, str] = {}
     multiform: set[str] = set()
     for instance, cluster_id in truth.items():
-        key = _match_key(form_of(instance))
+        form = form_of(instance)
+        key = None if form is None else match_key(form)
         if key is not None and first_key.setdefault(cluster_id, key) != key:
             multiform.add(cluster_id)
     return multiform
@@ -149,10 +145,10 @@ def classify_synonym_types(
     """Assign one variant type to each author with several blocking keys.
 
     `truth` is any instance -> cluster-id mapping, a Clustering or a
-    plain dict. `form_of` gives the name form (normalize.name_form) of a
+    plain dict. `form_of` gives the form (normalize.parse_name) of a
     truth instance's name, or None when it has none
-    (baseline.name_lookup over name_keys(corpus, name_form), or a dict's
-    `get`).
+    (baseline.name_lookup over name_keys(corpus, str), or a dict's
+    `get`); mononyms, which have no match_key, do not count.
     Authors whose name forms all share one blocking key are not
     multiform and are never counted. Priority when several rules match:
     flipped_order, then surname_variant, then initial_variant.
@@ -167,7 +163,7 @@ def classify_synonym_types(
     for instance, cluster_id in truth.items():
         if cluster_id in multiform:
             form = form_of(instance)
-            if _match_key(form) is not None:
+            if form is not None and match_key(form) is not None:
                 forms_of.setdefault(cluster_id, set()).add(form)
     assignments: dict[str, str] = {}
     tallies: Counter[str] = Counter()

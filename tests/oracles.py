@@ -26,15 +26,7 @@ from linklab.linkage import (
     LinkResult,
 )
 from linklab.metrics import STRATA, UNKNOWN_STRATUM, B3Scores, _f1
-from linklab.normalize import (
-    _FOLD,
-    fini_key,
-    is_keyed,
-    match_key,
-    normalize_title,
-    parse_name,
-    parse_or_none,
-)
+from linklab.normalize import _FOLD, normalize_title
 from linklab.profile import (
     TYPE_FLIPPED,
     TYPE_INITIAL,
@@ -85,6 +77,56 @@ def naive_clean_tokens(text):
     return tokens
 
 
+class PersonName(NamedTuple):
+    """A parsed byline or profile name with normalized parts."""
+
+    raw: str
+    surname: str
+    forenames: tuple[str, ...]
+    first_initial: str
+    all_initials: str
+
+
+def tuple_parse_name(raw: str) -> PersonName:
+    """The earlier normalize.parse_name, which returned a PersonName; its cleanup is naive_clean_tokens.
+
+    The "Surname, Forenames" comma form is preferred; multi-token
+    surnames before the comma are preserved. Without a comma the last
+    whitespace token is taken as the surname. Initials come from the
+    first letter of each forename token, so a hyphenated forename
+    yields one initial.
+    """
+    head, comma, tail = raw.partition(",")
+    if comma:
+        surname_part, forename_part = head, tail
+    else:
+        tokens = raw.split()
+        if len(tokens) <= 1:
+            surname_part, forename_part = raw, ""
+        else:
+            surname_part, forename_part = tokens[-1], " ".join(tokens[:-1])
+    surname_tokens = naive_clean_tokens(surname_part)
+    if not surname_tokens:
+        raise ParseError(f"name {raw!r}: surname is empty after normalization")
+    forename_tokens = naive_clean_tokens(forename_part)
+    all_initials = "".join(token[0] for token in forename_tokens)
+    return PersonName(
+        raw=raw,
+        surname=" ".join(surname_tokens),
+        forenames=tuple(forename_tokens),
+        first_initial=all_initials[:1],
+        all_initials=all_initials,
+    )
+
+
+def tuple_parse_or_none(raw):
+    """tuple_parse_name, or None when the name does not parse."""
+    try:
+        return tuple_parse_name(raw)
+    except ParseError:
+        return None
+
+
 class BlockKey(NamedTuple):
     """The earlier blocking key: surname plus first forename initial."""
 
@@ -100,12 +142,12 @@ class NameKey(NamedTuple):
 
 
 def tuple_fini_key(name):
-    """The earlier normalize.fini_key."""
+    """The normalize.fini_key from before string keys, a BlockKey."""
     return BlockKey(surname=name.surname, first_initial=name.first_initial)
 
 
 def tuple_aini_key(name):
-    """The earlier normalize.aini_key."""
+    """The normalize.aini_key from before string keys, a NameKey."""
     return NameKey(surname=name.surname, all_initials=name.all_initials)
 
 
@@ -119,6 +161,26 @@ def aini_cluster_id(key):
     return f"{key.surname}|{key.all_initials}"
 
 
+def tuple_fini(name):
+    """The earlier normalize.fini_key string of a PersonName."""
+    return fini_cluster_id(tuple_fini_key(name))
+
+
+def tuple_aini(name):
+    """The earlier normalize.aini_key string of a PersonName."""
+    return aini_cluster_id(tuple_aini_key(name))
+
+
+def tuple_is_keyed(name):
+    """The earlier normalize.is_keyed: the name carries a forename initial."""
+    return name.first_initial != ""
+
+
+def tuple_match_key(name):
+    """The earlier normalize.match_key: the blocking key string, None for a mononym."""
+    return tuple_fini(name) if tuple_is_keyed(name) else None
+
+
 def naive_selfcitation_pairs(corpus, citations):
     """Compare every byline slot of the citing paper with every slot of the cited one.
 
@@ -126,11 +188,8 @@ def naive_selfcitation_pairs(corpus, citations):
     """
 
     def key(raw):
-        try:
-            name = parse_name(raw)
-        except ParseError:
-            return None
-        return fini_key(name) if is_keyed(name) else None
+        name = tuple_parse_or_none(raw)
+        return None if name is None else tuple_match_key(name)
 
     pairs = set()
     for edge in citations:
@@ -150,11 +209,8 @@ def naive_selfcitation_pairs(corpus, citations):
 
 def parse_keyed(raw):
     """The earlier linkage._parse_keyed: unparseable and mononym names yield None."""
-    try:
-        name = parse_name(raw)
-    except ParseError:
-        return None
-    return name if is_keyed(name) else None
+    name = tuple_parse_or_none(raw)
+    return name if name is not None and tuple_is_keyed(name) else None
 
 
 def corpus_names(corpus):
@@ -166,10 +222,7 @@ def corpus_names(corpus):
     for paper in corpus.values():
         for position, raw in enumerate(paper.authors, start=1):
             if raw not in parsed:
-                try:
-                    parsed[raw] = parse_name(raw)
-                except ParseError:
-                    parsed[raw] = None
+                parsed[raw] = tuple_parse_or_none(raw)
             yield (paper.pmid, position), parsed[raw]
 
 
@@ -206,12 +259,12 @@ def cluster(instances, key):
 def key_index(corpus):
     """The earlier linkage._key_index: distinct raw byline name -> blocking key, None for none."""
     names = dict.fromkeys(raw for paper in corpus.values() for raw in paper.authors)
-    return dict(shared_keys(((raw, parse_keyed(raw)) for raw in names), fini_key))
+    return dict(shared_keys(((raw, parse_keyed(raw)) for raw in names), tuple_fini))
 
 
 def profile_ccdf(corpus):
     """The earlier `profile` block sizes: a whole fini clustering of a name list, counted."""
-    return block_size_ccdf(Counter(cluster(corpus_names(corpus), fini_key).values()).values())
+    return block_size_ccdf(Counter(cluster(corpus_names(corpus), tuple_fini).values()).values())
 
 
 def profile_typology(truth, corpus):
@@ -226,7 +279,7 @@ class ParsedNames(dict):
     """
 
     def __missing__(self, raw):
-        name = self[raw] = parse_or_none(raw)
+        name = self[raw] = tuple_parse_or_none(raw)
         return name
 
 
@@ -254,7 +307,7 @@ def classify_synonym_types(truth, name_of):
         forms = {}
         for instance in members:
             name = name_of(instance)
-            key = None if name is None else match_key(name)
+            key = None if name is None else tuple_match_key(name)
             if key is None:
                 continue
             keys.add(key)
@@ -454,11 +507,8 @@ def keyed_bylines(corpus):
     Every pmid maps to a dict, an empty one when the paper has no keyed name.
     """
 
-    def keyed_fini_key(name):
-        return fini_key(name) if is_keyed(name) else None
-
     bylines = {pmid: {} for pmid in corpus}
-    for (pmid, position), key in shared_keys(corpus_names(corpus), keyed_fini_key):
+    for (pmid, position), key in shared_keys(corpus_names(corpus), tuple_match_key):
         if key is not None:
             bylines[pmid].setdefault(key, []).append(position)
     return bylines
@@ -544,7 +594,7 @@ def link_authority(corpus, registry, *, dup_title_policy="drop-all", nonalpha="d
         if profile_name is None:
             unusable_profiles += 1
             continue
-        profile_key = fini_key(profile_name)
+        profile_key = tuple_fini(profile_name)
         matched_pmids = set()
         for raw_title in profile.work_titles:
             pmid = title_to_pmid.get(title_text(raw_title))
@@ -582,7 +632,7 @@ def link_grants(corpus, grants):
         if pi_name is None:
             unusable_pis += 1
             continue
-        pi_key = fini_key(pi_name)
+        pi_key = tuple_fini(pi_name)
         for pmid in sorted(record.funded_pmids):
             grouped = bylines.get(pmid)
             if grouped is None:

@@ -24,7 +24,7 @@ from linklab.linkage import (
     link_grants,
 )
 from linklab.metrics import b3_scores, pair_accuracy_detail, stratified_eval
-from linklab.normalize import name_form, parse_name
+from linklab.normalize import parse_name
 from linklab.profile import (
     block_size_ccdf,
     ccdf_fraction_at_least,
@@ -213,7 +213,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
     # tolerance: +/- 0.5% absolute
     assert deficit == pytest.approx(share, abs=0.005)
 
-    forms = name_keys(bundle_synonym.corpus, name_form)
+    forms = name_keys(bundle_synonym.corpus, str)
     report = classify_synonym_types(
         bundle_synonym.truth, name_lookup(bundle_synonym.corpus, forms)
     )
@@ -240,7 +240,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
             instance = (counter, 1)
             counter += 1
             members.add(instance)
-            constructed_names[instance] = name_form(parse_name(raw))
+            constructed_names[instance] = parse_name(raw)
         truth[cluster_id] = members
     constructed_report = classify_synonym_types(clustering_of(truth), constructed_names.get)
     assert constructed_report.assignments == {

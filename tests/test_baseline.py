@@ -15,7 +15,7 @@ from linklab.baseline import (
     unparseable_count,
 )
 from linklab.corpus import PaperRecord, groups
-from linklab.normalize import aini_key, fini_key, form_key, match_key, name_form, parse_name
+from linklab.normalize import aini_key, fini_key, match_key, parse_name
 
 
 def named(*raws):
@@ -61,11 +61,11 @@ def test_name_keys_index_distinct_byline_names():
         "Wang, Wei": "wang|w", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|pj",
     }
     assert name_keys(corpus, match_key)["Einstein"] is None
-    forms = name_keys(corpus, name_form)
+    forms = name_keys(corpus, str)
     assert forms == {
         "Wang, Wei": "wang|wei", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|p j",
     }
-    assert {raw: form_key(form) for raw, form in forms.items() if form} == {
+    assert {raw: fini_key(form) for raw, form in forms.items() if form} == {
         raw: key for raw, key in name_keys(corpus, fini_key).items() if key
     }
 
@@ -143,12 +143,12 @@ def indexed_corpora(draw):
 @example({1: PaperRecord(1, 2000, "T", ("Kim, J", "Einstein", "Kim, J", "...", "Müller, Jürgen")),
           2: PaperRecord(2, 2001, "U", ("Muller, J", "...", "J Kim"))})
 def test_name_key_index_matches_the_earlier_routines(corpus):
-    for make, key in ((cluster_fini, fini_key), (cluster_aini, aini_key)):
+    for make, key in ((cluster_fini, oracles.tuple_fini), (cluster_aini, oracles.tuple_aini)):
         got = make(corpus)
         assert dict(got) == dict(oracles.cluster(oracles.corpus_names(corpus), key))
         assert _one_object_per_value(got.values())
-    expected_sizes = Counter(oracles.cluster(oracles.corpus_names(corpus), fini_key).values())
-    forms = name_keys(corpus, name_form)
+    expected_sizes = Counter(oracles.cluster(oracles.corpus_names(corpus), oracles.tuple_fini).values())
+    forms = name_keys(corpus, str)
     assert sorted(fini_block_sizes(corpus, forms)) == sorted(expected_sizes.values())
     index = name_keys(corpus, match_key)
     assert index == oracles.key_index(corpus)

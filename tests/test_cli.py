@@ -733,6 +733,8 @@ BAD_INPUTS = [
     ),
     ("5000-digit integer in the synth config", "config.json", f'{{"n_authors": {HUGE}}}'.encode(),
      _synth_with_config(), EXIT_FORMAT),
+    ("synth config nested 200,000 deep", "config.json", b"[" * 200_000 + b"]" * 200_000,
+     _synth_with_config(), EXIT_FORMAT),
     ("non-UTF-8 table", "latin.tsv", PAPERS.replace("Ann", "Ann\xe9").encode("latin-1"), _baseline("latin.tsv"), EXIT_FORMAT),
     (
         "non-UTF-8 evaluate truth",
@@ -962,6 +964,7 @@ MESSAGES = {
     "5000-digit citing_pmid": "huge.tsv, row 2: citing_pmid is too long: 5000 digits",
     "5000-digit cited_pmid": "huge.tsv, row 2: cited_pmid is too long: 5000 digits",
     "5000-digit integer in the synth config": "config.json: invalid JSON",
+    "synth config nested 200,000 deep": "config.json: invalid JSON",
     "labels that join no predicted instance": "dropped_unclustered=2",
     "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
     "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",
@@ -1054,6 +1057,31 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
         assert _entries(out) == before
     assert not list(out.glob(".linklab-*"))
     assert (workdir / name).read_bytes() == data
+
+
+# a name longer than the 255 bytes a file system allows a path component
+TOO_LONG = "n" * 300
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (_baseline("papers.tsv", out="dangling/x"), EXIT_USAGE),
+        (_baseline("papers.tsv", out=TOO_LONG), EXIT_USAGE),
+        (_baseline(TOO_LONG), EXIT_MISSING_INPUT),
+    ],
+    ids=["--out under a dangling symlink", "--out of a 300-character name", "--papers of a 300-character name"],
+)
+def test_paths_the_os_refuses_end_in_documented_exit_codes(workdir, capsys, argv, code):
+    (workdir / "papers.tsv").write_text(PAPERS)
+    (workdir / "dangling").symlink_to("nowhere")
+    before = sorted(workdir.iterdir())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before
+    assert not (workdir / "dangling").exists()
 
 
 def test_a_bad_papers_file_outranks_a_bad_authority_file(workdir, capsys):

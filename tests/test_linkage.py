@@ -441,7 +441,7 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
 
     def profile_path():
         # block sizes and the typology share one index of name forms, as `linklab profile` does
-        forms = name_keys(corpus, normalize.name_form)
+        forms = name_keys(corpus, str)
         fini_block_sizes(corpus, forms)
         classify_synonym_types(truth, name_lookup(corpus, forms))
 

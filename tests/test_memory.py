@@ -13,7 +13,6 @@ import oracles
 from linklab.baseline import cluster_fini, name_keys
 from linklab.corpus import ingest_clustering, ingest_corpus, write_clustering
 from linklab.metrics import b3_scores
-from linklab.normalize import name_form
 from linklab.synth import SynthConfig, generate, write_bundle
 
 
@@ -57,4 +56,4 @@ def test_profile_name_index_is_smaller_than_parsed_names(bundle):
                 parsed[raw]
         return parsed
 
-    assert _peak(lambda: name_keys(corpus, name_form)) < _peak(parse_all)
+    assert _peak(lambda: name_keys(corpus, str)) < _peak(parse_all)

@@ -11,8 +11,10 @@ from linklab.normalize import (
     aini_key,
     fini_key,
     is_keyed,
+    match_key,
     normalize_title,
     parse_name,
+    parse_or_none,
 )
 import oracles
 from oracles import naive_ascii_fold, naive_clean_tokens, naive_normalize_title
@@ -68,23 +70,19 @@ def test_normalize_title_idempotent(raw):
 
 
 def test_parse_name_comma_form():
-    name = parse_name("Hertzog, P J")
-    assert name.surname == "hertzog"
-    assert name.forenames == ("p", "j")
-    assert name.first_initial == "p"
-    assert name.all_initials == "pj"
+    assert parse_name("Hertzog, P J") == "hertzog|p j"
+    assert fini_key("hertzog|p j") == "hertzog|p"
+    assert aini_key("hertzog|p j") == "hertzog|pj"
 
 
 def test_parse_name_multi_token_surname():
     name = parse_name("do Prado, Wagner Luiz")
-    assert name.surname == "do prado"
-    assert name.first_initial == "w"
+    assert name == "do prado|wagner luiz"
+    assert fini_key(name) == "do prado|w"
 
 
 def test_parse_name_without_comma_uses_last_token_as_surname():
-    name = parse_name("Wang Wei")
-    assert name.surname == "wei"
-    assert name.forenames == ("wang",)
+    assert parse_name("Wang Wei") == "wei|wang"
 
 
 def test_parse_name_strips_periods_and_folds():
@@ -97,8 +95,8 @@ def test_parse_name_strips_periods_and_folds():
 
 def test_hyphenated_forename_yields_one_initial():
     name = parse_name("Kim, Jin-Seok")
-    assert name.forenames == ("jinseok",)
-    assert name.all_initials == "j"
+    assert name == "kim|jinseok"
+    assert aini_key(name) == "kim|j"
 
 
 def test_same_fini_different_aini():
@@ -115,15 +113,17 @@ def test_parse_name_unparseable():
         parse_name("   ")
     with pytest.raises(ParseError):
         parse_name("123, 456")
+    assert parse_or_none("123, 456") is None
 
 
 def test_mononym_is_unkeyed():
     name = parse_name("Einstein")
-    assert name.surname == "einstein"
-    assert name.forenames == ()
-    assert name.first_initial == ""
+    assert name == "einstein|"
+    assert fini_key(name) == aini_key(name) == "einstein|"
     assert not is_keyed(name)
+    assert match_key(name) is None
     assert is_keyed(parse_name("Hertzog, P J"))
+    assert match_key(parse_name("Hertzog, P J")) == "hertzog|p"
 
 
 word = st.text(alphabet="abcdefghijklmnopqrstuvwxyzàéøß-.'", min_size=1, max_size=10)
@@ -141,9 +141,8 @@ def test_aini_refines_fini(forenames, surname):
         return
     if aini_key(name) == aini_key(other):
         assert fini_key(name) == fini_key(other)
-    if name.forenames:
-        assert name.first_initial == name.forenames[0][0]
-        assert fini_key(name) == f"{name.surname}|{name.all_initials[0]}"
+    if is_keyed(name):
+        assert fini_key(name) == aini_key(name)[: len(fini_key(name))]
 
 
 @given(word, word)
@@ -202,13 +201,6 @@ raw_names = st.one_of(
 )
 
 
-def _parsed(raw):
-    try:
-        return parse_name(raw)
-    except ParseError:
-        return None
-
-
 @given(raw_names, raw_names)
 @example("Abc", "Ab, C")
 @example("A B, C", "A, B C")
@@ -216,11 +208,43 @@ def _parsed(raw):
 # were a "|" kept by the cleanup, these would spell one key from two tuples
 @example("A, |x", "A|")
 def test_string_keys_match_the_earlier_tuple_keys(raw_a, raw_b):
-    names = [name for name in map(_parsed, (raw_a, raw_b)) if name is not None]
-    for name in names:
-        assert fini_key(name) == oracles.fini_cluster_id(oracles.tuple_fini_key(name))
-        assert aini_key(name) == oracles.aini_cluster_id(oracles.tuple_aini_key(name))
-    if len(names) == 2:
-        a, b = names
-        assert (fini_key(a) == fini_key(b)) == (oracles.tuple_fini_key(a) == oracles.tuple_fini_key(b))
-        assert (aini_key(a) == aini_key(b)) == (oracles.tuple_aini_key(a) == oracles.tuple_aini_key(b))
+    parsed = [(parse_or_none(raw), oracles.tuple_parse_or_none(raw)) for raw in (raw_a, raw_b)]
+    assert [form is None for form, _ in parsed] == [name is None for _, name in parsed]
+    parsed = [(form, name) for form, name in parsed if name is not None]
+    for form, name in parsed:
+        assert fini_key(form) == oracles.fini_cluster_id(oracles.tuple_fini_key(name))
+        assert aini_key(form) == oracles.aini_cluster_id(oracles.tuple_aini_key(name))
+    if len(parsed) == 2:
+        (a, tuple_a), (b, tuple_b) = parsed
+        assert (fini_key(a) == fini_key(b)) == (oracles.tuple_fini_key(tuple_a) == oracles.tuple_fini_key(tuple_b))
+        assert (aini_key(a) == aini_key(b)) == (oracles.tuple_aini_key(tuple_a) == oracles.tuple_aini_key(tuple_b))
+
+
+# Folded letters, hyphens, periods, apostrophes, digits, commas, tabs and
+# CJK letters, alone and in the comma and whitespace layouts.
+FORM_CHARS = "abzAZ\xe0\xe9\xf8\xdf\u0141\u0131\u1e9e\xe6-.'09,\t \u738b\u4f1f"
+form_part = st.text(alphabet=FORM_CHARS.replace(",", ""), min_size=1, max_size=8)
+form_names = st.one_of(
+    st.text(alphabet=FORM_CHARS, max_size=30),
+    st.builds("{}, {}".format, form_part, form_part),
+    st.builds("{}\t{}".format, form_part, form_part),
+)
+
+
+@given(form_names)
+@example("Wang Wei")
+@example("Einstein")
+@example("\u738b\u4f1f")
+@example("\u0141ukasz, \u1e9ee-\u0131. \xe6'0")
+def test_forms_match_the_tuple_parser(raw):
+    """parse_name fails where the tuple parser does, and its form gives the tuple parser's keys."""
+    form = parse_or_none(raw)
+    name = oracles.tuple_parse_or_none(raw)
+    assert (form is None) == (name is None)
+    if name is None:
+        return
+    assert form == f"{name.surname}|{' '.join(name.forenames)}"
+    assert fini_key(form) == oracles.tuple_fini(name)
+    assert aini_key(form) == oracles.tuple_aini(name)
+    assert match_key(form) == oracles.tuple_match_key(name)
+    assert is_keyed(form) == oracles.tuple_is_keyed(name)

@@ -16,7 +16,7 @@ from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corp
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalRow
 from linklab.metrics import b3_scores
-from linklab.normalize import name_form, parse_name
+from linklab.normalize import parse_name
 from linklab.profile import (
     CCDFPoint,
     block_size_ccdf,
@@ -168,7 +168,7 @@ def names_for(cluster_forms):
             instance = (counter, 1)
             counter += 1
             members.add(instance)
-            names[instance] = name_form(parse_name(raw))
+            names[instance] = parse_name(raw)
         truth[cluster_id] = members
     return clustering_of(truth), names
 
@@ -219,11 +219,7 @@ def test_typology_flipped_takes_priority():
 # one name per blocking key except kim|j, which has three names in two forms
 # ("Kim, Ji" spelt two ways, and "Kim, Jo"); "Ji, Kim" is "Kim, Ji" flipped,
 # "Lee, Ji" a surname variant; a mononym and an unparsed name (None) carry no key
-TYPOLOGY_NAMES = [
-    *(parse_name(raw) for raw in
-      ("Kim, Ji", "KIM, Ji", "Kim, Jo", "Kim, Ann", "Ji, Kim", "Lee, Ji", "Einstein")),
-    None,
-]
+TYPOLOGY_NAMES = ["Kim, Ji", "KIM, Ji", "Kim, Jo", "Kim, Ann", "Ji, Kim", "Lee, Ji", "Einstein", None]
 TYPOLOGY_INSTANCE = st.tuples(st.integers(1, 6), st.integers(1, 3))
 
 
@@ -256,8 +252,9 @@ TYPOLOGY_EXAMPLE = (
 @example(({}, {}))
 def test_typology_matches_the_grouped_oracle(case):
     """Two passes over name forms without grouping give the grouped typology of parsed names."""
-    truth, names = case
-    forms = {instance: name and name_form(name) for instance, name in names.items()}
+    truth, raws = case
+    forms = {instance: raw and parse_name(raw) for instance, raw in raws.items()}
+    names = {instance: raw and oracles.tuple_parse_name(raw) for instance, raw in raws.items()}
     report = classify_synonym_types(truth, forms.get)
     expected = oracles.classify_synonym_types(truth, names.get)
     assert report == expected
@@ -431,7 +428,7 @@ PROFILED_EXAMPLE = (
 @example(PROFILED_EXAMPLE)
 def test_block_sizes_and_typology_match_the_earlier_profile(case):
     corpus, truth = case
-    forms = name_keys(corpus, name_form)
+    forms = name_keys(corpus, str)
     assert block_size_ccdf(fini_block_sizes(corpus, forms)) == oracles.profile_ccdf(corpus)
     expected = oracles.profile_typology(truth, corpus)
     assert classify_synonym_types(truth, name_lookup(corpus, forms)) == expected
@@ -442,7 +439,7 @@ def test_profiled_example_reaches_every_case():
     report = oracles.profile_typology(truth, corpus)
     assert report.assignments == {"a1": "initial_variant", "a2": "flipped_order"}
     # kim|j and einstein| twice; wei|w, wang|w, kim|m and lee|a once; two that do not parse
-    assert sorted(fini_block_sizes(corpus, name_keys(corpus, name_form))) == [1, 1, 1, 1, 1, 1, 2, 2]
+    assert sorted(fini_block_sizes(corpus, name_keys(corpus, str))) == [1, 1, 1, 1, 1, 1, 2, 2]
 
 
 def _profile_outputs(corpus, truth) -> tuple[dict[str, bytes], dict[str, bytes]]:

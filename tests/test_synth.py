@@ -18,7 +18,7 @@ from linklab.corpus import (
 from linklab.errors import ConfigError
 from linklab.linkage import extract_selfcitation_pairs, link_authority, link_grants
 from linklab.metrics import b3_scores, pair_accuracy_detail
-from linklab.normalize import aini_key, fini_key, name_form, parse_name
+from linklab.normalize import aini_key, fini_key, parse_name
 from linklab.profile import classify_synonym_types, distribution
 from linklab import synth
 from linklab.synth import (
@@ -175,7 +175,7 @@ def test_variant_forms_alternate_along_career():
 def test_synonym_typology_matches_planted():
     cfg = SynthConfig(seed=7, n_authors=400, papers_per_author=(6, 6), synonym_rate=0.05)
     bundle = generate(cfg)
-    forms = name_keys(bundle.corpus, name_form)
+    forms = name_keys(bundle.corpus, str)
     report = classify_synonym_types(bundle.truth, name_lookup(bundle.corpus, forms))
     planted = {
         a.author_id: a.variant

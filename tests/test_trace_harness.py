@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from linklab.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -71,8 +72,13 @@ def test_traced_profile_records_one_index_span_per_pass(tmp_path, monkeypatch):
     assert span_counts[0] == span_counts[1]
 
 
+def _data_rows(path: Path) -> list[list[str]]:
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
 def test_kernels_read_every_data_row(tmp_path, monkeypatch):
-    bundle = _synth_bundle(tmp_path, monkeypatch)
+    # self-citations give the pairing kernel keyed names to count
+    bundle = _synth_bundle(tmp_path, monkeypatch, selfcitation_rate=0.8)
     tables = sorted(bundle.glob("*.tsv"))
     spec = {
         "tables": [str(path) for path in tables],
@@ -86,6 +92,23 @@ def test_kernels_read_every_data_row(tmp_path, monkeypatch):
     data_rows = sum(path.read_text(encoding="utf-8").count("\n") - 1 for path in tables)
     assert data_rows > 0
     assert result["tsv.rows_read"] == data_rows
+
+    bylines = {int(row[0]): row[3].split("|") for row in _data_rows(bundle / "papers.tsv")}
+    names = [raw for byline in bylines.values() for raw in byline]
+    assert result["normalize.distinct_names"] == len(set(names))
+
+    def keyed(raw):
+        name = oracles.tuple_parse_or_none(raw)
+        return name is not None and oracles.tuple_is_keyed(name)
+
+    keyed_names = {pmid: sum(map(keyed, byline)) for pmid, byline in bylines.items()}
+    comparisons = sum(
+        keyed_names[citing] * keyed_names[cited]
+        for citing, cited in ((int(a), int(b)) for a, b in _data_rows(bundle / "citations.tsv"))
+        if citing != cited and citing in keyed_names and cited in keyed_names
+    )
+    assert comparisons > 0
+    assert result["linkage.pair_comparisons"] == comparisons
 
 
 @pytest.mark.parametrize(
