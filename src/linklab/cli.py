@@ -177,7 +177,9 @@ def _run(args: argparse.Namespace) -> int:
 
     Every file flag given is an input: all must exist before any is read.
     Artifacts reach ``--out`` only when the command succeeds, the manifest
-    last; the staging directory is removed whatever happens.
+    last; the staging directory is removed whatever happens. When the
+    command fails, so are the directories made for ``--out``, innermost
+    first, each only if it is empty.
     """
     inputs = [v for k, v in vars(args).items() if k != "out" and isinstance(v, Path)]
     for path in inputs:
@@ -185,8 +187,15 @@ def _run(args: argparse.Namespace) -> int:
         # OS will not look up (one too long)
         if not os.path.isfile(path):
             raise FileNotFoundError(str(path))
-    args.out.mkdir(parents=True, exist_ok=True)
+    made = []  # the directories made for --out, outermost first
+    for path in reversed([p for p in (args.out, *args.out.parents) if not os.path.lexists(p)]):
+        try:
+            path.mkdir()
+        except FileExistsError:  # "x/.." once x is made: a directory already there
+            continue
+        made.append(path)
     stage = Path(tempfile.mkdtemp(prefix=".linklab-", dir=args.out))
+    succeeded = False
     try:
         summary = args.func(args, stage)
         outputs = sorted(stage.iterdir())
@@ -207,8 +216,15 @@ def _run(args: argparse.Namespace) -> int:
         _write_json(stage / MANIFEST_NAME, manifest, sort_keys=True)
         for path in [*outputs, stage / MANIFEST_NAME]:
             os.replace(path, args.out / path.name)
+        succeeded = True
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if not succeeded:
+            for path in reversed(made):
+                try:
+                    path.rmdir()
+                except OSError:  # not empty, so neither is any directory above
+                    break
     print(summary)
     return EXIT_OK
 

@@ -6,9 +6,9 @@ papers, and pairing byline instances across citation edges. Labels are
 assigned only when a name's blocking key matches; any ambiguity (one
 instance drawing two labels, or one profile matching two positions on
 the same paper) drops the affected candidates and logs a conflict
-rather than guessing. Byline, profile and PI names are keyed by one
-rule, normalize.match_key (byline names through baseline.name_keys), so
-an unparseable name or a mononym matches nothing.
+rather than guessing. Byline, profile and PI names are keyed through
+one table, baseline.name_keys(corpus, normalize.match_key), which parses
+each once; an unparseable name or a mononym matches nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .corpus import (
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError, echo
-from .normalize import match_key, normalize_title, parse_or_none
+from .normalize import match_key, normalize_title
 
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
@@ -81,35 +81,24 @@ def _ordered(a: InstanceID, b: InstanceID) -> tuple[InstanceID, InstanceID]:
     return (a, b) if a <= b else (b, a)
 
 
-class _MatchKeys(dict[str, "str | None"]):
-    """Raw person name -> its match key, None when the name is unusable.
-
-    A name is parsed on its first lookup, so each is parsed once however
-    many people or rows carry it.
-    """
-
-    def __missing__(self, raw: str) -> str | None:
-        form = parse_or_none(raw)
-        key = self[raw] = None if form is None else match_key(form)
-        return key
-
-
 def _match_people(
-    corpus: Corpus, people: Iterable[tuple[str, str | None, Iterable[int]]]
+    corpus: Corpus,
+    keys: Mapping[str, str | None],
+    people: Iterable[tuple[str, str, Iterable[int]]],
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
-    """Match each (person id, match key, pmids) to the byline positions under its key.
+    """Match each (person id, raw name, pmids) to the byline positions under its key.
 
     A person matches every position on one of their in-corpus pmids whose
-    name has the person's key. Returns the (instance, person id)
-    candidates, the number of people whose key is None (their name is
-    unusable; their pmids are not read), and the in-corpus pmids of the
-    usable people.
+    name has the person's key in `keys`, name_keys(corpus, match_key).
+    Returns the (instance, person id) candidates, the number of people
+    whose key is None (their name is unusable; their pmids are not read),
+    and the in-corpus pmids of the usable people.
     """
-    keys = name_keys(corpus, match_key)
     candidates: set[tuple[InstanceID, str]] = set()
     unusable = 0
     pmids_in_corpus: set[int] = set()
-    for person_id, key, pmids in people:
+    for person_id, name, pmids in people:
+        key = keys[name]
         if key is None:
             unusable += 1
             continue
@@ -163,7 +152,7 @@ def _resolve_candidates(
 def _resolve_registry(
     corpus: Corpus,
     registry: Mapping[str, AuthorityProfile] | str | Path,
-    keys: _MatchKeys,
+    keys: Mapping[str, str | None],
     dup_title_policy: str,
     nonalpha: str,
 ) -> tuple[dict[str, tuple[str, set[int]]], int, int]:
@@ -172,9 +161,9 @@ def _resolve_registry(
     Returns authority id -> (name, pmids), the number of usable titles
     and the number of duplicate title copies dropped. A profile keeps no
     title, and the title maps are freed on return. A title of a profile
-    whose name is unusable is not normalized. A title that is no corpus
-    title is normalized where it is read and not cached, so no copy of
-    it is kept.
+    whose name `keys` (name_keys(corpus, match_key)) maps to None is not
+    normalized. A title that is no corpus title is normalized where it
+    is read and not cached, so no copy of it is kept.
     """
     texts: dict[str, str | None] = {}  # corpus raw title -> its normalized text
     pmids_by_title: dict[str, list[int]] = {}
@@ -237,14 +226,13 @@ def link_authority(
         raise ValueError(
             f"dup_title_policy must be one of {DUP_TITLE_POLICIES}, got {dup_title_policy!r}"
         )
-    keys = _MatchKeys()
+    keys = name_keys(corpus, match_key)
     profiles, titles_usable, duplicate_copies = _resolve_registry(
         corpus, registry, keys, dup_title_policy, nonalpha
     )
-    candidates, unusable_profiles, _ = _match_people(
-        corpus,
-        ((authority_id, keys[name], pmids) for authority_id, (name, pmids) in profiles.items()),
-    )
+    people = ((authority_id, name, pmids) for authority_id, (name, pmids) in profiles.items())
+    candidates, unusable_profiles, _ = _match_people(corpus, keys, people)
+    del keys  # freed before the candidates are resolved
     labels, conflicts = _resolve_candidates(candidates, SOURCE_AUTHORITY)
     stats = {
         "papers": len(corpus),
@@ -261,11 +249,10 @@ def link_authority(
 
 def link_grants(corpus: Corpus, grants: Mapping[str, GrantRecord]) -> LinkResult:
     """Label byline instances of funded papers by PI blocking-key match."""
-    keys = _MatchKeys()
-    candidates, unusable_pis, funded_in_corpus = _match_people(
-        corpus,
-        ((pi_id, keys[record.pi_name], record.funded_pmids) for pi_id, record in grants.items()),
-    )
+    keys = name_keys(corpus, match_key)
+    people = ((pi_id, record.pi_name, record.funded_pmids) for pi_id, record in grants.items())
+    candidates, unusable_pis, funded_in_corpus = _match_people(corpus, keys, people)
+    del keys  # freed before the candidates are resolved
     funded = set().union(*(record.funded_pmids for record in grants.values()))
     labels, conflicts = _resolve_candidates(candidates, SOURCE_GRANT)
     stats = {

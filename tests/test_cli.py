@@ -735,6 +735,10 @@ BAD_INPUTS = [
      _synth_with_config(), EXIT_FORMAT),
     ("synth config nested 200,000 deep", "config.json", b"[" * 200_000 + b"]" * 200_000,
      _synth_with_config(), EXIT_FORMAT),
+    ("bad synth config for a new nested --out", "config.json", b'{"n_authors": "x"}',
+     ["synth", "--seed", "1", "--config", "config.json", "--out", "newdir/sub"], EXIT_EVALUATION),
+    ("bad synth config for a new --out through ..", "config.json", b'{"n_authors": "x"}',
+     ["synth", "--seed", "1", "--config", "config.json", "--out", "newdir/../sub"], EXIT_EVALUATION),
     ("non-UTF-8 table", "latin.tsv", PAPERS.replace("Ann", "Ann\xe9").encode("latin-1"), _baseline("latin.tsv"), EXIT_FORMAT),
     (
         "non-UTF-8 evaluate truth",
@@ -965,6 +969,8 @@ MESSAGES = {
     "5000-digit cited_pmid": "huge.tsv, row 2: cited_pmid is too long: 5000 digits",
     "5000-digit integer in the synth config": "config.json: invalid JSON",
     "synth config nested 200,000 deep": "config.json: invalid JSON",
+    "bad synth config for a new nested --out": "n_authors",
+    "bad synth config for a new --out through ..": "n_authors",
     "labels that join no predicted instance": "dropped_unclustered=2",
     "annotations: malformed id on an unlabeled row": "ann.tsv, row 3",
     "annotations: duplicate on an unlabeled row": "ann.tsv, row 4",
@@ -1044,6 +1050,7 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
     (workdir / name).write_bytes(data)
     out = workdir / argv[argv.index("--out") + 1]
     before = _entries(out)
+    existed = [out.exists(), out.parent.exists()]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -1055,6 +1062,8 @@ def test_bad_inputs_end_in_documented_exit_codes(workdir, capsys, case, name, da
             assert name in err
         assert MESSAGES.get(case, "") in err
         assert _entries(out) == before
+        # nor any directory made for --out
+        assert [out.exists(), out.parent.exists()] == existed
     assert not list(out.glob(".linklab-*"))
     assert (workdir / name).read_bytes() == data
 

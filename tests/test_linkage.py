@@ -71,6 +71,7 @@ def profile(authority_id, name, *titles):
 
 TITLE_1 = "Alpha beta gamma delta epsilon one"
 TITLE_2 = "Alpha beta gamma delta epsilon two"
+TITLE_3 = "Alpha beta gamma delta epsilon three"
 TITLE_DUP = "Same shared title words here"
 
 
@@ -430,12 +431,18 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         (2, 2001, TITLE_2, ["Kim, J", "Lee, Ann", "Einstein"]),
         (3, 2002, TITLE_1, ["Einstein", "Kim, J", "123"]),
         (4, 2003, TITLE_2, ["123", "Kim, J"]),
+        (5, 2004, TITLE_3, ["Lee, Ann", "Kim, J"]),
     )
+    # a profile and a PI whose names are byline names, on a title that resolves
     registry = {
         "orc-1": profile("orc-1", "Kim, Jin", TITLE_1, TITLE_2),
         "orc-2": profile("orc-2", "Lee, A", TITLE_2),
+        "orc-3": profile("orc-3", "Lee, Ann", TITLE_3),
     }
-    grants = {"nih-1": GrantRecord("nih-1", "Kim, Jin", frozenset({1, 2, 3}))}
+    grants = {
+        "nih-1": GrantRecord("nih-1", "Kim, Jin", frozenset({1, 2, 3})),
+        "nih-2": GrantRecord("nih-2", "Kim, J", frozenset({5})),
+    }
     edges = [CitationEdge(2, 1), CitationEdge(3, 2), CitationEdge(4, 1), CitationEdge(4, 3)]
     truth = clustering_of({"a1": {instance for paper in corpus.values() for instance in paper.instances()}})
 
@@ -456,8 +463,11 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
     for name, call in calls.items():
         parses.clear()
         titles.clear()
-        call()
+        result = call()
+        if name.startswith("link_"):
+            assert {"orc-3", "nih-2"} & {label.label_id for label in result.labels}, name
         assert parses["Kim, J"] == 1, name
+        assert parses["Lee, Ann"] == 1, name
         assert max(parses.values()) == 1, (name, parses)
         assert max(titles.values(), default=1) == 1, (name, titles)
 
