@@ -13,6 +13,13 @@ single seeded RNG drives all choices, and regeneration is
 byte-identical when written. The config, the planted authors and the
 bundle are NamedTuples, like the corpus records.
 
+`generate` draws the bylines, years and titles, then takes each author
+once, in author order: its instances, the name forms it writes into its
+bylines' slots, its `PlantedAuthor`, profile, grant, self-citation
+edges, one shared `Annotation`, its truth entries and its manifest
+tallies. Each author's list of instances is dropped as its turn ends;
+the byline lists, titles and years live until `generate` returns.
+
 This is a test rig, not a statistically faithful bibliography model.
 """
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -139,8 +147,8 @@ def _check_rate(value: float, name: str) -> None:
         raise ConfigError(f"{name} must be in [0, 1], got {echo(str(value))}")
 
 
-def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[str, int]:
-    """Integer counts per key by largest remainder; deterministic ties."""
+def _quota(shares: Mapping[str, float], total: int, name: str) -> list[str]:
+    """Keys in sorted order, each repeated its largest-remainder share of total times."""
     items = sorted(shares.items())
     if not items:
         raise ConfigError(f"{name} must not be empty")
@@ -150,16 +158,12 @@ def _quota_counts(shares: Mapping[str, float], total: int, name: str) -> dict[st
             raise ConfigError(f"{name}[{echo(key)}] must be a finite non-negative number")
     if abs(sum(share for _, share in items) - 1.0) > 1e-9:
         raise ConfigError(f"{name} must sum to 1")
-    counts = []
-    for key, share in items:
-        exact = share * total
-        floor = math.floor(exact + 1e-12)
-        counts.append([key, floor, exact - floor])
-    remaining = total - sum(c for _, c, _ in counts)
-    counts.sort(key=lambda item: (-item[2], item[0]))
-    for i in range(remaining):
-        counts[i][1] += 1
-    return {key: count for key, count, _ in sorted(counts)}
+    counts = {key: math.floor(share * total + 1e-12) for key, share in items}
+    # largest remainder first; the sort is stable, so ties stay in key order
+    by_remainder = sorted(items, key=lambda item: counts[item[0]] - item[1] * total)
+    for i in range(total - sum(counts.values())):
+        counts[by_remainder[i][0]] += 1
+    return [key for key, count in counts.items() for _ in range(count)]
 
 
 def _validate(config: SynthConfig) -> None:
@@ -206,10 +210,7 @@ def _assign_roles(config: SynthConfig) -> list[str | None]:
             "synonym_rate + homonym_rate + midinitial_variant_rate exceed the author pool"
         )
     roles: list[str | None] = []
-    for kind, count in sorted(
-        _quota_counts(config.synonym_type_shares, n_synonym, "synonym_type_shares").items()
-    ):
-        roles.extend([kind] * count)
+    roles.extend(_quota(config.synonym_type_shares, n_synonym, "synonym_type_shares"))
     roles.extend([VARIANT_HOMONYM] * n_homonym)
     roles.extend([VARIANT_MIDINITIAL] * n_mid)
     roles.extend([None] * (n - len(roles)))
@@ -235,6 +236,27 @@ def _make_forms(role: str | None, index: int, partner_of: int | None) -> tuple[s
     return (primary,)
 
 
+def _bylines(rng: random.Random, config: SynthConfig) -> list[list]:
+    """Author-index bylines: every paper slot shuffled, cut at a repeat or at the drawn size."""
+    lo, hi = config.papers_per_author
+    slots = [author for author in range(config.n_authors) for _ in range(rng.randint(lo, hi))]
+    rng.shuffle(slots)
+    bylines: list[list] = []
+    current: list[int] = []
+    seen: set[int] = set()
+    target = rng.randint(1, config.max_coauthors)
+    for author in slots:
+        if author in seen or len(current) == target:
+            bylines.append(current)
+            current, seen = [], set()
+            target = rng.randint(1, config.max_coauthors)
+        current.append(author)
+        seen.add(author)
+    if current:
+        bylines.append(current)
+    return bylines
+
+
 def generate(config: SynthConfig) -> Bundle:
     """Build a corpus bundle with planted truth, fixed per config.seed."""
     _validate(config)
@@ -245,51 +267,18 @@ def generate(config: SynthConfig) -> Bundle:
     # Homonym authors pair up: the second of each pair shadows the first.
     homonym_indices = [i for i, role in enumerate(roles) if role == VARIANT_HOMONYM]
     partner = dict(zip(homonym_indices[1::2], homonym_indices[::2]))
-    forms = [
-        _make_forms(role, index, partner.get(index))
-        for index, role in enumerate(roles)
-    ]
+    ethnicities = _quota(config.ethnicity_shares, n, "ethnicity_shares")
+    genders = _quota(config.gender_shares, n, "gender_shares")
 
-    ethnicities: list[str] = []
-    for tag, count in sorted(
-        _quota_counts(config.ethnicity_shares, n, "ethnicity_shares").items()
-    ):
-        ethnicities.extend([tag] * count)
-    genders: list[str] = []
-    for tag, count in sorted(
-        _quota_counts(config.gender_shares, n, "gender_shares").items()
-    ):
-        genders.extend([tag] * count)
-
-    lo, hi = config.papers_per_author
-    paper_counts = [rng.randint(lo, hi) for _ in range(n)]
-    slots: list[int] = []
-    for author, count in enumerate(paper_counts):
-        slots.extend([author] * count)
-    rng.shuffle(slots)
-
-    paper_authors: list[list[int]] = []
-    current: list[int] = []
-    seen: set[int] = set()
-    target = rng.randint(1, config.max_coauthors)
-    for author in slots:
-        if author in seen or len(current) == target:
-            paper_authors.append(current)
-            current, seen = [], set()
-            target = rng.randint(1, config.max_coauthors)
-        current.append(author)
-        seen.add(author)
-    if current:
-        paper_authors.append(current)
-
+    bylines = _bylines(rng, config)
     year_lo, year_hi = config.year_range
-    years = [rng.randint(year_lo, year_hi) for _ in paper_authors]
+    years = [rng.randint(year_lo, year_hi) for _ in bylines]
     titles = [
         f"Study of {rng.choice(_TITLE_WORDS)} {rng.choice(_TITLE_WORDS)} "
         f"{rng.choice(_TITLE_WORDS)} x{_b26(pmid)}"
-        for pmid in range(1, len(paper_authors) + 1)
+        for pmid in range(1, len(bylines) + 1)
     ]
-    n_duplicates = math.floor(config.duplicate_title_rate * len(paper_authors))
+    n_duplicates = math.floor(config.duplicate_title_rate * len(bylines))
     if n_duplicates:
         for index in rng.sample(range(len(titles)), n_duplicates):
             source = rng.randrange(len(titles))
@@ -297,117 +286,96 @@ def generate(config: SynthConfig) -> Bundle:
                 source = rng.randrange(len(titles))
             titles[index] = titles[source]
 
-    # Order each author's appearances by (year, pmid); alternate forms along it.
-    appearances: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for paper_index, byline in enumerate(paper_authors):
-        pmid = paper_index + 1
+    # Each author's instances in pmid order. An author is on a byline at
+    # most once, so its turn below orders them by (year, pmid) with a
+    # stable sort on year alone.
+    careers: list[list[InstanceID]] = [[] for _ in range(n)]
+    for pmid, byline in enumerate(bylines, start=1):
         for position, author in enumerate(byline, start=1):
-            appearances[author].append((years[paper_index], pmid, position))
-    for per_author in appearances:
-        per_author.sort()
+            careers[author].append((pmid, position))
 
-    instance_forms: dict[InstanceID, str] = {}
-    authors: list[PlantedAuthor] = []
     profiled_flags = [rng.random() < config.authority_coverage for _ in range(n)]
     pi_flags = [rng.random() < config.grant_coverage for _ in range(n)]
-    for index in range(n):
+    authors: list[PlantedAuthor] = []
+    registry: dict[str, AuthorityProfile] = {}
+    grants: dict[str, GrantRecord] = {}
+    edges: set[CitationEdge] = set()
+    annotations: dict[InstanceID, Annotation] = {}
+    truth = Clustering()
+    # manifest tallies; a variant author's second form holds k // 2 of its k instances
+    second_forms: Counter[str | None] = Counter()
+    ethnicity_counts: Counter[str] = Counter()
+    gender_counts: Counter[str] = Counter()
+    for index, career in enumerate(careers):
+        career.sort(key=lambda instance: years[instance[0] - 1])
+        # The tuple takes the list's place, so each list goes once used.
+        instances = careers[index] = tuple(career)
         author_id = "a" + _b26(index)
-        instances = []
-        for i, (_, pmid, position) in enumerate(appearances[index]):
-            instance = (pmid, position)
-            instances.append(instance)
-            instance_forms[instance] = forms[index][i % len(forms[index])]
+        forms = _make_forms(roles[index], index, partner.get(index))
+        annotation = Annotation(ethnicities[index], genders[index])
+        # Forms alternate along the career, written straight into the bylines.
+        for i, instance in enumerate(instances):
+            pmid, position = instance
+            bylines[pmid - 1][position - 1] = forms[i % len(forms)]
+            annotations[instance] = annotation
+            truth[instance] = author_id
+        second_forms[roles[index]] += len(instances) // 2
+        ethnicity_counts[ethnicities[index]] += len(instances)
+        gender_counts[genders[index]] += len(instances)
+        pmids = tuple(pmid for pmid, _ in instances)
         authors.append(
             PlantedAuthor(
                 author_id=author_id,
-                forms=forms[index],
+                forms=forms,
                 variant=roles[index],
                 ethnicity=ethnicities[index],
                 gender=genders[index],
                 profiled=profiled_flags[index],
                 pi=pi_flags[index],
-                pmids=tuple(pmid for _, pmid, _ in appearances[index]),
-                instances=tuple(instances),
+                pmids=pmids,
+                instances=instances,
             )
         )
-
-    papers: Corpus = {}
-    for paper_index, byline in enumerate(paper_authors):
-        pmid = paper_index + 1
-        names = tuple(
-            instance_forms[pmid, position]
-            for position in range(1, len(byline) + 1)
-        )
-        papers[pmid] = PaperRecord(
-            pmid=pmid, year=years[paper_index], raw_title=titles[paper_index], authors=names
-        )
-
-    registry: dict[str, AuthorityProfile] = {}
-    grants: dict[str, GrantRecord] = {}
-    edges: set[CitationEdge] = set()
-    for index, author in enumerate(authors):
-        ordered = appearances[index]
-        if author.profiled:
-            k_works = max(1, round(config.registry_work_coverage * len(ordered)))
+        if profiled_flags[index]:
+            k_works = max(1, round(config.registry_work_coverage * len(pmids)))
             if rng.random() < config.registry_year_skew:
-                chosen = ordered[-k_works:]
+                chosen = pmids[-k_works:]
             else:
-                chosen = sorted(rng.sample(ordered, k_works))
-            registry["orc-" + author.author_id] = AuthorityProfile(
-                authority_id="orc-" + author.author_id,
-                person_name=author.forms[0],
-                work_titles=frozenset(papers[pmid].raw_title for _, pmid, _ in chosen),
+                chosen = rng.sample(pmids, k_works)
+            registry["orc-" + author_id] = AuthorityProfile(
+                authority_id="orc-" + author_id,
+                person_name=forms[0],
+                work_titles=frozenset(titles[pmid - 1] for pmid in chosen),
             )
-        if author.pi:
-            grants["nih-" + author.author_id] = GrantRecord(
-                pi_id="nih-" + author.author_id,
-                pi_name=author.forms[0],
-                funded_pmids=frozenset(author.pmids),
+        if pi_flags[index]:
+            grants["nih-" + author_id] = GrantRecord(
+                pi_id="nih-" + author_id, pi_name=forms[0], funded_pmids=frozenset(pmids)
             )
-        for (_, earlier, _), (_, later, _) in zip(ordered, ordered[1:]):
+        for earlier, later in zip(pmids, pmids[1:]):
             if rng.random() < config.selfcitation_rate:
                 edges.add(CitationEdge(citing_pmid=later, cited_pmid=earlier))
 
-    annotations = {
-        instance: Annotation(author.ethnicity, author.gender)
-        for author in authors
-        for instance in author.instances
+    papers: Corpus = {
+        pmid: PaperRecord(pmid=pmid, year=year, raw_title=title, authors=tuple(byline))
+        for pmid, (year, title, byline) in enumerate(zip(years, titles, bylines), start=1)
     }
-    truth = Clustering((i, a.author_id) for a in authors for i in a.instances)
 
-    n_instances = len(instance_forms)
-    synonym_authors = [a for a in authors if a.variant in SYNONYM_TYPES]
-    variant_instances = sum(
-        len(a.instances) // 2 for a in synonym_authors
-    )
-    mid_variant_instances = sum(
-        len(a.instances) // 2 for a in authors if a.variant == VARIANT_MIDINITIAL
-    )
-    ethnicity_counts: dict[str, int] = {}
-    gender_counts: dict[str, int] = {}
-    for author in authors:
-        k = len(author.instances)
-        ethnicity_counts[author.ethnicity] = ethnicity_counts.get(author.ethnicity, 0) + k
-        gender_counts[author.gender] = gender_counts.get(author.gender, 0) + k
-
+    variants = Counter(roles)
+    n_instances = len(truth)
+    multiform_instances = sum(second_forms[kind] for kind in SYNONYM_TYPES)
     manifest = {
         "seed": config.seed,
         "authors": n,
         "papers": len(papers),
         "instances": n_instances,
-        "homonym_authors": sum(1 for a in authors if a.variant == VARIANT_HOMONYM),
-        "synonym_authors": len(synonym_authors),
-        "synonym_type_counts": {
-            kind: sum(1 for a in synonym_authors if a.variant == kind)
-            for kind in SYNONYM_TYPES
-        },
-        "midinitial_authors": sum(
-            1 for a in authors if a.variant == VARIANT_MIDINITIAL
-        ),
-        "multiform_variant_instance_share": variant_instances / n_instances,
-        "midinitial_variant_instance_share": mid_variant_instances / n_instances,
-        "profiled_authors": sum(1 for a in authors if a.profiled),
-        "pi_authors": sum(1 for a in authors if a.pi),
+        "homonym_authors": variants[VARIANT_HOMONYM],
+        "synonym_authors": sum(variants[kind] for kind in SYNONYM_TYPES),
+        "synonym_type_counts": {kind: variants[kind] for kind in SYNONYM_TYPES},
+        "midinitial_authors": variants[VARIANT_MIDINITIAL],
+        "multiform_variant_instance_share": multiform_instances / n_instances,
+        "midinitial_variant_instance_share": second_forms[VARIANT_MIDINITIAL] / n_instances,
+        "profiled_authors": sum(profiled_flags),
+        "pi_authors": sum(pi_flags),
         "citation_edges": len(edges),
         "duplicate_title_papers": n_duplicates,
         "ethnicity_instance_counts": dict(sorted(ethnicity_counts.items())),
