@@ -7,8 +7,8 @@ splits blocks, never merges across them, so it refines the blocking
 partition.
 
 `name_keys` is how a command's names become keys, for the baselines,
-linkage and the profile's name forms alike: one dict from each distinct
-raw name (byline, profile or PI) to its key, each parsed once and every
+linkage and the profile's name forms alike: one plain dict from each
+distinct raw byline name to its key, each parsed once and every
 instance under one key sharing one key string.
 """
 
@@ -26,17 +26,6 @@ UNPARSEABLE_PREFIX = "?unparseable:"
 _T = TypeVar("_T")
 
 
-class _NameKeys(dict[str, "str | None"]):
-    """Raw name -> its key, None when it has none; a name not in it is keyed on its first lookup."""
-
-    __slots__ = ("key",)  # the name form -> key function
-
-    def __missing__(self, raw: str) -> str | None:
-        form = parse_or_none(raw)
-        name_key = self[raw] = None if form is None else self.key(form)
-        return name_key
-
-
 def name_keys(
     corpus: Corpus, key: Callable[[str], str | None]
 ) -> dict[str, str | None]:
@@ -44,16 +33,14 @@ def name_keys(
 
     `key` maps a name form (normalize.parse_name) to its key. A name has
     no key when it does not parse or when `key` returns None.
-    Each name is parsed once and equal byline keys are one string object;
-    a name on no byline (a profile's, a PI's) is keyed on its first lookup.
+    Each name is parsed once and equal keys are one string object. Only
+    byline names are in it; linkage stores its profile and PI names there.
     """
-    keys = _NameKeys()
-    keys.key = key
+    keys: dict[str, str | None] = {}
     shared: dict[str, str] = {}
     for paper in corpus.values():
         for raw in paper.authors:
             if raw not in keys:
-                # inline rather than through __missing__, which would add a call per name
                 form = parse_or_none(raw)
                 name_key = None if form is None else key(form)
                 keys[raw] = None if name_key is None else shared.setdefault(name_key, name_key)

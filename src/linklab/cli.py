@@ -53,6 +53,7 @@ from .linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
     JoinResult,
+    LinkResult,
     extract_selfcitation_pairs,
     index_labels,
     join_labels,
@@ -150,9 +151,12 @@ def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
-def _write_link_result(out: Path, result) -> None:
+def _write_link_result(out: Path, command: str, result: LinkResult) -> str:
+    """Write a linker's artifacts; return labels=, conflicts=, then every stat, as key=value."""
     write_labels(out / "labels.tsv", result.labels)
     write_conflicts(out / "conflicts.tsv", result.conflicts)
+    stats = {"labels": len(result.labels), "conflicts": len(result.conflicts), **result.stats}
+    return f"{command}: " + " ".join(f"{key}={value}" for key, value in stats.items())
 
 
 def _usage_error(message: str) -> int:
@@ -237,20 +241,12 @@ def cmd_link_authority(args: argparse.Namespace, out: Path) -> str:
         dup_title_policy=args.dup_title_policy,
         nonalpha=args.nonalpha,
     )
-    _write_link_result(out, result)
-    return (
-        "link-authority: labels={labels} conflicts={conflicts} papers={papers}"
-        " profiles={profiles} candidates={candidates}"
-    ).format(conflicts=len(result.conflicts), **result.stats)
+    return _write_link_result(out, "link-authority", result)
 
 
 def cmd_link_grants(args: argparse.Namespace, out: Path) -> str:
     result = link_grants(ingest_corpus(args.papers), ingest_grants(args.grants))
-    _write_link_result(out, result)
-    return (
-        "link-grants: labels={labels} conflicts={conflicts} grants={grants}"
-        " funded_in_corpus={funded_pmids_in_corpus}"
-    ).format(conflicts=len(result.conflicts), **result.stats)
+    return _write_link_result(out, "link-grants", result)
 
 
 def cmd_pairs(args: argparse.Namespace, out: Path) -> str:

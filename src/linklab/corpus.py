@@ -129,11 +129,13 @@ class Clustering(dict[InstanceID, str]):
 
 
 def groups(clustering: Mapping[InstanceID, str]) -> dict[str, list[InstanceID]]:
-    """Sorted members of each cluster, in cluster-id order."""
+    """Sorted members of each cluster, in cluster-id order; each list is sorted in place."""
     members: dict[str, list[InstanceID]] = {}
     for instance, cluster_id in clustering.items():
         members.setdefault(cluster_id, []).append(instance)
-    return {cluster_id: sorted(members[cluster_id]) for cluster_id in sorted(members)}
+    for group in members.values():
+        group.sort()
+    return {cluster_id: members[cluster_id] for cluster_id in sorted(members)}
 
 
 def _positive_int(text: str, field: str) -> int:
@@ -424,8 +426,9 @@ def write_citations(path: str | Path, edges: Iterable[CitationEdge]) -> None:
 
 
 def write_annotations(path: str | Path, annotations: Mapping[InstanceID, Annotation]) -> None:
+    # sorting the ids, not the (instance, annotation) pairs, builds no tuple per row
     rows = (
-        (format_instance_id(instance), ann.ethnicity, ann.gender)
-        for instance, ann in sorted(annotations.items())
+        (format_instance_id(instance), *annotations[instance])
+        for instance in sorted(annotations)
     )
     write_rows(path, ANNOTATIONS_COLUMNS, rows)

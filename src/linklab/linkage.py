@@ -33,7 +33,7 @@ from .corpus import (
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError, echo
-from .normalize import match_key, normalize_title
+from .normalize import match_key, normalize_title, parse_or_none
 
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
@@ -81,15 +81,26 @@ def _ordered(a: InstanceID, b: InstanceID) -> tuple[InstanceID, InstanceID]:
     return (a, b) if a <= b else (b, a)
 
 
+def _person_key(keys: dict[str, str | None], name: str) -> str | None:
+    """A profile's or PI's match key from `keys`, name_keys(corpus, match_key).
+
+    A name on no byline is parsed once and its key stored in `keys`.
+    """
+    if name not in keys:
+        form = parse_or_none(name)
+        keys[name] = None if form is None else match_key(form)
+    return keys[name]
+
+
 def _match_people(
     corpus: Corpus,
-    keys: Mapping[str, str | None],
+    keys: dict[str, str | None],
     people: Iterable[tuple[str, str, Iterable[int]]],
 ) -> tuple[set[tuple[InstanceID, str]], int, set[int]]:
     """Match each (person id, raw name, pmids) to the byline positions under its key.
 
     A person matches every position on one of their in-corpus pmids whose
-    name has the person's key in `keys`, name_keys(corpus, match_key).
+    name has the person's key, as _person_key reads it from `keys`.
     Returns the (instance, person id) candidates, the number of people
     whose key is None (their name is unusable; their pmids are not read),
     and the in-corpus pmids of the usable people.
@@ -98,7 +109,7 @@ def _match_people(
     unusable = 0
     pmids_in_corpus: set[int] = set()
     for person_id, name, pmids in people:
-        key = keys[name]
+        key = _person_key(keys, name)
         if key is None:
             unusable += 1
             continue
@@ -152,7 +163,7 @@ def _resolve_candidates(
 def _resolve_registry(
     corpus: Corpus,
     registry: Mapping[str, AuthorityProfile] | str | Path,
-    keys: Mapping[str, str | None],
+    keys: dict[str, str | None],
     dup_title_policy: str,
     nonalpha: str,
 ) -> tuple[dict[str, tuple[str, set[int]]], int, int]:
@@ -161,9 +172,9 @@ def _resolve_registry(
     Returns authority id -> (name, pmids), the number of usable titles
     and the number of duplicate title copies dropped. A profile keeps no
     title, and the title maps are freed on return. A title of a profile
-    whose name `keys` (name_keys(corpus, match_key)) maps to None is not
-    normalized. A title that is no corpus title is normalized where it
-    is read and not cached, so no copy of it is kept.
+    whose name has no key (_person_key over `keys`) is not normalized. A
+    title that is no corpus title is normalized where it is read and not
+    cached, so no copy of it is kept.
     """
     texts: dict[str, str | None] = {}  # corpus raw title -> its normalized text
     pmids_by_title: dict[str, list[int]] = {}
@@ -186,7 +197,7 @@ def _resolve_registry(
     del pmids_by_title  # freed before the registry is read
 
     def resolve(title: str, name: str) -> int | None:
-        if keys[name] is None:
+        if _person_key(keys, name) is None:
             return None
         text = texts[title] if title in texts else normalize_title(title, nonalpha=nonalpha)
         return title_to_pmid.get(text)

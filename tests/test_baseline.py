@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from linklab.baseline import (
     unparseable_count,
 )
 from linklab.corpus import PaperRecord, groups
-from linklab import normalize
 from linklab.normalize import aini_key, fini_key, match_key, parse_name
 
 
@@ -53,16 +53,16 @@ def test_unparseable_names_become_singletons():
         assert clustering[(2, 1)] != clustering[(3, 1)]
 
 
-def test_name_keys_index_distinct_byline_names(monkeypatch):
+def test_name_keys_index_distinct_byline_names():
     corpus = {
         1: PaperRecord(1, 1999, "T", ("Wang, Wei", "...", "Einstein")),
         2: PaperRecord(2, 2000, "U", ("Hertzog, P J", "Wang, Wei", "Wang, W.")),
     }
+    bylines = {"Wang, Wei", "...", "Einstein", "Hertzog, P J", "Wang, W."}
     assert name_keys(corpus, aini_key) == {
         "Wang, Wei": "wang|w", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|pj",
         "Wang, W.": "wang|w",
     }
-    assert name_keys(corpus, match_key)["Einstein"] is None
     forms = name_keys(corpus, str)
     assert forms == {
         "Wang, Wei": "wang|wei", "...": None, "Einstein": "einstein|", "Hertzog, P J": "hertzog|p j",
@@ -71,27 +71,18 @@ def test_name_keys_index_distinct_byline_names(monkeypatch):
     assert {raw: fini_key(form) for raw, form in forms.items() if form} == {
         raw: key for raw, key in name_keys(corpus, fini_key).items() if key
     }
-
-    # a name on no byline (a profile's or a PI's) is keyed on its first
-    # lookup, parsed once, and then stored beside the byline names
-    parses = Counter()
-
-    def counting_parse(raw, parse=normalize.parse_name):
-        parses[raw] += 1
-        return parse(raw)
-
+    # a plain dict of the byline names alone: a name on no byline is not in
+    # it and is not keyed by a lookup; an unparseable name and a mononym
+    # have no match key
     keys = name_keys(corpus, match_key)
-    bylines = dict(keys)
-    assert keys["Wang, Wei"] is keys["Wang, W."]
-    monkeypatch.setattr(normalize, "parse_name", counting_parse)
-    assert "Kim, Jin" not in keys
-    assert keys["Kim, Jin"] == "kim|j"
-    assert keys["Kim, Jin"] == "kim|j"
-    assert "Kim, Jin" in keys and parses == {"Kim, Jin": 1}
-    # an unparseable name and a mononym have no match key
-    assert keys["!!!"] is None and keys["Plato"] is None
-    assert keys == {**bylines, "Kim, Jin": "kim|j", "!!!": None, "Plato": None}
-    assert all(keys[raw] is key for raw, key in bylines.items())
+    assert type(keys) is dict and set(keys) == bylines
+    assert keys["..."] is None and keys["Einstein"] is None
+    assert "Kim, Jin" not in keys and keys.get("Kim, Jin") is None
+    with pytest.raises(KeyError):
+        keys["Kim, Jin"]
+    assert set(keys) == bylines
+    # equal keys are one string
+    assert keys["Wang, Wei"] == keys["Wang, W."] == "wang|w"
     assert keys["Wang, Wei"] is keys["Wang, W."]
 
 

@@ -35,6 +35,7 @@ from linklab.corpus import (
     format_instance_id,
     ingest_clustering,
     ingest_corpus,
+    ingest_grants,
     ingest_paper_years,
     write_clustering,
 )
@@ -44,6 +45,7 @@ from linklab.linkage import (
     index_labels,
     join_labels,
     link_authority,
+    link_grants,
     read_eval_dataset,
     write_eval_dataset,
     write_labels,
@@ -587,6 +589,34 @@ def test_link_authority_nonalpha_mode(workdir, bundle_dir, capsys):
     assert "labels=" in capsys.readouterr().out
     manifest = json.loads((workdir / "auth" / "run_manifest.json").read_text())
     assert manifest["flags"]["nonalpha"] == "space"
+
+
+@pytest.mark.parametrize(
+    "argv,link",
+    [
+        (["link-authority", "--authority", "bundle/authority.tsv"], "authority"),
+        (["link-grants", "--grants", "bundle/grants.tsv"], "grants"),
+    ],
+    ids=["link-authority", "link-grants"],
+)
+def test_link_summary_prints_every_stat(workdir, bundle_dir, capsys, argv, link):
+    assert main([*argv, "--papers", "bundle/papers.tsv", "--out", "out"]) == EXIT_OK
+    corpus = ingest_corpus(bundle_dir / "papers.tsv")
+    if link == "authority":
+        result = link_authority(corpus, bundle_dir / "authority.tsv")
+    else:
+        result = link_grants(corpus, ingest_grants(bundle_dir / "grants.tsv"))
+    line = capsys.readouterr().out.strip()
+    assert line.count("\n") == 0
+    command, _, fields = line.partition(": ")
+    assert command == argv[0]
+    printed = dict(field.split("=") for field in fields.split(" "))
+    assert list(printed)[:2] == ["labels", "conflicts"]
+    assert printed == {
+        "labels": str(len(result.labels)),
+        "conflicts": str(len(result.conflicts)),
+        **{key: str(value) for key, value in result.stats.items()},
+    }
 
 
 def test_version_flag(workdir, capsys):

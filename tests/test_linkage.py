@@ -412,7 +412,7 @@ def test_resolve_candidates_matches_the_set_oracle(candidates, source):
     )
 
 
-def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
+def test_each_raw_string_is_normalised_once_per_call(monkeypatch, tmp_path):
     parses = Counter()
     titles = Counter()
 
@@ -433,12 +433,16 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         (4, 2003, TITLE_2, ["123", "Kim, J"]),
         (5, 2004, TITLE_3, ["Lee, Ann", "Kim, J"]),
     )
-    # a profile and a PI whose names are byline names, on a title that resolves
+    # a profile and a PI whose names are byline names, on a title that
+    # resolves, and profiles whose names are on no byline, one with a work
+    # row per title; the registry is read from a mapping and from a file
     registry = {
         "orc-1": profile("orc-1", "Kim, Jin", TITLE_1, TITLE_2),
         "orc-2": profile("orc-2", "Lee, A", TITLE_2),
         "orc-3": profile("orc-3", "Lee, Ann", TITLE_3),
+        "orc-4": profile("orc-4", "Park, Min", TITLE_1, TITLE_2, TITLE_3),
     }
+    write_authority(tmp_path / "authority.tsv", registry)
     grants = {
         "nih-1": GrantRecord("nih-1", "Kim, Jin", frozenset({1, 2, 3})),
         "nih-2": GrantRecord("nih-2", "Kim, J", frozenset({5})),
@@ -457,6 +461,9 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
         "cluster_aini": lambda: cluster_aini(corpus),
         "profile": profile_path,
         "link_authority": lambda: link_authority(corpus, registry),
+        "link_authority from authority.tsv": lambda: link_authority(
+            corpus, tmp_path / "authority.tsv"
+        ),
         "link_grants": lambda: link_grants(corpus, grants),
         "extract_selfcitation_pairs": lambda: extract_selfcitation_pairs(corpus, edges),
     }
@@ -468,8 +475,34 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch):
             assert {"orc-3", "nih-2"} & {label.label_id for label in result.labels}, name
         assert parses["Kim, J"] == 1, name
         assert parses["Lee, Ann"] == 1, name
+        if name.startswith("link_authority"):
+            assert parses["Park, Min"] == parses["Kim, Jin"] == 1, name
         assert max(parses.values()) == 1, (name, parses)
         assert max(titles.values(), default=1) == 1, (name, titles)
+
+
+def test_a_person_name_on_no_byline_is_parsed_once_and_stored(monkeypatch):
+    parses = Counter()
+
+    def counting_parse(raw, parse=normalize.parse_name):
+        parses[raw] += 1
+        return parse(raw)
+
+    corpus = make_corpus((1, 1999, TITLE_1, ["Kim, J", "Einstein", "Wang, W"]))
+    keys = name_keys(corpus, normalize.match_key)
+    bylines = dict(keys)
+    monkeypatch.setattr(normalize, "parse_name", counting_parse)
+    # a byline name is read from the table, not parsed again
+    assert linkage._person_key(keys, "Kim, J") is bylines["Kim, J"] == "kim|j"
+    assert linkage._person_key(keys, "Kim, Jin") == "kim|j"
+    assert linkage._person_key(keys, "Kim, Jin") == "kim|j"
+    assert parses == {"Kim, Jin": 1}
+    # an unparseable name and a mononym have no match key
+    assert linkage._person_key(keys, "!!!") is None
+    assert linkage._person_key(keys, "Plato") is None
+    assert type(keys) is dict
+    assert keys == {**bylines, "Kim, Jin": "kim|j", "!!!": None, "Plato": None}
+    assert all(keys[raw] is key for raw, key in bylines.items())
 
 
 @pytest.mark.parametrize("unusable", ["Einstein", "123"], ids=["mononym", "unparseable"])

@@ -11,7 +11,15 @@ import pytest
 
 import oracles
 from linklab.baseline import cluster_fini, name_keys
-from linklab.corpus import ingest_clustering, ingest_corpus, write_clustering
+from linklab.corpus import (
+    Annotation,
+    groups,
+    ingest_annotations,
+    ingest_clustering,
+    ingest_corpus,
+    write_annotations,
+    write_clustering,
+)
 from linklab.metrics import b3_scores
 from linklab.synth import SynthConfig, generate, write_bundle
 
@@ -57,3 +65,26 @@ def test_profile_name_index_is_smaller_than_parsed_names(bundle):
         return parsed
 
     assert _peak(lambda: name_keys(corpus, str)) < _peak(parse_all)
+
+
+def test_annotation_writer_sorts_instance_ids_not_rows(tmp_path):
+    shared = Annotation("English", "Female")
+    annotations = {(pmid, position): shared for pmid in range(5000, 0, -1) for position in (1, 2, 3, 4)}
+    # the writer's sort holds one pointer per row, less than the
+    # (instance, annotation) pair tuples a sort of the items holds
+    write = _peak(lambda: write_annotations(tmp_path / "annotations.tsv", annotations))
+    assert write < _peak(lambda: sorted(annotations.items()))
+
+
+def test_groups_sorts_each_member_list_in_place(bundle):
+    truth = ingest_clustering(bundle / "truth_clustering.tsv")
+
+    def sorted_copies():
+        members = {}
+        for instance, cluster_id in truth.items():
+            members.setdefault(cluster_id, []).append(instance)
+        return {cluster_id: sorted(members[cluster_id]) for cluster_id in sorted(members)}
+
+    assert groups(truth) == sorted_copies()
+    # one list per cluster, not a list and its sorted copy
+    assert _peak(lambda: groups(truth)) < 0.9 * _peak(sorted_copies)
