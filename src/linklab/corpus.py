@@ -308,24 +308,17 @@ def _title(text: str) -> str:
 
 
 def ingest_authority(
-    path: str | Path, resolve: Callable[[str, str], _V | None] | None = None
-) -> dict[str, AuthorityProfile] | dict[str, tuple[str, set[_V]]]:
+    path: str | Path, resolve: Callable[[str, str], _V | None]
+) -> dict[str, tuple[str, set[_V]]]:
     """Read authority.tsv (authority_id, name, title; one row per work).
 
-    Without `resolve`, each profile keeps its titles. With it, each
-    checked row's title goes to resolve(title, name) as the row is read,
-    and no title is kept: id -> (name, the set of what resolve returned,
-    None left out) comes back instead.
+    Each checked row's title goes to resolve(title, name) as the row is
+    read, and no title is kept: id -> (name, the set of what resolve
+    returned, None left out) comes back.
     """
-    if resolve is not None:
-        return _read_people(
-            path, AUTHORITY_COLUMNS, "authority", lambda text, name: resolve(_title(text), name)
-        )
-    people = _read_people(path, AUTHORITY_COLUMNS, "authority", lambda text, name: _title(text))
-    return {
-        authority_id: AuthorityProfile(authority_id, name, frozenset(titles))
-        for authority_id, (name, titles) in people.items()
-    }
+    return _read_people(
+        path, AUTHORITY_COLUMNS, "authority", lambda text, name: resolve(_title(text), name)
+    )
 
 
 def ingest_grants(path: str | Path) -> dict[str, GrantRecord]:

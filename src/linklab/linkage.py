@@ -1,14 +1,15 @@
 """Labeling pipelines and the label/clustering join.
 
-Three independent routes produce truth data: matching authority-profile
-work titles to corpus titles, matching grant PI names onto funded
-papers, and pairing byline instances across citation edges. Labels are
-assigned only when a name's blocking key matches; any ambiguity (one
-instance drawing two labels, or one profile matching two positions on
-the same paper) drops the affected candidates and logs a conflict
-rather than guessing. Byline, profile and PI names are keyed through
-one table, baseline.name_keys(corpus, normalize.match_key), which parses
-each once; an unparseable name or a mononym matches nothing.
+Three independent routes produce truth data: matching the work titles
+of an authority.tsv's profiles to corpus titles as the file is read,
+matching grant PI names onto funded papers, and pairing byline instances
+across citation edges. Labels are assigned only when a name's blocking
+key matches; any ambiguity (one instance drawing two labels, or one
+profile matching two positions on the same paper) drops the affected
+candidates and logs a conflict rather than guessing. Byline, profile
+and PI names are keyed through one table, baseline.name_keys(corpus,
+normalize.match_key), which parses each once; an unparseable name or a
+mononym matches nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import NamedTuple
 from ._tsv import _write_lines, open_text_write, read_table, write_rows
 from .baseline import name_keys
 from .corpus import (
-    AuthorityProfile,
     Annotation,
     CitationEdge,
     Corpus,
@@ -162,12 +162,12 @@ def _resolve_candidates(
 
 def _resolve_registry(
     corpus: Corpus,
-    registry: Mapping[str, AuthorityProfile] | str | Path,
+    registry: str | Path,
     keys: dict[str, str | None],
     dup_title_policy: str,
     nonalpha: str,
 ) -> tuple[dict[str, tuple[str, set[int]]], int, int]:
-    """Read the registry with each work title resolved to its pmid as it is read.
+    """Read authority.tsv at `registry`, each work title resolved to its pmid as it is read.
 
     Returns authority id -> (name, pmids), the number of usable titles
     and the number of duplicate title copies dropped. A profile keeps no
@@ -202,31 +202,21 @@ def _resolve_registry(
         text = texts[title] if title in texts else normalize_title(title, nonalpha=nonalpha)
         return title_to_pmid.get(text)
 
-    if isinstance(registry, Mapping):
-        # an in-memory registry goes through resolve as the file's rows do
-        profiles = {}
-        for authority_id, profile in registry.items():
-            pmids = {resolve(title, profile.person_name) for title in profile.work_titles}
-            pmids.discard(None)
-            profiles[authority_id] = (profile.person_name, pmids)
-    else:
-        profiles = ingest_authority(registry, resolve)
-    return profiles, len(title_to_pmid), duplicate_copies
+    return ingest_authority(registry, resolve), len(title_to_pmid), duplicate_copies
 
 
 def link_authority(
     corpus: Corpus,
-    registry: Mapping[str, AuthorityProfile] | str | Path,
+    registry: str | Path,
     *,
     dup_title_policy: str = "drop-all",
     nonalpha: str = "delete",
 ) -> LinkResult:
     """Label byline instances via profile work-title + blocking-key match.
 
-    `registry` is a mapping of profiles or the path of an authority.tsv,
-    read here once the corpus's titles are indexed. Either way each work
-    title is resolved to its pmid as its profile is read, and only the
-    pmids are kept.
+    `registry` is the path of an authority.tsv, read here once the
+    corpus's titles are indexed. Each work title is resolved to its pmid
+    as its row is read, and only the pmids are kept.
 
     Corpus titles too short to normalize are unusable. A normalized
     title appearing on more than one paper is removed entirely under

@@ -4,9 +4,10 @@ Recall averages |P(t) ∩ T(t)| / |T(t)| over evaluated instances t,
 precision averages |P(t) ∩ T(t)| / |P(t)|, where T(t) and P(t) are the
 truth and predicted clusters containing t. The aggregation tallies
 per-(truth, predicted) overlap counts, so cost is O(n log n) in
-instances rather than quadratic. Clusterings are plain
-instance-to-cluster-id mappings: a `Clustering` is a dict, so its
-lookups are the dict's own.
+instances rather than quadratic. b3_scores reads two clustering files
+into one instance table; b3_rows scores eval rows. Elsewhere clusterings
+are plain instance-to-cluster-id mappings: a `Clustering` is a dict, so
+its lookups are the dict's own.
 """
 
 from __future__ import annotations
@@ -71,43 +72,29 @@ def _b3(overlap: Counter[tuple[str, str]], dropped: int) -> B3Scores:
     return B3Scores(recall, precision, _f1(recall, precision), n, dropped)
 
 
-def b3_scores(
-    truth: Mapping[InstanceID, str] | str | Path,
-    predicted: Mapping[InstanceID, str] | str | Path,
-    *,
-    strict: bool = True,
-) -> B3Scores:
-    """Score `predicted` against `truth` over the truth instances.
+def b3_scores(truth: str | Path, predicted: str | Path, *, strict: bool = True) -> B3Scores:
+    """Score the clustering file `predicted` against the clustering file `truth`.
 
-    Instances only in `predicted` are ignored, and P(t) is intersected
-    with the evaluated universe before the precision denominator is
-    taken. Instances only in `truth` are an error when strict, otherwise
-    dropped and counted. The overlap cells are summed in sorted order, so
-    the scores do not depend on the order in which the mappings list
-    their instances.
+    The scores are taken over the truth instances. Instances only in
+    `predicted` are ignored, and P(t) is intersected with the evaluated
+    universe before the precision denominator is taken. Instances only
+    in `truth` are an error when strict, otherwise dropped and counted.
+    The overlap cells are summed in sorted order, so the scores do not
+    depend on the order in which the files list their instances.
 
-    Given the paths of two clustering files instead of two mappings, it
-    reads them itself, the truth first, and holds one instance table:
-    each prediction read turns its truth instance's id into the
-    instance's cell (ingest_clustering's `onto`). Every row of both files
-    is checked before any evaluation error is raised.
+    The files are read truth first into one instance table: each
+    prediction read turns its truth instance's id into the instance's
+    cell (ingest_clustering's `onto`). Every row of both files is checked
+    before any evaluation error is raised.
     """
-    if isinstance(predicted, Mapping):
-        if not truth:
-            raise EvaluationError("nothing to evaluate: truth clustering is empty")
-        # one (truth id, predicted id) cell per instance, counted in C; a None
-        # predicted id is a truth instance with no prediction
-        overlap = Counter(zip(truth.values(), map(predicted.get, truth)))
-        unpredicted = (instance for instance in truth if predicted.get(instance) is None)
-    else:
-        table = ingest_clustering(predicted, onto=ingest_clustering(truth))
-        if not table:
-            raise EvaluationError("nothing to evaluate: truth clustering is empty")
-        # an unpredicted instance still holds its truth id, a string
-        overlap = Counter(
-            (value, None) if type(value) is str else value for value in table.values()
-        )
-        unpredicted = (instance for instance, value in table.items() if type(value) is str)
+    table = ingest_clustering(predicted, onto=ingest_clustering(truth))
+    if not table:
+        raise EvaluationError("nothing to evaluate: truth clustering is empty")
+    # an unpredicted instance still holds its truth id, a string
+    overlap = Counter(
+        (value, None) if type(value) is str else value for value in table.values()
+    )
+    unpredicted = (instance for instance, value in table.items() if type(value) is str)
     missing = [cell for cell in overlap if cell[1] is None]
     if missing and strict:
         raise EvaluationError(

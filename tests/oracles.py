@@ -3,16 +3,25 @@
 import csv
 import gzip
 import itertools
+import tempfile
 import unicodedata
 import zlib
 from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
+from pathlib import Path
 from typing import NamedTuple
 
+from linklab import linkage, metrics
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
 from linklab.baseline import UNPARSEABLE_PREFIX
-from linklab.corpus import CLUSTERING_COLUMNS, Clustering, format_instance_id, groups
+from linklab.corpus import (
+    AUTHORITY_COLUMNS,
+    CLUSTERING_COLUMNS,
+    Clustering,
+    format_instance_id,
+    groups,
+)
 from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
@@ -398,6 +407,38 @@ def make_instances(n):
 def clustering_of(groups):
     """A Clustering of {cluster_id: members}; a partition is assumed, not checked."""
     return Clustering.from_assignment({i: cid for cid, members in groups.items() for i in members})
+
+
+def link_registry(corpus, registry, **options):
+    """linkage.link_authority on an in-memory registry, written to an authority.tsv first.
+
+    The rows are written in the registry's own order (write_authority
+    would sort them), so a test of input order reads the order it made.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "authority.tsv"
+        rows = (
+            (authority_id, profile.person_name, title)
+            for authority_id, profile in registry.items()
+            for title in profile.work_titles
+        )
+        write_rows(path, AUTHORITY_COLUMNS, rows)
+        return linkage.link_authority(corpus, path, **options)
+
+
+def score_clusterings(truth, predicted, *, strict=True):
+    """metrics.b3_scores on two mappings, each written to a clustering file first.
+
+    The rows are written in each mapping's own order (write_clustering
+    would sort them), so the strict error names the first unpredicted
+    instance in the order the truth mapping lists it.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = (Path(tmp) / "truth.tsv", Path(tmp) / "predicted.tsv")
+        for path, clustering in zip(paths, (truth, predicted)):
+            rows = ((cluster_id, format_instance_id(i)) for i, cluster_id in clustering.items())
+            write_rows(path, CLUSTERING_COLUMNS, rows)
+        return metrics.b3_scores(*paths, strict=strict)
 
 
 class TwoCopyClustering(Mapping):

@@ -20,10 +20,9 @@ from linklab.linkage import (
     EvalRow,
     extract_selfcitation_pairs,
     label_agreement,
-    link_authority,
     link_grants,
 )
-from linklab.metrics import b3_scores, pair_accuracy_detail, stratified_eval
+from linklab.metrics import b3_rows, b3_scores, pair_accuracy_detail, stratified_eval
 from linklab.normalize import parse_name
 from linklab.profile import (
     block_size_ccdf,
@@ -34,7 +33,14 @@ from linklab.profile import (
 )
 from linklab.synth import SynthConfig, generate, write_bundle
 
-from oracles import clustering_of, make_instances, naive_b3, random_partition
+from oracles import (
+    clustering_of,
+    link_registry,
+    make_instances,
+    naive_b3,
+    random_partition,
+    score_clusterings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +123,14 @@ def bundle_mixed():
 # ---------------------------------------------------------------------------
 # criterion 1
 
-def test_criterion_1_b3_oracle_equivalence_and_scale():
+def test_criterion_1_b3_oracle_equivalence_and_scale(tmp_path):
     rng = random.Random(20260814)
     trials = 200
     for _ in range(trials):
         instances = make_instances(rng.randint(1, 50))
         truth = random_partition(rng, instances)
         predicted = random_partition(rng, instances)
-        fast = b3_scores(clustering_of(truth), clustering_of(predicted))
+        fast = score_clusterings(clustering_of(truth), clustering_of(predicted))
         slow = naive_b3(truth, predicted)
         # tolerance: 1e-12 against the per-instance double-loop oracle
         assert abs(fast.recall - slow[0]) <= 1e-12
@@ -140,8 +146,11 @@ def test_criterion_1_b3_oracle_equivalence_and_scale():
         {iid: f"p{i // 7}" for i, iid in enumerate(instances)}
     )
     assert len(set(truth.values())) == 10**5
+    # the files are written before the clock starts: the scorer reads both
+    write_clustering(tmp_path / "truth.tsv", truth)
+    write_clustering(tmp_path / "predicted.tsv", predicted)
     start = time.perf_counter()
-    scores = b3_scores(truth, predicted)
+    scores = b3_scores(tmp_path / "truth.tsv", tmp_path / "predicted.tsv")
     elapsed = time.perf_counter() - start
     print(f"criterion 1: {trials} oracle trials ok; 1e6 instances in {elapsed:.2f}s")
     assert scores.n == n
@@ -156,21 +165,21 @@ def test_criterion_2_worked_b3_values():
     a, b, c = (1, 1), (2, 1), (3, 1)
     truth = clustering_of({"t1": {a, b}, "t2": {c}})
     predicted = clustering_of({"p1": {a}, "p2": {b, c}})
-    scores = b3_scores(truth, predicted)
+    scores = score_clusterings(truth, predicted)
     # exact: (2/3, 2/3, 2/3)
     assert scores.recall == 2 / 3
     assert scores.precision == 2 / 3
     assert scores.f1 == 2 / 3
 
-    identity = b3_scores(truth, truth)
+    identity = score_clusterings(truth, truth)
     assert (identity.recall, identity.precision, identity.f1) == (1.0, 1.0, 1.0)
 
     one_cluster = clustering_of({"t": {a, b, c}})
     singletons = clustering_of({"s1": {a}, "s2": {b}, "s3": {c}})
     # singleton predictions can never mix truth clusters
-    assert b3_scores(one_cluster, singletons).precision == 1.0
+    assert score_clusterings(one_cluster, singletons).precision == 1.0
     # a single predicted cluster can never split truth clusters
-    assert b3_scores(singletons, one_cluster).recall == 1.0
+    assert score_clusterings(singletons, one_cluster).recall == 1.0
     print("criterion 2: worked values exact")
 
 
@@ -207,7 +216,7 @@ def test_criterion_3_pair_accuracy_structure(
 # criterion 4
 
 def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
-    scores = b3_scores(bundle_synonym.truth, cluster_fini(bundle_synonym.corpus))
+    scores = score_clusterings(bundle_synonym.truth, cluster_fini(bundle_synonym.corpus))
     deficit = 1.0 - scores.recall
     share = bundle_synonym.manifest["multiform_variant_instance_share"]
     # tolerance: +/- 0.5% absolute
@@ -256,7 +265,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
 
 def test_criterion_5_linkage_soundness(bundle_clean, bundle_ambiguous):
     truth_of = bundle_clean.truth
-    authority = link_authority(bundle_clean.corpus, bundle_clean.registry)
+    authority = link_registry(bundle_clean.corpus, bundle_clean.registry)
     assert authority.conflicts == ()
     # full registry coverage: every planted instance gets its label back
     assert len(authority.labels) == len(bundle_clean.truth)
@@ -275,7 +284,7 @@ def test_criterion_5_linkage_soundness(bundle_clean, bundle_ambiguous):
     # planted homonyms and duplicate titles: ambiguity is dropped and
     # logged, never mislabeled
     truth_of = bundle_ambiguous.truth
-    result = link_authority(bundle_ambiguous.corpus, bundle_ambiguous.registry)
+    result = link_registry(bundle_ambiguous.corpus, bundle_ambiguous.registry)
     assert len(result.conflicts) > 0
     incorrect = sum(
         1
@@ -352,14 +361,8 @@ def test_criterion_7_perturbation_mechanics():
     # exactly floor(0.10 * group size) rows per group
     assert changed_by_group == {"English": 10, "Korean": 5, "Spanish": 2}
 
-    def scores(rows):
-        return b3_scores(
-            {row.instance: row.truth_label for row in rows},
-            {row.instance: row.predicted_cluster_id for row in rows},
-        )
-
     # identical, not merely close: clusters are untouched
-    assert scores(dataset) == scores(perturbed)
+    assert b3_rows(dataset) == b3_rows(perturbed)
 
     strata_before = stratified_eval(dataset, "ethnicity")
     strata_after = stratified_eval(perturbed, "ethnicity")

@@ -50,9 +50,11 @@ from linklab.linkage import (
     write_eval_dataset,
     write_labels,
 )
-from linklab.metrics import b3_scores, metrics_to_json, write_metrics_json
+from linklab.metrics import b3_rows, metrics_to_json, write_metrics_json
 from linklab.profile import block_size_ccdf, write_ccdf
 from linklab.synth import BUNDLE_FILES, SynthConfig, generate, write_bundle
+
+import oracles
 
 CONFIG = {
     "n_authors": 60,
@@ -359,7 +361,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
         )
         == EXIT_OK
     )
-    result = link_authority(corpus, api_bundle.registry)
+    result = oracles.link_registry(corpus, api_bundle.registry)
     write_labels(workdir / "api_labels.tsv", result.labels)
     assert filecmp.cmp(workdir / "api_labels.tsv", workdir / "auth" / "labels.tsv", shallow=False)
 
@@ -385,10 +387,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
     ).rows
     write_eval_dataset(workdir / "api_eval.tsv", dataset)
     assert filecmp.cmp(workdir / "api_eval.tsv", workdir / "eval" / "eval_dataset.tsv", shallow=False)
-    scores = b3_scores(
-        {row.instance: row.truth_label for row in dataset},
-        {row.instance: row.predicted_cluster_id for row in dataset},
-    )
+    scores = b3_rows(dataset)
     write_metrics_json(workdir / "api_metrics.json", scores)
     assert filecmp.cmp(workdir / "api_metrics.json", workdir / "eval" / "metrics.json", shallow=False)
     summary = capsys.readouterr().out
@@ -1332,9 +1331,9 @@ def _evaluate_outcome(truth: Path, pred: Path, out: Path, strict: bool) -> tuple
 
 
 def _two_clusterings_outcome(truth: Path, pred: Path, strict: bool) -> tuple:
-    """The same outcome from two clusterings read whole and scored as mappings."""
+    """The same outcome from two clusterings read whole and scored by the earlier scorer."""
     try:
-        scores = b3_scores(ingest_clustering(truth), ingest_clustering(pred), strict=strict)
+        scores = oracles.b3_scores(ingest_clustering(truth), ingest_clustering(pred), strict=strict)
     except (IngestError, ParseError) as exc:
         return EXIT_FORMAT, "", f"linklab: format violation: {exc}\n", None
     except EvaluationError as exc:

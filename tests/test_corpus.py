@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linklab.corpus import (
+    AuthorityProfile,
     Clustering,
     PaperRecord,
     format_instance_id,
@@ -383,10 +384,11 @@ def test_ingest_authority_groups_rows(tmp_path):
         "orc-1\tSmith, John\tPaper two\n"
         "orc-2\tLee, Ann\tPaper one\n",
     )
-    registry = ingest_authority(path)
-    assert set(registry) == {"orc-1", "orc-2"}
-    assert registry["orc-1"].work_titles == frozenset({"Paper one", "Paper two"})
-    assert registry["orc-2"].person_name == "Lee, Ann"
+    registry = ingest_authority(path, lambda title, name: title)
+    assert registry == {
+        "orc-1": ("Smith, John", {"Paper one", "Paper two"}),
+        "orc-2": ("Lee, Ann", {"Paper one"}),
+    }
 
 
 def test_ingest_authority_conflicting_name(tmp_path):
@@ -397,7 +399,7 @@ def test_ingest_authority_conflicting_name(tmp_path):
         "orc-1\tSmith, Jane\tPaper two\n",
     )
     with pytest.raises(IngestError, match="conflicting names") as err:
-        ingest_authority(path)
+        ingest_authority(path, lambda title, name: title)
     assert err.value.row == 2
 
 
@@ -477,7 +479,9 @@ def test_ingest_is_order_insensitive(tmp_path):
     rows = ["orc-1\tSmith, John\tPaper one\n", "orc-2\tLee, Ann\tPaper two\n"]
     a = write_tsv(tmp_path / "a.tsv", header + "".join(rows))
     b = write_tsv(tmp_path / "b.tsv", header + "".join(reversed(rows)))
-    assert ingest_authority(a) == ingest_authority(b)
+    assert ingest_authority(a, lambda title, name: title) == ingest_authority(
+        b, lambda title, name: title
+    )
 
 
 def test_write_corpus_rejects_a_bar_in_a_name_in_one_short_line(tmp_path):
@@ -500,14 +504,11 @@ def test_write_round_trips(tmp_path):
     assert written == corpus
     assert list(written) == [1, 2]  # written in pmid order
 
-    registry = ingest_authority(
-        write_tsv(
-            tmp_path / "authority.tsv",
-            "authority_id\tname\ttitle\norc-1\tSmith, John\tPaper one\n",
-        )
-    )
+    registry = {"orc-1": AuthorityProfile("orc-1", "Smith, John", frozenset({"Paper one"}))}
     write_authority(tmp_path / "authority_out.tsv", registry)
-    assert ingest_authority(tmp_path / "authority_out.tsv") == registry
+    assert ingest_authority(tmp_path / "authority_out.tsv", lambda title, name: title) == {
+        authority_id: (p.person_name, set(p.work_titles)) for authority_id, p in registry.items()
+    }
 
     grants = ingest_grants(
         write_tsv(

