@@ -40,22 +40,18 @@ from .corpus import (
     CLUSTERING_COLUMNS,
     InstanceID,
     format_instance_id,
-    ingest_annotations,
     ingest_citations,
     ingest_clustering,
     ingest_corpus,
     ingest_grants,
-    ingest_paper_years,
     write_clustering,
 )
 from .errors import ConfigError, EvaluationError, IngestError, ParseError, echo
 from .linkage import (
     EVAL_COLUMNS,
     LABELS_COLUMNS,
-    JoinResult,
     LinkResult,
     extract_selfcitation_pairs,
-    index_labels,
     join_labels,
     label_agreement,
     link_authority,
@@ -280,27 +276,10 @@ def _evaluate_pairs(args: argparse.Namespace, out: Path) -> str:
     return "evaluate: pair_accuracy=%.6f evaluated=%d dropped=%d" % detail
 
 
-def _join_label_files(args: argparse.Namespace) -> JoinResult:
-    """Read --truth, --pred, --papers and --annotations, in that order, and join them.
-
-    Every row of every input is checked, but only labeled instances are
-    kept, under the labels' own tuples, and of the papers only the year
-    and byline length. A label conflict is raised by the join, once every
-    input has been read.
-    """
-    index = index_labels(read_labels(args.truth))
-    predicted = ingest_clustering(args.pred, keep=index.labels)
-    papers = ingest_paper_years(args.papers)
-    annotations = (
-        None if args.annotations is None else ingest_annotations(args.annotations, keep=index.labels)
-    )
-    return join_labels(index, predicted, papers, annotations, strict=args.strict)
-
-
 def _evaluate_labels(args: argparse.Namespace, out: Path) -> str:
     if args.papers is None:
         raise _usage_exit("evaluate with a labels file needs --papers for the join")
-    joined = _join_label_files(args)
+    joined = join_labels(args.truth, args.pred, args.papers, args.annotations, strict=args.strict)
     rows = joined.rows
     if not rows:
         raise EvaluationError(
@@ -444,7 +423,7 @@ def _agreement_labels(path: Path) -> dict[InstanceID, str]:
     """
     header = read_header(path)
     if header == LABELS_COLUMNS:
-        return {label.instance: label.label_id for label in read_labels(path)}
+        return read_labels(path)[0]
     if header == EVAL_COLUMNS:
         return {row.instance: row.truth_label for row in read_eval_dataset(path)}
     raise IngestError(
@@ -587,7 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--papers", type=Path, help="corpus, required when --truth is a labels file")
     sub.add_argument("--annotations", type=Path, help="instance attribute tags")
     sub.add_argument("--stratum", choices=STRATA, help="report scores per attribute value")
-    sub.add_argument("--strict", action="store_true", help="fail on incomplete inputs instead of dropping")
+    sub.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail instead of dropping: with a clustering --truth, on truth instances missing"
+        " from the prediction; with a labels --truth, on labeled instances without a paper"
+        " (labeled instances missing from the prediction are still dropped and counted)",
+    )
 
     sub = add("profile", cmd_profile, "emit distribution, block size, and typology plot data")
     sub.add_argument("--eval", type=Path, help="eval dataset for attribute distributions")

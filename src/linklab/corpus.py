@@ -19,7 +19,7 @@ reports errors with 1-based data row numbers.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -218,27 +218,21 @@ def ingest_paper_years(path: str | Path) -> dict[int, tuple[int, int]]:
 
 
 def ingest_clustering(
-    path: str | Path,
-    keep: Mapping[InstanceID, Sequence] | None = None,
-    *,
-    onto: dict[InstanceID, str] | None = None,
-) -> Clustering | dict[InstanceID, str | tuple[str, str]]:
+    path: str | Path, *, onto: dict[InstanceID, str] | None = None
+) -> dict[InstanceID, str | tuple[str, str]]:
     """Read clustering.tsv (cluster_id, instance_id); enforce the partition.
 
-    With `keep`, every row is still checked, but only the instances that
-    are keys of `keep` are kept, each under `keep[instance][0]`: the
-    caller's own tuple for it (the `instance` of a `LabeledInstance`, say),
-    so both hold one object.
-
-    With `onto`, a clustering read before, the file is read as a second
-    clustering of its instances and no second table is made: the cluster
-    id of each instance of `onto` that a row lists is replaced by its
+    Without `onto` a Clustering comes back. With `onto`, a table of
+    instance -> id read before (a clustering or labels), the file is read
+    as a second clustering of its instances and no second table is made:
+    the id of each instance of `onto` that a row lists is replaced by its
     (`onto` id, file id) cell, one tuple per distinct cell, and `onto` is
-    returned. An instance the file does not list keeps its string id.
+    returned. An instance the file does not list keeps its string id, and
+    the rows of other instances are checked but not kept.
     """
     clustering = Clustering() if onto is None else onto
-    # the instances not kept, with their cluster ids for the partition check
-    others = clustering if keep is None and onto is None else {}
+    # the instances not in onto, with their cluster ids for the partition check
+    others = clustering if onto is None else {}
     ids: dict[str, str] = {}  # one string object per cluster id, shared by its members
     cells: dict[tuple[str, str], tuple[str, str]] = {}
     with read_table(path, CLUSTERING_COLUMNS) as rows:
@@ -247,12 +241,7 @@ def ingest_clustering(
                 raise ParseError("empty cluster_id")
             instance = parse_instance_id(instance_s)
             cluster_id = ids.setdefault(cluster_id, cluster_id)
-            table = others
-            if keep is not None:
-                kept = keep.get(instance)
-                if kept is not None:
-                    instance, table = kept[0], clustering
-            elif onto is not None:
+            if onto is not None:
                 first = onto.get(instance)
                 if type(first) is str:
                     cell = (first, cluster_id)
@@ -262,12 +251,12 @@ def ingest_clustering(
                     raise ParseError(
                         f"instance {echo(instance_s)} already assigned to cluster {echo(first[1])}"
                     )
-            if instance in table:
+            if instance in others:
                 raise ParseError(
                     f"instance {echo(instance_s)} already assigned to cluster"
-                    f" {echo(table[instance])}"
+                    f" {echo(others[instance])}"
                 )
-            table[instance] = cluster_id
+            others[instance] = cluster_id
     return clustering
 
 
@@ -346,28 +335,26 @@ def ingest_citations(path: str | Path) -> tuple[CitationEdge, ...]:
 
 
 def ingest_annotations(
-    path: str | Path, keep: Mapping[InstanceID, Sequence] | None = None
-) -> dict[InstanceID, Annotation]:
+    path: str | Path, *, onto: dict[InstanceID, Annotation | None] | None = None
+) -> dict[InstanceID, Annotation | None]:
     """Read annotations.tsv (instance_id, ethnicity, gender); tags kept verbatim.
 
-    Rows with equal tags share one Annotation. `keep` works as in
-    ingest_clustering: every row is checked, the instances that are keys
-    of `keep` are kept under `keep[instance][0]`.
+    Rows with equal tags share one Annotation. With `onto`, every row is
+    still checked, but only the instances that are keys of `onto` are
+    kept: each one's Annotation overwrites its value, so the key stays
+    the caller's own tuple, and `onto` is returned.
     """
-    annotations: dict[InstanceID, Annotation] = {}
-    others: set[InstanceID] = set()  # with keep, the instances not kept
+    annotations = {} if onto is None else onto
+    others: set[InstanceID] = set()  # with onto, the instances not kept
     shared: dict[tuple[str, str], Annotation] = {}
     with read_table(path, ANNOTATIONS_COLUMNS) as rows:
         for instance_s, ethnicity, gender in rows:
             instance = parse_instance_id(instance_s)
-            if instance in annotations or instance in others:
+            if annotations.get(instance) is not None or instance in others:
                 raise ParseError(f"duplicate annotation for instance {echo(instance_s)}")
-            if keep is not None:
-                kept = keep.get(instance)
-                if kept is None:
-                    others.add(instance)
-                    continue
-                instance = kept[0]
+            if onto is not None and instance not in onto:
+                others.add(instance)
+                continue
             annotation = shared.get((ethnicity, gender))
             if annotation is None:
                 annotation = shared[ethnicity, gender] = Annotation(ethnicity, gender)

@@ -9,7 +9,9 @@ profile matching two positions on the same paper) drops the affected
 candidates and logs a conflict rather than guessing. Byline, profile
 and PI names are keyed through one table, baseline.name_keys(corpus,
 normalize.match_key), which parses each once; an unparseable name or a
-mononym matches nothing.
+mononym matches nothing. join_labels reads a labels file, a predicted
+clustering, a papers file and optional annotations onto the labels' own
+instance table, as b3_scores reads two clusterings.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from typing import NamedTuple
 from ._tsv import _write_lines, open_text_write, read_table, write_rows
 from .baseline import name_keys
 from .corpus import (
-    Annotation,
     CitationEdge,
     Corpus,
     GrantRecord,
     InstanceID,
     _int,
     format_instance_id,
+    ingest_annotations,
     ingest_authority,
+    ingest_clustering,
+    ingest_paper_years,
     parse_instance_id,
 )
 from .errors import EvaluationError, ParseError, echo
@@ -38,7 +42,6 @@ from .normalize import match_key, normalize_title, parse_or_none
 SOURCE_AUTHORITY = "authority"
 SOURCE_GRANT = "grant"
 SOURCES = (SOURCE_AUTHORITY, SOURCE_GRANT)
-_SOURCE_NAMES = {source: source for source in SOURCES}  # the read text -> the constant
 
 DUP_TITLE_POLICIES = ("drop-all", "keep-first")
 
@@ -315,72 +318,44 @@ class JoinResult(NamedTuple):
     dropped_missing_paper: int
 
 
-class LabelIndex(NamedTuple):
-    """Labels by instance, keyed by each label's own instance tuple."""
-
-    labels: dict[InstanceID, LabeledInstance]
-    conflict: str | None  # the first instance carrying two labels, raised by join_labels
-
-
-def index_labels(labels: Iterable[LabeledInstance]) -> LabelIndex:
-    """Index labels by instance; note, not raise, the first instance with two labels.
-
-    An instance's first label is kept. The index is a `keep` mapping for
-    ingest_clustering and ingest_annotations, which then key what they
-    keep by the labels' own tuples.
-    """
-    by_instance: dict[InstanceID, LabeledInstance] = {}
-    conflict = None
-    for label in labels:
-        existing = by_instance.setdefault(label.instance, label)
-        if conflict is None and (existing.label_id, existing.source) != (
-            label.label_id,
-            label.source,
-        ):
-            conflict = (
-                f"instance {echo(format_instance_id(label.instance))} carries two labels "
-                f"({existing.source}:{echo(existing.label_id)},"
-                f" {label.source}:{echo(label.label_id)}); "
-                "join one labeling source at a time"
-            )
-    return LabelIndex(by_instance, conflict)
-
-
 def join_labels(
-    index: LabelIndex,
-    clustering: Mapping[InstanceID, str],
-    papers: Mapping[int, tuple[int, int]],
-    annotations: Mapping[InstanceID, Annotation] | None = None,
+    labels: str | Path,
+    predicted: str | Path,
+    papers: str | Path,
+    annotations: str | Path | None = None,
     *,
     strict: bool = False,
 ) -> JoinResult:
-    """Inner-join indexed labels with predicted clusters; attach year and tags.
+    """Inner-join the labels file with the predicted clustering; attach year and tags.
 
-    `papers` maps a pmid to its (year, byline length), as
-    ingest_paper_years reads it. An index that noted an instance with two
-    labels raises ValueError before any label is taken from it. Labeled
-    instances without a predicted cluster are dropped and counted.
-    Instances missing from the papers (no year available) are an error in
-    strict mode, otherwise dropped and counted.
-
-    The join consumes the index: each label is popped as its row is
-    built, so the labels are freed while the rows are allocated, and a
-    successful join leaves `index.labels` empty.
+    The files are read in argument order, and every row of each is
+    checked. The predicted clustering is read onto the labels' own table
+    (ingest_clustering's `onto`), so no second instance table is made;
+    of `papers` (a papers.tsv) only each pmid's year and byline length
+    are kept, and of `annotations` only the labeled instances' tags. An
+    instance carrying two labels raises ValueError once every file is
+    read. Labeled instances without a predicted cluster are dropped and
+    counted, in strict mode too. Instances missing from the papers (no
+    year available) are an error in strict mode, otherwise dropped and
+    counted.
     """
-    if index.conflict is not None:
-        raise ValueError(index.conflict)
-    annotations = annotations or {}
+    table, conflict = read_labels(labels)
+    ingest_clustering(predicted, onto=table)
+    years = ingest_paper_years(papers)
+    tags = None
+    if annotations is not None:
+        tags = ingest_annotations(annotations, onto=dict.fromkeys(table))
+    if conflict is not None:
+        raise ValueError(conflict)
     rows = []
     dropped_unclustered = 0
     dropped_missing_paper = 0
-    labels = index.labels
-    for instance in sorted(labels):
-        label = labels.pop(instance)
-        cluster_id = clustering.get(instance)
-        if cluster_id is None:
+    for instance in sorted(table):
+        cell = table[instance]
+        if type(cell) is str:  # a label the prediction does not list
             dropped_unclustered += 1
             continue
-        paper = papers.get(instance[0])
+        paper = years.get(instance[0])
         if paper is None or not 1 <= instance[1] <= paper[1]:
             if strict:
                 raise EvaluationError(
@@ -388,12 +363,12 @@ def join_labels(
                 )
             dropped_missing_paper += 1
             continue
-        annotation = annotations.get(instance)
+        annotation = None if tags is None else tags[instance]
         rows.append(
             EvalRow(
                 instance=instance,
-                truth_label=label.label_id,
-                predicted_cluster_id=cluster_id,
+                truth_label=cell[0],
+                predicted_cluster_id=cell[1],
                 year=paper[0],
                 ethnicity=annotation.ethnicity if annotation else None,
                 gender=annotation.gender if annotation else None,
@@ -454,9 +429,16 @@ def write_labels(path: str | Path, labels: Iterable[LabeledInstance]) -> None:
     write_rows(path, LABELS_COLUMNS, rows)
 
 
-def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
-    """Read labels.tsv; equal label ids and sources share one string object."""
-    labels = []
+def read_labels(path: str | Path) -> tuple[dict[InstanceID, str], str | None]:
+    """Read labels.tsv as instance -> label id, and the first instance carrying two labels.
+
+    Equal label ids are one string object. An instance that both sources
+    label keeps the label of its last row; the first such instance comes
+    back as a message (join_labels raises it once every input is read),
+    else None.
+    """
+    labels: dict[InstanceID, str] = {}
+    conflict = None
     seen: dict[str, set[InstanceID]] = {source: set() for source in SOURCES}
     label_ids: dict[str, str] = {}
     with read_table(path, LABELS_COLUMNS) as rows:
@@ -469,12 +451,16 @@ def read_labels(path: str | Path) -> tuple[LabeledInstance, ...]:
             if instance in seen[source]:
                 raise ParseError(f"duplicate label for instance {echo(instance_s)} from {source}")
             seen[source].add(instance)
-            labels.append(
-                LabeledInstance(
-                    instance, label_ids.setdefault(label_id, label_id), _SOURCE_NAMES[source]
+            if conflict is None and instance in labels:
+                # a source labels an instance once, so the first label is the other source's
+                first = SOURCE_GRANT if source == SOURCE_AUTHORITY else SOURCE_AUTHORITY
+                conflict = (
+                    f"instance {echo(format_instance_id(instance))} carries two labels "
+                    f"({first}:{echo(labels[instance])}, {source}:{echo(label_id)}); "
+                    "join one labeling source at a time"
                 )
-            )
-    return tuple(labels)
+            labels[instance] = label_ids.setdefault(label_id, label_id)
+    return labels, conflict
 
 
 def write_pairs(path: str | Path, pairs: Iterable[tuple[InstanceID, InstanceID]]) -> None:

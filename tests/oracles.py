@@ -16,8 +16,10 @@ from linklab import linkage, metrics
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
 from linklab.baseline import UNPARSEABLE_PREFIX
 from linklab.corpus import (
+    ANNOTATIONS_COLUMNS,
     AUTHORITY_COLUMNS,
     CLUSTERING_COLUMNS,
+    PAPERS_COLUMNS,
     Clustering,
     format_instance_id,
     groups,
@@ -25,6 +27,7 @@ from linklab.corpus import (
 from linklab.errors import EvaluationError, IngestError, ParseError, echo
 from linklab.linkage import (
     DUP_TITLE_POLICIES,
+    LABELS_COLUMNS,
     SOURCE_AUTHORITY,
     SOURCE_GRANT,
     AgreementReport,
@@ -439,6 +442,33 @@ def score_clusterings(truth, predicted, *, strict=True):
             rows = ((cluster_id, format_instance_id(i)) for i, cluster_id in clustering.items())
             write_rows(path, CLUSTERING_COLUMNS, rows)
         return metrics.b3_scores(*paths, strict=strict)
+
+
+def join_tables(labels, clustering, corpus, annotations=None, *, strict=False):
+    """linkage.join_labels on in-memory tables, each written to its file first.
+
+    `labels` are LabeledInstances, `clustering` an instance -> cluster id
+    mapping, `corpus` a dict of PaperRecords and `annotations` an
+    instance -> Annotation mapping. The rows are written in each table's
+    own order (the writers would sort them), so an error names the first
+    bad row in the order the test made.
+    """
+    tables = [
+        (LABELS_COLUMNS, [(format_instance_id(i), *rest) for i, *rest in labels]),
+        (CLUSTERING_COLUMNS, [(cid, format_instance_id(i)) for i, cid in clustering.items()]),
+        (
+            PAPERS_COLUMNS,
+            [(str(p.pmid), str(p.year), p.raw_title, "|".join(p.authors)) for p in corpus.values()],
+        ),
+    ]
+    if annotations is not None:
+        rows = [(format_instance_id(i), *tags) for i, tags in annotations.items()]
+        tables.append((ANNOTATIONS_COLUMNS, rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{n}.tsv" for n in range(len(tables))]
+        for path, (columns, rows) in zip(paths, tables):
+            write_rows(path, columns, rows)
+        return linkage.join_labels(*paths, strict=strict)
 
 
 class TwoCopyClustering(Mapping):

@@ -36,14 +36,11 @@ from linklab.corpus import (
     ingest_clustering,
     ingest_corpus,
     ingest_grants,
-    ingest_paper_years,
     write_clustering,
 )
 from linklab.errors import EvaluationError, IngestError, ParseError
 from linklab.linkage import (
     LabeledInstance,
-    index_labels,
-    join_labels,
     link_authority,
     link_grants,
     read_eval_dataset,
@@ -382,9 +379,7 @@ def test_cli_matches_api_through_pipeline(workdir, bundle_dir, capsys):
         )
         == EXIT_OK
     )
-    dataset = join_labels(
-        index_labels(result.labels), fini, ingest_paper_years(bundle_dir / "papers.tsv")
-    ).rows
+    dataset = oracles.join_tables(result.labels, fini, corpus).rows
     write_eval_dataset(workdir / "api_eval.tsv", dataset)
     assert filecmp.cmp(workdir / "api_eval.tsv", workdir / "eval" / "eval_dataset.tsv", shallow=False)
     scores = b3_rows(dataset)

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linklab.corpus import (
+    Annotation,
     AuthorityProfile,
     Clustering,
     PaperRecord,
@@ -32,7 +33,7 @@ from linklab.corpus import (
     write_grants,
 )
 from linklab.errors import IngestError, ParseError
-from linklab.linkage import LabeledInstance, index_labels
+from linklab.linkage import read_labels
 
 import oracles
 from oracles import TwoCopyClustering, clustering_of, write_two_copy_clustering
@@ -207,20 +208,27 @@ def test_ingest_clustering_rejects_double_assignment(tmp_path):
     assert err.value.row == 2
 
 
-def test_kept_instances_are_keyed_by_the_labels_own_tuples(tmp_path):
-    labels = [LabeledInstance((1, 1), "a", "authority"), LabeledInstance((3, 1), "b", "grant")]
-    keep = index_labels(labels).labels
+def test_onto_keeps_the_labels_own_tuples(tmp_path):
+    labels, _ = read_labels(
+        write_tsv(
+            tmp_path / "labels.tsv",
+            "instance_id\tlabel_id\tsource\n1_1\ta\tauthority\n3_1\tb\tgrant\n01_1\ta\tgrant\n",
+        )
+    )
+    keys = list(labels)  # the tuples read_labels made
     clustering = ingest_clustering(
-        write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nA\t01_1\nB\t2_1\nA\t3_1\n"), keep=keep
+        write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nA\t01_1\nB\t2_1\nA\t3_1\n"),
+        onto=labels,
     )
     annotations = ingest_annotations(
-        write_tsv(tmp_path / "ann.tsv", "instance_id\tethnicity\tgender\n2_1\tE\tM\n3_1\tE\tM\n"), keep=keep
+        write_tsv(tmp_path / "ann.tsv", "instance_id\tethnicity\tgender\n2_1\tE\tM\n3_1\tE\tM\n"),
+        onto=dict.fromkeys(labels),
     )
-    assert dict(clustering) == {(1, 1): "A", (3, 1): "A"}
-    assert list(annotations) == [(3, 1)]
+    assert clustering is labels
+    assert clustering == {(1, 1): ("a", "A"), (3, 1): ("b", "A")}
+    assert annotations == {(1, 1): None, (3, 1): Annotation("E", "M")}
     for kept in (clustering, annotations):
-        for instance in kept:
-            assert instance is keep[instance].instance
+        assert all(instance is key for instance, key in zip(kept, keys, strict=True))
 
 
 @pytest.mark.parametrize(
@@ -236,10 +244,10 @@ def test_kept_instances_are_keyed_by_the_labels_own_tuples(tmp_path):
          "is not of the form"),
     ],
 )
-def test_keep_still_checks_the_rows_it_does_not_keep(tmp_path, reader, text, row, message):
-    keep = index_labels([LabeledInstance((1, 1), "a", "authority")]).labels
+def test_onto_still_checks_the_rows_it_does_not_keep(tmp_path, reader, text, row, message):
+    onto = {(1, 1): "a"} if reader is ingest_clustering else {(1, 1): None}
     with pytest.raises(IngestError, match=message) as err:
-        reader(write_tsv(tmp_path / "table.tsv", text), keep=keep)
+        reader(write_tsv(tmp_path / "table.tsv", text), onto=onto)
     assert err.value.row == row
 
 

@@ -1,6 +1,5 @@
 """Labeling pipelines, label joins, and agreement."""
 
-import argparse
 import random
 import tempfile
 from collections import Counter
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from linklab import linkage, normalize
-from linklab.cli import _join_label_files
 from linklab.corpus import (
     Annotation,
     AuthorityProfile,
@@ -21,6 +19,7 @@ from linklab.corpus import (
     ingest_annotations,
     ingest_clustering,
     ingest_corpus,
+    parse_instance_id,
     write_authority,
 )
 from linklab.baseline import cluster_aini, cluster_fini, fini_block_sizes, name_keys, name_lookup
@@ -30,7 +29,6 @@ from linklab.linkage import (
     EvalRow,
     LabeledInstance,
     extract_selfcitation_pairs,
-    index_labels,
     join_labels,
     label_agreement,
     link_authority,
@@ -56,13 +54,8 @@ def make_corpus(*papers):
     }
 
 
-def paper_years(corpus):
-    """pmid -> (year, byline length), the papers table join_labels reads."""
-    return {pmid: (paper.year, len(paper.authors)) for pmid, paper in corpus.items()}
-
-
 def join(labels, clustering, corpus, annotations=None, **kwargs):
-    return join_labels(index_labels(labels), clustering, paper_years(corpus), annotations, **kwargs)
+    return oracles.join_tables(labels, clustering, corpus, annotations, **kwargs)
 
 
 def profile(authority_id, name, *titles):
@@ -585,33 +578,27 @@ def test_join_labels_rejects_mixed_sources(corpus):
         LabeledInstance((1, 1), "nih-1", "grant"),
     ]
     clustering = clustering_of({"c1": {(1, 1)}})
-    index = index_labels(labels)  # noted, not raised: the other inputs are read first
-    assert index.labels[(1, 1)] is labels[0]
-    with pytest.raises(ValueError, match="one labeling source"):
-        join_labels(index, clustering, paper_years(corpus))
-    assert index.labels == {(1, 1): labels[0]}  # raised before any label was popped
+    message = (
+        "instance '1_1' carries two labels (authority:'orc-1', grant:'nih-1');"
+        " join one labeling source at a time"
+    )
+    with pytest.raises(ValueError) as err:
+        join(labels, clustering, corpus)
+    assert str(err.value) == message
+    # noted, not raised, while the files are read: a bad papers file wins
+    with pytest.raises(IngestError, match="empty author name"):
+        join(labels, clustering, {**corpus, 6: PaperRecord(6, 2000, "T", ("",))})
 
 
-def test_join_labels_consumes_its_index(corpus):
+def test_join_labels_drops_and_counts_what_it_cannot_join(corpus):
     labels = [
         LabeledInstance((1, 1), "orc-1", "authority"),  # joined
         LabeledInstance((3, 1), "orc-2", "authority"),  # no predicted cluster
         LabeledInstance((9, 1), "orc-3", "authority"),  # on no paper
     ]
-    index = index_labels(labels)
-    joined = join_labels(index, clustering_of({"c1": {(1, 1), (9, 1)}}), paper_years(corpus))
+    joined = join(labels, clustering_of({"c1": {(1, 1), (9, 1)}}), corpus)
     assert joined.rows == (EvalRow((1, 1), "orc-1", "c1", 1999, None, None),)
     assert (joined.dropped_unclustered, joined.dropped_missing_paper) == (1, 1)
-    assert index.labels == {}
-
-
-def test_index_labels_keys_by_each_labels_own_tuple():
-    first = LabeledInstance((1, 1), "orc-1", "authority")
-    again = LabeledInstance((1, 1), "orc-1", "authority")
-    index = index_labels([first, again, LabeledInstance((2, 1), "orc-2", "authority")])
-    assert index.conflict is None
-    assert index.labels[(1, 1)] is first
-    assert next(iter(index.labels)) is first.instance
 
 
 # Instances on pmids 1-3 at positions 1-3; a drawn paper has 1 or 2 names,
@@ -687,8 +674,9 @@ JOIN_EXAMPLE = (
 def test_join_of_kept_rows_matches_the_full_reader_oracle(tables, strict):
     """The labels-mode join keeps only labeled rows and no paper text, to the same effect.
 
-    The oracle reads every input in full and joins with the earlier
-    join_labels; a failure must be the same error with the same text.
+    The oracle reads every input in full and indexes the labels itself,
+    from the file's records once read_labels has checked them; a failure
+    must be the same error with the same text.
     """
     headers = ("pmid\tyear\ttitle\tauthors", "instance_id\tlabel_id\tsource",
                "cluster_id\tinstance_id", "instance_id\tethnicity\tgender")
@@ -703,18 +691,20 @@ def test_join_of_kept_rows_matches_the_full_reader_oracle(tables, strict):
         papers, labels, pred, annotations = paths
 
         def full():
+            read_labels(labels)  # the row checks; the records are indexed by the oracle
+            _, *records = oracles.csv_records(labels)
             return oracles.join_labels(
-                read_labels(labels),
+                [LabeledInstance(parse_instance_id(i), *rest) for i, *rest in records],
                 ingest_clustering(pred),
                 ingest_corpus(papers),
                 None if annotations is None else ingest_annotations(annotations),
                 strict=strict,
             )
 
-        args = argparse.Namespace(
-            truth=labels, pred=pred, papers=papers, annotations=annotations, strict=strict
-        )
-        assert _outcome(lambda: _join_label_files(args)) == _outcome(full)
+        def joined():
+            return join_labels(labels, pred, papers, annotations, strict=strict)
+
+        assert _outcome(joined) == _outcome(full)
 
 
 def labels_from(truth_labels):
@@ -775,10 +765,31 @@ def test_labels_round_trip(tmp_path):
     )
     path = tmp_path / "labels.tsv"
     write_labels(path, labels)
-    assert read_labels(path) == labels
+    assert read_labels(path) == ({(1, 1): "orc-1", (2, 1): "nih-1"}, None)
     text = path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "instance_id\tlabel_id\tsource"
     assert text[1] == "1_1\torc-1\tauthority"
+
+
+def test_read_labels_returns_a_two_label_conflict_without_raising(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text(
+        "instance_id\tlabel_id\tsource\n"
+        "01_1\torc-1\tauthority\n2_1\tnih-2\tgrant\n1_1\tnih-1\tgrant\n2_1\torc-1\tauthority\n",
+        encoding="utf-8",
+    )
+    labels, conflict = read_labels(path)
+    # the last row wins; the first instance with two labels is named canonically
+    assert labels == {(1, 1): "nih-1", (2, 1): "orc-1"}
+    assert conflict == (
+        "instance '1_1' carries two labels (authority:'orc-1', grant:'nih-1');"
+        " join one labeling source at a time"
+    )
+    rows = path.read_text(encoding="utf-8").splitlines()
+    rows.insert(1, "3_1\torc-1\tgrant")  # equal label ids are one string
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    labels, _ = read_labels(path)
+    assert labels[(3, 1)] is labels[(2, 1)]
 
 
 def test_read_labels_rejects_bad_rows(tmp_path):

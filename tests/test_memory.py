@@ -5,6 +5,7 @@ each guard compares two calls on the same small synth bundle, never an
 absolute size.
 """
 
+import random
 import tracemalloc
 
 import pytest
@@ -17,9 +18,11 @@ from linklab.corpus import (
     ingest_annotations,
     ingest_clustering,
     ingest_corpus,
+    ingest_paper_years,
     write_annotations,
     write_clustering,
 )
+from linklab.linkage import EvalRow, LabeledInstance, join_labels, read_labels, write_labels
 from linklab.metrics import b3_scores
 from linklab.synth import SynthConfig, generate, write_bundle
 
@@ -52,6 +55,45 @@ def test_clustering_scoring_holds_one_instance_table(bundle):
     # two tables held at once do not: the guard tells the two apart
     both = _peak(lambda: (ingest_clustering(truth), ingest_clustering(pred)))
     assert both > read_truth + read_pred / 2
+
+
+def test_labels_join_holds_one_instance_table(bundle):
+    # every instance of a seeded 70% of the planted authors, as the score benchmark labels them
+    rng = random.Random(3)
+    members = groups(ingest_clustering(bundle / "truth_clustering.tsv"))
+    labels = bundle / "labels.tsv"
+    write_labels(
+        labels,
+        [
+            LabeledInstance(instance, f"orc-{author}", "authority")
+            for author in members
+            if rng.random() < 0.7
+            for instance in members[author]
+        ],
+    )
+    pred, papers = bundle / "fini.tsv", bundle / "papers.tsv"
+
+    def join():
+        return join_labels(labels, pred, papers)
+
+    def two_table_join():
+        """The same join with the prediction read into a table of its own."""
+        table, _ = read_labels(labels)
+        predicted = ingest_clustering(pred)
+        years = ingest_paper_years(papers)
+        return tuple(
+            EvalRow(i, table[i], predicted[i], years[i[0]][0], None, None)
+            for i in sorted(table)
+            if i in predicted
+        )
+
+    assert join().rows == two_table_join()
+    # both ran once above, so no first-call allocation falls in one side's peak
+    bound = _peak(two_table_join) - _peak(lambda: ingest_clustering(pred)) / 2
+    # reading the prediction onto the labels' table saves more than half a prediction table
+    assert _peak(join) < bound
+    # a join run while a second table is held does not: the guard tells the two apart
+    assert _peak(lambda: (ingest_clustering(pred), join())) > bound
 
 
 def test_profile_name_index_is_smaller_than_parsed_names(bundle):
