@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Mapping
 from typing import TypeVar
 
-from .corpus import Clustering, Corpus, InstanceID, format_instance_id
+from .corpus import POSITION_BITS, Clustering, Corpus, InstanceID, format_instance_id
 from .normalize import aini_key, fini_key, parse_or_none
 
 UNPARSEABLE_PREFIX = "?unparseable:"
@@ -57,10 +57,11 @@ def name_lookup(
     instance's paper is not in the corpus, or when its position is past
     the end of the byline.
     """
+    mask = (1 << POSITION_BITS) - 1
 
     def name_of(instance: InstanceID) -> _T | None:
-        pmid, position = instance
-        paper = corpus.get(pmid)
+        paper = corpus.get(instance >> POSITION_BITS)
+        position = instance & mask
         if paper is None or not 1 <= position <= len(paper.authors):
             return None
         return names[paper.authors[position - 1]]
@@ -72,8 +73,7 @@ def _cluster(corpus: Corpus, key: Callable[[str], str]) -> Clustering:
     keys = name_keys(corpus, key)
     clustering = Clustering()
     for paper in corpus.values():
-        for position, raw in enumerate(paper.authors, start=1):
-            instance = (paper.pmid, position)
+        for instance, raw in zip(paper.instances(), paper.authors):
             clustering[instance] = keys[raw] or UNPARSEABLE_PREFIX + format_instance_id(instance)
     return clustering
 

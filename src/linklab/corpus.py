@@ -1,10 +1,10 @@
 """Core data model and file ingestion.
 
 A corpus is a plain dict from PMID to PaperRecord; every author mention is
-an instance, a (pmid, position) tuple with a 1-based byline position,
-written "<pmid>_<position>" in files (parse_instance_id,
-format_instance_id). A corpus keeps the row order of its file; nothing
-computed from it depends on that order.
+an instance, one int pmid << POSITION_BITS | position with a 1-based
+byline position below 2**POSITION_BITS, written "<pmid>_<position>" in
+files (parse_instance_id, format_instance_id). A corpus keeps the row
+order of its file; nothing computed from it depends on that order.
 Alongside the corpus live four auxiliary tables used to build labeled
 evaluation data: authority profiles (person + work titles), grant PI
 records, citation edges, and per-instance demographic annotations.
@@ -35,9 +35,11 @@ ANNOTATIONS_COLUMNS = ("instance_id", "ethnicity", "gender")
 
 _V = TypeVar("_V")
 
-# One author mention: paper identifier plus 1-based byline position.
-# Print one with format_instance_id: str() of a tuple is "(1, 2)".
-InstanceID = tuple[int, int]
+# One author mention, pmid << POSITION_BITS | position: ids sort as (pmid,
+# position) tuples would. Other modules shift by POSITION_BITS inline.
+InstanceID = int
+POSITION_BITS = 32
+_POSITION_MASK = (1 << POSITION_BITS) - 1
 
 
 # [0-9], not \d, which also matches non-ASCII digits; used with fullmatch,
@@ -59,11 +61,13 @@ def parse_instance_id(s: str) -> InstanceID:
         raise ParseError(f"instance id {echo(s)}: pmid must be >= 1")
     if position < 1:
         raise ParseError(f"instance id {echo(s)}: position must be >= 1")
-    return pmid, position
+    if position > _POSITION_MASK:
+        raise ParseError(f"instance id {echo(s)}: position must be below 2**{POSITION_BITS}")
+    return pmid << POSITION_BITS | position
 
 
 def format_instance_id(instance: InstanceID) -> str:
-    return f"{instance[0]}_{instance[1]}"
+    return f"{instance >> POSITION_BITS}_{instance & _POSITION_MASK}"
 
 
 class PaperRecord(NamedTuple):
@@ -74,9 +78,9 @@ class PaperRecord(NamedTuple):
     raw_title: str
     authors: tuple[str, ...]
 
-    def instances(self) -> Iterator[InstanceID]:
-        for position in range(1, len(self.authors) + 1):
-            yield self.pmid, position
+    def instances(self) -> range:
+        first = (self.pmid << POSITION_BITS) + 1
+        return range(first, first + len(self.authors))
 
 
 class AuthorityProfile(NamedTuple):
@@ -342,7 +346,7 @@ def ingest_annotations(
     Rows with equal tags share one Annotation. With `onto`, every row is
     still checked, but only the instances that are keys of `onto` are
     kept: each one's Annotation overwrites its value, so the key stays
-    the caller's own tuple, and `onto` is returned.
+    the caller's own int, and `onto` is returned.
     """
     annotations = {} if onto is None else onto
     others: set[InstanceID] = set()  # with onto, the instances not kept

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from ._tsv import _write_lines, open_text_write, read_table, write_rows
 from .baseline import name_keys
 from .corpus import (
+    POSITION_BITS,
     CitationEdge,
     Corpus,
     GrantRecord,
@@ -121,9 +122,9 @@ def _match_people(
             if paper is None:
                 continue
             pmids_in_corpus.add(pmid)
-            for position, raw in enumerate(paper.authors, start=1):
+            for instance, raw in zip(paper.instances(), paper.authors):
                 if keys[raw] == key:
-                    candidates.add(((pmid, position), person_id))
+                    candidates.add((instance, person_id))
     return candidates, unusable, pmids_in_corpus
 
 
@@ -137,7 +138,7 @@ def _resolve_candidates(
     their conflicts.
     """
     per_instance = Counter(instance for instance, _ in candidates)
-    per_paper_label = Counter((instance[0], label_id) for instance, label_id in candidates)
+    per_paper_label = Counter((i >> POSITION_BITS, label_id) for i, label_id in candidates)
     label_ids: dict[InstanceID, list[str]] = {}
     instances: dict[tuple[int, str], list[InstanceID]] = {}
     labels = []
@@ -145,8 +146,9 @@ def _resolve_candidates(
         multilabel = per_instance[instance] > 1
         if multilabel:
             label_ids.setdefault(instance, []).append(label_id)
-        if per_paper_label[instance[0], label_id] > 1:
-            instances.setdefault((instance[0], label_id), []).append(instance)
+        paper_label = (instance >> POSITION_BITS, label_id)
+        if per_paper_label[paper_label] > 1:
+            instances.setdefault(paper_label, []).append(instance)
         elif not multilabel:
             labels.append(LabeledInstance(instance, label_id, source))
 
@@ -288,18 +290,18 @@ def extract_selfcitation_pairs(
         if edge.citing_pmid != citing_pmid:
             citing_pmid = edge.citing_pmid
             citing = corpus.get(citing_pmid)
-            citing_positions: dict[str, list[int]] = {}
+            citing_instances: dict[str, list[InstanceID]] = {}
             if citing is not None:
-                for position, raw in enumerate(citing.authors, start=1):
+                for instance, raw in zip(citing.instances(), citing.authors):
                     key = keys[raw]
                     if key is not None:
-                        citing_positions.setdefault(key, []).append(position)
+                        citing_instances.setdefault(key, []).append(instance)
         cited = corpus.get(edge.cited_pmid)
-        if not citing_positions or cited is None or edge.cited_pmid == citing_pmid:
+        if not citing_instances or cited is None or edge.cited_pmid == citing_pmid:
             continue
-        for pos_cited, raw in enumerate(cited.authors, start=1):
-            for pos_citing in citing_positions.get(keys[raw], ()):
-                pairs.add(_ordered((citing_pmid, pos_citing), (edge.cited_pmid, pos_cited)))
+        for cited_instance, raw in zip(cited.instances(), cited.authors):
+            for citing_instance in citing_instances.get(keys[raw], ()):
+                pairs.add(_ordered(citing_instance, cited_instance))
     return frozenset(pairs)
 
 
@@ -350,13 +352,14 @@ def join_labels(
     rows = []
     dropped_unclustered = 0
     dropped_missing_paper = 0
+    mask = (1 << POSITION_BITS) - 1
     for instance in sorted(table):
         cell = table[instance]
         if type(cell) is str:  # a label the prediction does not list
             dropped_unclustered += 1
             continue
-        paper = years.get(instance[0])
-        if paper is None or not 1 <= instance[1] <= paper[1]:
+        paper = years.get(instance >> POSITION_BITS)
+        if paper is None or not 1 <= instance & mask <= paper[1]:
             if strict:
                 raise EvaluationError(
                     f"labeled instance {echo(format_instance_id(instance))} is not in the corpus"
@@ -469,26 +472,18 @@ def write_pairs(path: str | Path, pairs: Iterable[tuple[InstanceID, InstanceID]]
 
 
 def read_pairs(path: str | Path) -> frozenset[tuple[InstanceID, InstanceID]]:
-    """Read pairs.tsv; each pair comes back as (smaller, larger) instance.
-
-    An instance named by several pairs is one tuple object in all of them.
-    """
+    """Read pairs.tsv; each pair comes back as (smaller, larger) instance."""
     pairs = []
-    instances: dict[InstanceID, InstanceID] = {}
     with read_table(path, PAIRS_COLUMNS) as rows:
         for a_s, b_s in rows:
             a = parse_instance_id(a_s)
-            a = instances.setdefault(a, a)
             b = parse_instance_id(b_s)
-            b = instances.setdefault(b, b)
-            if a[0] == b[0]:
+            if a >> POSITION_BITS == b >> POSITION_BITS:
                 raise ParseError(
                     f"invalid pair ({echo(a_s)}, {echo(b_s)}):"
                     " members must come from distinct papers"
                 )
             pairs.append(_ordered(a, b))
-    # the index goes before the set is built, so the two tables are never held together
-    del instances
     return frozenset(pairs)
 
 

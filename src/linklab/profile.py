@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._tsv import write_rows
-from .corpus import Corpus, InstanceID
+from .corpus import POSITION_BITS, Corpus, InstanceID
 from .errors import EvaluationError
 from .linkage import EvalRow
 from .metrics import STRATA, stratify
@@ -48,7 +48,7 @@ def pair_year_distribution(
     total = 0
     for a, b in pairs:
         for member in (a, b):
-            paper = corpus.get(member[0])
+            paper = corpus.get(member >> POSITION_BITS)
             if paper is None:
                 continue
             counts[str(paper.year)] += 1

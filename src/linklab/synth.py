@@ -35,6 +35,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .corpus import (
+    POSITION_BITS,
     Annotation,
     AuthorityProfile,
     CitationEdge,
@@ -291,8 +292,8 @@ def generate(config: SynthConfig) -> Bundle:
     # stable sort on year alone.
     careers: list[list[InstanceID]] = [[] for _ in range(n)]
     for pmid, byline in enumerate(bylines, start=1):
-        for position, author in enumerate(byline, start=1):
-            careers[author].append((pmid, position))
+        for instance, author in enumerate(byline, start=(pmid << POSITION_BITS) + 1):
+            careers[author].append(instance)
 
     profiled_flags = [rng.random() < config.authority_coverage for _ in range(n)]
     pi_flags = [rng.random() < config.grant_coverage for _ in range(n)]
@@ -306,23 +307,23 @@ def generate(config: SynthConfig) -> Bundle:
     second_forms: Counter[str | None] = Counter()
     ethnicity_counts: Counter[str] = Counter()
     gender_counts: Counter[str] = Counter()
+    mask = (1 << POSITION_BITS) - 1
     for index, career in enumerate(careers):
-        career.sort(key=lambda instance: years[instance[0] - 1])
+        career.sort(key=lambda instance: years[(instance >> POSITION_BITS) - 1])
         # The tuple takes the list's place, so each list goes once used.
         instances = careers[index] = tuple(career)
         author_id = "a" + _b26(index)
         forms = _make_forms(roles[index], index, partner.get(index))
         annotation = Annotation(ethnicities[index], genders[index])
+        pmids = tuple([instance >> POSITION_BITS for instance in instances])
         # Forms alternate along the career, written straight into the bylines.
         for i, instance in enumerate(instances):
-            pmid, position = instance
-            bylines[pmid - 1][position - 1] = forms[i % len(forms)]
+            bylines[pmids[i] - 1][(instance & mask) - 1] = forms[i % len(forms)]
             annotations[instance] = annotation
             truth[instance] = author_id
         second_forms[roles[index]] += len(instances) // 2
         ethnicity_counts[ethnicities[index]] += len(instances)
         gender_counts[genders[index]] += len(instances)
-        pmids = tuple(pmid for pmid, _ in instances)
         authors.append(
             PlantedAuthor(
                 author_id=author_id,

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-from linklab import linkage, metrics
+from linklab import corpus, linkage, metrics
 from linklab._tsv import _records, open_text_read, open_text_write, write_rows
 from linklab.baseline import UNPARSEABLE_PREFIX
 from linklab.corpus import (
@@ -47,6 +47,44 @@ from linklab.profile import (
     TypologyReport,
     block_size_ccdf,
 )
+
+
+def iid(pmid, position):
+    """linklab's instance id of (pmid, position), made by its own parser."""
+    return corpus.parse_instance_id(f"{pmid}_{position}")
+
+
+def pair_of(instance):
+    """The (pmid, position) tuple of a linklab instance id, read back from its text."""
+    pmid, _, position = format_instance_id(instance).partition("_")
+    return int(pmid), int(position)
+
+
+def by_pair(table):
+    """A linklab instance-keyed mapping as a dict keyed by (pmid, position) tuples."""
+    return {pair_of(instance): value for instance, value in table.items()}
+
+
+def pair_records(records):
+    """Labels, conflicts or eval rows with each instance as a (pmid, position) tuple."""
+    return tuple(record._replace(instance=pair_of(record.instance)) for record in records)
+
+
+def pair_link_result(result):
+    """A LinkResult whose labels and conflicts name (pmid, position) tuples, as an oracle's do."""
+    return result._replace(
+        labels=pair_records(result.labels), conflicts=pair_records(result.conflicts)
+    )
+
+
+def pair_tuples(pairs):
+    """linklab instance pairs as a set of pairs of (pmid, position) tuples."""
+    return {(pair_of(a), pair_of(b)) for a, b in pairs}
+
+
+def _text(instance):
+    """An oracle's (pmid, position) tuple in the "<pmid>_<position>" form."""
+    return f"{instance[0]}_{instance[1]}"
 
 
 def naive_ascii_fold(text):
@@ -263,7 +301,7 @@ def shared_keys(instances, key):
 def cluster(instances, key):
     """The earlier baseline._cluster: group (instance, name) pairs; unparseable names are singletons."""
     return Clustering.from_assignment({
-        instance: UNPARSEABLE_PREFIX + format_instance_id(instance) if name_key is None else name_key
+        instance: UNPARSEABLE_PREFIX + _text(instance) if name_key is None else name_key
         for instance, name_key in shared_keys(instances, key)
     })
 
@@ -281,7 +319,8 @@ def profile_ccdf(corpus):
 
 def profile_typology(truth, corpus):
     """The earlier `profile` typology: grouped clusters and a dict of every instance's parsed name."""
-    return classify_synonym_types(truth, dict(corpus_names(corpus)).get)
+    names = dict(corpus_names(corpus))
+    return classify_synonym_types(truth, lambda instance: names.get(pair_of(instance)))
 
 
 class ParsedNames(dict):
@@ -404,7 +443,7 @@ def random_partition(rng, instances, max_clusters=None):
 
 
 def make_instances(n):
-    return [(i, 1) for i in range(1, n + 1)]
+    return [iid(i, 1) for i in range(1, n + 1)]
 
 
 def clustering_of(groups):
@@ -529,7 +568,10 @@ def write_two_copy_clustering(path, clustering):
 
 
 def parse_instance_id(s):
-    """The earlier parser: string-method checks, a (pmid, position) result."""
+    """The earlier parser: string-method checks, a (pmid, position) result.
+
+    It also refuses a position of 2**32 or more, as the current parser does.
+    """
     pmid_s, sep, pos_s = s.partition("_")
     if not sep or not (pmid_s.isascii() and pmid_s.isdigit()) or not (
         pos_s.isascii() and pos_s.isdigit()
@@ -541,6 +583,8 @@ def parse_instance_id(s):
         raise ParseError(f"instance id {s!r}: pmid must be >= 1")
     if position < 1:
         raise ParseError(f"instance id {s!r}: position must be >= 1")
+    if position >= 2**32:
+        raise ParseError(f"instance id {s!r}: position must be below 2**32")
     return (pmid, position)
 
 
@@ -609,7 +653,7 @@ def resolve_candidates(candidates, source):
     for pmid, label_id in sorted(by_paper_label):
         instances = by_paper_label[(pmid, label_id)]
         if len(instances) > 1:
-            listed = ",".join(format_instance_id(i) for i in sorted(instances))
+            listed = ",".join(_text(i) for i in sorted(instances))
             for instance in sorted(instances):
                 dropped.add((instance, label_id))
                 conflicts.append(
@@ -799,8 +843,9 @@ def join_labels(labels, clustering, corpus, annotations=None, *, strict=False):
         if cluster_id is None:
             dropped_unclustered += 1
             continue
-        paper = corpus.get(instance[0])
-        if paper is None or not 1 <= instance[1] <= len(paper.authors):
+        pmid, position = pair_of(instance)
+        paper = corpus.get(pmid)
+        if paper is None or not 1 <= position <= len(paper.authors):
             if strict:
                 raise EvaluationError(
                     f"labeled instance {echo(format_instance_id(instance))} is not in the corpus"

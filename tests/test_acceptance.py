@@ -35,6 +35,7 @@ from linklab.synth import SynthConfig, generate, write_bundle
 
 from oracles import (
     clustering_of,
+    iid,
     link_registry,
     make_instances,
     naive_b3,
@@ -138,12 +139,12 @@ def test_criterion_1_b3_oracle_equivalence_and_scale(tmp_path):
         assert abs(fast.f1 - slow[2]) <= 1e-12
 
     n = 10**6
-    instances = [(i, 1) for i in range(1, n + 1)]
+    instances = [iid(i, 1) for i in range(1, n + 1)]
     truth = Clustering.from_assignment(
-        {iid: f"t{i // 10}" for i, iid in enumerate(instances)}
+        {instance: f"t{i // 10}" for i, instance in enumerate(instances)}
     )
     predicted = Clustering.from_assignment(
-        {iid: f"p{i // 7}" for i, iid in enumerate(instances)}
+        {instance: f"p{i // 7}" for i, instance in enumerate(instances)}
     )
     assert len(set(truth.values())) == 10**5
     # the files are written before the clock starts: the scorer reads both
@@ -162,7 +163,7 @@ def test_criterion_1_b3_oracle_equivalence_and_scale(tmp_path):
 # criterion 2
 
 def test_criterion_2_worked_b3_values():
-    a, b, c = (1, 1), (2, 1), (3, 1)
+    a, b, c = iid(1, 1), iid(2, 1), iid(3, 1)
     truth = clustering_of({"t1": {a, b}, "t2": {c}})
     predicted = clustering_of({"p1": {a}, "p2": {b, c}})
     scores = score_clusterings(truth, predicted)
@@ -246,7 +247,7 @@ def test_criterion_4_synonym_recall_deficit_and_typology(bundle_synonym):
     for cluster_id, forms in constructed.items():
         members = set()
         for raw in forms:
-            instance = (counter, 1)
+            instance = iid(counter, 1)
             counter += 1
             members.add(instance)
             constructed_names[instance] = parse_name(raw)
@@ -337,7 +338,7 @@ def _tagged_dataset() -> tuple[EvalRow, ...]:
             index += 1
             rows.append(
                 EvalRow(
-                    (index, 1),
+                    iid(index, 1),
                     f"t{index // 4}",
                     f"p{index // 3}",
                     1990 + index % 20,
@@ -433,14 +434,14 @@ def test_criterion_8_determinism_and_cli_equivalence(tmp_path, monkeypatch):
 # criterion 9
 
 def test_criterion_9_agreement_flags_single_flip():
-    left = {(i, 1): f"t{i // 3}" for i in range(1, 13)}
-    right = {**left, (5, 1): "t3"}
+    left = {iid(i, 1): f"t{i // 3}" for i in range(1, 13)}
+    right = {**left, iid(5, 1): "t3"}
 
     report = label_agreement(left, right)
     assert report.overlap_count == 12
     assert report.agree_count == 11
     assert len(report.disagreements) == 1
     instance, label_left, label_right = report.disagreements[0]
-    assert instance == (5, 1)
+    assert instance == iid(5, 1)
     assert (label_left, label_right) == ("t1", "t3")
     print("criterion 9: exactly one disagreement, at the flipped instance")

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import iid
 from linklab.baseline import (
     cluster_aini,
     cluster_fini,
@@ -50,7 +51,7 @@ def test_unparseable_names_become_singletons():
         clustering = make(corpus)
         assert len(groups(clustering)) == 3
         assert unparseable_count(clustering) == 2
-        assert clustering[(2, 1)] != clustering[(3, 1)]
+        assert clustering[iid(2, 1)] != clustering[iid(3, 1)]
 
 
 def test_name_keys_index_distinct_byline_names():
@@ -94,7 +95,7 @@ def test_grouping_matches_brute_force():
     for make, key in ((cluster_fini, fini_key), (cluster_aini, aini_key)):
         expected = {}
         for paper in corpus.values():
-            expected.setdefault(key(parse_name(paper.authors[0])), set()).add((paper.pmid, 1))
+            expected.setdefault(key(parse_name(paper.authors[0])), set()).add(iid(paper.pmid, 1))
         got = {frozenset(m) for m in groups(make(corpus)).values()}
         assert got == {frozenset(m) for m in expected.values()}
 
@@ -161,7 +162,7 @@ def indexed_corpora(draw):
 def test_name_key_index_matches_the_earlier_routines(corpus):
     for make, key in ((cluster_fini, oracles.tuple_fini), (cluster_aini, oracles.tuple_aini)):
         got = make(corpus)
-        assert dict(got) == dict(oracles.cluster(oracles.corpus_names(corpus), key))
+        assert oracles.by_pair(got) == dict(oracles.cluster(oracles.corpus_names(corpus), key))
         assert _one_object_per_value(got.values())
     expected_sizes = Counter(oracles.cluster(oracles.corpus_names(corpus), oracles.tuple_fini).values())
     forms = name_keys(corpus, str)

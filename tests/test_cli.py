@@ -52,6 +52,7 @@ from linklab.profile import block_size_ccdf, write_ccdf
 from linklab.synth import BUNDLE_FILES, SynthConfig, generate, write_bundle
 
 import oracles
+from oracles import iid
 
 CONFIG = {
     "n_authors": 60,
@@ -107,6 +108,22 @@ def test_format_violation(workdir, capsys):
     code = main(["baseline", "--papers", "bad.tsv", "--method", "fini", "--out", "x"])
     assert code == EXIT_FORMAT
     assert "format violation" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_position_of_two_to_the_32(workdir, capsys):
+    # accepted until an instance id became one int with 32 bits for the position
+    (workdir / "truth.tsv").write_text("cluster_id\tinstance_id\nt1\t1_1\nt1\t2_4294967295\n")
+    (workdir / "pred.tsv").write_text("cluster_id\tinstance_id\np1\t1_1\np1\t2_4294967295\n")
+    argv = ["evaluate", "--truth", "truth.tsv", "--pred", "pred.tsv", "--out", "eval"]
+    assert main(argv) == EXIT_OK
+    assert "recall=1.000000 precision=1.000000 f1=1.000000 n=2" in capsys.readouterr().out
+    before = {path.name: path.read_bytes() for path in (workdir / "eval").iterdir()}
+    (workdir / "pred.tsv").write_text("cluster_id\tinstance_id\np1\t1_1\np1\t2_4294967296\n")
+    assert main(argv) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "pred.tsv, row 2" in err and "position must be below 2**32" in err
+    assert {path.name: path.read_bytes() for path in (workdir / "eval").iterdir()} == before
 
 
 def test_unrecognized_truth_header(workdir, bundle_dir):
@@ -467,11 +484,11 @@ def test_perturb_fraction_zero_keeps_dataset(workdir, bundle_dir, capsys):
 
 def test_agree_reports_planted_flip(workdir, capsys):
     labels_a = [
-        LabeledInstance((i, 1), label, "authority")
+        LabeledInstance(iid(i, 1), label, "authority")
         for i, label in ((1, "x"), (2, "x"), (3, "x"), (4, "y"), (5, "y"))
     ]
     labels_b = [
-        LabeledInstance((i, 1), label, "grant")
+        LabeledInstance(iid(i, 1), label, "grant")
         for i, label in ((1, "B"), (2, "B"), (3, "B2"), (4, "C"), (5, "C"))
     ]
     write_labels(workdir / "a.tsv", labels_a)
@@ -1337,7 +1354,7 @@ def _two_clusterings_outcome(truth: Path, pred: Path, strict: bool) -> tuple:
     return EXIT_OK, summary, "", metrics_to_json(scores).encode()
 
 
-CLUSTERING_INSTANCES = st.tuples(st.integers(1, 12), st.integers(1, 3))
+CLUSTERING_INSTANCES = st.builds(iid, st.integers(1, 12), st.integers(1, 3))
 # ids whose sort order differs from their insertion order, a non-ASCII one included
 CLUSTERING_IDS = st.sampled_from(["c", "a", "b", "B", "\xe9", "a b", "a0"])
 
@@ -1372,15 +1389,18 @@ def _write_clustering_rows(path: Path, rows) -> Path:
     return path
 
 
+I1, I2, I3 = iid(1, 1), iid(2, 1), iid(3, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(clustering_files(), st.booleans())
-@example([[((1, 1), "a"), ((2, 1), "b")], [((2, 1), "p"), ((3, 1), "q"), ((2, 1), "r")]], False)
-@example([[((1, 1), "a"), ((2, 1), "b")], [((3, 1), "q"), ((1, 1), "p"), ((3, 1), "r")]], False)
-@example([[((1, 1), "a"), ((1, 1), "b")], [((3, 1), "q"), ((3, 1), "r")]], False)
-@example([[((2, 1), "a"), ((1, 1), "a")], [((3, 1), "q")]], True)
-@example([[((2, 1), "a"), ((1, 1), "a")], [((3, 1), "q")]], False)
-@example([[], [((3, 1), "q")]], False)
-@example([[], [((3, 1), "q"), ((3, 1), "r")]], True)
+@example([[(I1, "a"), (I2, "b")], [(I2, "p"), (I3, "q"), (I2, "r")]], False)
+@example([[(I1, "a"), (I2, "b")], [(I3, "q"), (I1, "p"), (I3, "r")]], False)
+@example([[(I1, "a"), (I1, "b")], [(I3, "q"), (I3, "r")]], False)
+@example([[(I2, "a"), (I1, "a")], [(I3, "q")]], True)
+@example([[(I2, "a"), (I1, "a")], [(I3, "q")]], False)
+@example([[], [(I3, "q")]], False)
+@example([[], [(I3, "q"), (I3, "r")]], True)
 def test_clustering_evaluate_matches_two_clusterings_scored_as_mappings(files, strict):
     """Streaming --pred into the truth table changes no byte of what evaluate reports."""
     truth_rows, pred_rows = files

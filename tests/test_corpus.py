@@ -36,7 +36,7 @@ from linklab.errors import IngestError, ParseError
 from linklab.linkage import read_labels
 
 import oracles
-from oracles import TwoCopyClustering, clustering_of, write_two_copy_clustering
+from oracles import TwoCopyClustering, clustering_of, iid, write_two_copy_clustering
 
 
 def write_tsv(path, text):
@@ -45,8 +45,8 @@ def write_tsv(path, text):
 
 
 def test_parse_instance_id():
-    assert parse_instance_id("1234567_2") == (1234567, 2)
-    assert parse_instance_id("1701372_1") == (1701372, 1)
+    assert parse_instance_id("1234567_2") == iid(1234567, 2)
+    assert parse_instance_id("1701372_1") == iid(1701372, 1)
 
 
 def test_instance_id_round_trip():
@@ -60,6 +60,29 @@ def test_instance_id_round_trip():
 def test_parse_instance_id_rejects(bad):
     with pytest.raises(ParseError):
         parse_instance_id(bad)
+
+
+def test_instance_id_position_is_below_two_to_the_32():
+    largest = parse_instance_id("1_4294967295")
+    assert type(largest) is int
+    assert format_instance_id(largest) == "1_4294967295"
+    assert largest < parse_instance_id("2_1")
+    with pytest.raises(ParseError, match=r"position must be below 2\*\*32$"):
+        parse_instance_id("1_4294967296")
+    with pytest.raises(ParseError, match="below"):
+        parse_instance_id("1_" + "9" * 30)
+
+
+PAIRS = st.tuples(st.integers(1, 10**12), st.integers(1, 2**32 - 1))
+
+
+@given(PAIRS, PAIRS)
+@example((1, 2**32 - 1), (2, 1))
+def test_instance_ids_sort_as_pmid_position_tuples(one, two):
+    a, b = iid(*one), iid(*two)
+    assert (a < b) == (one < two)
+    assert (a == b) == (one == two)
+    assert oracles.pair_of(a) == one
 
 
 def _parsed(parse, text):
@@ -81,6 +104,8 @@ ID_LIKE = st.text(alphabet="0123456789_+- \n\uff11\u0663", max_size=12)
 @example("007_1")
 @example("+1_2")
 @example("1_2_3")
+@example("1_4294967295")
+@example("1_4294967296")
 @example(" 1_2")
 @example("1_2\n")
 @example("\uff11_2")
@@ -88,9 +113,10 @@ ID_LIKE = st.text(alphabet="0123456789_+- \n\uff11\u0663", max_size=12)
 @example("1_")
 def test_parse_instance_id_matches_the_earlier_parser(text):
     new, old = _parsed(parse_instance_id, text), _parsed(oracles.parse_instance_id, text)
-    assert new == old
     if type(old) is tuple:
-        assert type(new) is tuple and hash(new) == hash(old)
+        assert type(new) is int and oracles.pair_of(new) == old
+    else:
+        assert new == old
 
 
 def test_ingest_corpus(tmp_path):
@@ -107,12 +133,12 @@ def test_ingest_corpus(tmp_path):
     assert corpus[1].year == 2001
     assert list(corpus) == [3, 1, 2]  # row order of the file
     assert sorted(i for paper in corpus.values() for i in paper.instances()) == [
-        (1, 1),
-        (2, 1),
-        (2, 2),
-        (2, 3),
-        (3, 1),
-        (3, 2),
+        iid(1, 1),
+        iid(2, 1),
+        iid(2, 2),
+        iid(2, 3),
+        iid(3, 1),
+        iid(3, 2),
     ]
     assert corpus[3].authors[2 - 1] == "Lee, Ann"
 
@@ -192,10 +218,10 @@ def test_ingest_clustering(tmp_path):
     )
     clustering = ingest_clustering(path)
     assert groups(clustering) == {
-        "A": [(1, 1), (2, 1)],
-        "B": [(3, 1)],
+        "A": [iid(1, 1), iid(2, 1)],
+        "B": [iid(3, 1)],
     }
-    assert clustering[(2, 1)] == "A"
+    assert clustering[iid(2, 1)] == "A"
 
 
 def test_ingest_clustering_rejects_double_assignment(tmp_path):
@@ -208,14 +234,14 @@ def test_ingest_clustering_rejects_double_assignment(tmp_path):
     assert err.value.row == 2
 
 
-def test_onto_keeps_the_labels_own_tuples(tmp_path):
+def test_onto_keeps_the_labels_own_ids(tmp_path):
     labels, _ = read_labels(
         write_tsv(
             tmp_path / "labels.tsv",
             "instance_id\tlabel_id\tsource\n1_1\ta\tauthority\n3_1\tb\tgrant\n01_1\ta\tgrant\n",
         )
     )
-    keys = list(labels)  # the tuples read_labels made
+    keys = list(labels)  # the ids read_labels made
     clustering = ingest_clustering(
         write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nA\t01_1\nB\t2_1\nA\t3_1\n"),
         onto=labels,
@@ -225,8 +251,8 @@ def test_onto_keeps_the_labels_own_tuples(tmp_path):
         onto=dict.fromkeys(labels),
     )
     assert clustering is labels
-    assert clustering == {(1, 1): ("a", "A"), (3, 1): ("b", "A")}
-    assert annotations == {(1, 1): None, (3, 1): Annotation("E", "M")}
+    assert clustering == {iid(1, 1): ("a", "A"), iid(3, 1): ("b", "A")}
+    assert annotations == {iid(1, 1): None, iid(3, 1): Annotation("E", "M")}
     for kept in (clustering, annotations):
         assert all(instance is key for instance, key in zip(kept, keys, strict=True))
 
@@ -245,22 +271,24 @@ def test_onto_keeps_the_labels_own_tuples(tmp_path):
     ],
 )
 def test_onto_still_checks_the_rows_it_does_not_keep(tmp_path, reader, text, row, message):
-    onto = {(1, 1): "a"} if reader is ingest_clustering else {(1, 1): None}
+    onto = {iid(1, 1): "a"} if reader is ingest_clustering else {iid(1, 1): None}
     with pytest.raises(IngestError, match=message) as err:
         reader(write_tsv(tmp_path / "table.tsv", text), onto=onto)
     assert err.value.row == row
 
 
 def test_onto_turns_truth_ids_into_shared_cells(tmp_path):
-    truth = {(1, 1): "t1", (2, 1): "t1", (3, 1): "t2", (4, 1): "t2"}
+    truth = {iid(1, 1): "t1", iid(2, 1): "t1", iid(3, 1): "t2", iid(4, 1): "t2"}
     table = ingest_clustering(
         write_tsv(tmp_path / "pred.tsv", "cluster_id\tinstance_id\nP\t1_1\nQ\t9_1\nP\t2_1\nP\t3_1\n"),
         onto=truth,
     )
     assert table is truth
     # 4_1 has no prediction and keeps its truth id; 9_1 is outside the truth
-    assert table == {(1, 1): ("t1", "P"), (2, 1): ("t1", "P"), (3, 1): ("t2", "P"), (4, 1): "t2"}
-    assert table[(1, 1)] is table[(2, 1)]
+    assert table == {
+        iid(1, 1): ("t1", "P"), iid(2, 1): ("t1", "P"), iid(3, 1): ("t2", "P"), iid(4, 1): "t2"
+    }
+    assert table[iid(1, 1)] is table[iid(2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -276,7 +304,9 @@ def test_onto_turns_truth_ids_into_shared_cells(tmp_path):
 )
 def test_onto_checks_the_partition_inside_and_outside_the_truth(tmp_path, text, row, message):
     with pytest.raises(IngestError, match=message) as err:
-        ingest_clustering(write_tsv(tmp_path / "pred.tsv", text), onto={(1, 1): "t", (2, 1): "t"})
+        ingest_clustering(
+            write_tsv(tmp_path / "pred.tsv", text), onto={iid(1, 1): "t", iid(2, 1): "t"}
+        )
     assert err.value.row == row
 
 
@@ -314,8 +344,8 @@ def test_paper_years_keep_no_byline_name(tmp_path):
 def test_clustering_round_trip(tmp_path):
     clustering = clustering_of(
         {
-            "x9": {(5, 2), (1, 1)},
-            "x10": {(2, 1)},
+            "x9": {iid(5, 2), iid(1, 1)},
+            "x10": {iid(2, 1)},
         }
     )
     path = tmp_path / "clustering.tsv"
@@ -325,7 +355,7 @@ def test_clustering_round_trip(tmp_path):
     assert lines == ["cluster_id\tinstance_id", "x10\t2_1", "x9\t1_1", "x9\t5_2"]
 
 
-INSTANCES = st.tuples(st.integers(1, 4), st.integers(1, 2))
+INSTANCES = st.builds(iid, st.integers(1, 4), st.integers(1, 2))
 CLUSTER_IDS = st.sampled_from(["", "a", "b", "c10", "c9", "\u00e9"])
 # any group mapping: may overlap, hold an empty cluster or an empty id
 GROUP_MAPPINGS = st.dictionaries(CLUSTER_IDS, st.lists(INSTANCES, max_size=4), max_size=5)
@@ -355,7 +385,7 @@ def _assert_same(new, old):
     assert _written(write_clustering, new) == _written(write_two_copy_clustering, old)
 
 
-I1, I2 = (1, 1), (2, 1)
+I1, I2 = iid(1, 1), iid(2, 1)
 
 
 @given(GROUP_MAPPINGS, GROUP_MAPPINGS)
@@ -381,7 +411,7 @@ def test_clustering_matches_two_copy_oracle_on_partitions(one, two):
 
 def test_from_assignment_rejects_an_empty_cluster_id():
     with pytest.raises(ValueError, match="cluster_id"):
-        Clustering.from_assignment({(1, 1): ""})
+        Clustering.from_assignment({iid(1, 1): ""})
 
 
 def test_ingest_authority_groups_rows(tmp_path):
@@ -444,9 +474,9 @@ def test_ingest_annotations(tmp_path):
         "instance_id\tethnicity\tgender\n1_1\tKorean-English\tFemale\n2_1\t\tNULL\n",
     )
     annotations = ingest_annotations(path)
-    assert annotations[(1, 1)].ethnicity == "Korean-English"
-    assert annotations[(2, 1)].ethnicity == ""
-    assert annotations[(2, 1)].gender == "NULL"
+    assert annotations[iid(1, 1)].ethnicity == "Korean-English"
+    assert annotations[iid(2, 1)].ethnicity == ""
+    assert annotations[iid(2, 1)].gender == "NULL"
 
 
 def test_ingest_annotations_duplicate_instance(tmp_path):
@@ -478,8 +508,8 @@ def test_ingest_annotations_shares_equal_tags(tmp_path):
         "instance_id\tethnicity\tgender\n1_1\tEnglish\tMale\n2_1\tEnglish\tMale\n3_1\tEnglish\tFemale\n",
     )
     annotations = ingest_annotations(path)
-    assert annotations[(1, 1)] is annotations[(2, 1)]
-    assert annotations[(3, 1)].gender == "Female"
+    assert annotations[iid(1, 1)] is annotations[iid(2, 1)]
+    assert annotations[iid(3, 1)].gender == "Female"
 
 
 def test_ingest_is_order_insensitive(tmp_path):
@@ -543,7 +573,7 @@ def test_write_round_trips(tmp_path):
 
 
 def test_gzip_write_is_deterministic(tmp_path):
-    clustering = clustering_of({"A": {(1, 1)}})
+    clustering = clustering_of({"A": {iid(1, 1)}})
     first = tmp_path / "first.tsv.gz"
     second = tmp_path / "second.tsv.gz"
     write_clustering(first, clustering)

@@ -44,7 +44,7 @@ from linklab.linkage import (
 from linklab.metrics import pair_accuracy_detail
 from linklab.profile import classify_synonym_types
 import oracles
-from oracles import clustering_of, naive_selfcitation_pairs
+from oracles import clustering_of, iid, naive_selfcitation_pairs
 
 
 def make_corpus(*papers):
@@ -97,8 +97,8 @@ def test_link_authority_matches_title_and_name(corpus):
         ("2_2", "orc-2"),
     ]
     assert all(l.source == "authority" for l in result.labels)
-    first = result.labels[0].instance
-    assert corpus[first[0]].authors[first[1] - 1] == "Hertzog, P J"
+    pmid, position = oracles.pair_of(result.labels[0].instance)
+    assert corpus[pmid].authors[position - 1] == "Hertzog, P J"
     assert result.conflicts == ()
     assert result.stats["labels"] == 3
 
@@ -147,7 +147,7 @@ def test_link_authority_ambiguous_profiles_conflict():
     assert len(result.conflicts) == 1
     conflict = result.conflicts[0]
     assert conflict.reason == "instance_multilabel"
-    assert conflict.instance == (7, 1)
+    assert conflict.instance == iid(7, 1)
     assert "orc-a" in conflict.detail and "orc-b" in conflict.detail
 
 
@@ -158,8 +158,8 @@ def test_link_authority_two_positions_one_profile_conflict():
     assert result.labels == ()
     assert {c.reason for c in result.conflicts} == {"paper_multimatch"}
     assert {c.instance for c in result.conflicts} == {
-        (8, 1),
-        (8, 2),
+        iid(8, 1),
+        iid(8, 2),
     }
 
 
@@ -201,7 +201,7 @@ def test_selfcitation_pairs_empty_and_single():
     assert len(extract_selfcitation_pairs(corpus, [])) == 0
     pairs = extract_selfcitation_pairs(corpus, [CitationEdge(2, 1)])
     # the cited instance comes first: it is the smaller one
-    assert pairs == frozenset({((1, 1), (2, 1))})
+    assert pairs == frozenset({(iid(1, 1), iid(2, 1))})
 
 
 def test_selfcitation_pairs_skip_out_of_corpus_edges():
@@ -227,7 +227,7 @@ def test_selfcitation_pairs_match_brute_force():
     }
 
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+    assert oracles.pair_tuples(pairs) == naive_selfcitation_pairs(corpus, edges)
 
     assert pair_accuracy_detail(pairs, cluster_fini(corpus)).accuracy == 1.0
     assert pair_accuracy_detail(pairs, cluster_aini(corpus)).accuracy <= 1.0
@@ -257,7 +257,7 @@ def cited_corpora(draw):
 def test_selfcitation_pairs_match_quadratic_oracle(case):
     corpus, edges = case
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+    assert oracles.pair_tuples(pairs) == naive_selfcitation_pairs(corpus, edges)
 
 
 @given(cited_corpora())
@@ -265,7 +265,8 @@ def test_selfcitation_pairs_are_ordered_and_survive_a_round_trip(case):
     corpus, edges = case
     pairs = extract_selfcitation_pairs(corpus, edges)
     # (smaller, larger), members on two papers
-    assert all(a < b and a[0] != b[0] for a, b in pairs)
+    pmids = {(oracles.pair_of(a)[0], oracles.pair_of(b)[0]) for a, b in pairs}
+    assert all(a < b for a, b in pairs) and all(a != b for a, b in pmids)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.tsv"
         write_pairs(path, pairs)
@@ -346,10 +347,12 @@ LINKED_EXAMPLE = (
 @example(LINKED_EXAMPLE[:3] + ("drop-all", "space"))
 def test_person_linkers_match_the_earlier_loops(case):
     corpus, registry, grants, policy, nonalpha = case
-    assert oracles.link_registry(
+    linked = oracles.link_registry(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
+    assert oracles.pair_link_result(linked) == oracles.link_authority(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
-    ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
-    assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
+    )
+    granted = oracles.pair_link_result(link_grants(corpus, grants))
+    assert granted == oracles.link_grants(corpus, grants)
 
 
 @st.composite
@@ -372,12 +375,14 @@ def linkage_cases(draw):
 @given(linkage_cases())
 def test_linkers_and_pairs_match_their_oracles(case):
     corpus, registry, grants, edges, policy, nonalpha = case
-    assert oracles.link_registry(
+    linked = oracles.link_registry(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
+    assert oracles.pair_link_result(linked) == oracles.link_authority(
         corpus, registry, dup_title_policy=policy, nonalpha=nonalpha
-    ) == oracles.link_authority(corpus, registry, dup_title_policy=policy, nonalpha=nonalpha)
-    assert link_grants(corpus, grants) == oracles.link_grants(corpus, grants)
+    )
+    granted = oracles.pair_link_result(link_grants(corpus, grants))
+    assert granted == oracles.link_grants(corpus, grants)
     pairs = extract_selfcitation_pairs(corpus, edges)
-    assert pairs == frozenset(naive_selfcitation_pairs(corpus, edges))
+    assert oracles.pair_tuples(pairs) == naive_selfcitation_pairs(corpus, edges)
 
 
 # instances on two papers, three labels: both ambiguity rules fire, often on one candidate
@@ -390,9 +395,11 @@ CANDIDATES = st.sets(
 @given(CANDIDATES, st.sampled_from(linkage.SOURCES))
 @example({((1, 1), "a"), ((1, 1), "b"), ((1, 2), "a"), ((2, 1), "c")}, linkage.SOURCE_GRANT)
 def test_resolve_candidates_matches_the_set_oracle(candidates, source):
-    assert linkage._resolve_candidates(candidates, source) == oracles.resolve_candidates(
-        candidates, source
+    labels, conflicts = linkage._resolve_candidates(
+        {(iid(*instance), label_id) for instance, label_id in candidates}, source
     )
+    expected = oracles.resolve_candidates(candidates, source)
+    assert (oracles.pair_records(labels), oracles.pair_records(conflicts)) == expected
 
 
 def test_each_raw_string_is_normalised_once_per_call(monkeypatch, tmp_path):
@@ -513,54 +520,52 @@ def test_pairset_validation(tmp_path):
     path = tmp_path / "pairs.tsv"
     # one pair in both orders is one (smaller, larger) pair
     path.write_text("instance_a\tinstance_b\n2_1\t1_1\n1_1\t2_1\n", encoding="utf-8")
-    assert read_pairs(path) == frozenset({((1, 1), (2, 1))})
+    assert read_pairs(path) == frozenset({(iid(1, 1), iid(2, 1))})
     for bad in ("1_1\t1_2", "1_1\t1_1"):  # within one paper, identical instances
         path.write_text(f"instance_a\tinstance_b\n{bad}\n", encoding="utf-8")
         with pytest.raises(IngestError, match="distinct papers"):
             read_pairs(path)
 
 
-def test_read_pairs_shares_one_tuple_per_instance(tmp_path):
+def test_read_pairs_orders_each_pair_by_instance(tmp_path):
     path = tmp_path / "pairs.tsv"
     # 2_1 is the larger member of one pair and the smaller of another
     path.write_text("instance_a\tinstance_b\n2_1\t1_1\n2_1\t3_1\n1_1\t3_2\n", encoding="utf-8")
     pairs = read_pairs(path)
-    assert pairs == frozenset({((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 2))})
-    held = {pair: pair for pair in pairs}  # the pair objects the set holds
-    assert held[(1, 1), (2, 1)][1] is held[(2, 1), (3, 1)][0]
-    assert held[(1, 1), (2, 1)][0] is held[(1, 1), (3, 2)][0]
+    assert pairs == frozenset({(iid(1, 1), iid(2, 1)), (iid(2, 1), iid(3, 1)), (iid(1, 1), iid(3, 2))})
+    assert oracles.pair_tuples(pairs) == {((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 2))}
 
 
 def test_join_labels_inner_join(corpus):
     labels = [
-        LabeledInstance((1, 1), "orc-1", "authority"),
-        LabeledInstance((2, 1), "orc-1", "authority"),
-        LabeledInstance((2, 2), "orc-2", "authority"),
+        LabeledInstance(iid(1, 1), "orc-1", "authority"),
+        LabeledInstance(iid(2, 1), "orc-1", "authority"),
+        LabeledInstance(iid(2, 2), "orc-2", "authority"),
     ]
     clustering = clustering_of(
-        {"c1": {(1, 1), (2, 1)}, "c2": {(3, 1)}}
+        {"c1": {iid(1, 1), iid(2, 1)}, "c2": {iid(3, 1)}}
     )
     annotations = {
-        (1, 1): Annotation("English", "Male"),
+        iid(1, 1): Annotation("English", "Male"),
     }
     joined = join(labels, clustering, corpus, annotations)
     assert joined.dropped_unclustered == 1
     first, second = joined.rows
-    assert first == EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male")
+    assert first == EvalRow(iid(1, 1), "orc-1", "c1", 1999, "English", "Male")
     assert second.year == 2001
     assert second.ethnicity is None
 
 
 def test_join_labels_disjoint_is_empty(corpus):
-    labels = [LabeledInstance((1, 1), "orc-1", "authority")]
-    clustering = clustering_of({"c9": {(5, 1)}})
+    labels = [LabeledInstance(iid(1, 1), "orc-1", "authority")]
+    clustering = clustering_of({"c9": {iid(5, 1)}})
     joined = join(labels, clustering, corpus)
     assert joined.rows == ()
     assert joined.dropped_unclustered == 1
 
 
 @pytest.mark.parametrize(
-    "instance", [(99, 1), (2, 3)], ids=["pmid-not-in-corpus", "position-past-byline"]
+    "instance", [iid(99, 1), iid(2, 3)], ids=["pmid-not-in-corpus", "position-past-byline"]
 )
 def test_join_labels_missing_paper(corpus, instance):
     labels = [LabeledInstance(instance, "orc-1", "authority")]
@@ -574,10 +579,10 @@ def test_join_labels_missing_paper(corpus, instance):
 
 def test_join_labels_rejects_mixed_sources(corpus):
     labels = [
-        LabeledInstance((1, 1), "orc-1", "authority"),
-        LabeledInstance((1, 1), "nih-1", "grant"),
+        LabeledInstance(iid(1, 1), "orc-1", "authority"),
+        LabeledInstance(iid(1, 1), "nih-1", "grant"),
     ]
-    clustering = clustering_of({"c1": {(1, 1)}})
+    clustering = clustering_of({"c1": {iid(1, 1)}})
     message = (
         "instance '1_1' carries two labels (authority:'orc-1', grant:'nih-1');"
         " join one labeling source at a time"
@@ -592,12 +597,12 @@ def test_join_labels_rejects_mixed_sources(corpus):
 
 def test_join_labels_drops_and_counts_what_it_cannot_join(corpus):
     labels = [
-        LabeledInstance((1, 1), "orc-1", "authority"),  # joined
-        LabeledInstance((3, 1), "orc-2", "authority"),  # no predicted cluster
-        LabeledInstance((9, 1), "orc-3", "authority"),  # on no paper
+        LabeledInstance(iid(1, 1), "orc-1", "authority"),  # joined
+        LabeledInstance(iid(3, 1), "orc-2", "authority"),  # no predicted cluster
+        LabeledInstance(iid(9, 1), "orc-3", "authority"),  # on no paper
     ]
-    joined = join(labels, clustering_of({"c1": {(1, 1), (9, 1)}}), corpus)
-    assert joined.rows == (EvalRow((1, 1), "orc-1", "c1", 1999, None, None),)
+    joined = join(labels, clustering_of({"c1": {iid(1, 1), iid(9, 1)}}), corpus)
+    assert joined.rows == (EvalRow(iid(1, 1), "orc-1", "c1", 1999, None, None),)
     assert (joined.dropped_unclustered, joined.dropped_missing_paper) == (1, 1)
 
 
@@ -708,18 +713,21 @@ def test_join_of_kept_rows_matches_the_full_reader_oracle(tables, strict):
 
 
 def labels_from(truth_labels):
-    return {(i, 1): label for i, label in enumerate(truth_labels, start=1)}
+    return {iid(i, 1): label for i, label in enumerate(truth_labels, start=1)}
 
 
-AGREE_INSTANCE = st.tuples(st.integers(1, 5), st.integers(1, 2))
+AGREE_INSTANCE = st.builds(iid, st.integers(1, 5), st.integers(1, 2))
 
 
 @given(
     st.dictionaries(AGREE_INSTANCE, st.sampled_from(["x", "y", "z"])),
     st.dictionaries(AGREE_INSTANCE, st.sampled_from(["p", "q", "x"])),
 )
-@example({(1, 1): "x", (2, 1): "y"}, {(3, 1): "x"})  # no shared instance
-@example({(1, 1): "x", (2, 1): "x", (3, 1): "y"}, {(1, 1): "p", (2, 1): "q", (3, 1): "p"})
+@example({iid(1, 1): "x", iid(2, 1): "y"}, {iid(3, 1): "x"})  # no shared instance
+@example(
+    {iid(1, 1): "x", iid(2, 1): "x", iid(3, 1): "y"},
+    {iid(1, 1): "p", iid(2, 1): "q", iid(3, 1): "p"},
+)
 def test_label_agreement_matches_the_two_set_oracle(labels_a, labels_b):
     """Intersecting key views gives the overlap, counts and disagreements of two set copies."""
     assert label_agreement(labels_a, labels_b) == oracles.label_agreement(labels_a, labels_b)
@@ -744,28 +752,28 @@ def test_label_agreement_is_namespace_invariant():
 def test_label_agreement_planted_move():
     a = labels_from(["x"] * 3 + ["y"] * 2)
     moved = dict(a)
-    moved[3, 1] = "z"
+    moved[iid(3, 1)] = "z"
     b = {instance: {"x": "A", "y": "B", "z": "B"}[label] for instance, label in moved.items()}
     report = label_agreement(a, b)
     assert report.overlap_count == 5
     assert report.agree_count == 4
-    assert report.disagreements == (((3, 1), "x", "B"),)
+    assert report.disagreements == ((iid(3, 1), "x", "B"),)
 
 
 def test_label_agreement_no_overlap():
     a = labels_from(["x"])
-    b = {(9, 1): "x"}
+    b = {iid(9, 1): "x"}
     assert label_agreement(a, b) == (0, 0, ())
 
 
 def test_labels_round_trip(tmp_path):
     labels = (
-        LabeledInstance((1, 1), "orc-1", "authority"),
-        LabeledInstance((2, 1), "nih-1", "grant"),
+        LabeledInstance(iid(1, 1), "orc-1", "authority"),
+        LabeledInstance(iid(2, 1), "nih-1", "grant"),
     )
     path = tmp_path / "labels.tsv"
     write_labels(path, labels)
-    assert read_labels(path) == ({(1, 1): "orc-1", (2, 1): "nih-1"}, None)
+    assert read_labels(path) == ({iid(1, 1): "orc-1", iid(2, 1): "nih-1"}, None)
     text = path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "instance_id\tlabel_id\tsource"
     assert text[1] == "1_1\torc-1\tauthority"
@@ -780,7 +788,7 @@ def test_read_labels_returns_a_two_label_conflict_without_raising(tmp_path):
     )
     labels, conflict = read_labels(path)
     # the last row wins; the first instance with two labels is named canonically
-    assert labels == {(1, 1): "nih-1", (2, 1): "orc-1"}
+    assert labels == {iid(1, 1): "nih-1", iid(2, 1): "orc-1"}
     assert conflict == (
         "instance '1_1' carries two labels (authority:'orc-1', grant:'nih-1');"
         " join one labeling source at a time"
@@ -789,7 +797,7 @@ def test_read_labels_returns_a_two_label_conflict_without_raising(tmp_path):
     rows.insert(1, "3_1\torc-1\tgrant")  # equal label ids are one string
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     labels, _ = read_labels(path)
-    assert labels[(3, 1)] is labels[(2, 1)]
+    assert labels[iid(3, 1)] is labels[iid(2, 1)]
 
 
 def test_read_labels_rejects_bad_rows(tmp_path):
@@ -809,7 +817,7 @@ def test_read_labels_rejects_bad_rows(tmp_path):
 
 
 def test_pairs_round_trip(tmp_path):
-    pairs = frozenset({((1, 1), (2, 1)), ((1, 2), (3, 1))})
+    pairs = frozenset({(iid(1, 1), iid(2, 1)), (iid(1, 2), iid(3, 1))})
     path = tmp_path / "pairs.tsv"
     write_pairs(path, pairs)
     assert path.read_text(encoding="utf-8") == "instance_a\tinstance_b\n1_1\t2_1\n1_2\t3_1\n"
@@ -818,8 +826,8 @@ def test_pairs_round_trip(tmp_path):
 
 def test_eval_dataset_round_trip(tmp_path):
     dataset = (
-        EvalRow((1, 1), "orc-1", "c1", 1999, "English", "Male"),
-        EvalRow((2, 1), "orc-2", "c2", 2001, None, None),
+        EvalRow(iid(1, 1), "orc-1", "c1", 1999, "English", "Male"),
+        EvalRow(iid(2, 1), "orc-2", "c2", 2001, None, None),
     )
     path = tmp_path / "eval_dataset.tsv"
     write_eval_dataset(path, dataset)
@@ -845,9 +853,9 @@ def test_write_conflicts(tmp_path, corpus):
 @pytest.mark.parametrize("field", ["a\tb", "a\nb", "a\rb", "a\0b"])
 def test_write_conflicts_refuses_a_field_write_labels_refuses(tmp_path, field):
     with pytest.raises(ValueError, match="contains a") as conflicts_refused:
-        write_conflicts(tmp_path / "conflicts.tsv", [ConflictRecord("r", (7, 1), field)])
+        write_conflicts(tmp_path / "conflicts.tsv", [ConflictRecord("r", iid(7, 1), field)])
     with pytest.raises(ValueError) as labels_refused:
-        write_labels(tmp_path / "labels.tsv", [LabeledInstance((7, 1), field, "authority")])
+        write_labels(tmp_path / "labels.tsv", [LabeledInstance(iid(7, 1), field, "authority")])
     assert str(conflicts_refused.value) == str(labels_refused.value)
 
 

@@ -5,12 +5,14 @@ each guard compares two calls on the same small synth bundle, never an
 absolute size.
 """
 
+import gc
 import random
 import tracemalloc
 
 import pytest
 
 import oracles
+from oracles import iid
 from linklab.baseline import cluster_fini, name_keys
 from linklab.corpus import (
     Annotation,
@@ -57,6 +59,29 @@ def test_clustering_scoring_holds_one_instance_table(bundle):
     assert both > read_truth + read_pred / 2
 
 
+def test_int_instance_ids_hold_less_than_tuple_keys(bundle):
+    path = bundle / "truth_clustering.tsv"
+
+    def tuple_keyed():
+        """The file's rows in a dict keyed by (pmid, position), each cluster id shared."""
+        table, ids = {}, {}
+        with open(path, encoding="utf-8") as handle:
+            next(handle)
+            for line in handle:
+                cluster_id, instance = line.rstrip("\n").split("\t")
+                pmid, _, position = instance.partition("_")
+                table[int(pmid), int(position)] = ids.setdefault(cluster_id, cluster_id)
+        return table
+
+    assert oracles.by_pair(ingest_clustering(path)) == tuple_keyed()
+    # a full collection empties the tuple free list: tracemalloc does not
+    # see a tuple that reuses memory freed before it started
+    gc.collect()
+    read = _peak(lambda: ingest_clustering(path))
+    gc.collect()
+    assert read < _peak(tuple_keyed)
+
+
 def test_labels_join_holds_one_instance_table(bundle):
     # every instance of a seeded 70% of the planted authors, as the score benchmark labels them
     rng = random.Random(3)
@@ -82,7 +107,7 @@ def test_labels_join_holds_one_instance_table(bundle):
         predicted = ingest_clustering(pred)
         years = ingest_paper_years(papers)
         return tuple(
-            EvalRow(i, table[i], predicted[i], years[i[0]][0], None, None)
+            EvalRow(i, table[i], predicted[i], years[oracles.pair_of(i)[0]][0], None, None)
             for i in sorted(table)
             if i in predicted
         )
@@ -111,7 +136,9 @@ def test_profile_name_index_is_smaller_than_parsed_names(bundle):
 
 def test_annotation_writer_sorts_instance_ids_not_rows(tmp_path):
     shared = Annotation("English", "Female")
-    annotations = {(pmid, position): shared for pmid in range(5000, 0, -1) for position in (1, 2, 3, 4)}
+    annotations = {
+        iid(pmid, position): shared for pmid in range(5000, 0, -1) for position in (1, 2, 3, 4)
+    }
     # the writer's sort holds one pointer per row, less than the
     # (instance, annotation) pair tuples a sort of the items holds
     write = _peak(lambda: write_annotations(tmp_path / "annotations.tsv", annotations))

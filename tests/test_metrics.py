@@ -20,6 +20,7 @@ from linklab.metrics import (
     stratified_eval,
 )
 from oracles import (
+    iid,
     clustering_of,
     make_instances,
     naive_b3,
@@ -27,7 +28,7 @@ from oracles import (
     score_clusterings,
 )
 
-A, B, C = (1, 1), (2, 1), (3, 1)
+A, B, C = iid(1, 1), iid(2, 1), iid(3, 1)
 
 
 def test_identity_scores_one():
@@ -63,14 +64,14 @@ def test_extremes():
 
 
 def test_extra_predicted_instances_are_ignored():
-    extra = (9, 9)
+    extra = iid(9, 9)
     truth = clustering_of({"t1": {A, B}})
     predicted = clustering_of({"p1": {A, B}, "p2": {extra}})
     assert score_clusterings(truth, predicted) == B3Scores(1.0, 1.0, 1.0, 2, 0)
 
 
 def test_restrict_predicted_flag():
-    extra = (9, 9)
+    extra = iid(9, 9)
     truth = clustering_of({"t1": {A, B}})
     predicted = clustering_of({"p1": {A, B, extra}})
     restricted = score_clusterings(truth, predicted)
@@ -172,7 +173,7 @@ def test_stratified_single_stratum_equals_whole():
 
 
 def test_stratified_weighted_mean_identity():
-    d = (4, 1)
+    d = iid(4, 1)
     rows = [
         Row(A, "t1", "p1", 1991, None, None),
         Row(B, "t1", "p1", 1991, None, None),
@@ -270,7 +271,7 @@ def _outcome(score, *args, **kwargs):
         return f"EvaluationError: {exc}"
 
 
-INSTANCES = st.tuples(st.integers(1, 25), st.integers(1, 4))
+INSTANCES = st.builds(iid, st.integers(1, 25), st.integers(1, 4))
 # ids whose sort order differs from their insertion order, an upper-case
 # letter and a non-ASCII one included
 CLUSTER_IDS = st.sampled_from(["c", "a", "b", "B", "\xe9", "a b", "a0"])
@@ -301,8 +302,8 @@ def test_b3_scores_match_the_earlier_scorer_bit_for_bit(pair, strict):
 
 
 def test_strict_b3_names_the_first_unpredicted_instance_in_truth_order():
-    truth = {(3, 1): "a", (1, 1): "a", (2, 1): "b"}
-    predicted = {(3, 1): "p"}
+    truth = {iid(3, 1): "a", iid(1, 1): "a", iid(2, 1): "b"}
+    predicted = {iid(3, 1): "p"}
     with pytest.raises(EvaluationError) as err:
         score_clusterings(truth, predicted)
     assert str(err.value) == "instance '1_1' has no predicted cluster (use lenient mode to drop)"

@@ -32,7 +32,7 @@ from linklab.profile import (
 )
 from linklab.synth import SynthConfig, generate
 import oracles
-from oracles import clustering_of
+from oracles import clustering_of, iid
 
 
 def rows_with(attrs):
@@ -79,7 +79,7 @@ def test_pair_year_distribution_counts_both_members():
         2: PaperRecord(2, 1992, "U", ("A, B",)),
         3: PaperRecord(3, 1992, "V", ("A, B",)),
     }
-    pairs = frozenset({((1, 1), (2, 1)), ((2, 1), (3, 1))})
+    pairs = frozenset({(iid(1, 1), iid(2, 1)), (iid(2, 1), iid(3, 1))})
     dist = pair_year_distribution(pairs, corpus)
     assert dist == {"1991": 25.0, "1992": 75.0}
 
@@ -115,7 +115,7 @@ def test_ccdf_empty_errors():
 
 
 def test_reference_sample_deterministic():
-    population = [(i, 1) for i in range(1, 200)]
+    population = [iid(i, 1) for i in range(1, 200)]
     first = reference_sample(population, 50, seed=9)
     second = reference_sample(population, 50, seed=9)
     assert first == second
@@ -126,7 +126,7 @@ def test_reference_sample_deterministic():
 
 
 def test_reference_sample_bounds():
-    population = [(1, 1)]
+    population = [iid(1, 1)]
     with pytest.raises(ValueError):
         reference_sample(population, 2, seed=1)
     with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ def test_typology_flipped_takes_priority():
 # ("Kim, Ji" spelt two ways, and "Kim, Jo"); "Ji, Kim" is "Kim, Ji" flipped,
 # "Lee, Ji" a surname variant; a mononym and an unparsed name (None) carry no key
 TYPOLOGY_NAMES = ["Kim, Ji", "KIM, Ji", "Kim, Jo", "Kim, Ann", "Ji, Kim", "Lee, Ji", "Einstein", None]
-TYPOLOGY_INSTANCE = st.tuples(st.integers(1, 6), st.integers(1, 3))
+TYPOLOGY_INSTANCE = st.builds(iid, st.integers(1, 6), st.integers(1, 3))
 
 
 @st.composite
@@ -236,14 +236,15 @@ def named_truths(draw):
 # a3 one key in two forms, a1 only a mononym, an unparsed name and an
 # instance with no name
 TYPOLOGY_EXAMPLE = (
-    {(1, 1): "a4", (2, 1): "a4", (3, 1): "a4", (1, 2): "a2", (2, 2): "a2", (3, 2): "a2",
-     (4, 1): "a3", (4, 2): "a3", (5, 1): "a1", (5, 2): "a1", (5, 3): "a1",
-     (6, 1): "a5", (6, 2): "a5", (6, 3): "a5"},
-    {(1, 1): TYPOLOGY_NAMES[0], (2, 1): TYPOLOGY_NAMES[3], (3, 1): TYPOLOGY_NAMES[5],
-     (1, 2): TYPOLOGY_NAMES[1], (2, 2): TYPOLOGY_NAMES[4], (3, 2): TYPOLOGY_NAMES[0],
-     (4, 1): TYPOLOGY_NAMES[2], (4, 2): TYPOLOGY_NAMES[0],
-     (5, 1): TYPOLOGY_NAMES[6], (5, 2): TYPOLOGY_NAMES[7],
-     (6, 1): TYPOLOGY_NAMES[2], (6, 2): TYPOLOGY_NAMES[6], (6, 3): TYPOLOGY_NAMES[3]},
+    {iid(1, 1): "a4", iid(2, 1): "a4", iid(3, 1): "a4",
+     iid(1, 2): "a2", iid(2, 2): "a2", iid(3, 2): "a2",
+     iid(4, 1): "a3", iid(4, 2): "a3", iid(5, 1): "a1", iid(5, 2): "a1", iid(5, 3): "a1",
+     iid(6, 1): "a5", iid(6, 2): "a5", iid(6, 3): "a5"},
+    {iid(1, 1): TYPOLOGY_NAMES[0], iid(2, 1): TYPOLOGY_NAMES[3], iid(3, 1): TYPOLOGY_NAMES[5],
+     iid(1, 2): TYPOLOGY_NAMES[1], iid(2, 2): TYPOLOGY_NAMES[4], iid(3, 2): TYPOLOGY_NAMES[0],
+     iid(4, 1): TYPOLOGY_NAMES[2], iid(4, 2): TYPOLOGY_NAMES[0],
+     iid(5, 1): TYPOLOGY_NAMES[6], iid(5, 2): TYPOLOGY_NAMES[7],
+     iid(6, 1): TYPOLOGY_NAMES[2], iid(6, 2): TYPOLOGY_NAMES[6], iid(6, 3): TYPOLOGY_NAMES[3]},
 )
 
 
@@ -314,7 +315,7 @@ def test_perturb_preserves_unstratified_scores():
     rng = random.Random(8)
     rows = [
         EvalRow(
-            (i, 1),
+            iid(i, 1),
             f"t{rng.randint(1, 10)}",
             f"p{rng.randint(1, 10)}",
             2000,
@@ -396,7 +397,7 @@ def profiled_corpora(draw):
         for pmid, authors in enumerate(bylines, start=1)
     }
     # positions up to 6 run past every byline; the last pmid is not in the corpus
-    instances = [(pmid, position) for pmid in range(1, len(bylines) + 2) for position in range(1, 7)]
+    instances = [iid(pmid, pos) for pmid in range(1, len(bylines) + 2) for pos in range(1, 7)]
     members = draw(st.lists(st.sampled_from(instances), min_size=1, max_size=20, unique=True))
     authors = draw(st.lists(st.sampled_from(["a1", "a2", "a3"]), min_size=len(members), max_size=len(members)))
     return corpus, Clustering.from_assignment(dict(zip(members, authors)))
@@ -411,9 +412,9 @@ PROFILED_EXAMPLE = (
         3: PaperRecord(3, 2002, "V", ("...", "Lee, Ann", "Kim, M")),
     },
     clustering_of({
-        "a1": {(1, 1), (2, 1), (3, 3), (3, 9)},
-        "a2": {(1, 3), (2, 3), (1, 2), (2, 4)},
-        "a3": {(3, 2), (2, 2), (7, 1)},
+        "a1": {iid(1, 1), iid(2, 1), iid(3, 3), iid(3, 9)},
+        "a2": {iid(1, 3), iid(2, 3), iid(1, 2), iid(2, 4)},
+        "a3": {iid(3, 2), iid(2, 2), iid(7, 1)},
     }),
 )
 
@@ -492,9 +493,9 @@ def test_profile_command_matches_the_earlier_path_on_the_hand_built_corpus():
     },
     # a1: van der berg|j in two forms and berg|j; a2: lee|a in two forms and leepark|a
     clustering_of({
-        "a1": {(1, 1), (2, 1), (3, 1)},
-        "a2": {(1, 2), (2, 2), (3, 2), (4, 1)},
-        "a3": {(1, 3), (2, 3), (3, 3)},
+        "a1": {iid(1, 1), iid(2, 1), iid(3, 1)},
+        "a2": {iid(1, 2), iid(2, 2), iid(3, 2), iid(4, 1)},
+        "a3": {iid(1, 3), iid(2, 3), iid(3, 3)},
     }),
 ))
 def test_profile_command_matches_the_earlier_path_on_generated_corpora(case):

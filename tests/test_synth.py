@@ -21,7 +21,17 @@ from linklab.corpus import (
     ingest_grants,
 )
 from linklab.errors import ConfigError
-from linklab.linkage import extract_selfcitation_pairs, link_grants
+from linklab.linkage import (
+    extract_selfcitation_pairs,
+    join_labels,
+    link_grants,
+    read_eval_dataset,
+    read_labels,
+    read_pairs,
+    write_eval_dataset,
+    write_labels,
+    write_pairs,
+)
 from linklab.metrics import pair_accuracy_detail
 from linklab.normalize import aini_key, fini_key, parse_name
 from linklab.profile import classify_synonym_types, distribution
@@ -295,8 +305,8 @@ def test_variant_forms_alternate_along_career():
     for author in variants:
         assert len(author.forms) == 2
         observed = [
-            bundle.corpus[instance[0]].authors[instance[1] - 1]
-            for instance in author.instances
+            bundle.corpus[pmid].authors[position - 1]
+            for pmid, position in map(oracles.pair_of, author.instances)
         ]
         assert observed == [author.forms[i % 2] for i in range(len(observed))]
         parsed = [parse_name(form) for form in author.forms]
@@ -453,7 +463,7 @@ def test_manifest_counts():
             corpus[pmid].authors[position - 1] == author.forms[1]
             for author in authors
             if author.variant in kinds
-            for pmid, position in author.instances
+            for pmid, position in map(oracles.pair_of, author.instances)
         ]
         return sum(printed) / instances
 
@@ -500,7 +510,10 @@ def test_manifest_counts():
 
 def _career(bundle, author):
     """An author's (year, pmid, position) appearances in order."""
-    return sorted((bundle.corpus[pmid].year, pmid, position) for pmid, position in author.instances)
+    return sorted(
+        (bundle.corpus[pmid].year, pmid, position)
+        for pmid, position in map(oracles.pair_of, author.instances)
+    )
 
 
 @pytest.mark.parametrize("skew", [0.0, 1.0])
@@ -676,8 +689,9 @@ def test_config_mapping_defaults_are_read_only(field):
 
 
 @pytest.fixture(scope="module")
-def handed_out_ids():
-    """Every instance id the program builds, by where it comes from."""
+def handed_out_ids(tmp_path_factory):
+    """Every instance id the program builds or reads, by where it comes from."""
+    out = tmp_path_factory.mktemp("ids")
     bundle = generate(
         SynthConfig(
             seed=2,
@@ -691,6 +705,13 @@ def handed_out_ids():
     authority = oracles.link_registry(bundle.corpus, bundle.registry)
     grants = link_grants(bundle.corpus, bundle.grants)
     pairs = extract_selfcitation_pairs(bundle.corpus, bundle.citations)
+    write_bundle(bundle, out)
+    write_labels(out / "labels.tsv", authority.labels)
+    write_pairs(out / "pairs.tsv", pairs)
+    truth, labels = out / "truth_clustering.tsv", out / "labels.tsv"
+    joined = join_labels(labels, truth, out / "papers.tsv", out / "annotations.tsv")
+    write_eval_dataset(out / "eval.tsv", joined.rows)
+    read = read_labels(labels)[0]
     return {
         "cluster_fini": list(cluster_fini(bundle.corpus)),
         "PaperRecord.instances": [
@@ -704,6 +725,14 @@ def handed_out_ids():
         "synth truth": list(bundle.truth),
         "synth annotations": list(bundle.annotations),
         "synth authors": [instance for author in bundle.authors for instance in author.instances],
+        "ingest_clustering": list(ingest_clustering(truth)),
+        "ingest_clustering onto": list(ingest_clustering(truth, onto=dict(read))),
+        "read_labels": list(read),
+        "read_pairs": [instance for pair in read_pairs(out / "pairs.tsv") for instance in pair],
+        "read_eval_dataset": [row.instance for row in read_eval_dataset(out / "eval.tsv")],
+        "ingest_annotations onto": list(
+            ingest_annotations(out / "annotations.tsv", onto=dict.fromkeys(read))
+        ),
     }
 
 
@@ -720,9 +749,15 @@ def handed_out_ids():
         "synth truth",
         "synth annotations",
         "synth authors",
+        "ingest_clustering",
+        "ingest_clustering onto",
+        "read_labels",
+        "read_pairs",
+        "read_eval_dataset",
+        "ingest_annotations onto",
     ],
 )
-def test_every_instance_id_is_a_plain_tuple(handed_out_ids, source):
+def test_every_instance_id_is_a_plain_int(handed_out_ids, source):
     ids = handed_out_ids[source]
     assert ids
-    assert {type(instance) for instance in ids} == {tuple}
+    assert {type(instance) for instance in ids} == {int}
